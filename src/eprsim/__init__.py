@@ -3,8 +3,9 @@
 Models a pair of OPO squeezers combined on a balanced beam splitter as
 stationary Gaussian processes, runs the beams through a homodyne detection
 chain, and measures temporal-mode quadrature correlations.  Every Monte
-Carlo estimate has an analytic counterpart computed by quadrature of the
-same spectra, so simulated and expected values can be compared directly.
+Carlo estimate has an analytic counterpart computed from the same spectra
+(in closed form for the Lorentzian OPO spectra), so simulated and expected
+values can be compared directly.
 """
 
 from .analysis import (CalibrationError, Diagram, EprReport, ModeValues,

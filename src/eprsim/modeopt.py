@@ -1,6 +1,12 @@
 """Search temporal-mode shapes that minimize the Duan sum for given EPR
-spectra, against the analytic quadrature oracle (noiseless objective, so
-golden-section search is valid).
+spectra, against the analytic filtered-variance oracle (noiseless
+objective, so golden-section search is valid).
+
+For OPO spectra every evaluation is closed form: the mode's full-line
+overlap with the Lorentzian correlation exp(-kappa|tau|) minus the exactly
+integrated tail beyond the band limit (TemporalMode.lorentz_overlap).
+Spectra given only by an evaluator, and decay rates above half the band
+limit, fall back to Gauss-Legendre quadrature.
 """
 
 from __future__ import annotations

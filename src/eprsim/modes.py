@@ -11,10 +11,12 @@ exactly 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.special import exp1
 
 __all__ = ["TemporalMode"]
 
@@ -92,12 +94,10 @@ class TemporalMode:
         if self.kind == "square":
             f = np.full_like(t, 1.0 / np.sqrt(self.duration))
         elif self.kind == "one_sided_exp":
-            a2 = 2.0 * self.rate / (1.0 - np.exp(-2.0 * self.rate * self.duration))
-            f = np.sqrt(a2) * np.exp(-self.rate * t)
+            f = math.sqrt(self._exp_norm()) * np.exp(-self.rate * t)
         elif self.kind == "double_exp":
             tc = self.duration / 2.0
-            a2 = self.rate / (1.0 - np.exp(-2.0 * self.rate * tc))
-            f = np.sqrt(a2) * np.exp(-self.rate * np.abs(t - tc))
+            f = math.sqrt(self._exp_norm()) * np.exp(-self.rate * np.abs(t - tc))
         else:
             arr = np.asarray(self.samples)
             dt = self.duration / arr.size
@@ -105,11 +105,26 @@ class TemporalMode:
             f = arr[idx]
         return np.where(inside, f, 0.0)
 
+    def _exp_norm(self) -> float:
+        """Squared amplitude a^2 of the exponential kinds (unit norm)."""
+        if self.kind == "one_sided_exp":
+            return 2.0 * self.rate / -math.expm1(-2.0 * self.rate * self.duration)
+        return self.rate / -math.expm1(-self.rate * self.duration)
+
+    def _steps(self) -> Tuple[np.ndarray, float]:
+        """Jumps of a piecewise-constant mode at breakpoints k*spacing."""
+        if self.kind == "square":
+            return np.array([1.0, -1.0]) / math.sqrt(self.duration), self.duration
+        arr = np.asarray(self.samples)
+        return np.diff(arr, prepend=0.0, append=0.0), self.duration / arr.size
+
     def power_spectrum(self, omega: np.ndarray) -> np.ndarray:
         """|F(Omega)|^2 of the continuous mode, Omega in rad/s.
 
-        Closed forms for the parametric kinds; a direct Fourier sum for
-        tabulated modes (cost scales with len(samples) * len(omega)).
+        Closed forms for the parametric kinds. Tabulated modes are
+        piecewise constant over their cells (as in :meth:`amplitude`): a
+        direct Fourier sum over the cell midpoints times the cell factor
+        sinc^2(Omega*dt/2pi) (cost scales with len(samples) * len(omega)).
         Normalized so (1/2pi) integral |F|^2 dOmega = 1.
         """
         om = np.asarray(omega, dtype=float)
@@ -118,23 +133,71 @@ class TemporalMode:
             return T * np.sinc(om * T / (2.0 * np.pi)) ** 2
         if self.kind == "one_sided_exp":
             r, Ts = self.rate, self.duration
-            a2 = 2.0 * r / (1.0 - np.exp(-2.0 * r * Ts))
             e = np.exp(-r * Ts)
-            return a2 * (1.0 - 2.0 * e * np.cos(om * Ts) + e * e) / (r * r + om * om)
+            return self._exp_norm() * (1.0 - 2.0 * e * np.cos(om * Ts) + e * e) / (r * r + om * om)
         if self.kind == "double_exp":
             r = self.rate
             tc = self.duration / 2.0
-            a2 = r / (1.0 - np.exp(-2.0 * r * tc))
             e = np.exp(-r * tc)
             num = r - e * (r * np.cos(om * tc) - om * np.sin(om * tc))
-            return 4.0 * a2 * num ** 2 / (r * r + om * om) ** 2
+            return 4.0 * self._exp_norm() * num ** 2 / (r * r + om * om) ** 2
         arr = np.asarray(self.samples)
         dt = self.duration / arr.size
         t = (np.arange(arr.size) + 0.5) * dt
-        # F(om) = sum f(t_j) exp(i om t_j) dt; |F|^2 is phase-origin free
+        # F(om) = sinc(om dt/2pi) sum f_j exp(i om t_j) dt; |F|^2 is phase-origin free
         ph = np.exp(1j * np.outer(om, t))
-        F = (ph @ arr) * dt
+        F = (ph @ arr) * dt * np.sinc(om * dt / (2.0 * np.pi))
         return np.abs(F) ** 2
+
+    def lorentz_overlap(self, width: float, band: float) -> Optional[float]:
+        """(1/pi) integral_0^band |F(Omega)|^2 / (width^2 + Omega^2) dOmega.
+
+        A spectrum S = 1 + A/(width^2 + Omega^2) inside the band and S = 1
+        beyond it filters to the variance 1 + A * overlap. The full-line
+        overlap has a closed form (Wiener-Khinchin: S - 1 has correlation
+        (A/2 width) exp(-width |tau|)); the [band, inf) tail is subtracted
+        exactly as a series in Omega^-2. Piecewise-constant modes (square,
+        tabulated) with jumps df_k at tau_k use
+        |F|^2 = -Omega^-2 sum_kl df_k df_l (1 - cos Omega |tau_k - tau_l|).
+        Returns None when width or the decay rate exceeds band/2, where the
+        tail series converges slowly; callers then integrate numerically.
+        """
+        k, B = float(width), float(band)
+        if self.kind in ("square", "tabulated"):
+            if k > 0.5 * B:
+                return None
+            jumps, spacing = self._steps()
+            n = jumps.size
+            # sum over ordered pairs at lag m >= 1 (lag 0 has kernel 0)
+            pair = 2.0 * np.correlate(jumps, jumps, "full")[n:]
+            d = spacing * np.arange(1, n)
+            tail = _tail(k, B, np.concatenate(([0.0], d)), power=-2).real
+            kernel = _phi(k * d) / (2.0 * k ** 3) - (tail[0] - tail[1:]) / math.pi
+            return float(-np.dot(pair, kernel))
+        r = self.rate
+        if max(k, r) > 0.5 * B:
+            return None
+        a2 = self._exp_norm()
+        if self.kind == "one_sided_exp":
+            T = self.duration
+            e = math.exp(-r * T)
+            full = (1.0 - a2 * e * T * _dd_exp(r * T, k * T)) / (k * (k + r))
+            j = _tail(k, B, np.array([0.0, T]), power=0, rate=r, m=1).real
+            return full - a2 * ((1.0 + e * e) * j[0] - 2.0 * e * j[1]) / math.pi
+        tc = self.duration / 2.0
+        e = math.exp(-r * tc)
+        full = ((1.0 - 2.0 * a2 * e * tc * _dd_exp(r * tc, k * tc)) / (r + k)
+                + a2 * (tc * _dd_exp(0.0, (r + k) * tc)) ** 2) / k
+        # |F|^2/4a^2 = [r^2 - 2r^2 e cos x + 2re W sin x + e^2 (r^2+W^2)/2
+        #   + e^2 (r^2-W^2)/2 cos 2x - e^2 r W sin 2x] / (r^2+W^2)^2, x = W tc;
+        # one tail call over (d, power) = (0,0) (tc,0) (2tc,0) (tc,1) (2tc,1)
+        # (0,2) (2tc,2)
+        j = _tail(k, B, tc * np.array([0.0, 1.0, 2.0, 1.0, 2.0, 0.0, 2.0]),
+                  power=np.array([0, 0, 0, 1, 1, 2, 2]), rate=r, m=2)
+        c0, s1, c2 = j.real[:3], j.imag[3:5], j.real[5:]
+        tail = (r * r * (c0[0] - 2.0 * e * c0[1] + 0.5 * e * e * (c0[0] + c0[2]))
+                + r * e * (2.0 * s1[0] - e * s1[1]) + 0.5 * e * e * (c2[0] - c2[1]))
+        return full - 4.0 * a2 * tail / math.pi
 
     # -- discrete weights ----------------------------------------------------
 
@@ -162,3 +225,92 @@ class TemporalMode:
         if not (nrm > 0.0 and np.isfinite(nrm)):
             raise ValueError("mode discretizes to zero weights at this rate")
         return w / nrm
+
+
+# -- Lorentzian overlap helpers -------------------------------------------------
+
+def _phi(z: np.ndarray) -> np.ndarray:
+    """z - 1 + exp(-z) for z >= 0, by its Taylor series where it cancels."""
+    z = np.asarray(z, dtype=float)
+    out = z + np.expm1(-z)
+    small = z < 0.5
+    if np.any(small):
+        zs = z[small]
+        term = zs * zs / 2.0
+        series = np.zeros_like(zs)
+        for j in range(3, 22):
+            series += term
+            term = -term * zs / j
+        out[small] = series
+    return out
+
+
+def _dd_exp(x: float, y: float) -> float:
+    """(exp(-x) - exp(-y)) / (y - x), with its limit exp(-x) at y = x."""
+    h = abs(y - x)
+    return math.exp(-min(x, y)) * (-math.expm1(-h) / h if h > 0.0 else 1.0)
+
+
+def _expint(y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Generalized exponential integral E_p(-i y) for y >= 0 and integer
+    p >= 2 (broadcast); E_p(-i y) B^(1-p) = integral_B^inf exp(i Omega y/B)
+    Omega^-p dOmega."""
+    y, p = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(p, dtype=float))
+    z = -1j * y
+    out = np.where(y == 0.0, 1.0 / (p - 1.0), 0.0).astype(complex)
+    near = (y > 0.0) & (y <= 1.0)
+    if np.any(near):
+        # upward recurrence E_{q+1} = (exp(-z) - z E_q)/q is stable for |z| <= 1
+        zs, ps = z[near], p[near].astype(int)
+        ez = np.exp(-zs)
+        eq = exp1(zs)
+        got = np.empty_like(zs)
+        for q in range(1, int(ps.max())):
+            eq = (ez - zs * eq) / q
+            got = np.where(ps == q + 1, eq, got)
+        out[near] = got
+    far = y > 1.0
+    if np.any(far):
+        # modified Lentz evaluation of the continued fraction for exp(z) E_p(z);
+        # the scaled form stays finite where exp(z) alone is huge or tiny
+        zf, pf = z[far], p[far]
+        b = zf + pf
+        c = np.full(zf.shape, 1e300, dtype=complex)
+        dd = 1.0 / b
+        h = dd
+        for i in range(1, 2000):
+            a = -i * (pf - 1.0 + i)
+            b = b + 2.0
+            dd = 1.0 / (a * dd + b)
+            c = b + a / c
+            delta = c * dd
+            h = h * delta
+            if np.all(np.abs(delta - 1.0) <= 4e-16):
+                break
+        out[far] = h * np.exp(-zf)
+    return out
+
+
+def _tail(width: float, band: float, d: np.ndarray, power,
+          rate: float = 0.0, m: int = 0) -> np.ndarray:
+    """integral_band^inf exp(i Omega d) Omega^power
+    / ((rate^2 + Omega^2)^m (width^2 + Omega^2)) dOmega for each d (power
+    broadcasts against d).
+
+    The real part is the cosine integral, the imaginary part the sine one.
+    Expands the denominator in u = (band/Omega)^2, which converges for rate
+    and width below band, geometrically with ratio <= 1/4 when both are
+    <= band/2; term n then integrates to band^(1-p) E_p(-i band d), p =
+    2m + 2 - power + 2n.
+    """
+    a, b = (rate / band) ** 2, (width / band) ** 2
+    q = max(a, b)
+    n_terms = 1 if q == 0.0 else min(80, 4 * m + 1 + math.ceil(-39.2 / math.log(q)))
+    coeff = (-b) ** np.arange(n_terms)  # (1 + b u)^-1
+    for _ in range(m):  # times (1 + a u)^-1
+        for j in range(1, n_terms):
+            coeff[j] -= a * coeff[j - 1]
+    y, p0 = np.broadcast_arrays(band * np.asarray(d, dtype=float),
+                                2 * m + 2 - np.asarray(power))
+    moments = _expint(y[:, None], p0[:, None] + 2 * np.arange(n_terms))
+    return band ** (1.0 - p0) * (moments @ coeff)

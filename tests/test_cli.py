@@ -230,6 +230,18 @@ def test_sweep_range_validation(fast_cfg, tmp_path):
                  "--grid", "1e-7:1:3", "--out", str(tmp_path / "x")]) == 2
 
 
+def test_sweep_T_up_to_record_length(tmp_path):
+    # windows as long as the 2 ms record no longer exhaust a quadrature budget
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(dict(FAST, duration=2e-3)))
+    out = tmp_path / "swl"
+    assert main(["sweep", "--config", str(path), "--var", "T",
+                 "--grid", "1e-6:2e-3:3", "--out", str(out)]) == 0
+    _, _, rows = _read_csv(out / "sweep.csv")
+    duans = [float(r[2]) for r in rows]
+    assert len(duans) == 3 and all(0.0 < d < 1.0 for d in duans)
+
+
 def test_optimize_square(fast_cfg, tmp_path):
     out = tmp_path / "opt"
     assert main(["optimize", "--config", str(fast_cfg), "--family", "square",

@@ -30,7 +30,7 @@ def test_amplitude_zero_outside_support(mode):
     assert np.all(mode.amplitude(t) == 0.0)
 
 
-@pytest.mark.parametrize("mode", ALL_KINDS[:3], ids=lambda m: m.kind)
+@pytest.mark.parametrize("mode", ALL_KINDS, ids=lambda m: m.kind)
 def test_power_spectrum_matches_direct_transform(mode):
     # closed forms against a brute-force Fourier integral of f(t)
     n = 200_000
@@ -40,6 +40,19 @@ def test_power_spectrum_matches_direct_transform(mode):
     omega = np.linspace(0.0, 12.0 / mode.duration * np.pi, 9)
     direct = np.abs(np.exp(1j * np.outer(omega, t)) @ f * dt) ** 2
     assert np.allclose(mode.power_spectrum(omega), direct, rtol=1e-5, atol=1e-12)
+
+
+def test_tabulated_spectrum_is_piecewise_constant():
+    # a one-sample tabulated mode is the square window, and the cell
+    # factor makes |F|^2 decay instead of repeating every 2pi/dt
+    T = 0.2e-6
+    omega = np.linspace(0.0, 40.0 * np.pi / T, 41)
+    single = TemporalMode.tabulated([3.0], T).power_spectrum(omega)
+    assert np.allclose(single, TemporalMode.square(T).power_spectrum(omega),
+                       rtol=1e-12, atol=1e-30)
+    flat4 = TemporalMode.tabulated([1.0] * 4, T)
+    period = 2.0 * np.pi / (T / 4)
+    assert flat4.power_spectrum(np.array([period]))[0] < T * 1e-25
 
 
 def test_square_spectrum_values():

@@ -1,4 +1,8 @@
-"""Squeezing spectra and the filtered-variance quadrature oracle."""
+"""Squeezing spectra and the filtered-variance oracle: closed form for
+Lorentzian spectra, Gauss-Legendre quadrature as the cross-check."""
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import pytest
 from eprsim import (OpoParams, TemporalMode, calibrate_pump_param, duan_sum,
                     epr_spectra, filtered_variance, flat_psd, opo_spectrum,
                     to_db)
+from eprsim.spectra import _gl_integral
 
 import refvals
 
@@ -61,6 +66,25 @@ def test_heisenberg_product(x, eta):
         assert np.allclose(prod, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("x", [0.0, 0.1, 0.5, 0.9, 0.999])
+@pytest.mark.parametrize("eta", [0.0, 0.3, 0.9, 1.0])
+def test_uncertainty_product_identity(x, eta):
+    # S- S+ = 1 + eta (1 - eta) L- L+ with L-/+ = 4x / ((1 +/- x)^2 + u^2),
+    # u = Omega / (2 pi hwhm): the product is >= 1 for every valid pump and
+    # efficiency, so the spectra need no runtime uncertainty check
+    p = _opo(x, eta)
+    u = np.linspace(0.0, 100.0, 20_001)
+    om = 2.0 * np.pi * refvals.HWHM * u
+    anti = opo_spectrum(p, "antisqueezed")(om)
+    prod = opo_spectrum(p, "squeezed")(om) * anti
+    lorentz_sq = 4.0 * x / ((1.0 + x) ** 2 + u ** 2)
+    lorentz_anti = 4.0 * x / ((1.0 - x) ** 2 + u ** 2)
+    expected = 1.0 + eta * (1.0 - eta) * lorentz_sq * lorentz_anti
+    # S- = 1 - (...) rounds at ~1e-16 absolute, which S+ (up to ~4e6) magnifies
+    assert np.all(np.abs(prod - expected) <= 1e-15 * anti + 1e-15 * expected)
+    assert np.all(expected >= 1.0)
+
+
 @pytest.mark.parametrize("quadrature,direction", [("squeezed", 1), ("antisqueezed", -1)])
 def test_spectrum_monotone_toward_vacuum(quadrature, direction):
     p = _opo(0.5, 0.9)
@@ -111,6 +135,88 @@ def test_filtered_variance_translation_invariant():
     v0 = filtered_variance(psd, TemporalMode.tabulated(base, T))
     v1 = filtered_variance(psd, TemporalMode.tabulated(shifted, T))
     assert v1 == pytest.approx(v0, rel=1e-10)
+
+
+def _gl_reference(psd, mode, chunks=16):
+    """Band-limited variance by composite Gauss-Legendre at twice the
+    engine's starting panel density, integrated in chunks to bound memory."""
+    h = min(math.pi / (4.0 * mode.duration), psd.scale_hint / 4.0)
+    per_chunk = 2 * max(64, math.ceil(psd.band_limit / h)) // chunks + 1
+    edges = np.linspace(0.0, psd.band_limit, chunks + 1)
+
+    def integrand(om):
+        return (psd(om) - 1.0) * mode.power_spectrum(om)
+
+    total = sum(_gl_integral(integrand, lo, hi, per_chunk)
+                for lo, hi in zip(edges[:-1], edges[1:]))
+    return 1.0 + total / math.pi
+
+
+def _xcheck_modes(kind, T, width):
+    if kind == "square":
+        return [TemporalMode.square(T)]
+    if kind == "tabulated":
+        hann = [math.sin(math.pi * (j + 0.5) / 8) ** 2 for j in range(8)]
+        return [TemporalMode.tabulated(hann, T),
+                TemporalMode.tabulated([0.1, -0.9, 1.0, 0.4], T)]
+    factory = getattr(TemporalMode, kind)
+    return [factory(rate=f * width, support=T) for f in (0.3, 0.97, 1.0, 3.0)]
+
+
+@pytest.mark.parametrize("T", [1e-10, 1e-8, 1e-7, 1e-6, 1e-5])
+@pytest.mark.parametrize("kind", ["square", "one_sided_exp", "double_exp", "tabulated"])
+def test_closed_form_matches_gauss_legendre(kind, T):
+    # exponential rates straddle the Lorentz width kappa of each branch; at
+    # 0.1 ns the breakpoint distances fall below 1/band_limit
+    tol = 1e-12 if kind == "square" else 1e-10
+    for x, eta, branch in [(refvals.X_330, refvals.ETA, "squeezed"),
+                           (refvals.X_330, refvals.ETA, "antisqueezed"),
+                           (refvals.STRESS_X, refvals.STRESS_ETA, "squeezed")]:
+        psd = opo_spectrum(_opo(x, eta), branch)
+        for mode in _xcheck_modes(kind, T, psd.lorentz[1]):
+            assert filtered_variance(psd, mode) == pytest.approx(
+                _gl_reference(psd, mode), rel=tol)
+
+
+def test_quadrature_fallback_matches_closed_form():
+    # without the Lorentz fields, or for a rate beyond band/2, the
+    # Gauss-Legendre engine answers
+    psd = opo_spectrum(_opo(refvals.X_374, refvals.ETA), "squeezed")
+    numeric = dataclasses.replace(psd, lorentz=None)
+    for mode in (TemporalMode.square(0.2e-6),
+                 TemporalMode.double_exp(rate=4e7, support=1e-6)):
+        assert filtered_variance(numeric, mode) == pytest.approx(
+            filtered_variance(psd, mode), rel=1e-9)
+    fast = TemporalMode.one_sided_exp(rate=0.6 * psd.band_limit, support=1e-8)
+    assert fast.lorentz_overlap(psd.lorentz[1], psd.band_limit) is None
+    assert filtered_variance(psd, fast) == pytest.approx(
+        _gl_reference(psd, fast), rel=1e-9)
+
+
+@pytest.mark.parametrize("T", [1e-4, 1e-3, 2e-3])
+def test_long_square_windows(T):
+    # kappa*T reaches ~1e5: finite, squeezed, and on the full-line value
+    # 1 + A/kappa^2 (1 - (1 - exp(-kappa T))/(kappa T)) up to the ~1e-10 tail
+    for x, eta in [(refvals.X_330, refvals.ETA), (refvals.STRESS_X, refvals.STRESS_ETA)]:
+        psd = opo_spectrum(_opo(x, eta), "squeezed")
+        v = filtered_variance(psd, TemporalMode.square(T))
+        assert np.isfinite(v) and 0.0 < v < 1.0
+        weight, width = psd.lorentz
+        kt = width * T
+        full_line = 1.0 + weight / width ** 2 * (1.0 - -math.expm1(-kt) / kt)
+        assert v == pytest.approx(full_line, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_coarse_tabulated_hann_is_physical(n):
+    # piecewise-constant tabulated modes: a coarse Hann window over 2 us
+    # squeezes below vacuum (point-sample spectra made these negative)
+    hann = TemporalMode.tabulated(
+        [math.sin(math.pi * (j + 0.5) / n) ** 2 for j in range(n)], 2e-6)
+    p = _opo(refvals.X_330, refvals.ETA)
+    v_sq = filtered_variance(opo_spectrum(p, "squeezed"), hann)
+    v_anti = filtered_variance(opo_spectrum(p, "antisqueezed"), hann)
+    assert 0.0 < v_sq < 1.0 < v_anti
 
 
 def test_flat_psd_variance_is_exactly_one():
