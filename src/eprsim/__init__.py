@@ -14,7 +14,7 @@ from .analysis import (CalibrationError, Diagram, EprReport, ModeValues,
 from .config import ConfigError, RunConfig, config_fingerprint, load_config, parse_config
 from .detection import DetectionChain, calibrate, detect, expected_mode_variance
 from .modeopt import (ModeFamily, NonUnimodalError, OptResult, brute_force,
-                      make_mode, mode_duan, optimize)
+                      mode_duan, optimize)
 from .modes import TemporalMode
 from .recordio import (load_series_bin, load_series_csv, save_series_bin,
                        save_series_csv)
@@ -62,7 +62,6 @@ __all__ = [
     "load_config",
     "load_series_bin",
     "load_series_csv",
-    "make_mode",
     "mode_duan",
     "opo_spectrum",
     "optimize",

@@ -44,7 +44,6 @@ class ModeValues:
 
     values: np.ndarray
     mode: TemporalMode
-    source_label: str
 
     @property
     def count(self) -> int:
@@ -75,7 +74,7 @@ def extract_modes(series: TimeSeries, mode: TemporalMode,
     else:
         idx = np.arange(count)[:, None] * step + np.arange(n_w)[None, :]
         vals = series.samples[idx] @ w
-    return ModeValues(values=vals, mode=mode, source_label=series.label)
+    return ModeValues(values=vals, mode=mode)
 
 
 @dataclass(frozen=True)
@@ -107,11 +106,12 @@ def combo_series(record: TwoModeRecord, sign: float) -> TimeSeries:
 
 
 def _combo_variance(record: TwoModeRecord, sign: float,
-                    mode: TemporalMode) -> float:
+                    mode: TemporalMode) -> Tuple[float, int]:
+    """Sample variance of the combination's mode values, and their count."""
     vals = extract_modes(combo_series(record, sign), mode).values
     if vals.size < 2:
         raise ValueError("need at least 2 mode values per repetition")
-    return float(np.var(vals, ddof=1))
+    return float(np.var(vals, ddof=1)), vals.size
 
 
 def _check_reference(ref_var: float, expected: float, n_modes: int) -> None:
@@ -155,14 +155,13 @@ def epr_report(x_records: Sequence[TwoModeRecord],
     db_x, db_p, duans = [], [], []
     for i in range(reps):
         ref = vacuum_refs[i if len(vacuum_refs) == reps else 0]
-        ref_x = _combo_variance(ref, -1.0, mode)
-        ref_p = _combo_variance(ref, +1.0, mode)
+        ref_x, n_modes = _combo_variance(ref, -1.0, mode)
+        ref_p, _ = _combo_variance(ref, +1.0, mode)
         if expected_ref_variance is not None:
-            n_modes = extract_modes(ref.a, mode).count
             _check_reference(ref_x, expected_ref_variance, n_modes)
             _check_reference(ref_p, expected_ref_variance, n_modes)
-        vx = _combo_variance(x_records[i], -1.0, mode) / ref_x
-        vp = _combo_variance(p_records[i], +1.0, mode) / ref_p
+        vx = _combo_variance(x_records[i], -1.0, mode)[0] / ref_x
+        vp = _combo_variance(p_records[i], +1.0, mode)[0] / ref_p
         db_x.append(to_db(vx))
         db_p.append(to_db(vp))
         duans.append(duan_sum(vx, vp))

@@ -22,27 +22,20 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .analysis import (CalibrationError, EprReport, combo_series,
+from .analysis import (CalibrationError, Diagram, EprReport, combo_series,
                        correlation_diagram, epr_report, extract_modes,
                        trace_excerpt, welch_psd)
 from .config import ConfigError, RunConfig, config_fingerprint, load_config
 from .detection import detect, expected_mode_variance
 from .modeopt import ModeFamily, NonUnimodalError, mode_duan, optimize
-from .modes import TemporalMode
-from .spectra import (QuadratureError, epr_spectra, filtered_variance,
-                      opo_spectrum, to_db)
+from .modes import KINDS, TemporalMode
+from .spectra import QuadratureError, epr_spectra, filtered_variance, to_db
 from .synth import epr_record, vacuum_record
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-_DEFAULT_BOUNDS = {
-    "square": {"duration": (0.02e-6, 2e-6)},
-    "one_sided_exp": {"rate": (1e3, 2e8), "support": (0.02e-6, 2e-6)},
-    "double_exp": {"rate": (1e3, 2e8), "support": (0.02e-6, 2e-6)},
-}
 
 
 def _fmt(value) -> str:
@@ -128,8 +121,9 @@ def _report_rows(report: EprReport):
 
 
 def _write_setting_outputs(cfg: RunConfig, out: Path, tag: str, record,
-                           vacuum, sign: float) -> float:
-    """diagram, trace and vacuum-referenced PSD for one setting; returns r."""
+                           vacuum, sign: float) -> Diagram:
+    """diagram, trace and vacuum-referenced PSD for one setting; returns the
+    diagram."""
     mode = cfg.mode
     va = extract_modes(record.a, mode)
     vb = extract_modes(record.b, mode)
@@ -150,7 +144,7 @@ def _write_setting_outputs(cfg: RunConfig, out: Path, tag: str, record,
     _write_csv(out / f"psd_{tag}.csv",
                _meta(cfg, "run", setting=tag, segments=est_sig.n_segments),
                ("freq_hz", "db"), zip(est_sig.freq_hz, db))
-    return diagram.pearson_r
+    return diagram
 
 
 def cmd_run(cfg: RunConfig, out: Path) -> int:
@@ -162,14 +156,13 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
                ("rep", "var_diff_x_db", "var_sum_p_db", "duan",
                 "var_diff_x_db_se", "var_sum_p_db_se", "duan_se"),
                _report_rows(report))
-    r_x = _write_setting_outputs(cfg, out, "x", xs[0], vs[0], -1.0)
-    r_p = _write_setting_outputs(cfg, out, "p", ps[0], vs[0], +1.0)
-    n_modes = extract_modes(xs[0].a, cfg.mode).count
+    dx = _write_setting_outputs(cfg, out, "x", xs[0], vs[0], -1.0)
+    dp = _write_setting_outputs(cfg, out, "p", ps[0], vs[0], +1.0)
     print(f"diff-x: {report.var_diff_x_db:+.3f} dB (se {report.var_diff_x_db_se:.3f})")
     print(f"sum-p:  {report.var_sum_p_db:+.3f} dB (se {report.var_sum_p_db_se:.3f})")
     print(f"duan:   {report.duan:.4f} (se {report.duan_se:.4f}, separable bound 1)")
-    print(f"repetitions: {report.repetitions}, modes per repetition: {n_modes}")
-    print(f"pearson r: x {r_x:+.3f}, p {r_p:+.3f}")
+    print(f"repetitions: {report.repetitions}, modes per repetition: {dx.a.size}")
+    print(f"pearson r: x {dx.pearson_r:+.3f}, p {dp.pearson_r:+.3f}")
     print(f"outputs in {out}")
     return EXIT_OK
 
@@ -222,38 +215,20 @@ def _parse_grid(text: str, log: bool) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _sweep_point(cfg: RunConfig, variable: str, value: float):
+def _sweep_setting(cfg: RunConfig, variable: str, value: float) -> RunConfig:
+    """cfg with the swept variable (a square mode's T, or both OPOs'
+    pump_param or efficiency) set to value."""
     if variable == "T":
         if not (0.0 < value <= cfg.duration):
             raise ConfigError(f"T={value:g} outside (0, duration]")
-        mode = TemporalMode.square(value)
-        return epr_spectra(cfg.opo1, cfg.opo2), mode
+        return replace(cfg, mode=TemporalMode.square(value))
     if variable == "pump_param":
         if not (0.0 <= value < 1.0):
             raise ConfigError(f"pump_param={value:g} outside [0, 1)")
-        opo1 = replace(cfg.opo1, pump_param=value)
-        opo2 = replace(cfg.opo2, pump_param=value)
-    else:
-        if not (0.0 <= value <= 1.0):
-            raise ConfigError(f"efficiency={value:g} outside [0, 1]")
-        opo1 = replace(cfg.opo1, efficiency=value)
-        opo2 = replace(cfg.opo2, efficiency=value)
-    return epr_spectra(opo1, opo2), cfg.mode
-
-
-def _sweep_mc(cfg: RunConfig, variable: str, value: float, slot: int) -> float:
-    """One-repetition pipeline duan at a sweep point."""
-    if variable == "T":
-        mc_cfg = replace(cfg, mode=TemporalMode.square(value))
-    elif variable == "pump_param":
-        mc_cfg = replace(cfg, opo1=replace(cfg.opo1, pump_param=value),
-                         opo2=replace(cfg.opo2, pump_param=value))
-    else:
-        mc_cfg = replace(cfg, opo1=replace(cfg.opo1, efficiency=value),
-                         opo2=replace(cfg.opo2, efficiency=value))
-    mc_cfg = replace(mc_cfg, repetitions=1, seed=cfg.seed + 1_000_000 * (slot + 1))
-    report = _run_pipeline(mc_cfg)[0]
-    return report.duan
+    elif not (0.0 <= value <= 1.0):
+        raise ConfigError(f"efficiency={value:g} outside [0, 1]")
+    return replace(cfg, opo1=replace(cfg.opo1, **{variable: value}),
+                   opo2=replace(cfg.opo2, **{variable: value}))
 
 
 def cmd_sweep(cfg: RunConfig, out: Path, variable: str, grid: np.ndarray,
@@ -261,11 +236,12 @@ def cmd_sweep(cfg: RunConfig, out: Path, variable: str, grid: np.ndarray,
     rows = []
     endpoints = {0, grid.size - 1}
     for j, value in enumerate(grid):
-        spectra, mode = _sweep_point(cfg, variable, float(value))
-        duan = mode_duan(spectra, mode)
+        c = _sweep_setting(cfg, variable, float(value))
+        duan = mode_duan(epr_spectra(c.opo1, c.opo2), c.mode)
         duan_mc = None
         if mc_check and j in endpoints:
-            duan_mc = _sweep_mc(cfg, variable, float(value), slot=j)
+            mc_cfg = replace(c, repetitions=1, seed=cfg.seed + 1_000_000 * (j + 1))
+            duan_mc = _run_pipeline(mc_cfg)[0].duan
         rows.append((variable, value, duan, duan_mc))
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "sweep.csv", _meta(cfg, "sweep", variable=variable),
@@ -279,7 +255,8 @@ def cmd_sweep(cfg: RunConfig, out: Path, variable: str, grid: np.ndarray,
 # -- optimize -----------------------------------------------------------------
 
 def _family_bounds(kind: str, overrides: Sequence[str]) -> Dict[str, Tuple[float, float]]:
-    bounds = {k: tuple(v) for k, v in _DEFAULT_BOUNDS[kind].items()}
+    row = KINDS[kind]
+    bounds = dict(zip(row.params, row.bounds))
     for text in overrides:
         name, _, span = text.partition("=")
         if name not in bounds:
@@ -304,7 +281,7 @@ def cmd_optimize(cfg: RunConfig, out: Path, kind: str, budget: int,
     best = min(result.trace, key=lambda pv: pv[1])[0]
     meta = _meta(cfg, "optimize", family=kind, budget=budget,
                  converged=str(result.converged).lower(),
-                 oracle=result.oracle, best_duan=result.best_duan,
+                 best_duan=result.best_duan,
                  **{f"best_{n}": best[n] for n in names})
     _write_csv(out / "optimize.csv", meta, (*names, "duan"),
                [tuple(p[n] for n in names) + (v,) for p, v in result.trace])
@@ -347,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="search a mode family for minimal duan")
     common(p_opt)
     p_opt.add_argument("--family", required=True,
-                       choices=("square", "one_sided_exp", "double_exp"))
+                       choices=[k for k, row in KINDS.items() if row.bounds])
     p_opt.add_argument("--budget", type=int, default=160,
                        help="objective evaluation budget (minimum 16)")
     p_opt.add_argument("--bound", action="append", default=[],

@@ -6,12 +6,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from .detection import DetectionChain
-from .modes import TemporalMode
+from .modes import KINDS, TemporalMode
 from .spectra import OpoParams
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "config_fingerprint"]
@@ -44,6 +45,8 @@ def _require(table: Dict[str, Any], key: str, path: str) -> Any:
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # inf, nan, or an int beyond float
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -100,40 +103,23 @@ def _parse_mode(table: Any, path: str) -> TemporalMode:
     if not isinstance(table, dict) or "kind" not in table:
         raise ConfigError(f"{path}kind: required field missing")
     kind = table["kind"]
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ConfigError(f"{path}kind: unknown mode kind {kind!r}")
+    names = KINDS[kind].params
+    _check_keys(table, ("kind", *names), path)
+    params: Dict[str, Any] = {}
+    for name in names:
+        value = _require(table, name, path)
+        if name != "samples":
+            params[name] = _number(value, path + name)
+        elif isinstance(value, list) and value:
+            params[name] = [_number(v, path + name) for v in value]
+        else:
+            raise ConfigError(f"{path}{name}: expected a non-empty array")
     try:
-        if kind == "square":
-            _check_keys(table, ("kind", "duration"), path)
-            return TemporalMode.square(_number(_require(table, "duration", path),
-                                               path + "duration"))
-        if kind in ("one_sided_exp", "double_exp"):
-            _check_keys(table, ("kind", "rate", "support"), path)
-            rate = _number(_require(table, "rate", path), path + "rate")
-            support = _number(_require(table, "support", path), path + "support")
-            ctor = (TemporalMode.one_sided_exp if kind == "one_sided_exp"
-                    else TemporalMode.double_exp)
-            return ctor(rate, support)
-        if kind == "tabulated":
-            _check_keys(table, ("kind", "samples", "duration"), path)
-            samples = _require(table, "samples", path)
-            if not isinstance(samples, list) or not samples:
-                raise ConfigError(f"{path}samples: expected a non-empty array")
-            return TemporalMode.tabulated(
-                [_number(v, path + "samples") for v in samples],
-                _number(_require(table, "duration", path), path + "duration"))
-    except ConfigError:
-        raise
+        return TemporalMode.from_params(kind, params)
     except ValueError as exc:
         raise ConfigError(f"{path.rstrip('.')}: {exc}") from exc
-    raise ConfigError(f"{path}kind: unknown mode kind {kind!r}")
-
-
-def _canonical_mode(mode: TemporalMode) -> Dict[str, Any]:
-    if mode.kind == "square":
-        return {"kind": "square", "duration": mode.duration}
-    if mode.kind in ("one_sided_exp", "double_exp"):
-        return {"kind": mode.kind, "rate": mode.rate, "support": mode.duration}
-    return {"kind": "tabulated", "samples": list(mode.samples),
-            "duration": mode.duration}
 
 
 def _canonical_dict(cfg: "RunConfig") -> Dict[str, Any]:
@@ -154,7 +140,7 @@ def _canonical_dict(cfg: "RunConfig") -> Dict[str, Any]:
         },
         "fs": cfg.fs,
         "duration": cfg.duration,
-        "mode": _canonical_mode(cfg.mode),
+        "mode": {"kind": cfg.mode.kind, **cfg.mode.params},
         "repetitions": cfg.repetitions,
         "seed": cfg.seed,
     }

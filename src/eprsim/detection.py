@@ -117,8 +117,7 @@ def detect(record: TwoModeRecord, chain: DetectionChain, seed: int) -> TwoModeRe
                           label=series.label)
 
     return TwoModeRecord(a=process(record.a), b=process(record.b),
-                         setting=record.setting, seed=record.seed,
-                         params=record.params)
+                         setting=record.setting, seed=record.seed)
 
 
 def calibrate(chain: DetectionChain, duration: float, fs: float,

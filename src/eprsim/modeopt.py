@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .modes import TemporalMode
+from .modes import KINDS, TemporalMode
 from .spectra import EprSpectra, duan_sum, filtered_variance
 
 __all__ = [
@@ -23,18 +23,12 @@ __all__ = [
     "OptResult",
     "NonUnimodalError",
     "mode_duan",
-    "make_mode",
     "brute_force",
     "optimize",
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _REL_TOL_LOG = math.log(1.001)  # parameter interval < 1e-3 relative
-_FAMILY_PARAMS = {
-    "square": ("duration",),
-    "one_sided_exp": ("rate", "support"),
-    "double_exp": ("rate", "support"),
-}
 
 
 class NonUnimodalError(RuntimeError):
@@ -49,17 +43,19 @@ class NonUnimodalError(RuntimeError):
 class ModeFamily:
     """A parametric mode family with per-parameter search bounds.
 
-    square takes a duration bound; the exponential families take decay
-    rate (1/s) and support (s) bounds.
+    The kind is a KINDS entry with default bounds (square takes a duration
+    bound; the exponential families take decay rate (1/s) and support (s)
+    bounds).
     """
 
     kind: str
     param_bounds: Dict[str, Tuple[float, float]]
 
     def __post_init__(self):
-        names = _FAMILY_PARAMS.get(self.kind)
-        if names is None:
+        row = KINDS.get(self.kind) if isinstance(self.kind, str) else None
+        if row is None or row.bounds is None:
             raise ValueError(f"unknown mode family {self.kind!r}")
+        names = row.params
         if tuple(self.param_bounds) != names:
             raise ValueError(
                 f"{self.kind} family requires bounds for {names}, got "
@@ -72,7 +68,7 @@ class ModeFamily:
 
     @property
     def param_names(self) -> Tuple[str, ...]:
-        return _FAMILY_PARAMS[self.kind]
+        return KINDS[self.kind].params
 
 
 @dataclass(frozen=True)
@@ -80,18 +76,7 @@ class OptResult:
     best_mode: TemporalMode
     best_duan: float
     trace: List[Tuple[Dict[str, float], float]]
-    oracle: str = "analytic-quadrature"
     converged: bool = True
-
-
-def make_mode(kind: str, params: Dict[str, float]) -> TemporalMode:
-    if kind == "square":
-        return TemporalMode.square(params["duration"])
-    if kind == "one_sided_exp":
-        return TemporalMode.one_sided_exp(params["rate"], params["support"])
-    if kind == "double_exp":
-        return TemporalMode.double_exp(params["rate"], params["support"])
-    raise ValueError(f"unknown mode family {kind!r}")
 
 
 def mode_duan(spectra: EprSpectra, mode: TemporalMode) -> float:
@@ -120,7 +105,8 @@ def brute_force(spectra: EprSpectra, family: ModeFamily,
         g0 = _log_grid(*family.param_bounds[names[0]], m)
         g1 = _log_grid(*family.param_bounds[names[1]], m)
         grid = [{names[0]: a, names[1]: b} for a in g0 for b in g1]
-    return [(p, mode_duan(spectra, make_mode(family.kind, p))) for p in grid]
+    return [(p, mode_duan(spectra, TemporalMode.from_params(family.kind, p)))
+            for p in grid]
 
 
 class _BudgetExhausted(Exception):
@@ -143,7 +129,8 @@ class _Objective:
             return self.cache[key]
         if len(self.cache) >= self.budget:
             raise _BudgetExhausted
-        val = mode_duan(self.spectra, make_mode(self.family.kind, dict(params)))
+        val = mode_duan(self.spectra,
+                        TemporalMode.from_params(self.family.kind, params))
         self.cache[key] = val
         self.trace.append((dict(params), val))
         return val
@@ -256,5 +243,5 @@ def optimize(spectra: EprSpectra, family: ModeFamily,
     if not obj.trace:
         raise ValueError("optimization budget exhausted before any evaluation")
     best_params, best_val = obj.best()
-    return OptResult(best_mode=make_mode(family.kind, best_params),
+    return OptResult(best_mode=TemporalMode.from_params(family.kind, best_params),
                      best_duan=best_val, trace=obj.trace, converged=converged)

@@ -3,7 +3,8 @@ quadrature record into discrete single-mode values.
 
 A mode is defined on a finite support [0, duration]. Three parametric
 families are provided (square, one-sided exponential, symmetric two-sided
-exponential) plus tabulated samples. All modes satisfy the norm contract
+exponential) plus tabulated samples; KINDS lists them with their parameter
+names and default search bounds. All modes satisfy the norm contract
 integral f(t)^2 dt = 1; discretized weights are renormalized to unit
 Euclidean norm so a white unit-variance input always yields mode variance
 exactly 1.
@@ -13,14 +14,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.special import exp1
 
-__all__ = ["TemporalMode"]
+__all__ = ["KINDS", "ModeKind", "TemporalMode"]
 
-_KINDS = ("square", "one_sided_exp", "double_exp", "tabulated")
+
+class ModeKind(NamedTuple):
+    """One row of the mode-kind table: the factory's parameter names in call
+    order and, for the kinds the optimizer searches, each parameter's
+    default (lo, hi) search bounds."""
+
+    params: Tuple[str, ...]
+    bounds: Optional[Tuple[Tuple[float, float], ...]] = None
+
+
+# kind name -> row; each kind's name is also its TemporalMode factory
+KINDS: Dict[str, ModeKind] = {
+    "square": ModeKind(("duration",), ((0.02e-6, 2e-6),)),
+    "one_sided_exp": ModeKind(("rate", "support"), ((1e3, 2e8), (0.02e-6, 2e-6))),
+    "double_exp": ModeKind(("rate", "support"), ((1e3, 2e8), (0.02e-6, 2e-6))),
+    "tabulated": ModeKind(("samples", "duration")),
+}
 
 
 @dataclass(frozen=True)
@@ -38,7 +55,7 @@ class TemporalMode:
     samples: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown mode kind {self.kind!r}")
         if not (self.duration > 0.0 and np.isfinite(self.duration)):
             raise ValueError("mode duration must be positive and finite")
@@ -74,6 +91,8 @@ class TemporalMode:
         """Mode given by samples on a uniform midpoint grid over [0, duration].
 
         Samples are normalized at construction; only the shape matters.
+        Samples that are unit-norm up to rounding are kept as given, so
+        rebuilding a mode from its own samples reproduces it exactly.
         """
         arr = np.asarray(samples, dtype=float)
         if arr.ndim != 1:
@@ -82,8 +101,23 @@ class TemporalMode:
         nrm = np.sqrt(np.sum(arr * arr) * dt)
         if not (nrm > 0.0 and np.isfinite(nrm)):
             raise ValueError("tabulated mode samples must be finite and not all zero")
-        return cls(kind="tabulated", duration=float(duration),
-                   samples=tuple(arr / nrm))
+        if abs(nrm - 1.0) > 1e-12:
+            arr = arr / nrm
+        return cls(kind="tabulated", duration=float(duration), samples=tuple(arr))
+
+    @classmethod
+    def from_params(cls, kind: str, params: Dict[str, Any]) -> "TemporalMode":
+        """The factory of a KINDS entry called with keyword params."""
+        if not isinstance(kind, str) or kind not in KINDS:
+            raise ValueError(f"unknown mode kind {kind!r}")
+        return getattr(cls, kind)(**params)
+
+    @property
+    def params(self) -> Dict[str, Any]:
+        """Factory arguments of this mode: from_params(kind, params) rebuilds it."""
+        fields = {"duration": self.duration, "support": self.duration,
+                  "rate": self.rate, "samples": self.samples}
+        return {name: fields[name] for name in KINDS[self.kind].params}
 
     # -- continuous-time views ---------------------------------------------
 

@@ -9,11 +9,10 @@ PSD bin by bin and a flat PSD passes white samples through unchanged
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 
-from .spectra import EprSpectra, OpoParams, QuadPsd, epr_spectra, opo_spectrum
+from .spectra import OpoParams, QuadPsd, epr_spectra, opo_spectrum
 
 __all__ = [
     "TimeSeries",
@@ -60,7 +59,6 @@ class TwoModeRecord:
     b: TimeSeries
     setting: str
     seed: int
-    params: Optional[Tuple[OpoParams, OpoParams]] = None
 
     def __post_init__(self):
         if self.setting not in _SETTINGS:
@@ -140,7 +138,7 @@ def epr_record(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,
     lab = "x" if setting == "X" else "p"
     a = TimeSeries(fs, (b1 + b2) * inv_sqrt2, label=f"{lab}_A")
     b = TimeSeries(fs, (b1 - b2) * inv_sqrt2, label=f"{lab}_B")
-    return TwoModeRecord(a=a, b=b, setting=setting, seed=seed, params=(opo1, opo2))
+    return TwoModeRecord(a=a, b=b, setting=setting, seed=seed)
 
 
 def vacuum_record(duration: float, fs: float, seed: int) -> TwoModeRecord:
@@ -151,4 +149,4 @@ def vacuum_record(duration: float, fs: float, seed: int) -> TwoModeRecord:
     rng = np.random.default_rng(seed)
     a = TimeSeries(fs, rng.standard_normal(n_out), label="vacuum")
     b = TimeSeries(fs, rng.standard_normal(n_out), label="vacuum")
-    return TwoModeRecord(a=a, b=b, setting="VACUUM", seed=seed, params=None)
+    return TwoModeRecord(a=a, b=b, setting="VACUUM", seed=seed)

@@ -86,12 +86,41 @@ def test_fingerprint_is_stable_and_ignores_output_dir():
     (lambda t: t["mode"].update(kind="gauss"), "unknown mode kind 'gauss'"),
     (lambda t: t["mode"].pop("kind"), "mode.kind: required field missing"),
     (lambda t: t["mode"].update(duration=1.0), "must not exceed the record"),
+    (lambda t: t["mode"].update(kind=["square"]), "mode.kind: unknown mode kind"),
+    (lambda t: t["mode"].update(rate=1), "mode.rate: unknown field"),
+    (lambda t: t.update(duration=float("nan")), "duration: expected a finite number"),
+    (lambda t: t.update(fs=float("inf")), "fs: expected a finite number, got inf"),
+    (lambda t: t.update(fs=10 ** 400), "fs: expected a finite number, got 10000"),
+    (lambda t: t["chain"].update(electronic_noise_db=float("nan")),
+     "chain.electronic_noise_db: expected a finite number"),
 ])
 def test_validation_messages_name_the_field(mutate, message):
     table = _base_table()
     mutate(table)
     with pytest.raises(ConfigError, match=message):
         parse_config(table)
+
+
+# fingerprints of paper.cfg and of it with the other mode kinds; every output
+# file carries the fingerprint, so the canonical form must not change
+PINNED_FINGERPRINTS = [
+    (None, "ab2828bdce79b8efe5e4e0ac2493bba8bbf2169c3caa7696b5bcc05b78a7981e"),
+    ({"kind": "one_sided_exp", "rate": 2e6, "support": 4e-7},
+     "6a18d9ce67e09c2b1388dff185c6b8761e3d79948835d65271ca37808f66c5ae"),
+    ({"kind": "double_exp", "rate": 2e6, "support": 4e-7},
+     "39c8e56d49b0ee5291c517b54e13491ce50d794bd7fd0cbda7e95490c255cfa6"),
+    ({"kind": "tabulated", "samples": [0, 1, 1, 0], "duration": 4e-7},
+     "7177494c354c4ab6a1bcfc82ab9b2125ab7df9abf48f0ed08b857b71d6527a7d"),
+]
+
+
+@pytest.mark.parametrize("mode, fingerprint", PINNED_FINGERPRINTS,
+                         ids=("paper", "one_sided_exp", "double_exp", "tabulated"))
+def test_fingerprints_are_pinned(mode, fingerprint):
+    table = json.loads((REPO_ROOT / "paper.cfg").read_text())
+    if mode is not None:
+        table["mode"] = mode
+    assert parse_config(table).fingerprint == fingerprint
 
 
 def test_matching_squeeze_phases_rejected():

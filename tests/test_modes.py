@@ -126,6 +126,11 @@ def test_tabulated_normalized_at_construction():
     assert np.sum(arr * arr) * mode.duration / arr.size == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("mode", ALL_KINDS, ids=lambda m: m.kind)
+def test_params_round_trip(mode):
+    assert TemporalMode.from_params(mode.kind, mode.params) == mode
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         TemporalMode.square(0.0)
@@ -141,3 +146,7 @@ def test_validation_errors():
         TemporalMode.tabulated([[1.0], [2.0]], 1e-6)
     with pytest.raises(ValueError):
         TemporalMode(kind="triangle", duration=1e-6)
+    with pytest.raises(ValueError, match="unknown mode kind"):
+        TemporalMode.from_params("triangle", {"duration": 1e-6})
+    with pytest.raises(ValueError, match="unknown mode kind"):
+        TemporalMode.from_params(["square"], {"duration": 1e-6})
