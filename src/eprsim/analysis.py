@@ -91,7 +91,6 @@ class EprReport:
     duan_se: float
     repetitions: int
     mode: TemporalMode
-    fingerprint: str = ""
     per_rep: Tuple[Tuple[float, float, float], ...] = field(default=())
     """Per repetition: (diff_x dB, sum_p dB, duan)."""
 

@@ -30,7 +30,7 @@ from .detection import detect, expected_mode_variance
 from .modeopt import ModeFamily, NonUnimodalError, mode_duan, optimize
 from .modes import KINDS, TemporalMode
 from .spectra import QuadratureError, epr_spectra, filtered_variance, to_db
-from .synth import epr_record, vacuum_record
+from .synth import block_length, epr_record, vacuum_record
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -83,31 +83,34 @@ def _meta(cfg: RunConfig, command: str, **extra) -> Dict[str, object]:
 
 # -- run ----------------------------------------------------------------------
 
-def _one_repetition(cfg: RunConfig, i: int):
-    base = cfg.seed + 10 * i
-    xr = epr_record(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, "X", base)
-    pr = epr_record(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, "P", base + 1)
-    vr = vacuum_record(cfg.duration, cfg.fs, base + 2)
-    return (detect(xr, cfg.chain, base + 3),
-            detect(pr, cfg.chain, base + 4),
-            detect(vr, cfg.chain, base + 5))
+def _one_repetition(cfg: RunConfig, seq: np.random.SeedSequence):
+    x_synth, p_synth, v_synth, x_noise, p_noise, v_noise = seq.spawn(6)
+    xr = epr_record(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, "X", x_synth)
+    pr = epr_record(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, "P", p_synth)
+    vr = vacuum_record(cfg.duration, cfg.fs, v_synth)
+    return (detect(xr, cfg.chain, x_noise),
+            detect(pr, cfg.chain, p_noise),
+            detect(vr, cfg.chain, v_noise))
 
 
-def _run_pipeline(cfg: RunConfig):
+def _run_pipeline(cfg: RunConfig, slot: int = 0):
+    """Random streams form the spawn tree seed -> slot -> repetition ->
+    stream (slot 0 is `run`, slot j+1 the `sweep --mc-check` run at grid
+    point j): no two streams share a seed, and repetition i's streams do
+    not depend on cfg.repetitions."""
     epr_spectra(cfg.opo1, cfg.opo2)  # fail fast on bad arrangements
-    n_out = int(round(cfg.duration * cfg.fs))
-    block = 1 << (n_out - 1).bit_length()
     expected_ref = expected_mode_variance(None, cfg.chain, cfg.fs, cfg.mode,
-                                          block=block)
+                                          block=block_length(cfg.duration, cfg.fs))
+    root = np.random.SeedSequence(cfg.seed, spawn_key=(slot,))
     with ThreadPoolExecutor(max_workers=_worker_count(cfg.repetitions)) as pool:
-        futures = [pool.submit(_one_repetition, cfg, i)
-                   for i in range(cfg.repetitions)]
+        futures = [pool.submit(_one_repetition, cfg, seq)
+                   for seq in root.spawn(cfg.repetitions)]
         results = [f.result() for f in futures]
     xs = [r[0] for r in results]
     ps = [r[1] for r in results]
     vs = [r[2] for r in results]
     report = epr_report(xs, ps, vs, cfg.mode, expected_ref_variance=expected_ref)
-    return replace(report, fingerprint=cfg.fingerprint), xs, ps, vs, expected_ref
+    return report, xs, ps, vs, expected_ref
 
 
 def _report_rows(report: EprReport):
@@ -240,8 +243,7 @@ def cmd_sweep(cfg: RunConfig, out: Path, variable: str, grid: np.ndarray,
         duan = mode_duan(epr_spectra(c.opo1, c.opo2), c.mode)
         duan_mc = None
         if mc_check and j in endpoints:
-            mc_cfg = replace(c, repetitions=1, seed=cfg.seed + 1_000_000 * (j + 1))
-            duan_mc = _run_pipeline(mc_cfg)[0].duan
+            duan_mc = _run_pipeline(replace(c, repetitions=1), slot=j + 1)[0].duan
         rows.append((variable, value, duan, duan_mc))
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "sweep.csv", _meta(cfg, "sweep", variable=variable),

@@ -7,7 +7,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Dict
 
@@ -42,11 +42,13 @@ def _require(table: Dict[str, Any], key: str, path: str) -> Any:
     return table[key]
 
 
-def _number(value: Any, path: str) -> float:
+def _number(value: Any, path: str, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     if not abs(value) <= sys.float_info.max:  # inf, nan, or an int beyond float
         raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    if positive and not value > 0:
+        raise ConfigError(f"{path}: must be positive")
     return float(value)
 
 
@@ -75,28 +77,21 @@ def _parse_opo(table: Any, path: str) -> OpoParams:
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(f"{path.rstrip('.')}: {exc}") from exc
+        raise ConfigError(f"{path}{exc}") from exc
 
 
 def _parse_chain(table: Any, path: str) -> DetectionChain:
-    allowed = ("detector_bandwidth", "highpass_cutoff", "electronic_noise_db",
-               "adc_rate", "adc_bits")
-    _check_keys(table, allowed, path)
+    _check_keys(table, [f.name for f in fields(DetectionChain)], path)
     kwargs: Dict[str, Any] = {}
-    for key in ("detector_bandwidth", "highpass_cutoff", "adc_rate"):
-        if key in table:
-            kwargs[key] = _number(table[key], path + key)
-    if "electronic_noise_db" in table:
-        val = table["electronic_noise_db"]
-        kwargs["electronic_noise_db"] = None if val is None else _number(
-            val, path + "electronic_noise_db")
-    if "adc_bits" in table:
-        val = table["adc_bits"]
-        kwargs["adc_bits"] = None if val is None else _integer(val, path + "adc_bits")
+    for key, value in table.items():
+        if value is None and key in ("electronic_noise_db", "adc_bits"):
+            kwargs[key] = None  # null switches the stage off
+        else:
+            kwargs[key] = (_integer if key == "adc_bits" else _number)(value, path + key)
     try:
         return DetectionChain(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{path.rstrip('.')}: {exc}") from exc
+        raise ConfigError(f"{path}{exc}") from exc
 
 
 def _parse_mode(table: Any, path: str) -> TemporalMode:
@@ -111,7 +106,7 @@ def _parse_mode(table: Any, path: str) -> TemporalMode:
     for name in names:
         value = _require(table, name, path)
         if name != "samples":
-            params[name] = _number(value, path + name)
+            params[name] = _number(value, path + name, positive=True)
         elif isinstance(value, list) and value:
             params[name] = [_number(v, path + name) for v in value]
         else:
@@ -119,25 +114,14 @@ def _parse_mode(table: Any, path: str) -> TemporalMode:
     try:
         return TemporalMode.from_params(kind, params)
     except ValueError as exc:
-        raise ConfigError(f"{path.rstrip('.')}: {exc}") from exc
+        raise ConfigError(f"{path}{exc}") from exc
 
 
 def _canonical_dict(cfg: "RunConfig") -> Dict[str, Any]:
-    def opo(p: OpoParams):
-        return {"pump_param": p.pump_param, "hwhm": p.hwhm,
-                "efficiency": p.efficiency, "squeeze_phase": p.squeeze_phase}
-
-    c = cfg.chain
     return {
-        "opo1": opo(cfg.opo1),
-        "opo2": opo(cfg.opo2),
-        "chain": {
-            "detector_bandwidth": c.detector_bandwidth,
-            "highpass_cutoff": c.highpass_cutoff,
-            "electronic_noise_db": c.electronic_noise_db,
-            "adc_rate": c.adc_rate,
-            "adc_bits": c.adc_bits,
-        },
+        "opo1": asdict(cfg.opo1),
+        "opo2": asdict(cfg.opo2),
+        "chain": asdict(cfg.chain),
         "fs": cfg.fs,
         "duration": cfg.duration,
         "mode": {"kind": cfg.mode.kind, **cfg.mode.params},
@@ -163,8 +147,8 @@ def parse_config(table: Dict[str, Any]) -> RunConfig:
     opo1 = _parse_opo(_require(table, "opo1", ""), "opo1.")
     opo2 = _parse_opo(_require(table, "opo2", ""), "opo2.")
     chain = _parse_chain(table.get("chain", {}), "chain.")
-    fs = _number(_require(table, "fs", ""), "fs")
-    duration = _number(_require(table, "duration", ""), "duration")
+    fs = _number(_require(table, "fs", ""), "fs", positive=True)
+    duration = _number(_require(table, "duration", ""), "duration", positive=True)
     mode = _parse_mode(_require(table, "mode", ""), "mode.")
     repetitions = _integer(_require(table, "repetitions", ""), "repetitions")
     seed = _integer(_require(table, "seed", ""), "seed")
@@ -175,10 +159,6 @@ def parse_config(table: Dict[str, Any]) -> RunConfig:
     if opo1.squeeze_phase == opo2.squeeze_phase:
         raise ConfigError(
             "opo2.squeeze_phase: the two OPOs must squeeze orthogonal quadratures")
-    if fs <= 0.0:
-        raise ConfigError("fs: must be positive")
-    if duration <= 0.0:
-        raise ConfigError("duration: must be positive")
     if repetitions < 1:
         raise ConfigError("repetitions: must be at least 1")
     if seed < 0:

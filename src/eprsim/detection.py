@@ -19,7 +19,7 @@ from scipy import signal
 
 from .modes import TemporalMode
 from .spectra import QuadPsd, flat_psd
-from .synth import TimeSeries, TwoModeRecord, vacuum_record
+from .synth import SeedLike, TimeSeries, TwoModeRecord, vacuum_record
 
 __all__ = [
     "DetectionChain",
@@ -42,14 +42,16 @@ class DetectionChain:
     adc_bits: Optional[int] = None
 
     def __post_init__(self):
-        if not (self.detector_bandwidth > self.highpass_cutoff > 0.0):
+        if not (self.highpass_cutoff > 0.0):
+            raise ValueError(f"highpass_cutoff: must be positive, got {self.highpass_cutoff}")
+        if not (self.detector_bandwidth > self.highpass_cutoff):
             raise ValueError(
-                "chain requires detector_bandwidth > highpass_cutoff > 0, got "
+                "detector_bandwidth: must exceed highpass_cutoff, got "
                 f"{self.detector_bandwidth} and {self.highpass_cutoff}")
         if not (self.adc_rate > 0.0):
-            raise ValueError("adc_rate must be positive")
-        if self.adc_bits is not None and self.adc_bits < 2:
-            raise ValueError("adc_bits must be at least 2 when given")
+            raise ValueError("adc_rate: must be positive")
+        if self.adc_bits is not None and not 2 <= self.adc_bits <= 32:
+            raise ValueError(f"adc_bits: must lie in [2, 32] when given, got {self.adc_bits}")
 
 
 def _design_filters(chain: DetectionChain, fs: float):
@@ -88,7 +90,7 @@ def _quantize(y: np.ndarray, bits: int) -> np.ndarray:
     return idx * step
 
 
-def detect(record: TwoModeRecord, chain: DetectionChain, seed: int) -> TwoModeRecord:
+def detect(record: TwoModeRecord, chain: DetectionChain, seed: SeedLike) -> TwoModeRecord:
     """Pass both channels through the chain with independent noise.
 
     Order: low-pass, additive electronic noise, high-pass, decimation to
@@ -117,14 +119,16 @@ def detect(record: TwoModeRecord, chain: DetectionChain, seed: int) -> TwoModeRe
                           label=series.label)
 
     return TwoModeRecord(a=process(record.a), b=process(record.b),
-                         setting=record.setting, seed=record.seed)
+                         setting=record.setting)
 
 
 def calibrate(chain: DetectionChain, duration: float, fs: float,
-              seed: int) -> TwoModeRecord:
-    """Vacuum reference through the identical chain (the 0 dB anchor)."""
-    rng = np.random.default_rng(seed)
-    synth_seed, noise_seed = (int(s) for s in rng.integers(0, 2 ** 63 - 1, size=2))
+              seed: SeedLike) -> TwoModeRecord:
+    """Vacuum reference through the identical chain (the 0 dB anchor); the
+    vacuum and the chain noise draw from two children spawned from seed."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    synth_seed, noise_seed = seed.spawn(2)
     return detect(vacuum_record(duration, fs, synth_seed), chain, noise_seed)
 
 

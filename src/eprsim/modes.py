@@ -58,16 +58,16 @@ class TemporalMode:
         if self.kind not in KINDS:
             raise ValueError(f"unknown mode kind {self.kind!r}")
         if not (self.duration > 0.0 and np.isfinite(self.duration)):
-            raise ValueError("mode duration must be positive and finite")
+            raise ValueError("duration: must be positive and finite")
         if self.kind in ("one_sided_exp", "double_exp"):
             if self.rate is None or not (self.rate > 0.0 and np.isfinite(self.rate)):
-                raise ValueError(f"{self.kind} mode requires a positive decay rate")
+                raise ValueError(f"rate: {self.kind} mode requires a positive decay rate")
         if self.kind == "tabulated":
             if not self.samples or len(self.samples) < 1:
-                raise ValueError("tabulated mode requires at least one sample")
+                raise ValueError("samples: tabulated mode requires at least one sample")
             arr = np.asarray(self.samples, dtype=float)
             if not np.all(np.isfinite(arr)) or not np.any(arr != 0.0):
-                raise ValueError("tabulated mode samples must be finite and not all zero")
+                raise ValueError("samples: must be finite and not all zero")
 
     # -- constructors ------------------------------------------------------
 
@@ -96,11 +96,11 @@ class TemporalMode:
         """
         arr = np.asarray(samples, dtype=float)
         if arr.ndim != 1:
-            raise ValueError("tabulated mode samples must be one-dimensional")
+            raise ValueError("samples: must be one-dimensional")
         dt = float(duration) / max(arr.size, 1)
         nrm = np.sqrt(np.sum(arr * arr) * dt)
         if not (nrm > 0.0 and np.isfinite(nrm)):
-            raise ValueError("tabulated mode samples must be finite and not all zero")
+            raise ValueError("samples: must be finite and not all zero")
         if abs(nrm - 1.0) > 1e-12:
             arr = arr / nrm
         return cls(kind="tabulated", duration=float(duration), samples=tuple(arr))
@@ -158,8 +158,9 @@ class TemporalMode:
         Closed forms for the parametric kinds. Tabulated modes are
         piecewise constant over their cells (as in :meth:`amplitude`): a
         direct Fourier sum over the cell midpoints times the cell factor
-        sinc^2(Omega*dt/2pi) (cost scales with len(samples) * len(omega)).
-        Normalized so (1/2pi) integral |F|^2 dOmega = 1.
+        sinc^2(Omega*dt/2pi) (cost scales with len(samples) * len(omega);
+        memory does not: omega is taken in chunks). Normalized so
+        (1/2pi) integral |F|^2 dOmega = 1.
         """
         om = np.asarray(omega, dtype=float)
         if self.kind == "square":
@@ -179,8 +180,12 @@ class TemporalMode:
         dt = self.duration / arr.size
         t = (np.arange(arr.size) + 0.5) * dt
         # F(om) = sinc(om dt/2pi) sum f_j exp(i om t_j) dt; |F|^2 is phase-origin free
-        ph = np.exp(1j * np.outer(om, t))
-        F = (ph @ arr) * dt * np.sinc(om * dt / (2.0 * np.pi))
+        om = om.ravel()
+        F = np.empty(om.size, dtype=complex)
+        step = max(1, (1 << 16) // arr.size)  # phase matrix of at most 2^16 entries
+        for i in range(0, om.size, step):
+            F[i:i + step] = np.exp(1j * np.outer(om[i:i + step], t)) @ arr
+        F = F * dt * np.sinc(om * dt / (2.0 * np.pi))
         return np.abs(F) ** 2
 
     def lorentz_overlap(self, width: float, band: float) -> Optional[float]:

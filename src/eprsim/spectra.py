@@ -68,14 +68,14 @@ class OpoParams:
     def __post_init__(self):
         if not (0.0 <= self.pump_param < 1.0):
             raise ValueError(
-                f"pump_param must lie in [0, 1), got {self.pump_param} "
+                f"pump_param: must lie in [0, 1), got {self.pump_param} "
                 "(at or above threshold)")
         if not (self.hwhm > 0.0 and np.isfinite(self.hwhm)):
-            raise ValueError("hwhm must be positive and finite")
+            raise ValueError("hwhm: must be positive and finite")
         if not (0.0 <= self.efficiency <= 1.0):
-            raise ValueError(f"efficiency must lie in [0, 1], got {self.efficiency}")
+            raise ValueError(f"efficiency: must lie in [0, 1], got {self.efficiency}")
         if self.squeeze_phase not in ("X", "P"):
-            raise ValueError(f"squeeze_phase must be 'X' or 'P', got {self.squeeze_phase!r}")
+            raise ValueError(f"squeeze_phase: must be 'X' or 'P', got {self.squeeze_phase!r}")
 
 
 @dataclass(frozen=True)

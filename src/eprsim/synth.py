@@ -17,6 +17,7 @@ from .spectra import OpoParams, QuadPsd, epr_spectra, opo_spectrum
 __all__ = [
     "TimeSeries",
     "TwoModeRecord",
+    "block_length",
     "synthesize_colored",
     "epr_record",
     "vacuum_record",
@@ -24,6 +25,8 @@ __all__ = [
 
 _LABELS = ("x_A", "p_A", "x_B", "p_B", "vacuum")
 _SETTINGS = ("X", "P", "VACUUM")
+
+SeedLike = int | np.random.SeedSequence
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,6 @@ class TwoModeRecord:
     a: TimeSeries
     b: TimeSeries
     setting: str
-    seed: int
 
     def __post_init__(self):
         if self.setting not in _SETTINGS:
@@ -88,7 +90,7 @@ def _check_alias(psd: QuadPsd, fs: float, alias_tol: float) -> None:
             f"{abs(s_nyq - 1.0):.3g} exceeds alias tolerance {alias_tol:g}")
 
 
-def synthesize_colored(psd: QuadPsd, n: int, fs: float, seed: int,
+def synthesize_colored(psd: QuadPsd, n: int, fs: float, seed: SeedLike,
                        label: str = "vacuum",
                        alias_tol: float = 0.15) -> TimeSeries:
     """One Gaussian block with expected periodogram equal to the PSD.
@@ -111,8 +113,17 @@ def _beam_psd(params: OpoParams, setting: str) -> QuadPsd:
     return opo_spectrum(params, branch)
 
 
+def block_length(duration: float, fs: float) -> int:
+    """Length of the synthesis block an EPR record of duration*fs samples is
+    trimmed from: the next power of two."""
+    n_out = int(round(duration * fs))
+    if n_out < 2:
+        raise ValueError("duration*fs must cover at least 2 samples")
+    return 1 << (n_out - 1).bit_length()
+
+
 def epr_record(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,
-               setting: str, seed: int, alias_tol: float = 0.15) -> TwoModeRecord:
+               setting: str, seed: SeedLike, alias_tol: float = 0.15) -> TwoModeRecord:
     """EPR beam pair for one measurement setting.
 
     Synthesizes the measured quadrature of each input beam independently
@@ -123,10 +134,8 @@ def epr_record(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,
     if setting not in ("X", "P"):
         raise ValueError(f"setting must be 'X' or 'P', got {setting!r}")
     epr_spectra(opo1, opo2)  # validates the squeezing arrangement
+    n_blk = block_length(duration, fs)
     n_out = int(round(duration * fs))
-    if n_out < 2:
-        raise ValueError("duration*fs must cover at least 2 samples")
-    n_blk = 1 << (n_out - 1).bit_length()
     rng = np.random.default_rng(seed)
     psd1 = _beam_psd(opo1, setting)
     psd2 = _beam_psd(opo2, setting)
@@ -138,10 +147,10 @@ def epr_record(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,
     lab = "x" if setting == "X" else "p"
     a = TimeSeries(fs, (b1 + b2) * inv_sqrt2, label=f"{lab}_A")
     b = TimeSeries(fs, (b1 - b2) * inv_sqrt2, label=f"{lab}_B")
-    return TwoModeRecord(a=a, b=b, setting=setting, seed=seed)
+    return TwoModeRecord(a=a, b=b, setting=setting)
 
 
-def vacuum_record(duration: float, fs: float, seed: int) -> TwoModeRecord:
+def vacuum_record(duration: float, fs: float, seed: SeedLike) -> TwoModeRecord:
     """Two independent white vacuum series (the 0 dB reference)."""
     n_out = int(round(duration * fs))
     if n_out < 2:
@@ -149,4 +158,4 @@ def vacuum_record(duration: float, fs: float, seed: int) -> TwoModeRecord:
     rng = np.random.default_rng(seed)
     a = TimeSeries(fs, rng.standard_normal(n_out), label="vacuum")
     b = TimeSeries(fs, rng.standard_normal(n_out), label="vacuum")
-    return TwoModeRecord(a=a, b=b, setting="VACUUM", seed=seed)
+    return TwoModeRecord(a=a, b=b, setting="VACUUM")

@@ -6,10 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eprsim import QuadratureError, TemporalMode, epr_spectra, mode_duan
 from eprsim.cli import main
 from eprsim.config import load_config
+from eprsim.modes import KINDS
+
+PAPER_CFG = Path(__file__).resolve().parents[1] / "paper.cfg"
 
 FAST = {
     "opo1": {"pump_param": 0.2946916681592473, "hwhm": 7e6, "efficiency": 0.9,
@@ -95,6 +100,53 @@ def test_thread_count_does_not_change_results(fast_cfg, tmp_path, monkeypatch):
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
 
 
+def _rep_rows(cfg, out, *args):
+    """Per-repetition (var_diff_x_db, var_sum_p_db, duan) rows of a run."""
+    assert main(["run", "--config", str(cfg), "--out", str(out), *args]) == 0
+    return [tuple(r[1:4]) for r in _read_csv(out / "report.csv")[2][:-1]]
+
+
+def test_nearby_seeds_share_no_repetition(fast_cfg, tmp_path):
+    s = FAST["seed"]
+    base = _rep_rows(fast_cfg, tmp_path / "s", "--seed", str(s), "--reps", "3")
+    for other in (s + 1, s + 10):
+        rows = _rep_rows(fast_cfg, tmp_path / str(other), "--seed", str(other),
+                         "--reps", "3")
+        assert not set(rows) & set(base), other
+
+
+def test_fewer_repetitions_are_a_prefix(fast_cfg, tmp_path):
+    three = _rep_rows(fast_cfg, tmp_path / "r3", "--reps", "3")
+    five = _rep_rows(fast_cfg, tmp_path / "r5", "--reps", "5")
+    assert three == five[:3]
+
+
+def test_huge_seed_runs_and_reruns_identically(fast_cfg, tmp_path):
+    seed = str(2 ** 70)
+    out1, out2 = tmp_path / "h1", tmp_path / "h2"
+    for out in (out1, out2):
+        assert main(["run", "--config", str(fast_cfg), "--out", str(out),
+                     "--seed", seed]) == 0
+    assert _read_csv(out1 / "report.csv")[0]["seed"] == seed
+    for path in sorted(out1.iterdir()):
+        assert path.read_bytes() == (out2 / path.name).read_bytes(), path.name
+
+
+def test_sweep_mc_check_does_not_replay_a_run(fast_cfg, tmp_path):
+    # the --mc-check run at a grid endpoint has its own streams, not those
+    # of a run at a fixed offset of the seed (formerly seed + 1,000,000)
+    out = tmp_path / "swmc"
+    assert main(["sweep", "--config", str(fast_cfg), "--var", "efficiency",
+                 "--grid", "0.9:1:2", "--mc-check", "--out", str(out)]) == 0
+    duan_mc = _read_csv(out / "sweep.csv")[2][0][3]
+    assert FAST["opo1"]["efficiency"] == FAST["opo2"]["efficiency"] == 0.9
+    run = tmp_path / "run"
+    assert main(["run", "--config", str(fast_cfg), "--out", str(run), "--reps", "1",
+                 "--seed", str(FAST["seed"] + 1_000_000)]) == 0
+    rows = _read_csv(run / "report.csv")[2]
+    assert duan_mc != "" and duan_mc not in (rows[0][3], rows[1][3])
+
+
 def test_bad_thread_env_is_config_error(fast_cfg, tmp_path, monkeypatch):
     monkeypatch.setenv("EPR_THREADS", "many")
     rc = main(["run", "--config", str(fast_cfg), "--out", str(tmp_path / "o")])
@@ -146,6 +198,93 @@ def test_non_finite_numbers_exit_2(field, value, tmp_path, capsys):
     path.write_text(json.dumps(table))  # NaN and Infinity are JSON extensions
     assert main(["spectra", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "expected a finite number" in capsys.readouterr().err
+
+
+# -- hostile configurations: paper.cfg with one field broken ----------------------
+
+_PAPER = json.loads(PAPER_CFG.read_text())
+_MISSING = object()  # marks a deleted field
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NEGATIVE = (st.floats(max_value=0.0, exclude_max=True, allow_infinity=False)
+             | st.integers(max_value=-1))
+_NOT_POSITIVE = st.floats(max_value=0.0, allow_infinity=False) | st.integers(max_value=0)
+
+# values outside each field's own domain; relations between fields (such as
+# adc_rate <= fs) are left out, because their message names the other field
+_OUT_OF_RANGE = {
+    "pump_param": _NEGATIVE | st.floats(min_value=1.0, allow_infinity=False),
+    "hwhm": _NOT_POSITIVE,
+    "efficiency": _NEGATIVE | st.floats(min_value=1.0, exclude_min=True,
+                                        allow_infinity=False),
+    "squeeze_phase": st.text(max_size=12).filter(lambda s: s not in ("X", "P")),
+    "detector_bandwidth": _NOT_POSITIVE,
+    "highpass_cutoff": _NOT_POSITIVE,
+    "electronic_noise_db": st.nothing(),  # any finite level is valid
+    "adc_rate": _NOT_POSITIVE,
+    "adc_bits": st.integers(max_value=1) | st.integers(min_value=33),
+    "fs": _NOT_POSITIVE,
+    "duration": _NOT_POSITIVE,
+    "kind": st.text(max_size=12).filter(lambda s: s not in KINDS),
+    "repetitions": st.integers(max_value=0),
+    "seed": st.integers(max_value=-1),
+    "output_dir": st.just(""),
+}
+_STRINGS = ("squeeze_phase", "kind", "output_dir")
+_INTEGERS = ("adc_bits", "repetitions", "seed")
+_NULLABLE = ("electronic_noise_db", "adc_bits")  # null switches a chain stage off
+_OPTIONAL = ("chain", "output_dir")
+_FIELDS = [(table, field) for table, value in _PAPER.items()
+           for field in (value if isinstance(value, dict) else [None])]
+
+
+def _bad_values(table, field):
+    """Values of one paper.cfg field that parsing must reject."""
+    name = field or table
+    bad = [_OUT_OF_RANGE[name],
+           st.sampled_from([math.nan, math.inf, -math.inf]),
+           st.lists(_FINITE | st.text(max_size=3), max_size=3),
+           st.dictionaries(st.text(max_size=3), _FINITE, max_size=2),
+           st.booleans()]
+    if table not in _OPTIONAL:
+        bad.append(st.just(_MISSING))
+    if name not in _NULLABLE:
+        bad.append(st.none())
+    if name in _STRINGS:
+        bad.append(_FINITE | st.integers())
+    else:
+        bad.append(st.text(max_size=5))
+        # integers take no float; numbers take no integer beyond the float range
+        bad.append(_FINITE if name in _INTEGERS else st.just(10 ** 400))
+    return st.one_of(bad)
+
+
+@st.composite
+def _hostile_configs(draw):
+    table, field = draw(st.sampled_from(_FIELDS))
+    value = draw(_bad_values(table, field))
+    cfg = json.loads(json.dumps(_PAPER))
+    parent, key = (cfg[table], field) if field else (cfg, table)
+    if value is _MISSING:
+        del parent[key]
+    else:
+        parent[key] = value
+    return (f"{table}.{field}" if field else table), cfg
+
+
+@settings(deadline=None, max_examples=300, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_hostile_configs())
+def test_hostile_config_exits_2_naming_the_field(case, tmp_path, capsys):
+    path, table = case
+    cfg = tmp_path / "hostile.json"
+    cfg.write_text(json.dumps(table))
+    capsys.readouterr()
+    rc = main(["spectra", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2, (path, err)
+    assert "Traceback" not in err
+    message = err.partition(f"{cfg}: ")[2]
+    assert message.startswith(path), (path, err)
 
 
 def test_usage_errors_exit_2(fast_cfg, tmp_path):

@@ -93,6 +93,15 @@ def test_fingerprint_is_stable_and_ignores_output_dir():
     (lambda t: t.update(fs=10 ** 400), "fs: expected a finite number, got 10000"),
     (lambda t: t["chain"].update(electronic_noise_db=float("nan")),
      "chain.electronic_noise_db: expected a finite number"),
+    (lambda t: t["opo1"].update(pump_param=1.5), r"^opo1\.pump_param: must lie in \[0, 1\)"),
+    (lambda t: t["opo2"].update(squeeze_phase=None), r"^opo2\.squeeze_phase: must be 'X'"),
+    (lambda t: t["chain"].update(highpass_cutoff=0.0), r"^chain\.highpass_cutoff: must be"),
+    (lambda t: t["chain"].update(detector_bandwidth=1e3),
+     r"^chain\.detector_bandwidth: must exceed highpass_cutoff"),
+    (lambda t: t["chain"].update(adc_bits=2000), r"^chain\.adc_bits: must lie in \[2, 32\]"),
+    (lambda t: t["mode"].update(duration=-1e-7), r"^mode\.duration: must be positive"),
+    (lambda t: t.update(mode={"kind": "double_exp", "rate": 1e6, "support": 0}),
+     r"^mode\.support: must be positive"),
 ])
 def test_validation_messages_name_the_field(mutate, message):
     table = _base_table()

@@ -232,6 +232,18 @@ def test_calibrate_produces_detected_vacuum():
     assert np.array_equal(ref1.a.samples, ref2.a.samples)
 
 
+def test_calibrate_splits_its_seed_into_two_spawned_streams():
+    # vacuum synthesis and chain noise come from the two children of the
+    # seed's SeedSequence; an int seed and its SeedSequence agree
+    chain = DetectionChain(adc_rate=25e6)
+    synth_seq, noise_seq = np.random.SeedSequence(61).spawn(2)
+    expected = detect(vacuum_record(2e-4, FS, synth_seq), chain, noise_seq)
+    for seed in (61, np.random.SeedSequence(61)):
+        ref = calibrate(chain, 2e-4, FS, seed=seed)
+        assert np.array_equal(ref.a.samples, expected.a.samples)
+        assert np.array_equal(ref.b.samples, expected.b.samples)
+
+
 def test_calibrate_reference_standard_error_small():
     # ten repetitions pin the reference variance to well under 2%
     chain = DetectionChain()

@@ -42,6 +42,23 @@ def test_power_spectrum_matches_direct_transform(mode):
     assert np.allclose(mode.power_spectrum(omega), direct, rtol=1e-5, atol=1e-12)
 
 
+def test_tabulated_spectrum_in_chunks_matches_one_phase_matrix():
+    # omega is taken in chunks so the phase matrix stays small; the result
+    # must match the direct len(omega) x len(samples) product
+    rng = np.random.default_rng(3)
+    for n in (1, 4, 40):
+        mode = TemporalMode.tabulated(rng.standard_normal(n) + 0.3, 2e-6)
+        omega = np.linspace(0.0, 2e10, 20_001)
+        dt = mode.duration / n
+        t = (np.arange(n) + 0.5) * dt
+        direct = np.abs((np.exp(1j * np.outer(omega, t)) @ np.array(mode.samples))
+                        * dt * np.sinc(omega * dt / (2.0 * np.pi))) ** 2
+        got = mode.power_spectrum(omega)
+        assert np.allclose(got, direct, rtol=1e-13, atol=0.0)
+    assert mode.power_spectrum(np.array([])).shape == (0,)
+    assert mode.power_spectrum(3e6).shape == (1,)
+
+
 def test_tabulated_spectrum_is_piecewise_constant():
     # a one-sample tabulated mode is the square window, and the cell
     # factor makes |F|^2 decay instead of repeating every 2pi/dt

@@ -5,7 +5,7 @@ import pytest
 
 from eprsim import (OpoParams, TemporalMode, extract_modes, flat_psd,
                     opo_spectrum, synthesize_colored, epr_record, vacuum_record)
-from eprsim.synth import TimeSeries, TwoModeRecord, _synthesize_block
+from eprsim.synth import TimeSeries, TwoModeRecord, _synthesize_block, block_length
 
 import refvals
 
@@ -122,6 +122,27 @@ def test_epr_record_is_beam_splitter_of_two_streams(calibrated_pair):
     assert np.array_equal(rec.b.samples, (b1 - b2) * inv_sqrt2)
 
 
+def test_block_length_is_next_power_of_two():
+    assert block_length(2e-3, 50e6) == 1 << 17  # 100,000 samples
+    assert block_length(4e-5, 50e6) == 2048     # 2,000 samples
+    assert block_length(1024 / 50e6, 50e6) == 1024
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        block_length(1e-8, 50e6)
+
+
+def test_seed_sequences_seed_every_draw(calibrated_pair):
+    # a SeedSequence is used as default_rng uses it: equal sequences give
+    # equal records, and a record differs from the one of the bare int
+    def seq():
+        return np.random.SeedSequence(42, spawn_key=(0, 3, 1))
+
+    for draw in (lambda s: epr_record(*calibrated_pair, 4e-5, 50e6, "X", s).a,
+                 lambda s: vacuum_record(4e-5, 50e6, s).b,
+                 lambda s: synthesize_colored(flat_psd(), 256, 50e6, s)):
+        assert np.array_equal(draw(seq()).samples, draw(seq()).samples)
+        assert not np.array_equal(draw(seq()).samples, draw(42).samples)
+
+
 def test_epr_record_setting_selects_branches(calibrated_pair):
     # X setting: opo2 squeezed in X -> diff combination squeezed;
     # P setting: opo1 squeezed in P -> sum combination squeezed
@@ -178,4 +199,4 @@ def test_series_and_record_validation():
     a = TimeSeries(50e6, np.ones(4))
     b = TimeSeries(25e6, np.ones(4))
     with pytest.raises(ValueError, match="share"):
-        TwoModeRecord(a=a, b=b, setting="VACUUM", seed=0)
+        TwoModeRecord(a=a, b=b, setting="VACUUM")
