@@ -9,8 +9,9 @@ values can be compared directly.
 """
 
 from .analysis import (CalibrationError, Diagram, EprReport, ModeValues,
-                       PsdEstimate, combo_series, correlation_diagram,
-                       epr_report, extract_modes, trace_excerpt, welch_psd)
+                       PsdEstimate, combine_reports, combo_series,
+                       correlation_diagram, epr_report, extract_modes,
+                       trace_excerpt, welch_psd)
 from .config import ConfigError, RunConfig, config_fingerprint, load_config, parse_config
 from .detection import DetectionChain, calibrate, detect, expected_mode_variance
 from .modeopt import (ModeFamily, NonUnimodalError, OptResult, brute_force,
@@ -47,6 +48,7 @@ __all__ = [
     "brute_force",
     "calibrate",
     "calibrate_pump_param",
+    "combine_reports",
     "combo_series",
     "config_fingerprint",
     "correlation_diagram",

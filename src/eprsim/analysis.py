@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import signal as _signal
 
 from .modes import TemporalMode
 from .spectra import duan_sum, to_db
@@ -26,6 +25,7 @@ __all__ = [
     "extract_modes",
     "combo_series",
     "epr_report",
+    "combine_reports",
     "welch_psd",
     "correlation_diagram",
     "trace_excerpt",
@@ -151,7 +151,7 @@ def epr_report(x_records: Sequence[TwoModeRecord],
     if len(rates) != 1:
         raise ValueError(f"mismatched sample rates across records: {sorted(rates)}")
 
-    db_x, db_p, duans = [], [], []
+    per_rep = []
     for i in range(reps):
         ref = vacuum_refs[i if len(vacuum_refs) == reps else 0]
         ref_x, n_modes = _combo_variance(ref, -1.0, mode)
@@ -161,12 +161,28 @@ def epr_report(x_records: Sequence[TwoModeRecord],
             _check_reference(ref_p, expected_ref_variance, n_modes)
         vx = _combo_variance(x_records[i], -1.0, mode)[0] / ref_x
         vp = _combo_variance(p_records[i], +1.0, mode)[0] / ref_p
-        db_x.append(to_db(vx))
-        db_p.append(to_db(vp))
-        duans.append(duan_sum(vx, vp))
+        per_rep.append((to_db(vx), to_db(vp), duan_sum(vx, vp)))
+    return _summarize(per_rep, mode)
 
-    db_x = np.array(db_x)
-    db_p = np.array(db_p)
+
+def combine_reports(reports: Sequence[EprReport]) -> EprReport:
+    """One report over the repetitions of several reports on the same mode,
+    in order: equal to epr_report over all their records at once."""
+    if not reports:
+        raise ValueError("need at least one report")
+    mode = reports[0].mode
+    if any(r.mode != mode for r in reports):
+        raise ValueError("reports must share the analysis mode")
+    return _summarize([row for r in reports for row in r.per_rep], mode)
+
+
+def _summarize(per_rep: Sequence[Tuple[float, float, float]],
+               mode: TemporalMode) -> EprReport:
+    """Means, standard errors and Duan sum from per-repetition
+    (diff_x dB, sum_p dB, duan) rows."""
+    reps = len(per_rep)
+    db_x = np.array([row[0] for row in per_rep])
+    db_p = np.array([row[1] for row in per_rep])
     if reps > 1:
         se_x = float(np.std(db_x, ddof=1) / math.sqrt(reps))
         se_p = float(np.std(db_p, ddof=1) / math.sqrt(reps))
@@ -185,9 +201,7 @@ def epr_report(x_records: Sequence[TwoModeRecord],
         var_diff_x=lin_x, var_sum_p=lin_p,
         duan=duan, duan_se=duan_se,
         repetitions=reps, mode=mode,
-        per_rep=tuple(zip([float(v) for v in db_x],
-                          [float(v) for v in db_p],
-                          [float(v) for v in duans])))
+        per_rep=tuple((float(x), float(p), float(d)) for x, p, d in per_rep))
 
 
 @dataclass(frozen=True)
@@ -213,11 +227,13 @@ def welch_psd(series: TimeSeries, segment_len: int = 4096,
         raise ValueError("segment_len exceeds series length")
     if not (0.0 <= overlap <= 0.9):
         raise ValueError("overlap must lie in [0, 0.9]")
+    from scipy import signal  # deferred: importing scipy.signal takes ~1.4 s
+
     noverlap = int(overlap * segment_len)
-    freq, pxx = _signal.welch(series.samples, fs=series.sample_rate,
-                              window=window, nperseg=segment_len,
-                              noverlap=noverlap, detrend=False,
-                              scaling="density", return_onesided=True)
+    freq, pxx = signal.welch(series.samples, fs=series.sample_rate,
+                             window=window, nperseg=segment_len,
+                             noverlap=noverlap, detrend=False,
+                             scaling="density", return_onesided=True)
     pxx = pxx.copy()
     if freq[0] == 0.0:
         pxx[0] *= 2.0

@@ -22,11 +22,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .analysis import (CalibrationError, Diagram, EprReport, combo_series,
-                       correlation_diagram, epr_report, extract_modes,
-                       trace_excerpt, welch_psd)
-from .config import ConfigError, RunConfig, config_fingerprint, load_config
-from .detection import detect, expected_mode_variance
+from .analysis import (CalibrationError, Diagram, EprReport, combine_reports,
+                       combo_series, correlation_diagram, epr_report,
+                       extract_modes, trace_excerpt, welch_psd)
+from .config import (MAX_REPETITIONS, ConfigError, RunConfig, config_fingerprint,
+                     load_config)
+# detect is not called here (the pipeline draws detected records directly)
+# but stays importable from eprsim.cli, where perfbench's tracer wraps it
+from .detection import detect, expected_mode_variance  # noqa: F401
 from .modeopt import ModeFamily, NonUnimodalError, mode_duan, optimize
 from .modes import KINDS, TemporalMode
 from .spectra import QuadratureError, epr_spectra, filtered_variance, to_db
@@ -83,34 +86,40 @@ def _meta(cfg: RunConfig, command: str, **extra) -> Dict[str, object]:
 
 # -- run ----------------------------------------------------------------------
 
-def _one_repetition(cfg: RunConfig, seq: np.random.SeedSequence):
-    x_synth, p_synth, v_synth, x_noise, p_noise, v_noise = seq.spawn(6)
-    xr = epr_record(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, "X", x_synth)
-    pr = epr_record(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, "P", p_synth)
-    vr = vacuum_record(cfg.duration, cfg.fs, v_synth)
-    return (detect(xr, cfg.chain, x_noise),
-            detect(pr, cfg.chain, p_noise),
-            detect(vr, cfg.chain, v_noise))
+def _one_repetition(cfg: RunConfig, seq: np.random.SeedSequence,
+                    expected_ref: float, keep: bool):
+    """One repetition's report, and its detected (X, P, vacuum) records
+    when keep is set. The records are drawn through the chain from the
+    three streams spawned from seq."""
+    x_seed, p_seed, v_seed = seq.spawn(3)
+    xr = epr_record(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, "X", x_seed,
+                    chain=cfg.chain)
+    pr = epr_record(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, "P", p_seed,
+                    chain=cfg.chain)
+    vr = vacuum_record(cfg.duration, cfg.fs, v_seed, chain=cfg.chain)
+    report = epr_report([xr], [pr], [vr], cfg.mode, expected_ref_variance=expected_ref)
+    return report, ((xr, pr, vr) if keep else None)
 
 
 def _run_pipeline(cfg: RunConfig, slot: int = 0):
-    """Random streams form the spawn tree seed -> slot -> repetition ->
+    """(report, repetition 0's (X, P, vacuum) records, expected reference
+    variance). Each repetition is reduced to its report in its worker, so
+    only repetition 0's records are held.
+
+    Random streams form the spawn tree seed -> slot -> repetition ->
     stream (slot 0 is `run`, slot j+1 the `sweep --mc-check` run at grid
     point j): no two streams share a seed, and repetition i's streams do
     not depend on cfg.repetitions."""
     epr_spectra(cfg.opo1, cfg.opo2)  # fail fast on bad arrangements
-    expected_ref = expected_mode_variance(None, cfg.chain, cfg.fs, cfg.mode,
-                                          block=block_length(cfg.duration, cfg.fs))
+    block = block_length(cfg.duration, cfg.fs, cfg.chain)
+    expected_ref = expected_mode_variance(None, cfg.chain, cfg.fs, cfg.mode, block=block)
     root = np.random.SeedSequence(cfg.seed, spawn_key=(slot,))
     with ThreadPoolExecutor(max_workers=_worker_count(cfg.repetitions)) as pool:
-        futures = [pool.submit(_one_repetition, cfg, seq)
-                   for seq in root.spawn(cfg.repetitions)]
+        futures = [pool.submit(_one_repetition, cfg, seq, expected_ref, i == 0)
+                   for i, seq in enumerate(root.spawn(cfg.repetitions))]
         results = [f.result() for f in futures]
-    xs = [r[0] for r in results]
-    ps = [r[1] for r in results]
-    vs = [r[2] for r in results]
-    report = epr_report(xs, ps, vs, cfg.mode, expected_ref_variance=expected_ref)
-    return report, xs, ps, vs, expected_ref
+    report = combine_reports([r for r, _ in results])
+    return report, results[0][1], expected_ref
 
 
 def _report_rows(report: EprReport):
@@ -151,7 +160,7 @@ def _write_setting_outputs(cfg: RunConfig, out: Path, tag: str, record,
 
 
 def cmd_run(cfg: RunConfig, out: Path) -> int:
-    report, xs, ps, vs, expected_ref = _run_pipeline(cfg)
+    report, (x0, p0, v0), expected_ref = _run_pipeline(cfg)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "report.csv",
                _meta(cfg, "run", repetitions=report.repetitions,
@@ -159,8 +168,8 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
                ("rep", "var_diff_x_db", "var_sum_p_db", "duan",
                 "var_diff_x_db_se", "var_sum_p_db_se", "duan_se"),
                _report_rows(report))
-    dx = _write_setting_outputs(cfg, out, "x", xs[0], vs[0], -1.0)
-    dp = _write_setting_outputs(cfg, out, "p", ps[0], vs[0], +1.0)
+    dx = _write_setting_outputs(cfg, out, "x", x0, v0, -1.0)
+    dp = _write_setting_outputs(cfg, out, "p", p0, v0, +1.0)
     print(f"diff-x: {report.var_diff_x_db:+.3f} dB (se {report.var_diff_x_db_se:.3f})")
     print(f"sum-p:  {report.var_sum_p_db:+.3f} dB (se {report.var_sum_p_db_se:.3f})")
     print(f"duan:   {report.duan:.4f} (se {report.duan_se:.4f}, separable bound 1)")
@@ -344,6 +353,8 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if args.reps is not None:
         if args.reps < 1:
             raise ConfigError("--reps: must be at least 1")
+        if args.reps > MAX_REPETITIONS:
+            raise ConfigError(f"--reps: must be at most {MAX_REPETITIONS}")
         cfg = replace(cfg, repetitions=args.reps)
         changed = True
     if changed:

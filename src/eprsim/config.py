@@ -17,6 +17,11 @@ from .spectra import OpoParams
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "config_fingerprint"]
 
+# size limits: a run spawns a stream per repetition and holds records of
+# duration*fs samples, so a valid config must not ask for unbounded work
+MAX_REPETITIONS = 10_000
+MAX_RECORD_SAMPLES = 1 << 24
+
 
 class ConfigError(ValueError):
     """Configuration rejected; the message names the offending field."""
@@ -161,6 +166,12 @@ def parse_config(table: Dict[str, Any]) -> RunConfig:
             "opo2.squeeze_phase: the two OPOs must squeeze orthogonal quadratures")
     if repetitions < 1:
         raise ConfigError("repetitions: must be at least 1")
+    if repetitions > MAX_REPETITIONS:
+        raise ConfigError(f"repetitions: must be at most {MAX_REPETITIONS}")
+    if not 2 <= round(duration * fs) <= MAX_RECORD_SAMPLES:
+        raise ConfigError(
+            f"duration: duration*fs must cover 2 to {MAX_RECORD_SAMPLES} samples, "
+            f"got {duration * fs:g}")
     if seed < 0:
         raise ConfigError("seed: must be non-negative")
     if chain.adc_rate > fs * (1.0 + 1e-9):

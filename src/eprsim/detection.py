@@ -6,16 +6,22 @@ or beyond the Nyquist frequency degenerates to a pass-through (the wide-
 open surrogate), as does a high-pass cutoff below 1e-9 of the sample rate
 (its pole is then numerically indistinguishable from 1 over any finite
 record).
+
+The linear stages (low-pass, white electronic noise, high-pass) are
+stationary, so on a circulant block they act as a gain on the PSD
+(DetectionChain.detected_psd): synth draws detected records from it
+directly, and expected_mode_variance is exact for those records. detect
+runs the same chain in the time domain on records drawn without it.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
-from scipy import signal
 
 from .modes import TemporalMode
 from .spectra import QuadPsd, flat_psd
@@ -53,17 +59,62 @@ class DetectionChain:
         if self.adc_bits is not None and not 2 <= self.adc_bits <= 32:
             raise ValueError(f"adc_bits: must lie in [2, 32] when given, got {self.adc_bits}")
 
+    def detected_psd(self, s: np.ndarray, omega: np.ndarray, fs: float) -> np.ndarray:
+        """PSD after the linear stages of the chain at sample rate fs:
+        |H_lp|^2 |H_hp|^2 S + N |H_hp|^2 with N = 10^(electronic_noise_db/10),
+        for input PSD values s at angular frequencies omega (rad/s).
 
-def _design_filters(chain: DetectionChain, fs: float):
+        These are the squared magnitudes of the bilinear first-order
+        sections detect applies: with w = omega/fs and the prewarped corner
+        K = tan(pi f_c/fs), |H_lp|^2 = K^2 cos^2(w/2) / D and
+        |H_hp|^2 = sin^2(w/2) / D, D = K^2 cos^2(w/2) + sin^2(w/2).
+        """
+        lp_fc, hp_fc = _corners(self, fs)
+        half = 0.5 * np.asarray(omega, dtype=float) / fs
+        cos2, sin2 = np.cos(half) ** 2, np.sin(half) ** 2
+        signal_gain = np.ones_like(cos2)
+        noise_gain = np.ones_like(cos2)
+        if lp_fc is not None:
+            k2c = math.tan(math.pi * lp_fc / fs) ** 2 * cos2
+            signal_gain = k2c / (k2c + sin2)
+        if hp_fc is not None:
+            noise_gain = sin2 / (math.tan(math.pi * hp_fc / fs) ** 2 * cos2 + sin2)
+            signal_gain = signal_gain * noise_gain
+        out = signal_gain * s
+        if self.electronic_noise_db is not None:
+            out += 10.0 ** (self.electronic_noise_db / 10.0) * noise_gain
+        return out
+
+    def digitize(self, y: np.ndarray, fs: float) -> np.ndarray:
+        """Decimation of a series sampled at fs to adc_rate, then the
+        optional quantization."""
+        y = y[::_decimation_factor(fs, self.adc_rate)]
+        if self.adc_bits is not None:
+            y = _quantize(y, self.adc_bits)
+        return y
+
+
+def _corners(chain: DetectionChain, fs: float) -> Tuple[Optional[float], Optional[float]]:
+    """Low-pass and high-pass corner frequencies at sample rate fs; None
+    for a stage that degenerates to a pass-through."""
     lp = hp = None
     if chain.detector_bandwidth < 0.499 * fs:
-        lp = signal.butter(1, chain.detector_bandwidth, "lowpass", fs=fs)
+        lp = chain.detector_bandwidth
     if chain.highpass_cutoff > 1e-9 * fs:
         if chain.highpass_cutoff >= 0.499 * fs:
             raise ValueError(
                 f"highpass_cutoff {chain.highpass_cutoff:g} Hz is not below the "
                 f"Nyquist frequency of fs={fs:g} Hz")
-        hp = signal.butter(1, chain.highpass_cutoff, "highpass", fs=fs)
+        hp = chain.highpass_cutoff
+    return lp, hp
+
+
+def _design_filters(chain: DetectionChain, fs: float):
+    from scipy import signal  # deferred: importing scipy.signal takes ~1.4 s
+
+    lp_fc, hp_fc = _corners(chain, fs)
+    lp = None if lp_fc is None else signal.butter(1, lp_fc, "lowpass", fs=fs)
+    hp = None if hp_fc is None else signal.butter(1, hp_fc, "highpass", fs=fs)
     return lp, hp
 
 
@@ -94,11 +145,14 @@ def detect(record: TwoModeRecord, chain: DetectionChain, seed: SeedLike) -> TwoM
     """Pass both channels through the chain with independent noise.
 
     Order: low-pass, additive electronic noise, high-pass, decimation to
-    adc_rate, optional quantization. Deterministic given seed.
+    adc_rate, optional quantization. Deterministic given seed. The filters
+    start from rest, so the high-pass's start-up transient (time constant
+    1/(2 pi highpass_cutoff)) stays in the record.
     """
+    from scipy import signal
+
     fs = record.sample_rate
     lp, hp = _design_filters(chain, fs)
-    factor = _decimation_factor(fs, chain.adc_rate)
     rng = np.random.default_rng(seed)
     amp = None
     if chain.electronic_noise_db is not None:
@@ -112,10 +166,8 @@ def detect(record: TwoModeRecord, chain: DetectionChain, seed: SeedLike) -> TwoM
             y = y + amp * rng.standard_normal(y.size)
         if hp is not None:
             y = signal.lfilter(*hp, y)
-        y = y[::factor]
-        if chain.adc_bits is not None:
-            y = _quantize(y, chain.adc_bits)
-        return TimeSeries(sample_rate=chain.adc_rate, samples=np.asarray(y),
+        return TimeSeries(sample_rate=chain.adc_rate,
+                          samples=np.asarray(chain.digitize(y, fs)),
                           label=series.label)
 
     return TwoModeRecord(a=process(record.a), b=process(record.b),
@@ -139,8 +191,10 @@ def expected_mode_variance(psd: Optional[QuadPsd], chain: Optional[DetectionChai
     the chain, on the discrete frequency grid of one synthesis block.
 
     psd None means vacuum; chain None means no processing. Exact for the
-    block-circulant synthesis model up to filter edge transients;
-    quantization is ignored.
+    records epr_record and vacuum_record draw through the chain on a block
+    of this length (synth.block_length with the chain); for records passed
+    through detect, exact up to the filters' start-up transients.
+    Quantization is ignored.
     """
     if psd is None:
         psd = flat_psd()
@@ -149,20 +203,8 @@ def expected_mode_variance(psd: Optional[QuadPsd], chain: Optional[DetectionChai
     s = psd(omega)
 
     adc_rate = fs
-    noise = np.zeros_like(s)
     if chain is not None:
-        lp, hp = _design_filters(chain, fs)
-        w_digital = omega / fs  # rad/sample
-        if lp is not None:
-            _, h = signal.freqz(*lp, worN=w_digital)
-            s = s * np.abs(h) ** 2
-        if chain.electronic_noise_db is not None:
-            noise = noise + 10.0 ** (chain.electronic_noise_db / 10.0)
-        if hp is not None:
-            _, h = signal.freqz(*hp, worN=w_digital)
-            g2 = np.abs(h) ** 2
-            s = s * g2
-            noise = noise * g2
+        s = chain.detected_psd(s, omega, fs)
         adc_rate = chain.adc_rate
 
     factor = _decimation_factor(fs, adc_rate)
@@ -172,4 +214,4 @@ def expected_mode_variance(psd: Optional[QuadPsd], chain: Optional[DetectionChai
     placed = np.zeros(block)
     placed[: w.size * factor : factor] = w
     win = np.abs(np.fft.fft(placed)) ** 2
-    return float(np.sum((s + noise) * win) / block)
+    return float(np.sum(s * win) / block)

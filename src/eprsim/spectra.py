@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .modes import TemporalMode
 
@@ -44,6 +43,9 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# a cavity linewidth beyond optical frequencies is unphysical; the bound
+# keeps the closed-form overlaps finite (they overflow near hwhm ~ 1e101 Hz)
+MAX_HWHM = 1e15
 
 
 class QuadratureError(RuntimeError):
@@ -70,8 +72,8 @@ class OpoParams:
             raise ValueError(
                 f"pump_param: must lie in [0, 1), got {self.pump_param} "
                 "(at or above threshold)")
-        if not (self.hwhm > 0.0 and np.isfinite(self.hwhm)):
-            raise ValueError("hwhm: must be positive and finite")
+        if not (0.0 < self.hwhm <= MAX_HWHM):
+            raise ValueError(f"hwhm: must lie in (0, {MAX_HWHM:g}] Hz, got {self.hwhm}")
         if not (0.0 <= self.efficiency <= 1.0):
             raise ValueError(f"efficiency: must lie in [0, 1], got {self.efficiency}")
         if self.squeeze_phase not in ("X", "P"):
@@ -256,6 +258,8 @@ def calibrate_pump_param(target_db: float, efficiency: float, hwhm: float,
     def objective(x):
         p = OpoParams(pump_param=x, hwhm=hwhm, efficiency=efficiency)
         return to_db(filtered_variance(opo_spectrum(p, "squeezed"), mode)) - target_db
+
+    from scipy.optimize import brentq  # deferred: importing scipy.optimize takes ~1 s
 
     lo, hi = bracket
     f_hi = objective(hi)

@@ -14,10 +14,12 @@ import pytest
 
 from eprsim import (ModeFamily, OpoParams, TemporalMode, brute_force,
                     calibrate_pump_param, combo_series, correlation_diagram,
-                    epr_record, epr_spectra, extract_modes, filtered_variance,
-                    mode_duan, opo_spectrum, optimize, synthesize_colored,
-                    to_db, vacuum_record, welch_psd)
+                    epr_record, epr_spectra, expected_mode_variance,
+                    extract_modes, filtered_variance, load_config, mode_duan,
+                    opo_spectrum, optimize, synthesize_colored, to_db,
+                    vacuum_record, welch_psd)
 from eprsim.cli import main
+from eprsim.synth import block_length
 
 import refvals
 
@@ -230,3 +232,27 @@ def test_criterion_8_cli_determinism(paper_run, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
     print(f"PASS criterion 8: two CLI runs of the shipped configuration "
           f"produce byte-identical outputs ({len(names)} files)")
+
+
+def test_criterion_9_detected_run_matches_chain_aware_expectation(tmp_path):
+    # the readings of run are judged against the model that produced them:
+    # detected signal over detected vacuum, on the record's own block
+    out = tmp_path / "run100"
+    assert main(["run", "--config", str(PAPER_CFG), "--reps", "100", "--out", str(out)]) == 0
+    summary = next(line.split(",") for line in (out / "report.csv").read_text().splitlines()
+                   if line.startswith("summary,"))
+    db_x, db_p, duan, se_x, se_p, se_duan = (float(v) for v in summary[1:7])
+
+    cfg = load_config(PAPER_CFG)
+    spectra = epr_spectra(cfg.opo1, cfg.opo2)
+    block = block_length(cfg.duration, cfg.fs, cfg.chain)
+    ref = expected_mode_variance(None, cfg.chain, cfg.fs, cfg.mode, block)
+    ratio_x = expected_mode_variance(spectra.diff_x, cfg.chain, cfg.fs, cfg.mode, block) / ref
+    ratio_p = expected_mode_variance(spectra.sum_p, cfg.chain, cfg.fs, cfg.mode, block) / ref
+    assert abs(db_x - to_db(ratio_x)) <= 3.0 * se_x, (db_x, to_db(ratio_x), se_x)
+    assert abs(db_p - to_db(ratio_p)) <= 3.0 * se_p, (db_p, to_db(ratio_p), se_p)
+    assert abs(duan - 0.5 * (ratio_x + ratio_p)) <= 3.0 * se_duan
+    print(f"PASS criterion 9: 100 detected repetitions read {db_x:+.3f}/{db_p:+.3f} dB, "
+          f"duan {duan:.4f}, within 3 SE of the chain-aware expectation "
+          f"{to_db(ratio_x):+.3f}/{to_db(ratio_p):+.3f} dB, "
+          f"duan {0.5 * (ratio_x + ratio_p):.4f}")

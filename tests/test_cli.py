@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eprsim import QuadratureError, TemporalMode, epr_spectra, mode_duan
+from eprsim import QuadratureError, TemporalMode, epr_report, epr_spectra, mode_duan
+from eprsim import cli
 from eprsim.cli import main
 from eprsim.config import load_config
 from eprsim.modes import KINDS
@@ -147,6 +150,42 @@ def test_sweep_mc_check_does_not_replay_a_run(fast_cfg, tmp_path):
     assert duan_mc != "" and duan_mc not in (rows[0][3], rows[1][3])
 
 
+def test_report_equals_epr_report_over_all_records(tmp_path):
+    # run holds only repetition 0's records; its report.csv is still the
+    # report of epr_report over every repetition's records
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(dict(FAST, repetitions=3)))
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+
+    cfg = load_config(path)
+    report0, records0, expected_ref = cli._run_pipeline(cfg)
+    seqs = np.random.SeedSequence(cfg.seed, spawn_key=(0,)).spawn(3)
+    xs, ps, vs = zip(*(cli._one_repetition(cfg, seq, expected_ref, keep=True)[1]
+                       for seq in seqs))
+    for kept, rebuilt in zip(records0, (xs[0], ps[0], vs[0])):
+        assert np.array_equal(kept.a.samples, rebuilt.a.samples)
+    report = epr_report(xs, ps, vs, cfg.mode, expected_ref_variance=expected_ref)
+    assert report == report0
+
+    text = (out / "report.csv").read_text()
+    header = next(ln for ln in text.splitlines() if not ln.startswith("#")).split(",")
+    cli._write_csv(tmp_path / "all.csv",
+                   cli._meta(cfg, "run", repetitions=3, expected_ref_variance=expected_ref),
+                   header, cli._report_rows(report))
+    assert (tmp_path / "all.csv").read_bytes() == (out / "report.csv").read_bytes()
+
+
+def test_cli_import_leaves_scipy_signal_and_optimize_out():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import eprsim.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') "
+            "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 def test_bad_thread_env_is_config_error(fast_cfg, tmp_path, monkeypatch):
     monkeypatch.setenv("EPR_THREADS", "many")
     rc = main(["run", "--config", str(fast_cfg), "--out", str(tmp_path / "o")])
@@ -169,6 +208,8 @@ def test_seed_and_reps_overrides(fast_cfg, tmp_path):
                  "--out", str(tmp_path / "s3")]) == 2
     assert main(["run", "--config", str(fast_cfg), "--reps", "0",
                  "--out", str(tmp_path / "s4")]) == 2
+    assert main(["run", "--config", str(fast_cfg), "--reps", "10001",
+                 "--out", str(tmp_path / "s5")]) == 2
 
 
 def test_config_errors_exit_2(tmp_path):
@@ -213,7 +254,8 @@ _NOT_POSITIVE = st.floats(max_value=0.0, allow_infinity=False) | st.integers(max
 # adc_rate <= fs) are left out, because their message names the other field
 _OUT_OF_RANGE = {
     "pump_param": _NEGATIVE | st.floats(min_value=1.0, allow_infinity=False),
-    "hwhm": _NOT_POSITIVE,
+    "hwhm": _NOT_POSITIVE | st.floats(min_value=1e15, exclude_min=True,
+                                      allow_infinity=False),
     "efficiency": _NEGATIVE | st.floats(min_value=1.0, exclude_min=True,
                                         allow_infinity=False),
     "squeeze_phase": st.text(max_size=12).filter(lambda s: s not in ("X", "P")),
@@ -225,7 +267,7 @@ _OUT_OF_RANGE = {
     "fs": _NOT_POSITIVE,
     "duration": _NOT_POSITIVE,
     "kind": st.text(max_size=12).filter(lambda s: s not in KINDS),
-    "repetitions": st.integers(max_value=0),
+    "repetitions": st.integers(max_value=0) | st.integers(min_value=10_001),
     "seed": st.integers(max_value=-1),
     "output_dir": st.just(""),
 }

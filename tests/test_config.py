@@ -102,6 +102,12 @@ def test_fingerprint_is_stable_and_ignores_output_dir():
     (lambda t: t["mode"].update(duration=-1e-7), r"^mode\.duration: must be positive"),
     (lambda t: t.update(mode={"kind": "double_exp", "rate": 1e6, "support": 0}),
      r"^mode\.support: must be positive"),
+    (lambda t: t["opo1"].update(hwhm=1e103), r"^opo1\.hwhm: must lie in \(0, 1e\+15\] Hz"),
+    (lambda t: t["opo2"].update(hwhm=2e15), r"^opo2\.hwhm: must lie in \(0, 1e\+15\] Hz"),
+    (lambda t: t.update(repetitions=10 ** 400), r"^repetitions: must be at most 10000$"),
+    (lambda t: t.update(repetitions=10_001), r"^repetitions: must be at most 10000$"),
+    (lambda t: t.update(duration=1.0), r"^duration: duration\*fs must cover 2 to 16777216"),
+    (lambda t: t.update(duration=1e-8), r"^duration: duration\*fs must cover 2 to 16777216"),
 ])
 def test_validation_messages_name_the_field(mutate, message):
     table = _base_table()
@@ -130,6 +136,16 @@ def test_fingerprints_are_pinned(mode, fingerprint):
     if mode is not None:
         table["mode"] = mode
     assert parse_config(table).fingerprint == fingerprint
+
+
+def test_size_bounds_are_inclusive():
+    table = _base_table()
+    table["opo1"]["hwhm"] = 1e15
+    table["repetitions"] = 10_000
+    table["duration"] = (1 << 24) / 50e6
+    table["mode"]["duration"] = 2e-7
+    cfg = parse_config(table)
+    assert (cfg.opo1.hwhm, cfg.repetitions) == (1e15, 10_000)
 
 
 def test_matching_squeeze_phases_rejected():

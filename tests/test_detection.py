@@ -11,7 +11,7 @@ from eprsim import (DetectionChain, TemporalMode, calibrate, detect,
                     epr_record, expected_mode_variance, extract_modes,
                     opo_spectrum, vacuum_record)
 from eprsim.detection import _design_filters
-from eprsim.synth import TimeSeries
+from eprsim.synth import TimeSeries, block_length
 
 import refvals
 
@@ -259,3 +259,111 @@ def test_expected_mode_variance_span_guard():
     with pytest.raises(ValueError, match="does not fit"):
         expected_mode_variance(None, chain, FS, TemporalMode.square(2e-3),
                                block=1 << 14)
+
+
+# -- the chain as a gain on the PSD (records drawn through the chain) ----------
+
+@pytest.mark.parametrize("chain", [
+    DetectionChain(),
+    DetectionChain(electronic_noise_db=None),
+    DetectionChain(detector_bandwidth=1e12),       # low-pass passes through
+    DetectionChain(highpass_cutoff=1e-3),          # high-pass passes through
+    DetectionChain(detector_bandwidth=1e12, highpass_cutoff=1e-3,
+                   electronic_noise_db=None),      # identity
+], ids=("default", "noise_off", "lowpass_open", "highpass_open", "identity"))
+def test_detected_psd_matches_freqz_of_the_filters(chain, calibrated_pair):
+    omega = 2.0 * np.pi * FS * np.arange(50_001) / 100_000  # DC to Nyquist
+    s = opo_spectrum(calibrated_pair[0], "antisqueezed")(omega)
+    lp, hp = _design_filters(chain, FS)
+    g_lp = g_hp = np.ones_like(omega)
+    if lp is not None:
+        g_lp = np.abs(signal.freqz(*lp, worN=omega / FS)[1]) ** 2
+    if hp is not None:
+        g_hp = np.abs(signal.freqz(*hp, worN=omega / FS)[1]) ** 2
+    noise = 0.0 if chain.electronic_noise_db is None else 10.0 ** (
+        chain.electronic_noise_db / 10.0)
+    reference = g_lp * g_hp * s + noise * g_hp
+    assert np.max(np.abs(chain.detected_psd(s, omega, FS) - reference)) <= 1e-12
+
+
+def _detected_mc(draw, seeds, sign):
+    """Mode values of one combination over the records draw(seed) gives."""
+    vals = []
+    for seed in seeds:
+        rec = draw(seed)
+        combo = (rec.a.samples + sign * rec.b.samples) / np.sqrt(2.0)
+        vals.append(extract_modes(TimeSeries(rec.sample_rate, combo), MODE).values)
+    return np.concatenate(vals)
+
+
+@pytest.mark.parametrize("setting", ["X", "P", "VACUUM"])
+def test_detected_records_match_expected_mode_variance(setting, calibrated_pair):
+    # drawn through the chain, every combination's mode variance is the
+    # chain-aware expectation on the record's own block
+    chain = DetectionChain()
+    duration = 2e-3
+    block = block_length(duration, FS, chain)
+    assert block == 100_000
+    p_opo, x_opo = calibrated_pair
+
+    def draw(seed):
+        if setting == "VACUUM":
+            return vacuum_record(duration, FS, seed, chain=chain)
+        return epr_record(*calibrated_pair, duration, FS, setting, seed, chain=chain)
+
+    if setting == "VACUUM":
+        psds = {-1.0: None, +1.0: None}
+    else:
+        # x_A - x_B carries the X-squeezed OPO's x, p_A + p_B the P-squeezed
+        # OPO's p; the other combination sees the other OPO's antisqueezing
+        squeezed, anti = (x_opo, p_opo) if setting == "X" else (p_opo, x_opo)
+        sq_sign = -1.0 if setting == "X" else +1.0
+        psds = {sq_sign: opo_spectrum(squeezed, "squeezed"),
+                -sq_sign: opo_spectrum(anti, "antisqueezed")}
+    seeds = [np.random.SeedSequence(900, spawn_key=(k,)) for k in range(4)]
+    for sign, psd in psds.items():
+        vals = _detected_mc(draw, seeds, sign)
+        expected = expected_mode_variance(psd, chain, FS, MODE, block)
+        se = expected * math.sqrt(2.0 / (vals.size - 1))
+        assert abs(np.var(vals, ddof=1) - expected) < 3.0 * se, (setting, sign)
+
+
+def test_detected_draw_agrees_with_time_domain_chain():
+    # the spectral draw and detect() model the same chain: their detected
+    # vacuum mode variances agree within 3 standard errors of the difference
+    chain = DetectionChain(electronic_noise_db=-10.0)
+    seeds = range(4)
+    spectral = _detected_mc(lambda s: vacuum_record(2e-3, FS, s + 80, chain=chain),
+                            seeds, -1.0)
+    timed = _detected_mc(lambda s: calibrate(chain, 2e-3, FS, s + 90), seeds, -1.0)
+    v_s, v_t = np.var(spectral, ddof=1), np.var(timed, ddof=1)
+    se = math.hypot(v_s * math.sqrt(2.0 / (spectral.size - 1)),
+                    v_t * math.sqrt(2.0 / (timed.size - 1)))
+    assert abs(v_s - v_t) < 3.0 * se
+
+
+def test_detected_records_are_decimated(calibrated_pair):
+    chain = DetectionChain(adc_rate=25e6)
+    rec = epr_record(*calibrated_pair, 2e-3, FS, "X", seed=95, chain=chain)
+    vac = vacuum_record(2e-3, FS, 96, chain=chain)
+    for r in (rec, vac):
+        assert r.sample_rate == 25e6
+        assert r.a.n == r.b.n == 50_000
+    # 0.2 us spans 5 ADC samples; the vacuum reference obeys the expectation
+    vals = _detected_mc(lambda s: vacuum_record(2e-3, FS, s + 97, chain=chain),
+                        range(3), +1.0)
+    expected = expected_mode_variance(None, chain, FS, MODE, block_length(2e-3, FS, chain))
+    se = expected * math.sqrt(2.0 / (vals.size - 1))
+    assert abs(np.var(vals, ddof=1) - expected) < 3.0 * se
+
+
+def test_detected_records_are_quantized(calibrated_pair):
+    smooth_chain = DetectionChain(electronic_noise_db=None)
+    fine = replace(smooth_chain, adc_bits=16)
+    smooth = epr_record(*calibrated_pair, 1e-4, FS, "P", seed=98, chain=smooth_chain)
+    coarse = epr_record(*calibrated_pair, 1e-4, FS, "P", seed=98, chain=fine)
+    step = 20.0 / (1 << 16)
+    assert 0.0 < np.max(np.abs(coarse.a.samples - smooth.a.samples)) <= step / 2.0
+    assert np.array_equal(np.round(coarse.b.samples / step) * step, coarse.b.samples)
+    with pytest.warns(UserWarning, match="quantization step"):
+        vacuum_record(1e-4, FS, 99, chain=replace(smooth_chain, adc_bits=3))

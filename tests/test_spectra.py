@@ -10,7 +10,7 @@ import pytest
 from eprsim import (OpoParams, TemporalMode, calibrate_pump_param, duan_sum,
                     epr_spectra, filtered_variance, flat_psd, opo_spectrum,
                     to_db)
-from eprsim.spectra import _gl_integral
+from eprsim.spectra import MAX_HWHM, _gl_integral
 
 import refvals
 
@@ -296,7 +296,25 @@ def test_opo_params_validation():
         _opo(0.3, 1.2)
     with pytest.raises(ValueError, match="hwhm"):
         OpoParams(pump_param=0.3, hwhm=0.0, efficiency=0.9)
+    with pytest.raises(ValueError, match="hwhm"):
+        OpoParams(pump_param=0.3, hwhm=1.01 * MAX_HWHM, efficiency=0.9)
     with pytest.raises(ValueError, match="squeeze_phase"):
         OpoParams(pump_param=0.3, hwhm=7e6, efficiency=0.9, squeeze_phase="Y")
     with pytest.raises(ValueError):
         opo_spectrum(_opo(0.3, 0.9), "both")
+
+
+@pytest.mark.parametrize("mode", [
+    TemporalMode.square(2e-7), TemporalMode.square(1e-3),
+    TemporalMode.one_sided_exp(2e6, 4e-7), TemporalMode.double_exp(2e6, 4e-7),
+    TemporalMode.tabulated([0.0, 1.0, 1.0, 0.0], 4e-7),
+], ids=("square", "square_long", "one_sided_exp", "double_exp", "tabulated"))
+def test_widest_cavity_reaches_the_white_noise_limit(mode):
+    # at the largest accepted hwhm every mode sees a flat spectrum,
+    # 1 -/+ 4x eta/(1 +/- x)^2, and the closed form stays finite
+    x = 0.3
+    p = OpoParams(pump_param=x, hwhm=MAX_HWHM, efficiency=1.0)
+    assert filtered_variance(opo_spectrum(p, "squeezed"), mode) == pytest.approx(
+        1.0 - 4.0 * x / (1.0 + x) ** 2, rel=1e-8)
+    assert filtered_variance(opo_spectrum(p, "antisqueezed"), mode) == pytest.approx(
+        1.0 + 4.0 * x / (1.0 - x) ** 2, rel=1e-8)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eprsim import (OpoParams, TemporalMode, extract_modes, flat_psd,
+from eprsim import (DetectionChain, OpoParams, TemporalMode, extract_modes, flat_psd,
                     opo_spectrum, synthesize_colored, epr_record, vacuum_record)
 from eprsim.synth import TimeSeries, TwoModeRecord, _synthesize_block, block_length
 
@@ -128,6 +128,13 @@ def test_block_length_is_next_power_of_two():
     assert block_length(1024 / 50e6, 50e6) == 1024
     with pytest.raises(ValueError, match="at least 2 samples"):
         block_length(1e-8, 50e6)
+
+
+def test_detected_block_length_is_next_fast_real_fft_length():
+    chain = DetectionChain()
+    assert block_length(2e-3, 50e6, chain) == 100_000          # 2^5 5^5
+    assert block_length(2e-3 + 1 / 50e6, 50e6, chain) == 101_250  # 2 3^4 5^4
+    assert block_length(1024 / 50e6, 50e6, chain) == 1024
 
 
 def test_seed_sequences_seed_every_draw(calibrated_pair):
