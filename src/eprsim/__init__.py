@@ -13,7 +13,7 @@ from .analysis import (CalibrationError, Diagram, EprReport, ModeValues,
                        correlation_diagram, epr_report, extract_modes,
                        trace_excerpt, welch_psd)
 from .config import ConfigError, RunConfig, config_fingerprint, load_config, parse_config
-from .detection import DetectionChain, calibrate, detect, expected_mode_variance
+from .detection import DetectionChain, detect, expected_mode_variance
 from .modeopt import (ModeFamily, NonUnimodalError, OptResult, brute_force,
                       mode_duan, optimize)
 from .modes import TemporalMode
@@ -46,7 +46,6 @@ __all__ = [
     "TimeSeries",
     "TwoModeRecord",
     "brute_force",
-    "calibrate",
     "calibrate_pump_param",
     "combine_reports",
     "combo_series",

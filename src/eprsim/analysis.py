@@ -50,13 +50,10 @@ class ModeValues:
         return self.values.size
 
 
-def extract_modes(series: TimeSeries, mode: TemporalMode,
-                  stride: Optional[float] = None) -> ModeValues:
-    """Project consecutive windows of the series onto the mode weights.
-
-    stride defaults to the mode duration (non-overlapping windows, so the
-    values are statistically independent for white input); overlapping
-    strides are rejected. Yields floor((n - n_w)/stride) + 1 values.
+def extract_modes(series: TimeSeries, mode: TemporalMode) -> ModeValues:
+    """Project consecutive non-overlapping windows of the series onto the
+    mode weights (statistically independent values for white input).
+    Yields floor(n / n_w) values, n_w the mode's sample count.
     """
     fs = series.sample_rate
     w = mode.discretize(fs)
@@ -65,15 +62,8 @@ def extract_modes(series: TimeSeries, mode: TemporalMode,
         raise ValueError(
             f"mode duration {mode.duration:g} s exceeds series duration "
             f"{series.duration:g} s")
-    step = n_w if stride is None else int(round(stride * fs))
-    if step < n_w:
-        raise ValueError("stride must be at least the mode duration (non-overlapping)")
-    count = (series.n - n_w) // step + 1
-    if step == n_w:
-        vals = series.samples[: count * n_w].reshape(count, n_w) @ w
-    else:
-        idx = np.arange(count)[:, None] * step + np.arange(n_w)[None, :]
-        vals = series.samples[idx] @ w
+    count = series.n // n_w
+    vals = series.samples[: count * n_w].reshape(count, n_w) @ w
     return ModeValues(values=vals, mode=mode)
 
 
@@ -213,35 +203,24 @@ class PsdEstimate:
     n_segments: int
 
 
-def welch_psd(series: TimeSeries, segment_len: int = 4096,
-              overlap: float = 0.5, window: str = "hann") -> PsdEstimate:
-    """Welch estimate scaled so unit-variance white input reads 0 dB.
-
-    The endpoint bins (DC, Nyquist) are rescaled by the one-sided folding
-    factor so a flat spectrum reads flat across the whole axis. No
-    detrending is applied.
+def welch_psd(series: TimeSeries, segment_len: int = 4096) -> PsdEstimate:
+    """Welch estimate scaled so unit-variance white input reads 0 dB:
+    periodic Hann window w, 50 % overlap, and in each one-sided bin the
+    mean of |rfft(segment * w)|^2 / sum(w^2). The endpoint bins (DC,
+    Nyquist) are on the same scale, so a flat spectrum reads flat across
+    the whole axis. No detrending is applied.
     """
     if segment_len < 64:
         raise ValueError("segment_len must be at least 64 samples")
     if segment_len > series.n:
         raise ValueError("segment_len exceeds series length")
-    if not (0.0 <= overlap <= 0.9):
-        raise ValueError("overlap must lie in [0, 0.9]")
-    from scipy import signal  # deferred: importing scipy.signal takes ~1.4 s
-
-    noverlap = int(overlap * segment_len)
-    freq, pxx = signal.welch(series.samples, fs=series.sample_rate,
-                             window=window, nperseg=segment_len,
-                             noverlap=noverlap, detrend=False,
-                             scaling="density", return_onesided=True)
-    pxx = pxx.copy()
-    if freq[0] == 0.0:
-        pxx[0] *= 2.0
-    if segment_len % 2 == 0:
-        pxx[-1] *= 2.0
-    n_segments = (series.n - noverlap) // (segment_len - noverlap)
-    db = 10.0 * np.log10(pxx * series.sample_rate / 2.0)
-    return PsdEstimate(freq_hz=freq, db=db, n_segments=n_segments)
+    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
+    step = segment_len - segment_len // 2
+    segments = np.lib.stride_tricks.sliding_window_view(
+        series.samples, segment_len)[::step]
+    power = np.mean(np.abs(np.fft.rfft(segments * w)) ** 2, axis=0) / np.sum(w * w)
+    return PsdEstimate(freq_hz=np.fft.rfftfreq(segment_len, 1.0 / series.sample_rate),
+                       db=10.0 * np.log10(power), n_segments=segments.shape[0])
 
 
 @dataclass(frozen=True)

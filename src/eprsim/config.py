@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Dict
 
-from .detection import DetectionChain
+from .detection import DetectionChain, _corners, _decimation_factor
 from .modes import KINDS, TemporalMode
 from .spectra import OpoParams
 
@@ -174,8 +174,11 @@ def parse_config(table: Dict[str, Any]) -> RunConfig:
             f"got {duration * fs:g}")
     if seed < 0:
         raise ConfigError("seed: must be non-negative")
-    if chain.adc_rate > fs * (1.0 + 1e-9):
-        raise ConfigError("chain.adc_rate: must not exceed fs")
+    try:  # the chain's own conditions at the record rate
+        _decimation_factor(fs, chain.adc_rate)
+        _corners(chain, fs)
+    except ValueError as exc:
+        raise ConfigError(f"chain.{exc}") from exc
     if mode.duration > duration:
         raise ConfigError("mode.duration: must not exceed the record duration")
     if int(round(mode.duration * chain.adc_rate)) < 1:

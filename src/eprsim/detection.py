@@ -8,10 +8,11 @@ open surrogate), as does a high-pass cutoff below 1e-9 of the sample rate
 record).
 
 The linear stages (low-pass, white electronic noise, high-pass) are
-stationary, so on a circulant block they act as a gain on the PSD
-(DetectionChain.detected_psd): synth draws detected records from it
-directly, and expected_mode_variance is exact for those records. detect
-runs the same chain in the time domain on records drawn without it.
+stationary, so on a circulant block they act as gains on the PSD
+(DetectionChain.gains, the one place the response lives): synth draws
+detected records from DetectionChain.detected_psd directly, detect applies
+the same gains to a record's own block, and expected_mode_variance is
+exact for both.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ import numpy as np
 
 from .modes import TemporalMode
 from .spectra import QuadPsd, flat_psd
-from .synth import SeedLike, TimeSeries, TwoModeRecord, vacuum_record
+from .synth import SeedLike, TimeSeries, TwoModeRecord
 
 __all__ = [
     "DetectionChain",
     "detect",
-    "calibrate",
     "expected_mode_variance",
 ]
 
@@ -59,30 +59,35 @@ class DetectionChain:
         if self.adc_bits is not None and not 2 <= self.adc_bits <= 32:
             raise ValueError(f"adc_bits: must lie in [2, 32] when given, got {self.adc_bits}")
 
-    def detected_psd(self, s: np.ndarray, omega: np.ndarray, fs: float) -> np.ndarray:
-        """PSD after the linear stages of the chain at sample rate fs:
-        |H_lp|^2 |H_hp|^2 S + N |H_hp|^2 with N = 10^(electronic_noise_db/10),
-        for input PSD values s at angular frequencies omega (rad/s).
+    def gains(self, omega: np.ndarray, fs: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Power gains (|H_lp|^2, |H_hp|^2) of the bilinear first-order
+        sections at angular frequencies omega (rad/s) and sample rate fs;
+        ones for a stage that passes through.
 
-        These are the squared magnitudes of the bilinear first-order
-        sections detect applies: with w = omega/fs and the prewarped corner
-        K = tan(pi f_c/fs), |H_lp|^2 = K^2 cos^2(w/2) / D and
-        |H_hp|^2 = sin^2(w/2) / D, D = K^2 cos^2(w/2) + sin^2(w/2).
+        With w = omega/fs and the prewarped corner K = tan(pi f_c/fs),
+        |H_lp|^2 = K^2 cos^2(w/2) / D and |H_hp|^2 = sin^2(w/2) / D,
+        D = K^2 cos^2(w/2) + sin^2(w/2).
         """
         lp_fc, hp_fc = _corners(self, fs)
         half = 0.5 * np.asarray(omega, dtype=float) / fs
         cos2, sin2 = np.cos(half) ** 2, np.sin(half) ** 2
-        signal_gain = np.ones_like(cos2)
-        noise_gain = np.ones_like(cos2)
+        lp = np.ones_like(cos2)
+        hp = np.ones_like(cos2)
         if lp_fc is not None:
             k2c = math.tan(math.pi * lp_fc / fs) ** 2 * cos2
-            signal_gain = k2c / (k2c + sin2)
+            lp = k2c / (k2c + sin2)
         if hp_fc is not None:
-            noise_gain = sin2 / (math.tan(math.pi * hp_fc / fs) ** 2 * cos2 + sin2)
-            signal_gain = signal_gain * noise_gain
-        out = signal_gain * s
+            hp = sin2 / (math.tan(math.pi * hp_fc / fs) ** 2 * cos2 + sin2)
+        return lp, hp
+
+    def detected_psd(self, s: np.ndarray, omega: np.ndarray, fs: float) -> np.ndarray:
+        """PSD after the linear stages of the chain at sample rate fs:
+        |H_lp|^2 |H_hp|^2 S + N |H_hp|^2 with N = 10^(electronic_noise_db/10),
+        for input PSD values s at angular frequencies omega (rad/s)."""
+        lp, hp = self.gains(omega, fs)
+        out = lp * hp * s
         if self.electronic_noise_db is not None:
-            out += 10.0 ** (self.electronic_noise_db / 10.0) * noise_gain
+            out += 10.0 ** (self.electronic_noise_db / 10.0) * hp
         return out
 
     def digitize(self, y: np.ndarray, fs: float) -> np.ndarray:
@@ -103,29 +108,22 @@ def _corners(chain: DetectionChain, fs: float) -> Tuple[Optional[float], Optiona
     if chain.highpass_cutoff > 1e-9 * fs:
         if chain.highpass_cutoff >= 0.499 * fs:
             raise ValueError(
-                f"highpass_cutoff {chain.highpass_cutoff:g} Hz is not below the "
+                f"highpass_cutoff: {chain.highpass_cutoff:g} Hz is not below the "
                 f"Nyquist frequency of fs={fs:g} Hz")
         hp = chain.highpass_cutoff
     return lp, hp
 
 
-def _design_filters(chain: DetectionChain, fs: float):
-    from scipy import signal  # deferred: importing scipy.signal takes ~1.4 s
-
-    lp_fc, hp_fc = _corners(chain, fs)
-    lp = None if lp_fc is None else signal.butter(1, lp_fc, "lowpass", fs=fs)
-    hp = None if hp_fc is None else signal.butter(1, hp_fc, "highpass", fs=fs)
-    return lp, hp
-
-
 def _decimation_factor(fs: float, adc_rate: float) -> int:
     if adc_rate > fs * (1.0 + 1e-9):
-        raise ValueError(f"adc_rate {adc_rate:g} Hz exceeds record rate {fs:g} Hz")
+        raise ValueError(
+            f"adc_rate: must not exceed fs ({adc_rate:g} Hz exceeds the record "
+            f"rate {fs:g} Hz)")
     ratio = fs / adc_rate
     factor = int(round(ratio))
     if abs(ratio - factor) > 1e-9:
         raise ValueError(
-            f"record rate {fs:g} Hz is not an integer multiple of adc_rate "
+            f"adc_rate: the record rate {fs:g} Hz is not an integer multiple of "
             f"{adc_rate:g} Hz")
     return factor
 
@@ -146,13 +144,16 @@ def detect(record: TwoModeRecord, chain: DetectionChain, seed: SeedLike) -> TwoM
 
     Order: low-pass, additive electronic noise, high-pass, decimation to
     adc_rate, optional quantization. Deterministic given seed. The filters
-    start from rest, so the high-pass's start-up transient (time constant
-    1/(2 pi highpass_cutoff)) stays in the record.
+    act as the zero-phase gains sqrt(chain.gains) on the record's own
+    circulant block, so there is no start-up transient, as in the records
+    epr_record and vacuum_record draw through the chain.
     """
-    from scipy import signal
-
     fs = record.sample_rate
-    lp, hp = _design_filters(chain, fs)
+    n = record.a.n
+    filtered = _corners(chain, fs) != (None, None)
+    if filtered:
+        omega = 2.0 * np.pi * fs * np.arange(n // 2 + 1) / n
+        lp, hp = (np.sqrt(g) for g in chain.gains(omega, fs))
     rng = np.random.default_rng(seed)
     amp = None
     if chain.electronic_noise_db is not None:
@@ -160,28 +161,19 @@ def detect(record: TwoModeRecord, chain: DetectionChain, seed: SeedLike) -> TwoM
 
     def process(series: TimeSeries) -> TimeSeries:
         y = series.samples
-        if lp is not None:
-            y = signal.lfilter(*lp, y)
-        if amp is not None:
-            y = y + amp * rng.standard_normal(y.size)
-        if hp is not None:
-            y = signal.lfilter(*hp, y)
+        if filtered:
+            spec = np.fft.rfft(y) * lp
+            if amp is not None:
+                spec += np.fft.rfft(amp * rng.standard_normal(n))
+            y = np.fft.irfft(spec * hp, n)
+        elif amp is not None:
+            y = y + amp * rng.standard_normal(n)
         return TimeSeries(sample_rate=chain.adc_rate,
                           samples=np.asarray(chain.digitize(y, fs)),
                           label=series.label)
 
     return TwoModeRecord(a=process(record.a), b=process(record.b),
                          setting=record.setting)
-
-
-def calibrate(chain: DetectionChain, duration: float, fs: float,
-              seed: SeedLike) -> TwoModeRecord:
-    """Vacuum reference through the identical chain (the 0 dB anchor); the
-    vacuum and the chain noise draw from two children spawned from seed."""
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    synth_seed, noise_seed = seed.spawn(2)
-    return detect(vacuum_record(duration, fs, synth_seed), chain, noise_seed)
 
 
 def expected_mode_variance(psd: Optional[QuadPsd], chain: Optional[DetectionChain],
@@ -192,9 +184,8 @@ def expected_mode_variance(psd: Optional[QuadPsd], chain: Optional[DetectionChai
 
     psd None means vacuum; chain None means no processing. Exact for the
     records epr_record and vacuum_record draw through the chain on a block
-    of this length (synth.block_length with the chain); for records passed
-    through detect, exact up to the filters' start-up transients.
-    Quantization is ignored.
+    of this length (synth.block_length with the chain); detect applies the
+    same gains on a record's own block. Quantization is ignored.
     """
     if psd is None:
         psd = flat_psd()

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.special import exp1
 
 __all__ = ["KINDS", "ModeKind", "TemporalMode"]
 
@@ -300,6 +299,8 @@ def _expint(y: np.ndarray, p: np.ndarray) -> np.ndarray:
     near = (y > 0.0) & (y <= 1.0)
     if np.any(near):
         # upward recurrence E_{q+1} = (exp(-z) - z E_q)/q is stable for |z| <= 1
+        from scipy.special import exp1  # deferred: importing scipy.special takes ~0.4 s
+
         zs, ps = z[near], p[near].astype(int)
         ez = np.exp(-zs)
         eq = exp1(zs)

@@ -242,8 +242,7 @@ def duan_sum(var_diff_x: float, var_sum_p: float) -> float:
 
 
 def calibrate_pump_param(target_db: float, efficiency: float, hwhm: float,
-                         mode: Optional[TemporalMode] = None,
-                         bracket: Tuple[float, float] = (1e-9, 0.999)) -> float:
+                         mode: Optional[TemporalMode] = None) -> float:
     """Pump parameter x whose squeezed filtered variance hits target_db.
 
     The filtered squeezed variance is strictly decreasing in x, so a root
@@ -261,7 +260,7 @@ def calibrate_pump_param(target_db: float, efficiency: float, hwhm: float,
 
     from scipy.optimize import brentq  # deferred: importing scipy.optimize takes ~1 s
 
-    lo, hi = bracket
+    lo, hi = 1e-9, 0.999
     f_hi = objective(hi)
     if f_hi > 0.0:
         raise ValueError(

@@ -36,6 +36,8 @@ __all__ = [
 
 _LABELS = ("x_A", "p_A", "x_B", "p_B", "vacuum")
 _SETTINGS = ("X", "P", "VACUUM")
+# largest |S(Nyquist) - 1| the aliasing guard accepts
+_ALIAS_TOL = 0.15
 
 SeedLike = int | np.random.SeedSequence
 
@@ -93,29 +95,26 @@ def _synthesize_block(psd: QuadPsd, n: int, fs: float,
     return np.fft.irfft(spec, n)
 
 
-def _check_alias(psd: QuadPsd, fs: float, alias_tol: float) -> None:
+def _check_alias(psd: QuadPsd, fs: float) -> None:
     s_nyq = float(psd(np.array([np.pi * fs]))[0])
-    if abs(s_nyq - 1.0) > alias_tol:
+    if abs(s_nyq - 1.0) > _ALIAS_TOL:
         raise ValueError(
             f"fs={fs:g} Hz too low for this PSD: |S(Nyquist)-1| = "
-            f"{abs(s_nyq - 1.0):.3g} exceeds alias tolerance {alias_tol:g}")
+            f"{abs(s_nyq - 1.0):.3g} exceeds alias tolerance {_ALIAS_TOL:g}")
 
 
-def synthesize_colored(psd: QuadPsd, n: int, fs: float, seed: SeedLike,
-                       label: str = "vacuum",
-                       alias_tol: float = 0.15) -> TimeSeries:
+def synthesize_colored(psd: QuadPsd, n: int, fs: float, seed: SeedLike) -> TimeSeries:
     """One Gaussian block with expected periodogram equal to the PSD.
 
     n must be a power of two (block synthesis). The aliasing guard rejects
     sample rates at which the PSD has not yet settled to its asymptote at
-    the Nyquist frequency; alias_tol tightens or relaxes that check.
+    the Nyquist frequency.
     """
     if n < 2 or n & (n - 1):
         raise ValueError(f"block length must be a power of two, got {n}")
-    _check_alias(psd, fs, alias_tol)
+    _check_alias(psd, fs)
     rng = np.random.default_rng(seed)
-    return TimeSeries(sample_rate=fs, samples=_synthesize_block(psd, n, fs, rng),
-                      label=label)
+    return TimeSeries(sample_rate=fs, samples=_synthesize_block(psd, n, fs, rng))
 
 
 def _beam_psd(params: OpoParams, setting: str) -> QuadPsd:
@@ -135,9 +134,21 @@ def block_length(duration: float, fs: float,
         raise ValueError("duration*fs must cover at least 2 samples")
     if chain is None:
         return 1 << (n_out - 1).bit_length()
-    from scipy.fft import next_fast_len
+    return _next_fast_len(n_out)
 
-    return next_fast_len(n_out, real=True)
+
+def _next_fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, the lengths a real FFT handles fastest."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest p35 * 2^a >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 @lru_cache(maxsize=8)
@@ -167,7 +178,7 @@ def _draw_detected(amp: np.ndarray, n: int, rng: np.random.Generator) -> np.ndar
 
 
 def epr_record(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,
-               setting: str, seed: SeedLike, alias_tol: float = 0.15,
+               setting: str, seed: SeedLike,
                chain: Optional[DetectionChain] = None) -> TwoModeRecord:
     """EPR beam pair for one measurement setting.
 
@@ -180,8 +191,8 @@ def epr_record(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,
     and B are digitized (chain.digitize). The chain's electronic noise is
     white, equal on both channels and independent of the signal, and the
     beam splitter is orthogonal, so it folds into the beams. The record then
-    has the distribution of detect(epr_record(...), chain) on a circulant
-    block, without the high-pass start-up transient.
+    has the distribution detect gives a record synthesized on a circulant
+    block of the same length.
     """
     if setting not in ("X", "P"):
         raise ValueError(f"setting must be 'X' or 'P', got {setting!r}")
@@ -191,8 +202,8 @@ def epr_record(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,
     rng = np.random.default_rng(seed)
     psd1 = _beam_psd(opo1, setting)
     psd2 = _beam_psd(opo2, setting)
-    _check_alias(psd1, fs, alias_tol)
-    _check_alias(psd2, fs, alias_tol)
+    _check_alias(psd1, fs)
+    _check_alias(psd2, fs)
     if chain is None:
         b1 = _synthesize_block(psd1, n_blk, fs, rng)[:n_out]
         b2 = _synthesize_block(psd2, n_blk, fs, rng)[:n_out]

@@ -39,15 +39,6 @@ def test_vacuum_mode_variance_near_unity():
     assert abs(v - 1.0) < 3.0 * math.sqrt(2.0 / (vals.size - 1))
 
 
-def test_stride_can_thin_but_not_overlap():
-    series = synthesize_colored(flat_psd(), 4096, FS, seed=82)
-    dense = extract_modes(series, MODE)
-    thin = extract_modes(series, MODE, stride=0.4e-6)
-    assert np.array_equal(thin.values, dense.values[::2])
-    with pytest.raises(ValueError, match="stride"):
-        extract_modes(series, MODE, stride=0.1e-6)
-
-
 def test_mode_longer_than_series_rejected():
     series = TimeSeries(FS, np.ones(100))
     with pytest.raises(ValueError, match="exceeds"):
@@ -203,8 +194,28 @@ def test_welch_validation():
         welch_psd(series, segment_len=32)
     with pytest.raises(ValueError, match="exceeds"):
         welch_psd(series, segment_len=4096)
-    with pytest.raises(ValueError, match="overlap"):
-        welch_psd(series, segment_len=128, overlap=0.95)
+
+
+@pytest.mark.parametrize("segment_len", [4096, 4095, 128])
+def test_welch_matches_scipy_with_folded_endpoints(segment_len):
+    # reference: scipy's density-scaled one-sided Welch (periodic Hann, 50 %
+    # overlap) with the DC and Nyquist bins doubled, so flat input reads flat
+    from scipy import signal
+
+    series = synthesize_colored(flat_psd(), 1 << 16, FS, seed=575)
+    x = series.samples[: 60_001]
+    noverlap = segment_len // 2
+    freq, pxx = signal.welch(x, fs=FS, window="hann", nperseg=segment_len,
+                             noverlap=noverlap, detrend=False,
+                             scaling="density", return_onesided=True)
+    pxx[0] *= 2.0
+    if segment_len % 2 == 0:
+        pxx[-1] *= 2.0
+    est = welch_psd(TimeSeries(FS, x), segment_len=segment_len)
+    assert np.array_equal(est.freq_hz, freq)
+    assert est.n_segments == (x.size - noverlap) // (segment_len - noverlap)
+    reference = pxx * FS / 2.0
+    assert np.max(np.abs(10.0 ** (est.db / 10.0) / reference - 1.0)) <= 1e-12
 
 
 def test_correlation_diagram_signs(calibrated_pair, calibrated_spectra):

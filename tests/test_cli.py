@@ -176,14 +176,44 @@ def test_report_equals_epr_report_over_all_records(tmp_path):
     assert (tmp_path / "all.csv").read_bytes() == (out / "report.csv").read_bytes()
 
 
-def test_cli_import_leaves_scipy_signal_and_optimize_out():
+def _scipy_modules_after(code: str, *args: str) -> str:
+    """The scipy modules loaded once code has run in a fresh interpreter
+    with src on its path (args follow src in sys.argv)."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import eprsim.cli; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') "
-            "if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    code = (f"import sys; sys.path.insert(0, sys.argv[1]); {code}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code, str(src), *args],
+                          capture_output=True, text=True, timeout=120, check=True)
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_signal_and_optimize_out():
+    assert _scipy_modules_after("import eprsim.cli") == "[]"
+
+
+def test_cli_run_loads_no_scipy(fast_cfg, tmp_path):
+    code = "from eprsim.cli import main; assert main(sys.argv[2:]) == 0"
+    loaded = _scipy_modules_after(code, "run", "--config", str(fast_cfg),
+                                  "--out", str(tmp_path / "o"))
+    assert loaded == "[]"
+    assert (tmp_path / "o" / "psd_x.csv").exists()
+
+
+@pytest.mark.parametrize("chain, field", [
+    ({"adc_rate": 30e6}, "chain.adc_rate"),
+    ({"highpass_cutoff": 30e6, "detector_bandwidth": 40e6}, "chain.highpass_cutoff"),
+], ids=("adc_rate_not_a_divisor", "highpass_above_nyquist"))
+def test_chain_relations_are_rejected_at_parse_time(tmp_path, capsys, chain, field):
+    # both verbs stop before any work, naming the field
+    table = json.loads(PAPER_CFG.read_text())
+    table["chain"].update(chain)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(table))
+    for verb in ("spectra", "run"):
+        out = tmp_path / verb
+        assert main([verb, "--config", str(path), "--out", str(out)]) == 2
+        assert f"bad.json: {field}: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_bad_thread_env_is_config_error(fast_cfg, tmp_path, monkeypatch):

@@ -99,6 +99,10 @@ def test_fingerprint_is_stable_and_ignores_output_dir():
     (lambda t: t["chain"].update(detector_bandwidth=1e3),
      r"^chain\.detector_bandwidth: must exceed highpass_cutoff"),
     (lambda t: t["chain"].update(adc_bits=2000), r"^chain\.adc_bits: must lie in \[2, 32\]"),
+    (lambda t: t["chain"].update(adc_rate=30e6),
+     r"^chain\.adc_rate: the record rate 5e\+07 Hz is not an integer multiple"),
+    (lambda t: t["chain"].update(highpass_cutoff=30e6, detector_bandwidth=40e6),
+     r"^chain\.highpass_cutoff: 3e\+07 Hz is not below the Nyquist frequency"),
     (lambda t: t["mode"].update(duration=-1e-7), r"^mode\.duration: must be positive"),
     (lambda t: t.update(mode={"kind": "double_exp", "rate": 1e6, "support": 0}),
      r"^mode\.support: must be positive"),

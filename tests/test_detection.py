@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from eprsim import (DetectionChain, TemporalMode, calibrate, detect,
-                    epr_record, expected_mode_variance, extract_modes,
-                    opo_spectrum, vacuum_record)
-from eprsim.detection import _design_filters
-from eprsim.synth import TimeSeries, block_length
+from eprsim import (DetectionChain, TemporalMode, detect, epr_record,
+                    expected_mode_variance, extract_modes, opo_spectrum,
+                    vacuum_record)
+from eprsim.detection import _corners
+from eprsim.synth import TimeSeries, TwoModeRecord, block_length
 
 import refvals
 
@@ -23,6 +23,16 @@ def _combo_var(record, sign, mode=MODE):
     combo = (record.a.samples + sign * record.b.samples) / np.sqrt(2.0)
     vals = extract_modes(TimeSeries(record.sample_rate, combo), mode).values
     return float(np.var(vals, ddof=1))
+
+
+def _design_filters(chain, fs):
+    """The chain's sections as first-order Butterworth filters from
+    scipy.signal (the reference the chain's gains are checked against);
+    None for a stage that passes through."""
+    lp_fc, hp_fc = _corners(chain, fs)
+    lp = None if lp_fc is None else signal.butter(1, lp_fc, "lowpass", fs=fs)
+    hp = None if hp_fc is None else signal.butter(1, hp_fc, "highpass", fs=fs)
+    return lp, hp
 
 
 def _scaled(record, factor):
@@ -69,6 +79,8 @@ def test_lowpass_attenuates_3db_at_bandwidth():
     w = 2.0 * np.pi * chain.detector_bandwidth / FS
     _, h = signal.freqz(*lp, worN=[w])
     assert abs(h[0]) ** 2 == pytest.approx(0.5, abs=1e-12)
+    g_lp, _ = chain.gains(np.array([w * FS]), FS)
+    assert abs(g_lp[0] - abs(h[0]) ** 2) <= 1e-12
 
 
 def test_highpass_suppresses_dc():
@@ -76,6 +88,26 @@ def test_highpass_suppresses_dc():
     _, hp = _design_filters(chain, FS)
     _, h = signal.freqz(*hp, worN=[0.0])
     assert abs(h[0]) < 1e-12
+    _, g_hp = chain.gains(np.array([0.0]), FS)
+    assert abs(g_hp[0] - abs(h[0]) ** 2) <= 1e-12
+
+
+def test_detect_scales_bin_centred_sinusoids_by_the_filter_magnitude():
+    # on its own circulant block, detect is the zero-phase gain |H| of the
+    # scipy.signal sections: a sinusoid centred on a bin keeps its phase
+    chain = DetectionChain(electronic_noise_db=None)
+    lp, hp = _design_filters(chain, FS)
+    n = 10_000
+    t = np.arange(n)
+    rec = TwoModeRecord(a=TimeSeries(FS, np.cos(2.0 * np.pi * 1680 * t / n)),
+                        b=TimeSeries(FS, np.sin(2.0 * np.pi * t / n)),
+                        setting="VACUUM")
+    out = detect(rec, chain, seed=0)
+    # bins 1680 and 1 are 8.4 MHz and 5 kHz, the two corners
+    for source, series, k in ((rec.a, out.a, 1680), (rec.b, out.b, 1)):
+        w = [2.0 * np.pi * k / n]
+        gain = abs(signal.freqz(*lp, worN=w)[1][0] * signal.freqz(*hp, worN=w)[1][0])
+        assert np.max(np.abs(series.samples - gain * source.samples)) <= 1e-12
 
 
 def test_detection_deterministic():
@@ -223,37 +255,6 @@ def test_coarse_quantizer_warns_and_clips():
     assert np.min(out.a.samples) >= -10.0
 
 
-def test_calibrate_produces_detected_vacuum():
-    chain = DetectionChain(adc_rate=25e6)
-    ref1 = calibrate(chain, 2e-4, FS, seed=61)
-    ref2 = calibrate(chain, 2e-4, FS, seed=61)
-    assert ref1.setting == "VACUUM"
-    assert ref1.sample_rate == 25e6
-    assert np.array_equal(ref1.a.samples, ref2.a.samples)
-
-
-def test_calibrate_splits_its_seed_into_two_spawned_streams():
-    # vacuum synthesis and chain noise come from the two children of the
-    # seed's SeedSequence; an int seed and its SeedSequence agree
-    chain = DetectionChain(adc_rate=25e6)
-    synth_seq, noise_seq = np.random.SeedSequence(61).spawn(2)
-    expected = detect(vacuum_record(2e-4, FS, synth_seq), chain, noise_seq)
-    for seed in (61, np.random.SeedSequence(61)):
-        ref = calibrate(chain, 2e-4, FS, seed=seed)
-        assert np.array_equal(ref.a.samples, expected.a.samples)
-        assert np.array_equal(ref.b.samples, expected.b.samples)
-
-
-def test_calibrate_reference_standard_error_small():
-    # ten repetitions pin the reference variance to well under 2%
-    chain = DetectionChain()
-    variances = [_combo_var(calibrate(chain, 2e-3, FS, seed=70 + i), -1.0)
-                 for i in range(10)]
-    variances = np.array(variances)
-    se = np.std(variances, ddof=1) / math.sqrt(variances.size)
-    assert se / np.mean(variances) < 0.02
-
-
 def test_expected_mode_variance_span_guard():
     chain = DetectionChain()
     with pytest.raises(ValueError, match="does not fit"):
@@ -335,7 +336,11 @@ def test_detected_draw_agrees_with_time_domain_chain():
     seeds = range(4)
     spectral = _detected_mc(lambda s: vacuum_record(2e-3, FS, s + 80, chain=chain),
                             seeds, -1.0)
-    timed = _detected_mc(lambda s: calibrate(chain, 2e-3, FS, s + 90), seeds, -1.0)
+    def timed_draw(s):
+        a, b = np.random.SeedSequence(s + 90).spawn(2)
+        return detect(vacuum_record(2e-3, FS, a), chain, b)
+
+    timed = _detected_mc(timed_draw, seeds, -1.0)
     v_s, v_t = np.var(spectral, ddof=1), np.var(timed, ddof=1)
     se = math.hypot(v_s * math.sqrt(2.0 / (spectral.size - 1)),
                     v_t * math.sqrt(2.0 / (timed.size - 1)))

@@ -10,7 +10,8 @@ from eprsim.synth import TimeSeries
 
 @pytest.fixture
 def series():
-    return synthesize_colored(flat_psd(), 256, 50e6, seed=5, label="x_A")
+    white = synthesize_colored(flat_psd(), 256, 50e6, seed=5)
+    return TimeSeries(white.sample_rate, white.samples, label="x_A")
 
 
 def test_csv_round_trip(tmp_path, series):

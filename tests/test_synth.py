@@ -5,7 +5,8 @@ import pytest
 
 from eprsim import (DetectionChain, OpoParams, TemporalMode, extract_modes, flat_psd,
                     opo_spectrum, synthesize_colored, epr_record, vacuum_record)
-from eprsim.synth import TimeSeries, TwoModeRecord, _synthesize_block, block_length
+from eprsim.synth import (TimeSeries, TwoModeRecord, _next_fast_len, _synthesize_block,
+                          block_length)
 
 import refvals
 
@@ -135,6 +136,17 @@ def test_detected_block_length_is_next_fast_real_fft_length():
     assert block_length(2e-3, 50e6, chain) == 100_000          # 2^5 5^5
     assert block_length(2e-3 + 1 / 50e6, 50e6, chain) == 101_250  # 2 3^4 5^4
     assert block_length(1024 / 50e6, 50e6, chain) == 1024
+
+
+def test_next_fast_len_matches_scipy():
+    # the numpy-only search agrees with scipy's real-FFT lengths everywhere
+    # a record can reach (2 to 2^24 samples)
+    from scipy.fft import next_fast_len
+
+    rng = np.random.default_rng(134)
+    sizes = [*range(2, 20_001), *rng.integers(2, 1 << 24, 20_000).tolist(), 1 << 24]
+    assert [_next_fast_len(n) for n in sizes] == [next_fast_len(n, real=True)
+                                                  for n in sizes]
 
 
 def test_seed_sequences_seed_every_draw(calibrated_pair):
