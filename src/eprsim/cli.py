@@ -111,7 +111,7 @@ def _run_pipeline(cfg: RunConfig, slot: int = 0):
     point j): no two streams share a seed, and repetition i's streams do
     not depend on cfg.repetitions."""
     epr_spectra(cfg.opo1, cfg.opo2)  # fail fast on bad arrangements
-    block = block_length(cfg.duration, cfg.fs, cfg.chain)
+    block = block_length(cfg.duration, cfg.fs)
     expected_ref = expected_mode_variance(None, cfg.chain, cfg.fs, cfg.mode, block=block)
     root = np.random.SeedSequence(cfg.seed, spawn_key=(slot,))
     with ThreadPoolExecutor(max_workers=_worker_count(cfg.repetitions)) as pool:

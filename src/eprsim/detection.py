@@ -183,8 +183,8 @@ def expected_mode_variance(psd: Optional[QuadPsd], chain: Optional[DetectionChai
     the chain, on the discrete frequency grid of one synthesis block.
 
     psd None means vacuum; chain None means no processing. Exact for the
-    records epr_record and vacuum_record draw through the chain on a block
-    of this length (synth.block_length with the chain); detect applies the
+    records epr_record and vacuum_record draw (with or without the chain)
+    on a block of this length (synth.block_length); detect applies the
     same gains on a record's own block. Quantization is ignored.
     """
     if psd is None:

@@ -33,8 +33,8 @@ def save_series_csv(path, series: TimeSeries) -> None:
         fh.write(f"# sample_rate_hz={series.sample_rate!r}\n")
         fh.write(f"# label={series.label}\n")
         fh.write("time_s,value\n")
-        for i, v in enumerate(series.samples):
-            fh.write(f"{i * dt:.17g},{v:.17g}\n")
+        np.savetxt(fh, np.column_stack([np.arange(series.n) * dt, series.samples]),
+                   fmt="%.17g", delimiter=",")
 
 
 def load_series_csv(path) -> TimeSeries:

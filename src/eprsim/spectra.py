@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -112,8 +113,10 @@ class EprSpectra:
     sum_p: QuadPsd
 
 
+@lru_cache(maxsize=1)
 def flat_psd() -> QuadPsd:
-    """The vacuum spectrum S = 1. band_limit 0 makes integrals exact."""
+    """The vacuum spectrum S = 1. band_limit 0 makes integrals exact.
+    Cached, as opo_spectrum is, so every call returns the same object."""
     return QuadPsd(evaluator=lambda om: np.ones_like(om), band_limit=0.0)
 
 
@@ -122,6 +125,7 @@ def _lorentz_width(params: OpoParams, anti: bool) -> float:
     return TWO_PI * params.hwhm * ((1.0 - x) if anti else (1.0 + x))
 
 
+@lru_cache(maxsize=64)
 def opo_spectrum(params: OpoParams, quadrature: str = "squeezed") -> QuadPsd:
     """Quadrature spectrum of one OPO output.
 
@@ -129,7 +133,9 @@ def opo_spectrum(params: OpoParams, quadrature: str = "squeezed") -> QuadPsd:
     antisqueezed:  S(Omega) = 1 + eta*4x / ((1-x)^2 + (Omega/2pi*gamma)^2)
 
     so the squeezed branch is <= 1 everywhere, the antisqueezed >= 1, and
-    both tend to 1 far outside the cavity bandwidth.
+    both tend to 1 far outside the cavity bandwidth. Equal arguments return
+    the same object, so synth's amplitude cache, keyed on the PSD, hits on
+    every repetition of a run.
     """
     if quadrature not in ("squeezed", "antisqueezed"):
         raise ValueError(f"quadrature must be 'squeezed' or 'antisqueezed', got {quadrature!r}")

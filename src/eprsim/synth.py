@@ -1,14 +1,13 @@
 """Sampled realizations of the EPR beams as stationary Gaussian processes.
 
-Block FFT synthesis: a white Gaussian block is shaped in the frequency
-domain by sqrt(S(Omega_k)), so the expected periodogram equals the target
-PSD bin by bin and a flat PSD passes white samples through unchanged
-(the vacuum calibration contract).
-
-Records drawn through a detection chain skip the white block: their rfft
-coefficients are drawn directly with variance n * P_det(Omega_k), P_det
-the detected PSD (DetectionChain.detected_psd), and one inverse FFT per
-beam gives the detected samples.
+Every record is drawn one way, as a circulant Gaussian block: the rfft
+coefficients of an n-sample block are drawn directly with variance
+n * P(Omega_k) and one inverse FFT gives the samples. P is the PSD S, or
+for a record drawn through a detection chain the detected PSD
+(DetectionChain.detected_psd). The expected periodogram equals P bin by
+bin, and for a flat PSD the map from the drawn normals to the samples is
+orthogonal, so the samples are white with unit variance (the vacuum
+calibration contract).
 """
 
 from __future__ import annotations
@@ -86,15 +85,6 @@ class TwoModeRecord:
         return self.a.sample_rate
 
 
-def _synthesize_block(psd: QuadPsd, n: int, fs: float,
-                      rng: np.random.Generator) -> np.ndarray:
-    white = rng.standard_normal(n)
-    spec = np.fft.rfft(white)
-    omega = 2.0 * np.pi * fs * np.arange(spec.size) / n
-    spec *= np.sqrt(psd(omega))
-    return np.fft.irfft(spec, n)
-
-
 def _check_alias(psd: QuadPsd, fs: float) -> None:
     s_nyq = float(psd(np.array([np.pi * fs]))[0])
     if abs(s_nyq - 1.0) > _ALIAS_TOL:
@@ -103,18 +93,48 @@ def _check_alias(psd: QuadPsd, fs: float) -> None:
             f"{abs(s_nyq - 1.0):.3g} exceeds alias tolerance {_ALIAS_TOL:g}")
 
 
-def synthesize_colored(psd: QuadPsd, n: int, fs: float, seed: SeedLike) -> TimeSeries:
-    """One Gaussian block with expected periodogram equal to the PSD.
+@lru_cache(maxsize=8)
+def _amplitude(psd: QuadPsd, chain: Optional[DetectionChain], n: int,
+               fs: float) -> np.ndarray:
+    """sqrt(n/2 * P) on the rfft bins of an n-sample block, P = S(Omega_k)
+    or, with a chain, chain.detected_psd of it. Read-only and cached,
+    because every repetition of a run and every block of a Monte Carlo
+    check draws from the same few (spectra caches its PSD objects, so
+    equal arguments give the same key)."""
+    omega = 2.0 * np.pi * fs * np.arange(n // 2 + 1) / n
+    p = psd(omega)
+    if chain is not None:
+        p = chain.detected_psd(p, omega, fs)
+    amp = np.sqrt(0.5 * n * p)
+    amp.flags.writeable = False
+    return amp
 
-    n must be a power of two (block synthesis). The aliasing guard rejects
-    sample rates at which the PSD has not yet settled to its asymptote at
-    the Nyquist frequency.
+
+def _draw(amp: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """One n-sample block drawn in the frequency domain: interior rfft bins
+    complex with variance n/2 per part, DC and Nyquist real with variance
+    n, all scaled by amp/sqrt(n/2) = sqrt(P)."""
+    spec = rng.standard_normal(2 * amp.size).view(complex)
+    spec[0] = spec[0].real * math.sqrt(2.0)
+    if n % 2 == 0:
+        spec[-1] = spec[-1].real * math.sqrt(2.0)
+    spec *= amp
+    return np.fft.irfft(spec, n)
+
+
+def synthesize_colored(psd: QuadPsd, n: int, fs: float, seed: SeedLike) -> TimeSeries:
+    """One n-sample circulant Gaussian block whose expected periodogram
+    equals the PSD bin by bin.
+
+    Any n >= 2 is accepted; 2^a 3^b 5^c lengths are the fastest. The
+    aliasing guard rejects sample rates at which the PSD has not yet
+    settled to its asymptote at the Nyquist frequency.
     """
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"block length must be a power of two, got {n}")
+    if n < 2:
+        raise ValueError(f"block length must be at least 2 samples, got {n}")
     _check_alias(psd, fs)
     rng = np.random.default_rng(seed)
-    return TimeSeries(sample_rate=fs, samples=_synthesize_block(psd, n, fs, rng))
+    return TimeSeries(sample_rate=fs, samples=_draw(_amplitude(psd, None, n, fs), n, rng))
 
 
 def _beam_psd(params: OpoParams, setting: str) -> QuadPsd:
@@ -123,17 +143,13 @@ def _beam_psd(params: OpoParams, setting: str) -> QuadPsd:
     return opo_spectrum(params, branch)
 
 
-def block_length(duration: float, fs: float,
-                 chain: Optional[DetectionChain] = None) -> int:
-    """Length of the synthesis block a record of duration*fs samples is
-    trimmed from: the next power of two, or for a record drawn through a
-    detection chain the next length a real FFT handles fast (100,000
-    samples stay 100,000)."""
+def block_length(duration: float, fs: float) -> int:
+    """Length of the block a record of duration*fs samples is drawn on and
+    trimmed from: the next length a real FFT handles fast, 2^a 3^b 5^c
+    (100,000 samples stay 100,000)."""
     n_out = int(round(duration * fs))
     if n_out < 2:
         raise ValueError("duration*fs must cover at least 2 samples")
-    if chain is None:
-        return 1 << (n_out - 1).bit_length()
     return _next_fast_len(n_out)
 
 
@@ -151,30 +167,22 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-@lru_cache(maxsize=8)
-def _detected_amplitude(params: Optional[OpoParams], setting: str,
-                        chain: DetectionChain, n: int, fs: float) -> np.ndarray:
-    """sqrt(n/2 * P_det) on the rfft bins of an n-sample block, P_det the
-    detected PSD of one beam's measured quadrature (vacuum when params is
-    None). Read-only and cached, because every repetition of a run draws
-    from the same few."""
-    psd = flat_psd() if params is None else _beam_psd(params, setting)
-    omega = 2.0 * np.pi * fs * np.arange(n // 2 + 1) / n
-    amp = np.sqrt(0.5 * n * chain.detected_psd(psd(omega), omega, fs))
-    amp.flags.writeable = False
-    return amp
+def _draw_pair(psd1: QuadPsd, psd2: QuadPsd, chain: Optional[DetectionChain],
+               duration: float, fs: float, seed: SeedLike):
+    """Two independent records of duration*fs samples from one generator,
+    psd1's first, each trimmed from its own block of block_length samples."""
+    n_blk = block_length(duration, fs)
+    n_out = int(round(duration * fs))
+    rng = np.random.default_rng(seed)
+    return [_draw(_amplitude(psd, chain, n_blk, fs), n_blk, rng)[:n_out]
+            for psd in (psd1, psd2)]
 
 
-def _draw_detected(amp: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One n-sample block drawn in the frequency domain: interior rfft bins
-    complex with variance n/2 per part, DC and Nyquist real with variance
-    n, all scaled by amp/sqrt(n/2) = sqrt(P_det)."""
-    spec = rng.standard_normal(2 * amp.size).view(complex)
-    spec[0] = spec[0].real * math.sqrt(2.0)
-    if n % 2 == 0:
-        spec[-1] = spec[-1].real * math.sqrt(2.0)
-    spec *= amp
-    return np.fft.irfft(spec, n)
+def _series(y: np.ndarray, fs: float, chain: Optional[DetectionChain],
+            label: str) -> TimeSeries:
+    if chain is None:
+        return TimeSeries(fs, y, label=label)
+    return TimeSeries(chain.adc_rate, chain.digitize(y, fs), label=label)
 
 
 def epr_record(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,
@@ -182,8 +190,8 @@ def epr_record(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,
                chain: Optional[DetectionChain] = None) -> TwoModeRecord:
     """EPR beam pair for one measurement setting.
 
-    Synthesizes the measured quadrature of each input beam independently
-    (one block of block_length(duration, fs, chain) samples, trimmed to
+    Draws the measured quadrature of each input beam independently (one
+    block of block_length(duration, fs) samples each, trimmed to
     duration*fs) and applies the half-beam-splitter map
     A = (b1+b2)/sqrt(2), B = (b1-b2)/sqrt(2) samplewise.
 
@@ -191,54 +199,29 @@ def epr_record(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,
     and B are digitized (chain.digitize). The chain's electronic noise is
     white, equal on both channels and independent of the signal, and the
     beam splitter is orthogonal, so it folds into the beams. The record then
-    has the distribution detect gives a record synthesized on a circulant
-    block of the same length.
+    has the distribution detect gives the record drawn without the chain
+    (exactly so when duration*fs is itself a block length, as 100,000 is).
     """
     if setting not in ("X", "P"):
         raise ValueError(f"setting must be 'X' or 'P', got {setting!r}")
     epr_spectra(opo1, opo2)  # validates the squeezing arrangement
-    n_blk = block_length(duration, fs, chain)
-    n_out = int(round(duration * fs))
-    rng = np.random.default_rng(seed)
     psd1 = _beam_psd(opo1, setting)
     psd2 = _beam_psd(opo2, setting)
     _check_alias(psd1, fs)
     _check_alias(psd2, fs)
-    if chain is None:
-        b1 = _synthesize_block(psd1, n_blk, fs, rng)[:n_out]
-        b2 = _synthesize_block(psd2, n_blk, fs, rng)[:n_out]
-    else:
-        b1 = _draw_detected(_detected_amplitude(opo1, setting, chain, n_blk, fs),
-                            n_blk, rng)[:n_out]
-        b2 = _draw_detected(_detected_amplitude(opo2, setting, chain, n_blk, fs),
-                            n_blk, rng)[:n_out]
+    b1, b2 = _draw_pair(psd1, psd2, chain, duration, fs, seed)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    a, b = (b1 + b2) * inv_sqrt2, (b1 - b2) * inv_sqrt2
-    rate = fs
-    if chain is not None:
-        a, b, rate = chain.digitize(a, fs), chain.digitize(b, fs), chain.adc_rate
     lab = "x" if setting == "X" else "p"
-    return TwoModeRecord(a=TimeSeries(rate, a, label=f"{lab}_A"),
-                         b=TimeSeries(rate, b, label=f"{lab}_B"), setting=setting)
+    return TwoModeRecord(a=_series((b1 + b2) * inv_sqrt2, fs, chain, f"{lab}_A"),
+                         b=_series((b1 - b2) * inv_sqrt2, fs, chain, f"{lab}_B"),
+                         setting=setting)
 
 
 def vacuum_record(duration: float, fs: float, seed: SeedLike,
                   chain: Optional[DetectionChain] = None) -> TwoModeRecord:
-    """Two independent white vacuum series (the 0 dB reference); with a
-    chain, two independent draws from the detected vacuum PSD, digitized
-    (the detected reference, as epr_record draws with a chain)."""
-    n_out = int(round(duration * fs))
-    if n_out < 2:
-        raise ValueError("duration*fs must cover at least 2 samples")
-    rng = np.random.default_rng(seed)
-    if chain is None:
-        a, b = rng.standard_normal(n_out), rng.standard_normal(n_out)
-        rate = fs
-    else:
-        n_blk = block_length(duration, fs, chain)
-        amp = _detected_amplitude(None, "VACUUM", chain, n_blk, fs)
-        a = chain.digitize(_draw_detected(amp, n_blk, rng)[:n_out], fs)
-        b = chain.digitize(_draw_detected(amp, n_blk, rng)[:n_out], fs)
-        rate = chain.adc_rate
-    return TwoModeRecord(a=TimeSeries(rate, a, label="vacuum"),
-                         b=TimeSeries(rate, b, label="vacuum"), setting="VACUUM")
+    """Two independent draws from the flat vacuum PSD (the 0 dB
+    reference); with a chain, from the detected vacuum PSD, digitized (the
+    detected reference, as epr_record draws with a chain)."""
+    a, b = _draw_pair(flat_psd(), flat_psd(), chain, duration, fs, seed)
+    return TwoModeRecord(a=_series(a, fs, chain, "vacuum"),
+                         b=_series(b, fs, chain, "vacuum"), setting="VACUUM")

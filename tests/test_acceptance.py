@@ -245,7 +245,7 @@ def test_criterion_9_detected_run_matches_chain_aware_expectation(tmp_path):
 
     cfg = load_config(PAPER_CFG)
     spectra = epr_spectra(cfg.opo1, cfg.opo2)
-    block = block_length(cfg.duration, cfg.fs, cfg.chain)
+    block = block_length(cfg.duration, cfg.fs)
     ref = expected_mode_variance(None, cfg.chain, cfg.fs, cfg.mode, block)
     ratio_x = expected_mode_variance(spectra.diff_x, cfg.chain, cfg.fs, cfg.mode, block) / ref
     ratio_p = expected_mode_variance(spectra.sum_p, cfg.chain, cfg.fs, cfg.mode, block) / ref

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -157,12 +158,45 @@ def test_combo_series_validation(calibrated_pair):
         combo_series(rec, 0.5)
 
 
+def _welch_white_se(segment_len, n_segments):
+    """Exact standard errors of welch_psd's linear power for unit white
+    Gaussian input: per bin, and of the mean over all bins. For segments d
+    apart (50 % overlap: d = 0 or 1) and bins k, k',
+    Cov(|X_k|^2, |X_k'|^2) / (sum w^2)^2 = |Q_d(k-k')|^2 + |Q_d(k+k')|^2,
+    with Q_d the DFT of the overlapping window product w_i w_(i - d*step)
+    over sum w^2."""
+    n, k = segment_len, n_segments
+    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    step = n - n // 2
+    bins = np.arange(n // 2 + 1)
+    diffs = np.arange(-n // 2, n // 2 + 1)  # k - k'
+    sums = np.arange(n + 1)                 # k + k'
+    pairs_diff = bins.size - np.abs(diffs)
+    pairs_sum = bins.size - np.abs(sums - n // 2)
+    var_bin, var_sum = 0.0, 0.0
+    for d, weight in ((0, 1.0), (1, 2.0 * (k - 1) / k)):
+        prod = np.zeros(n)
+        prod[d * step:] = w[d * step:] * w[:n - d * step]
+        q2 = np.abs(np.fft.fft(prod) / np.sum(w * w)) ** 2
+        var_bin += weight * (q2[0] + q2[2 * bins % n])
+        var_sum += weight * (np.sum(pairs_diff * q2[diffs % n])
+                             + np.sum(pairs_sum * q2[sums % n]))
+    return np.sqrt(var_bin / k), np.sqrt(var_sum / k) / bins.size
+
+
 def test_welch_white_series_reads_flat_zero_db():
+    # bounds from the estimator's own spread at K segments: the mean over
+    # all bins within 4 SE of 1, and every bin, DC and Nyquist at their own
+    # (sqrt 2 larger) SE, within a z-bound with family-wise level 1e-3
     series = synthesize_colored(flat_psd(), 1 << 21, FS, seed=570)
     est = welch_psd(series)
     assert est.n_segments >= 100
-    assert np.max(np.abs(est.db)) < 0.5
-    assert abs(np.mean(est.db)) < 0.02
+    power = 10.0 ** (est.db / 10.0)
+    se_bin, se_mean = _welch_white_se(4096, est.n_segments)
+    assert np.isclose(se_bin[0], math.sqrt(2.0) * se_bin[10])
+    z = NormalDist().inv_cdf(1.0 - 1e-3 / (2.0 * power.size))
+    assert abs(np.mean(power) - 1.0) < 4.0 * se_mean
+    assert np.all(np.abs(power - 1.0) < z * se_bin)
     assert est.freq_hz[0] == 0.0
     assert est.freq_hz[-1] == FS / 2.0
 

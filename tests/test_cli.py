@@ -280,8 +280,8 @@ _NEGATIVE = (st.floats(max_value=0.0, exclude_max=True, allow_infinity=False)
              | st.integers(max_value=-1))
 _NOT_POSITIVE = st.floats(max_value=0.0, allow_infinity=False) | st.integers(max_value=0)
 
-# values outside each field's own domain; relations between fields (such as
-# adc_rate <= fs) are left out, because their message names the other field
+# values outside each field's own domain; relations between fields are
+# drawn separately (_RELATIONS)
 _OUT_OF_RANGE = {
     "pump_param": _NEGATIVE | st.floats(min_value=1.0, allow_infinity=False),
     "hwhm": _NOT_POSITIVE | st.floats(min_value=1e15, exclude_min=True,
@@ -330,33 +330,85 @@ def _bad_values(table, field):
     return st.one_of(bad)
 
 
+_FS, _ADC, _DURATION = _PAPER["fs"], _PAPER["chain"]["adc_rate"], _PAPER["duration"]
+_MODE_T = _PAPER["mode"]["duration"]
+
+
+def _between(lo, hi):
+    return st.floats(min_value=lo, max_value=hi)
+
+
+def _non_integer(lo, hi):
+    return _between(lo, hi).filter(lambda r: abs(r - round(r)) > 1e-6)
+
+
+def _edits(*keys):
+    """Builds {(table, field): value} from values drawn for keys."""
+    return lambda *values: dict(zip(keys, values))
+
+
+# values that are each in range but break a relation between two fields, with
+# the fields the message may name
+_RELATIONS = [
+    (("chain.adc_rate", "fs"), st.builds(  # above fs, or not dividing it
+        _edits(("chain", "adc_rate")),
+        _between(1.001 * _FS, 1e12) | st.builds(lambda r: _FS / r, _non_integer(1.0, 50.0)))),
+    (("fs", "chain.adc_rate"), st.builds(  # below adc_rate, or not a multiple of it
+        _edits(("fs", None)),
+        _between(1e4, _ADC / 1.001) | st.builds(lambda r: _ADC * r, _non_integer(1.0, 20.0)))),
+    (("chain.highpass_cutoff", "fs"), st.builds(  # at or above the Nyquist frequency
+        _edits(("chain", "highpass_cutoff"), ("chain", "detector_bandwidth")),
+        _between(0.499 * _FS, 1e9), st.just(2e9))),
+    (("chain.highpass_cutoff", "chain.detector_bandwidth"), st.one_of(
+        st.builds(_edits(("chain", "highpass_cutoff")),
+                  _between(_PAPER["chain"]["detector_bandwidth"], 0.49 * _FS)),
+        st.builds(_edits(("chain", "detector_bandwidth")),
+                  _between(1.0, _PAPER["chain"]["highpass_cutoff"])))),
+    (("mode.duration", "duration"), st.one_of(  # a mode longer than the record
+        st.builds(_edits(("mode", "duration")), _between(1.001 * _DURATION, 1.0)),
+        st.builds(_edits(("duration", None)), _between(2.1 / _FS, 0.99 * _MODE_T)))),
+    (("mode.duration", "chain.adc_rate"), st.one_of(  # under one ADC sample
+        st.builds(_edits(("mode", "duration")), _between(1e-12, 0.49 / _ADC)),
+        st.builds(_edits(("chain", "adc_rate")),
+                  st.builds(lambda r: _FS / r, st.integers(21, 10_000))))),
+]
+
+
 @st.composite
 def _hostile_configs(draw):
-    table, field = draw(st.sampled_from(_FIELDS))
-    value = draw(_bad_values(table, field))
+    """(field paths the message may start with, config), from paper.cfg with
+    one field out of its domain or one relation between fields broken."""
     cfg = json.loads(json.dumps(_PAPER))
-    parent, key = (cfg[table], field) if field else (cfg, table)
-    if value is _MISSING:
-        del parent[key]
+    if draw(st.booleans()):
+        paths, edits = draw(st.sampled_from(_RELATIONS).flatmap(
+            lambda rel: st.tuples(st.just(rel[0]), rel[1])))
     else:
-        parent[key] = value
-    return (f"{table}.{field}" if field else table), cfg
+        table, field = draw(st.sampled_from(_FIELDS))
+        paths = (f"{table}.{field}" if field else table,)
+        edits = {(table, field): draw(_bad_values(table, field))}
+    for (table, field), value in edits.items():
+        parent, key = (cfg[table], field) if field else (cfg, table)
+        if value is _MISSING:
+            del parent[key]
+        else:
+            parent[key] = value
+    return paths, cfg
 
 
 @settings(deadline=None, max_examples=300, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=_hostile_configs())
 def test_hostile_config_exits_2_naming_the_field(case, tmp_path, capsys):
-    path, table = case
+    paths, table = case
     cfg = tmp_path / "hostile.json"
     cfg.write_text(json.dumps(table))
     capsys.readouterr()
     rc = main(["spectra", "--config", str(cfg), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
-    assert rc == 2, (path, err)
+    assert rc == 2, (paths, err)
     assert "Traceback" not in err
     message = err.partition(f"{cfg}: ")[2]
-    assert message.startswith(path), (path, err)
+    assert message.startswith(paths), (paths, err)
 
 
 def test_usage_errors_exit_2(fast_cfg, tmp_path):

@@ -303,7 +303,7 @@ def test_detected_records_match_expected_mode_variance(setting, calibrated_pair)
     # chain-aware expectation on the record's own block
     chain = DetectionChain()
     duration = 2e-3
-    block = block_length(duration, FS, chain)
+    block = block_length(duration, FS)
     assert block == 100_000
     p_opo, x_opo = calibrated_pair
 
@@ -357,7 +357,7 @@ def test_detected_records_are_decimated(calibrated_pair):
     # 0.2 us spans 5 ADC samples; the vacuum reference obeys the expectation
     vals = _detected_mc(lambda s: vacuum_record(2e-3, FS, s + 97, chain=chain),
                         range(3), +1.0)
-    expected = expected_mode_variance(None, chain, FS, MODE, block_length(2e-3, FS, chain))
+    expected = expected_mode_variance(None, chain, FS, MODE, block_length(2e-3, FS))
     se = expected * math.sqrt(2.0 / (vals.size - 1))
     assert abs(np.var(vals, ddof=1) - expected) < 3.0 * se
 

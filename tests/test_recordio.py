@@ -34,6 +34,18 @@ def test_csv_header_content(tmp_path, series):
     assert len(lines) == 3 + series.n
 
 
+@pytest.mark.parametrize("fs", [25e6, 33e6, 50e6, 400e6])
+def test_csv_bytes_equal_per_sample_formatting(tmp_path, series, fs):
+    # the vectorized writer produces exactly the rows of a per-sample loop
+    rec = TimeSeries(fs, series.samples, label=series.label)
+    path = tmp_path / "rec.csv"
+    save_series_csv(path, rec)
+    dt = 1.0 / fs
+    rows = "".join(f"{i * dt:.17g},{v:.17g}\n" for i, v in enumerate(rec.samples))
+    expected = f"# sample_rate_hz={fs!r}\n# label=x_A\ntime_s,value\n" + rows
+    assert path.read_bytes() == expected.encode()
+
+
 def test_csv_missing_rate_rejected(tmp_path):
     path = tmp_path / "norate.csv"
     path.write_text("time_s,value\n0.0,1.0\n")

@@ -5,7 +5,7 @@ import pytest
 
 from eprsim import (DetectionChain, OpoParams, TemporalMode, extract_modes, flat_psd,
                     opo_spectrum, synthesize_colored, epr_record, vacuum_record)
-from eprsim.synth import (TimeSeries, TwoModeRecord, _next_fast_len, _synthesize_block,
+from eprsim.synth import (TimeSeries, TwoModeRecord, _amplitude, _draw, _next_fast_len,
                           block_length)
 
 import refvals
@@ -17,19 +17,36 @@ def _stress_psd():
     return opo_spectrum(p, "squeezed")
 
 
-def test_block_length_must_be_power_of_two():
-    with pytest.raises(ValueError, match="power of two"):
-        synthesize_colored(flat_psd(), 1000, 50e6, seed=0)
-    with pytest.raises(ValueError):
-        synthesize_colored(flat_psd(), 0, 50e6, seed=0)
+class _Fixed:
+    """Stands in for a Generator whose next normals are z."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def standard_normal(self, size):
+        assert size == self.z.size
+        return self.z.copy()
+
+
+def test_synthesis_block_must_cover_two_samples():
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="at least 2"):
+            synthesize_colored(flat_psd(), n, 50e6, seed=0)
 
 
 def test_flat_psd_passes_white_noise_through():
-    n = 4096
-    seed = 11
-    out = synthesize_colored(flat_psd(), n, 50e6, seed=seed)
-    white = np.random.default_rng(seed).standard_normal(n)
-    assert np.allclose(out.samples, white, atol=1e-10)
+    # the vacuum calibration contract, exactly: with a flat amplitude the
+    # linear map M from the drawn normals to the samples has M M^T = I, so
+    # the samples are white with unit variance (even and odd n)
+    fs = 50e6
+    for n in (16, 15):
+        amp = _amplitude(flat_psd(), None, n, fs)
+        m = np.column_stack([_draw(amp, n, _Fixed(e)) for e in np.eye(2 * amp.size)])
+        assert np.max(np.abs(m @ m.T - np.eye(n))) <= 1e-12
+        # and synthesize_colored is that map applied to its generator's normals
+        out = synthesize_colored(flat_psd(), n, fs, seed=11)
+        z = np.random.default_rng(11).standard_normal(2 * amp.size)
+        assert np.max(np.abs(out.samples - m @ z)) <= 1e-12
 
 
 def test_synthesis_deterministic():
@@ -108,34 +125,44 @@ def test_mode_values_are_gaussian():
 
 
 def test_epr_record_is_beam_splitter_of_two_streams(calibrated_pair):
-    # channel A/B must equal (b1 +/- b2)/sqrt(2) of the two synthesized
-    # beams drawn from one generator in order
+    # channel A/B must equal (b1 +/- b2)/sqrt(2) of the two beams drawn
+    # from one generator in order, each trimmed from its own block, with
+    # and without a chain (the default chain neither decimates at 50 MS/s
+    # nor quantizes)
     opo1, opo2 = calibrated_pair
-    fs, duration, seed = 50e6, 4e-5, 42
-    rec = epr_record(opo1, opo2, duration, fs, "X", seed)
-    n_out = int(round(duration * fs))
-    n_blk = 1 << (n_out - 1).bit_length()
-    rng = np.random.default_rng(seed)
-    b1 = _synthesize_block(opo_spectrum(opo1, "antisqueezed"), n_blk, fs, rng)[:n_out]
-    b2 = _synthesize_block(opo_spectrum(opo2, "squeezed"), n_blk, fs, rng)[:n_out]
+    fs, duration, seed, n_out = 50e6, 2001 / 50e6, 42, 2001
+    n_blk = block_length(duration, fs)
+    assert n_blk == 2025
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    assert np.array_equal(rec.a.samples, (b1 + b2) * inv_sqrt2)
-    assert np.array_equal(rec.b.samples, (b1 - b2) * inv_sqrt2)
+    for chain in (None, DetectionChain()):
+        rec = epr_record(opo1, opo2, duration, fs, "X", seed, chain=chain)
+        rng = np.random.default_rng(seed)
+        b1, b2 = (_draw(_amplitude(opo_spectrum(opo, branch), chain, n_blk, fs),
+                        n_blk, rng)[:n_out]
+                  for opo, branch in ((opo1, "antisqueezed"), (opo2, "squeezed")))
+        assert np.array_equal(rec.a.samples, (b1 + b2) * inv_sqrt2)
+        assert np.array_equal(rec.b.samples, (b1 - b2) * inv_sqrt2)
 
 
-def test_block_length_is_next_power_of_two():
-    assert block_length(2e-3, 50e6) == 1 << 17  # 100,000 samples
-    assert block_length(4e-5, 50e6) == 2048     # 2,000 samples
+def test_amplitude_cache_hits_on_every_repetition(calibrated_pair):
+    # equal arguments give the same PSD objects, so repeated draws of a
+    # run's records compute no amplitude twice
+    chain = DetectionChain()
+    for seed in (0, 1):
+        epr_record(*calibrated_pair, 1e-4, 50e6, "X", seed, chain=chain)
+        vacuum_record(1e-4, 50e6, seed, chain=chain)
+        if seed == 0:
+            misses = _amplitude.cache_info().misses
+    assert _amplitude.cache_info().misses == misses
+
+
+def test_block_length_is_next_fast_real_fft_length():
+    assert block_length(2e-3, 50e6) == 100_000          # 2^5 5^5
+    assert block_length(2e-3 + 1 / 50e6, 50e6) == 101_250  # 2 3^4 5^4
+    assert block_length(4e-5, 50e6) == 2000             # 2^4 5^3
     assert block_length(1024 / 50e6, 50e6) == 1024
     with pytest.raises(ValueError, match="at least 2 samples"):
         block_length(1e-8, 50e6)
-
-
-def test_detected_block_length_is_next_fast_real_fft_length():
-    chain = DetectionChain()
-    assert block_length(2e-3, 50e6, chain) == 100_000          # 2^5 5^5
-    assert block_length(2e-3 + 1 / 50e6, 50e6, chain) == 101_250  # 2 3^4 5^4
-    assert block_length(1024 / 50e6, 50e6, chain) == 1024
 
 
 def test_next_fast_len_matches_scipy():
