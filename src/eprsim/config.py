@@ -1,13 +1,18 @@
 """Run configuration: JSON schema, validation with field-path diagnostics,
 and a canonical fingerprint embedded in every output file.
+
+parse_config checks the JSON shape and field types, each part its own
+values, and RunConfig the rules between fields (on replace too).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Dict
 
@@ -29,6 +34,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One measurement setup. Construction checks the rules between fields
+    and raises ConfigError naming the field, so dataclasses.replace
+    returns a checked config too."""
+
     opo1: OpoParams
     opo2: OpoParams
     chain: DetectionChain
@@ -38,7 +47,34 @@ class RunConfig:
     repetitions: int
     seed: int
     output_dir: str
-    fingerprint: str
+
+    def __post_init__(self):
+        if self.opo1.squeeze_phase == self.opo2.squeeze_phase:
+            raise ConfigError(
+                "opo2.squeeze_phase: the two OPOs must squeeze orthogonal quadratures")
+        if self.repetitions < 1:
+            raise ConfigError("repetitions: must be at least 1")
+        if self.repetitions > MAX_REPETITIONS:
+            raise ConfigError(f"repetitions: must be at most {MAX_REPETITIONS}")
+        samples = self.duration * self.fs
+        if not (math.isfinite(samples) and 2 <= round(samples) <= MAX_RECORD_SAMPLES):
+            raise ConfigError(
+                f"duration: duration*fs must cover 2 to {MAX_RECORD_SAMPLES} samples, "
+                f"got {samples:g}")
+        if self.seed < 0:
+            raise ConfigError("seed: must be non-negative")
+        try:  # the chain's own conditions at the record rate
+            _decimation_factor(self.fs, self.chain.adc_rate)
+            _corners(self.chain, self.fs)
+        except ValueError as exc:
+            raise ConfigError(f"chain.{exc}") from exc
+        if self.mode.duration > self.duration:
+            raise ConfigError("mode.duration: must not exceed the record duration")
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """config_fingerprint of this config, computed on first use."""
+        return config_fingerprint(self)
 
 
 def _require(table: Dict[str, Any], key: str, path: str) -> Any:
@@ -147,7 +183,8 @@ _TOP_KEYS = ("opo1", "opo2", "chain", "fs", "duration", "mode",
 
 
 def parse_config(table: Dict[str, Any]) -> RunConfig:
-    """Validate a parsed JSON object into a RunConfig."""
+    """Check a parsed JSON object's shape and field types and build the
+    RunConfig, which checks the rules between fields."""
     _check_keys(table, _TOP_KEYS, "")
     opo1 = _parse_opo(_require(table, "opo1", ""), "opo1.")
     opo2 = _parse_opo(_require(table, "opo2", ""), "opo2.")
@@ -161,33 +198,13 @@ def parse_config(table: Dict[str, Any]) -> RunConfig:
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError("output_dir: expected a non-empty string")
 
-    if opo1.squeeze_phase == opo2.squeeze_phase:
-        raise ConfigError(
-            "opo2.squeeze_phase: the two OPOs must squeeze orthogonal quadratures")
-    if repetitions < 1:
-        raise ConfigError("repetitions: must be at least 1")
-    if repetitions > MAX_REPETITIONS:
-        raise ConfigError(f"repetitions: must be at most {MAX_REPETITIONS}")
-    if not 2 <= round(duration * fs) <= MAX_RECORD_SAMPLES:
-        raise ConfigError(
-            f"duration: duration*fs must cover 2 to {MAX_RECORD_SAMPLES} samples, "
-            f"got {duration * fs:g}")
-    if seed < 0:
-        raise ConfigError("seed: must be non-negative")
-    try:  # the chain's own conditions at the record rate
-        _decimation_factor(fs, chain.adc_rate)
-        _corners(chain, fs)
-    except ValueError as exc:
-        raise ConfigError(f"chain.{exc}") from exc
-    if mode.duration > duration:
-        raise ConfigError("mode.duration: must not exceed the record duration")
-    if int(round(mode.duration * chain.adc_rate)) < 1:
-        raise ConfigError("mode.duration: spans no sample at the ADC rate")
-
     cfg = RunConfig(opo1=opo1, opo2=opo2, chain=chain, fs=fs, duration=duration,
                     mode=mode, repetitions=repetitions, seed=seed,
-                    output_dir=output_dir, fingerprint="")
-    return replace(cfg, fingerprint=config_fingerprint(cfg))
+                    output_dir=output_dir)
+    # a rule of the file only: sweep --var T may go below one ADC sample
+    if int(round(mode.duration * chain.adc_rate)) < 1:
+        raise ConfigError("mode.duration: spans no sample at the ADC rate")
+    return cfg
 
 
 def load_config(path) -> RunConfig:

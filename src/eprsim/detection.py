@@ -26,7 +26,7 @@ import numpy as np
 
 from .modes import TemporalMode
 from .spectra import QuadPsd, flat_psd
-from .synth import SeedLike, TimeSeries, TwoModeRecord
+from .synth import SeedLike, TimeSeries, TwoModeRecord, _power
 
 __all__ = [
     "DetectionChain",
@@ -172,8 +172,7 @@ def detect(record: TwoModeRecord, chain: DetectionChain, seed: SeedLike) -> TwoM
                           samples=np.asarray(chain.digitize(y, fs)),
                           label=series.label)
 
-    return TwoModeRecord(a=process(record.a), b=process(record.b),
-                         setting=record.setting)
+    return TwoModeRecord(a=process(record.a), b=process(record.b))
 
 
 def expected_mode_variance(psd: Optional[QuadPsd], chain: Optional[DetectionChain],
@@ -187,22 +186,16 @@ def expected_mode_variance(psd: Optional[QuadPsd], chain: Optional[DetectionChai
     on a block of this length (synth.block_length); detect applies the
     same gains on a record's own block. Quantization is ignored.
     """
-    if psd is None:
-        psd = flat_psd()
-    k = np.arange(block)
-    omega = 2.0 * np.pi * fs * np.minimum(k, block - k) / block
-    s = psd(omega)
-
-    adc_rate = fs
-    if chain is not None:
-        s = chain.detected_psd(s, omega, fs)
-        adc_rate = chain.adc_rate
-
+    adc_rate = fs if chain is None else chain.adc_rate
     factor = _decimation_factor(fs, adc_rate)
     w = mode.discretize(adc_rate)
     if w.size * factor > block:
         raise ValueError("mode window does not fit in one synthesis block")
     placed = np.zeros(block)
     placed[: w.size * factor : factor] = w
-    win = np.abs(np.fft.fft(placed)) ** 2
-    return float(np.sum(s * win) / block)
+    # sum over the full FFT grid, folded onto the rfft bins: every bin but
+    # DC and (for even blocks) Nyquist stands for two
+    win = np.abs(np.fft.rfft(placed)) ** 2
+    win[1: (block + 1) // 2] *= 2.0
+    p = _power(flat_psd() if psd is None else psd, chain, block, fs)
+    return float(np.sum(p * win) / block)

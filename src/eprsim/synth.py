@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 _LABELS = ("x_A", "p_A", "x_B", "p_B", "vacuum")
-_SETTINGS = ("X", "P", "VACUUM")
 # largest |S(Nyquist) - 1| the aliasing guard accepts
 _ALIAS_TOL = 0.15
 
@@ -72,11 +71,8 @@ class TwoModeRecord:
 
     a: TimeSeries
     b: TimeSeries
-    setting: str
 
     def __post_init__(self):
-        if self.setting not in _SETTINGS:
-            raise ValueError(f"setting must be one of {_SETTINGS}, got {self.setting!r}")
         if self.a.sample_rate != self.b.sample_rate or self.a.n != self.b.n:
             raise ValueError("a and b must share sample rate and length")
 
@@ -93,19 +89,25 @@ def _check_alias(psd: QuadPsd, fs: float) -> None:
             f"{abs(s_nyq - 1.0):.3g} exceeds alias tolerance {_ALIAS_TOL:g}")
 
 
-@lru_cache(maxsize=8)
-def _amplitude(psd: QuadPsd, chain: Optional[DetectionChain], n: int,
-               fs: float) -> np.ndarray:
-    """sqrt(n/2 * P) on the rfft bins of an n-sample block, P = S(Omega_k)
-    or, with a chain, chain.detected_psd of it. Read-only and cached,
-    because every repetition of a run and every block of a Monte Carlo
-    check draws from the same few (spectra caches its PSD objects, so
-    equal arguments give the same key)."""
+def _power(psd: QuadPsd, chain: Optional[DetectionChain], n: int,
+           fs: float) -> np.ndarray:
+    """P on the rfft bins of an n-sample block: S(Omega_k) or, with a
+    chain, chain.detected_psd of it."""
     omega = 2.0 * np.pi * fs * np.arange(n // 2 + 1) / n
     p = psd(omega)
     if chain is not None:
         p = chain.detected_psd(p, omega, fs)
-    amp = np.sqrt(0.5 * n * p)
+    return p
+
+
+@lru_cache(maxsize=8)
+def _amplitude(psd: QuadPsd, chain: Optional[DetectionChain], n: int,
+               fs: float) -> np.ndarray:
+    """sqrt(n/2 * P) on the rfft bins of an n-sample block (_power).
+    Read-only and cached, because every repetition of a run and every
+    block of a Monte Carlo check draws from the same few (spectra caches
+    its PSD objects, so equal arguments give the same key)."""
+    amp = np.sqrt(0.5 * n * _power(psd, chain, n, fs))
     amp.flags.writeable = False
     return amp
 
@@ -213,8 +215,7 @@ def epr_record(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     lab = "x" if setting == "X" else "p"
     return TwoModeRecord(a=_series((b1 + b2) * inv_sqrt2, fs, chain, f"{lab}_A"),
-                         b=_series((b1 - b2) * inv_sqrt2, fs, chain, f"{lab}_B"),
-                         setting=setting)
+                         b=_series((b1 - b2) * inv_sqrt2, fs, chain, f"{lab}_B"))
 
 
 def vacuum_record(duration: float, fs: float, seed: SeedLike,
@@ -224,4 +225,4 @@ def vacuum_record(duration: float, fs: float, seed: SeedLike,
     detected reference, as epr_record draws with a chain)."""
     a, b = _draw_pair(flat_psd(), flat_psd(), chain, duration, fs, seed)
     return TwoModeRecord(a=_series(a, fs, chain, "vacuum"),
-                         b=_series(b, fs, chain, "vacuum"), setting="VACUUM")
+                         b=_series(b, fs, chain, "vacuum"))

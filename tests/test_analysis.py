@@ -158,21 +158,24 @@ def test_combo_series_validation(calibrated_pair):
         combo_series(rec, 0.5)
 
 
-def _welch_white_se(segment_len, n_segments):
+def _welch_white_se(segment_len, n_segments, band=None):
     """Exact standard errors of welch_psd's linear power for unit white
-    Gaussian input: per bin, and of the mean over all bins. For segments d
+    Gaussian input: per bin, and of the mean over the bins of band (a
+    boolean mask over the bins; all bins by default). For segments d
     apart (50 % overlap: d = 0 or 1) and bins k, k',
     Cov(|X_k|^2, |X_k'|^2) / (sum w^2)^2 = |Q_d(k-k')|^2 + |Q_d(k+k')|^2,
     with Q_d the DFT of the overlapping window product w_i w_(i - d*step)
-    over sum w^2."""
+    over sum w^2. Relative to a PSD that is smooth over a few bins, they
+    hold approximately for a colored Gaussian input too."""
     n, k = segment_len, n_segments
     w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
     step = n - n // 2
     bins = np.arange(n // 2 + 1)
-    diffs = np.arange(-n // 2, n // 2 + 1)  # k - k'
-    sums = np.arange(n + 1)                 # k + k'
-    pairs_diff = bins.size - np.abs(diffs)
-    pairs_sum = bins.size - np.abs(sums - n // 2)
+    m = np.ones(bins.size) if band is None else np.asarray(band, dtype=float)
+    diffs = np.arange(1 - bins.size, bins.size)  # k - k'
+    sums = np.arange(2 * bins.size - 1)          # k + k'
+    pairs_diff = np.correlate(m, m, "full")      # pairs in band at each k - k'
+    pairs_sum = np.convolve(m, m)                # pairs in band at each k + k'
     var_bin, var_sum = 0.0, 0.0
     for d, weight in ((0, 1.0), (1, 2.0 * (k - 1) / k)):
         prod = np.zeros(n)
@@ -181,7 +184,7 @@ def _welch_white_se(segment_len, n_segments):
         var_bin += weight * (q2[0] + q2[2 * bins % n])
         var_sum += weight * (np.sum(pairs_diff * q2[diffs % n])
                              + np.sum(pairs_sum * q2[sums % n]))
-    return np.sqrt(var_bin / k), np.sqrt(var_sum / k) / bins.size
+    return np.sqrt(var_bin / k), np.sqrt(var_sum / k) / np.sum(m)
 
 
 def test_welch_white_series_reads_flat_zero_db():
@@ -212,14 +215,19 @@ def test_welch_locates_injected_sinusoid():
 
 
 def test_welch_matches_generating_psd(calibrated_pair, calibrated_spectra):
+    # bounds from the estimator's spread, relative to the generating PSD:
+    # every bin of the band within a z-bound with family-wise level 1e-3,
+    # the band mean within 4 SE of it
     rec = epr_record(*calibrated_pair, (1 << 21) / FS, FS, "X", seed=571)
     est = welch_psd(combo_series(rec, -1.0))
-    truth = 10.0 * np.log10(calibrated_spectra.diff_x(2.0 * np.pi * est.freq_hz))
+    truth = calibrated_spectra.diff_x(2.0 * np.pi * est.freq_hz)
     band = (est.freq_hz >= 50e3) & (est.freq_hz <= 5e6)
-    dev = est.db[band] - truth[band]
     assert est.n_segments >= 100
-    assert np.max(np.abs(dev)) < 0.5
-    assert abs(np.mean(dev)) < 0.05
+    ratio = 10.0 ** (est.db[band] / 10.0) / truth[band]
+    se_bin, se_mean = _welch_white_se(4096, est.n_segments, band)
+    z = NormalDist().inv_cdf(1.0 - 1e-3 / (2.0 * ratio.size))
+    assert np.all(np.abs(ratio - 1.0) < z * se_bin[band])
+    assert abs(np.mean(ratio) - 1.0) < 4.0 * se_mean
 
 
 def test_welch_validation():

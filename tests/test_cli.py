@@ -1,5 +1,6 @@
 """Command line driver: verbs, exit codes, provenance, determinism."""
 
+import importlib.util
 import json
 import math
 import subprocess
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eprsim import QuadratureError, TemporalMode, epr_report, epr_spectra, mode_duan
+from eprsim import (QuadratureError, TemporalMode, detect, epr_report, epr_spectra,
+                    mode_duan)
 from eprsim import cli
 from eprsim.cli import main
 from eprsim.config import load_config
@@ -222,7 +224,7 @@ def test_bad_thread_env_is_config_error(fast_cfg, tmp_path, monkeypatch):
     assert rc == 2
 
 
-def test_seed_and_reps_overrides(fast_cfg, tmp_path):
+def test_seed_and_reps_overrides(fast_cfg, tmp_path, capsys):
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     assert main(["run", "--config", str(fast_cfg), "--out", str(out1)]) == 0
     assert main(["run", "--config", str(fast_cfg), "--out", str(out2),
@@ -234,12 +236,14 @@ def test_seed_and_reps_overrides(fast_cfg, tmp_path):
     assert len(rows2) == 4  # three reps plus summary
     assert len(rows1) == 3
 
-    assert main(["run", "--config", str(fast_cfg), "--seed", "-1",
-                 "--out", str(tmp_path / "s3")]) == 2
-    assert main(["run", "--config", str(fast_cfg), "--reps", "0",
-                 "--out", str(tmp_path / "s4")]) == 2
-    assert main(["run", "--config", str(fast_cfg), "--reps", "10001",
-                 "--out", str(tmp_path / "s5")]) == 2
+    capsys.readouterr()
+    # a rejected override names the config field it replaces
+    for flag, value, field in (("--seed", "-1", "seed"), ("--reps", "0", "repetitions"),
+                               ("--reps", "10001", "repetitions")):
+        assert main(["run", "--config", str(fast_cfg), flag, value,
+                     "--out", str(tmp_path / "s3")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not (tmp_path / "s3").exists()
 
 
 def test_config_errors_exit_2(tmp_path):
@@ -411,6 +415,27 @@ def test_hostile_config_exits_2_naming_the_field(case, tmp_path, capsys):
     assert message.startswith(paths), (paths, err)
 
 
+def test_benchmark_tracer_installs_on_this_package():
+    # perfbench wraps functions where eprsim binds them (eprsim.cli.detect,
+    # eprsim.synth.epr_spectra, ...); dropping one of those names must fail
+    # here, not only when the benchmark runs
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+        tracer = module.Tracer()
+        try:
+            tracer.install()
+            assert cli.detect is not detect
+        finally:
+            tracer.uninstall()
+    finally:
+        del sys.modules[spec.name]
+    assert cli.detect is detect
+
+
 def test_usage_errors_exit_2(fast_cfg, tmp_path):
     assert main([]) == 2
     assert main(["frobnicate", "--config", str(fast_cfg)]) == 2
@@ -500,11 +525,22 @@ def test_sweep_efficiency_reaches_vacuum_and_mc_checks(fast_cfg, tmp_path):
         assert abs(float(row[3]) - float(row[2])) < 0.25
 
 
-def test_sweep_range_validation(fast_cfg, tmp_path):
-    assert main(["sweep", "--config", str(fast_cfg), "--var", "pump_param",
-                 "--grid", "0.5:1.5:3", "--out", str(tmp_path / "x")]) == 2
-    assert main(["sweep", "--config", str(fast_cfg), "--var", "T",
-                 "--grid", "1e-7:1:3", "--out", str(tmp_path / "x")]) == 2
+def test_sweep_range_validation(fast_cfg, tmp_path, capsys):
+    # a rejected point is named before the field that rejects it
+    for var, grid, point in (("pump_param", "0.5:1.5:3", "pump_param=1: pump_param: "),
+                             ("efficiency", "0.5:1.5:3", "efficiency=1.5: efficiency: "),
+                             ("T", "1e-7:1:3", "T=0.5: mode.duration: "),
+                             ("T", "0:1e-6:3", "T=0: duration: ")):
+        assert main(["sweep", "--config", str(fast_cfg), "--var", var,
+                     "--grid", grid, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: --grid {point}")
+    assert not (tmp_path / "x").exists()
+    # T below one ADC sample still has an analytic value; only a Monte
+    # Carlo check there is rejected
+    small = ["sweep", "--config", str(fast_cfg), "--var", "T", "--grid", "1e-9:1e-8:3"]
+    assert main([*small, "--out", str(tmp_path / "small")]) == 0
+    assert len(_read_csv(tmp_path / "small" / "sweep.csv")[2]) == 3
+    assert main([*small, "--mc-check", "--out", str(tmp_path / "mc")]) == 2
 
 
 def test_sweep_T_up_to_record_length(tmp_path):

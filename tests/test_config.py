@@ -1,11 +1,13 @@
 """JSON run-configuration parsing, validation diagnostics, fingerprints."""
 
 import json
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
-from eprsim import ConfigError, config_fingerprint, load_config, parse_config
+from eprsim import (ConfigError, RunConfig, TemporalMode, config_fingerprint,
+                    load_config, parse_config)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -140,6 +142,37 @@ def test_fingerprints_are_pinned(mode, fingerprint):
     if mode is not None:
         table["mode"] = mode
     assert parse_config(table).fingerprint == fingerprint
+
+
+_PAPER_CFG = load_config(REPO_ROOT / "paper.cfg")
+
+
+@pytest.mark.parametrize("change, field", [
+    (lambda c: {"opo2": replace(c.opo2, squeeze_phase="P")}, "opo2.squeeze_phase"),
+    (lambda c: {"repetitions": 0}, "repetitions"),
+    (lambda c: {"repetitions": 10_001}, "repetitions"),
+    (lambda c: {"duration": 1e-8}, "duration"),
+    (lambda c: {"duration": 1.0}, "duration"),
+    (lambda c: {"seed": -1}, "seed"),
+    (lambda c: {"fs": 25e6}, "chain.adc_rate"),
+    (lambda c: {"chain": replace(c.chain, adc_rate=30e6)}, "chain.adc_rate"),
+    (lambda c: {"chain": replace(c.chain, highpass_cutoff=30e6,
+                                 detector_bandwidth=40e6)}, "chain.highpass_cutoff"),
+    (lambda c: {"mode": TemporalMode.square(1e-2)}, "mode.duration"),
+], ids=("same_squeeze_phase", "no_repetition", "too_many_repetitions", "too_short",
+        "too_long", "negative_seed", "fs_below_adc_rate", "adc_rate_not_a_divisor",
+        "highpass_above_nyquist", "mode_longer_than_record"))
+def test_replace_checks_the_rules_between_fields(change, field):
+    with pytest.raises(ConfigError, match=rf"^{field}: "):
+        replace(_PAPER_CFG, **change(_PAPER_CFG))
+
+
+def test_replace_derives_a_new_fingerprint():
+    assert "fingerprint" not in {f.name for f in fields(RunConfig)}
+    for change in ({"seed": 8}, {"repetitions": 3},
+                   {"mode": TemporalMode.square(1e-6)}):
+        cfg = replace(_PAPER_CFG, **change)
+        assert cfg.fingerprint == config_fingerprint(cfg) != _PAPER_CFG.fingerprint
 
 
 def test_size_bounds_are_inclusive():

@@ -8,8 +8,8 @@ import pytest
 from scipy import signal
 
 from eprsim import (DetectionChain, TemporalMode, detect, epr_record,
-                    expected_mode_variance, extract_modes, opo_spectrum,
-                    vacuum_record)
+                    expected_mode_variance, extract_modes, flat_psd,
+                    opo_spectrum, vacuum_record)
 from eprsim.detection import _corners
 from eprsim.synth import TimeSeries, TwoModeRecord, block_length
 
@@ -100,8 +100,7 @@ def test_detect_scales_bin_centred_sinusoids_by_the_filter_magnitude():
     n = 10_000
     t = np.arange(n)
     rec = TwoModeRecord(a=TimeSeries(FS, np.cos(2.0 * np.pi * 1680 * t / n)),
-                        b=TimeSeries(FS, np.sin(2.0 * np.pi * t / n)),
-                        setting="VACUUM")
+                        b=TimeSeries(FS, np.sin(2.0 * np.pi * t / n)))
     out = detect(rec, chain, seed=0)
     # bins 1680 and 1 are 8.4 MHz and 5 kHz, the two corners
     for source, series, k in ((rec.a, out.a, 1680), (rec.b, out.b, 1)):
@@ -260,6 +259,33 @@ def test_expected_mode_variance_span_guard():
     with pytest.raises(ValueError, match="does not fit"):
         expected_mode_variance(None, chain, FS, TemporalMode.square(2e-3),
                                block=1 << 14)
+
+
+def _full_grid_mode_variance(psd, chain, fs, mode, block):
+    """The expectation summed over every bin of the block's complex FFT
+    grid (the reference for the rfft-bin sum)."""
+    k = np.arange(block)
+    omega = 2.0 * np.pi * fs * np.minimum(k, block - k) / block
+    s = psd(omega)
+    adc_rate = fs
+    if chain is not None:
+        s = chain.detected_psd(s, omega, fs)
+        adc_rate = chain.adc_rate
+    factor = round(fs / adc_rate)
+    w = mode.discretize(adc_rate)
+    placed = np.zeros(block)
+    placed[: w.size * factor : factor] = w
+    return float(np.sum(s * np.abs(np.fft.fft(placed)) ** 2) / block)
+
+
+@pytest.mark.parametrize("chain", [None, DetectionChain(), DetectionChain(adc_rate=25e6)],
+                         ids=("no_chain", "default", "decimating"))
+@pytest.mark.parametrize("block", [4096, 99_999, 100_000, 100_001, 1 << 17])
+def test_expected_mode_variance_equals_the_full_grid_sum(chain, block, calibrated_pair):
+    for psd in (opo_spectrum(calibrated_pair[0], "antisqueezed"), flat_psd()):
+        expected = expected_mode_variance(psd, chain, FS, MODE, block)
+        reference = _full_grid_mode_variance(psd, chain, FS, MODE, block)
+        assert abs(expected / reference - 1.0) <= 1e-14
 
 
 # -- the chain as a gain on the PSD (records drawn through the chain) ----------

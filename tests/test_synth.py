@@ -226,7 +226,7 @@ def test_epr_record_rejects_matching_phases():
 
 def test_vacuum_record_statistics():
     rec = vacuum_record(2e-3, 50e6, seed=33)
-    assert rec.setting == "VACUUM"
+    assert rec.a.label == rec.b.label == "vacuum"
     assert rec.a.n == 100_000
     for series in (rec.a, rec.b):
         v = np.var(series.samples, ddof=1)
@@ -245,4 +245,4 @@ def test_series_and_record_validation():
     a = TimeSeries(50e6, np.ones(4))
     b = TimeSeries(25e6, np.ones(4))
     with pytest.raises(ValueError, match="share"):
-        TwoModeRecord(a=a, b=b, setting="VACUUM")
+        TwoModeRecord(a=a, b=b)
