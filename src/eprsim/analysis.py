@@ -25,6 +25,8 @@ __all__ = [
     "extract_modes",
     "combo_series",
     "epr_report",
+    "variance_report",
+    "folded_mode_variance",
     "combine_reports",
     "welch_psd",
     "correlation_diagram",
@@ -146,13 +148,73 @@ def epr_report(x_records: Sequence[TwoModeRecord],
         ref = vacuum_refs[i if len(vacuum_refs) == reps else 0]
         ref_x, n_modes = _combo_variance(ref, -1.0, mode)
         ref_p, _ = _combo_variance(ref, +1.0, mode)
-        if expected_ref_variance is not None:
-            _check_reference(ref_x, expected_ref_variance, n_modes)
-            _check_reference(ref_p, expected_ref_variance, n_modes)
-        vx = _combo_variance(x_records[i], -1.0, mode)[0] / ref_x
-        vp = _combo_variance(p_records[i], +1.0, mode)[0] / ref_p
-        per_rep.append((to_db(vx), to_db(vp), duan_sum(vx, vp)))
+        var_x, _ = _combo_variance(x_records[i], -1.0, mode)
+        var_p, _ = _combo_variance(p_records[i], +1.0, mode)
+        per_rep.append(_reading(ref_x, ref_p, var_x, var_p, n_modes,
+                                expected_ref_variance))
     return _summarize(per_rep, mode)
+
+
+def variance_report(variances: Tuple[float, float, float, float], n_modes: int,
+                    mode: TemporalMode,
+                    expected_ref_variance: Optional[float] = 1.0) -> EprReport:
+    """The report epr_report gives for one repetition whose combinations'
+    mode values have the sample variances (reference diff-x, reference
+    sum-p, diff-x, sum-p), n_modes values each; the same reference check
+    applies."""
+    return _summarize([_reading(*variances, n_modes, expected_ref_variance)], mode)
+
+
+def _reading(ref_x: float, ref_p: float, var_x: float, var_p: float, n_modes: int,
+             expected_ref_variance: Optional[float]) -> Tuple[float, float, float]:
+    """One repetition's (diff_x dB, sum_p dB, duan), after checking both
+    reference variances against expected_ref_variance."""
+    if expected_ref_variance is not None:
+        _check_reference(ref_x, expected_ref_variance, n_modes)
+        _check_reference(ref_p, expected_ref_variance, n_modes)
+    vx = var_x / ref_x
+    vp = var_p / ref_p
+    return to_db(vx), to_db(vp), duan_sum(vx, vp)
+
+
+def folded_mode_variance(coeffs: np.ndarray, window: np.ndarray, n: int,
+                         hop: int, count: int) -> float:
+    """Sample variance (ddof=1) of the first count mode values of the
+    n-sample block whose rfft coefficients are coeffs, computed without
+    the block itself.
+
+    window is the rfft of the mode window placed on the block
+    (detection.placed_window) and hop the spacing n_w*d of consecutive
+    windows in block samples, which must divide n. Mode value j is then
+    sample j*hop of the circular correlation c = irfft(coeffs *
+    conj(window), n), so the m = n/hop values v_j = c[j*hop] have the DFT
+    V_q = (1/hop) sum_r C[q + r*m], the fold of c's full spectrum C onto m
+    bins. C is Hermitian, so the fold is summed from the half spectrum
+    alone: bin k stands for itself and, as its conjugate, for bin n - k;
+    DC and (for even n) Nyquist stand for themselves only. One length-m
+    irfft gives the values. For count = extract_modes' count on the
+    digitized record trimmed from the block, the result equals the time-
+    domain variance up to rounding.
+    """
+    if n % hop:
+        raise ValueError(f"window spacing {hop} does not divide the block length {n}")
+    m = n // hop
+    if not 2 <= count <= m:
+        raise ValueError("need at least 2 mode values per repetition")
+    h = np.conj(window)
+    h *= coeffs
+    rows = h.size // m
+    fold = h[: rows * m].reshape(rows, m).sum(axis=0)
+    fold[: h.size - rows * m] += h[rows * m:]
+    # V_q for q = 0 .. m//2: the bins k = q (mod m) plus the mirror images
+    # n - k = q (mod m), i.e. conj(fold[-q mod m]) less DC's and Nyquist's
+    spec = fold[: m // 2 + 1].copy()
+    spec[0] += np.conj(fold[0]) - np.conj(h[0])
+    spec[1:] += np.conj(fold[m - 1: m - m // 2 - 1: -1])
+    if n % 2 == 0:
+        spec[(n // 2) % m] -= np.conj(h[-1])
+    spec /= hop
+    return float(np.var(np.fft.irfft(spec, m)[:count], ddof=1))
 
 
 def combine_reports(reports: Sequence[EprReport]) -> EprReport:

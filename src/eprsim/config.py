@@ -201,10 +201,16 @@ def parse_config(table: Dict[str, Any]) -> RunConfig:
     cfg = RunConfig(opo1=opo1, opo2=opo2, chain=chain, fs=fs, duration=duration,
                     mode=mode, repetitions=repetitions, seed=seed,
                     output_dir=output_dir)
-    # a rule of the file only: sweep --var T may go below one ADC sample
-    if int(round(mode.duration * chain.adc_rate)) < 1:
-        raise ConfigError("mode.duration: spans no sample at the ADC rate")
+    require_adc_sample(cfg)
     return cfg
+
+
+def require_adc_sample(cfg: RunConfig) -> None:
+    """The rule a config file and a Monte Carlo run add to RunConfig's:
+    the mode spans at least one ADC sample. RunConfig does not hold it
+    because sweep --var T has analytic values below one sample."""
+    if int(round(cfg.mode.duration * cfg.chain.adc_rate)) < 1:
+        raise ConfigError("mode.duration: spans no sample at the ADC rate")
 
 
 def load_config(path) -> RunConfig:

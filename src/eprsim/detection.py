@@ -32,6 +32,7 @@ __all__ = [
     "DetectionChain",
     "detect",
     "expected_mode_variance",
+    "placed_window",
 ]
 
 _FULL_SCALE = 10.0  # quantizer range in vacuum units, +/-
@@ -175,6 +176,27 @@ def detect(record: TwoModeRecord, chain: DetectionChain, seed: SeedLike) -> TwoM
     return TwoModeRecord(a=process(record.a), b=process(record.b))
 
 
+def placed_window(chain: Optional[DetectionChain], fs: float, mode: TemporalMode,
+                  block: int) -> Tuple[np.ndarray, int, int]:
+    """(rfft of the mode window placed on a block, decimation factor d,
+    window width n_w in ADC samples).
+
+    The placed window is an n-sample block (n = block) holding the mode's
+    weights at the ADC stride d, so that a mode value of a record drawn on
+    the block and digitized (chain.digitize) is its correlation with this
+    window; consecutive windows start n_w*d block samples apart. chain
+    None means no decimation.
+    """
+    adc_rate = fs if chain is None else chain.adc_rate
+    factor = _decimation_factor(fs, adc_rate)
+    w = mode.discretize(adc_rate)
+    if w.size * factor > block:
+        raise ValueError("mode window does not fit in one synthesis block")
+    placed = np.zeros(block)
+    placed[: w.size * factor : factor] = w
+    return np.fft.rfft(placed), factor, w.size
+
+
 def expected_mode_variance(psd: Optional[QuadPsd], chain: Optional[DetectionChain],
                            fs: float, mode: TemporalMode,
                            block: int = 1 << 17) -> float:
@@ -185,17 +207,13 @@ def expected_mode_variance(psd: Optional[QuadPsd], chain: Optional[DetectionChai
     records epr_record and vacuum_record draw (with or without the chain)
     on a block of this length (synth.block_length); detect applies the
     same gains on a record's own block. Quantization is ignored.
+
+    The sum runs over the rfft bins k of the block: the detected power P_k
+    (synth._power) times |W_k|^2, W the placed window's rfft
+    (placed_window), over the block length, with every bin but DC and (for
+    even blocks) Nyquist counted twice for its mirror image.
     """
-    adc_rate = fs if chain is None else chain.adc_rate
-    factor = _decimation_factor(fs, adc_rate)
-    w = mode.discretize(adc_rate)
-    if w.size * factor > block:
-        raise ValueError("mode window does not fit in one synthesis block")
-    placed = np.zeros(block)
-    placed[: w.size * factor : factor] = w
-    # sum over the full FFT grid, folded onto the rfft bins: every bin but
-    # DC and (for even blocks) Nyquist stands for two
-    win = np.abs(np.fft.rfft(placed)) ** 2
+    win = np.abs(placed_window(chain, fs, mode, block)[0]) ** 2
     win[1: (block + 1) // 2] *= 2.0
     p = _power(flat_psd() if psd is None else psd, chain, block, fs)
     return float(np.sum(p * win) / block)

@@ -7,7 +7,9 @@ for a record drawn through a detection chain the detected PSD
 (DetectionChain.detected_psd). The expected periodogram equals P bin by
 bin, and for a flat PSD the map from the drawn normals to the samples is
 orthogonal, so the samples are white with unit variance (the vacuum
-calibration contract).
+calibration contract). epr_coefficients and vacuum_coefficients give the
+same draws' coefficients without the inverse FFT, for readings taken from
+them (analysis.folded_mode_variance).
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ __all__ = [
     "synthesize_colored",
     "epr_record",
     "vacuum_record",
+    "epr_coefficients",
+    "vacuum_coefficients",
 ]
 
 _LABELS = ("x_A", "p_A", "x_B", "p_B", "vacuum")
@@ -112,16 +116,21 @@ def _amplitude(psd: QuadPsd, chain: Optional[DetectionChain], n: int,
     return amp
 
 
-def _draw(amp: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One n-sample block drawn in the frequency domain: interior rfft bins
-    complex with variance n/2 per part, DC and Nyquist real with variance
-    n, all scaled by amp/sqrt(n/2) = sqrt(P)."""
+def _coefficients(amp: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The rfft coefficients of one n-sample block: interior bins complex
+    with variance n/2 per part, DC and Nyquist real with variance n, all
+    scaled by amp/sqrt(n/2) = sqrt(P)."""
     spec = rng.standard_normal(2 * amp.size).view(complex)
     spec[0] = spec[0].real * math.sqrt(2.0)
     if n % 2 == 0:
         spec[-1] = spec[-1].real * math.sqrt(2.0)
     spec *= amp
-    return np.fft.irfft(spec, n)
+    return spec
+
+
+def _draw(amp: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """One n-sample block drawn in the frequency domain (_coefficients)."""
+    return np.fft.irfft(_coefficients(amp, n, rng), n)
 
 
 def synthesize_colored(psd: QuadPsd, n: int, fs: float, seed: SeedLike) -> TimeSeries:
@@ -143,6 +152,18 @@ def _beam_psd(params: OpoParams, setting: str) -> QuadPsd:
     # measuring X on a P-squeezed OPO sees its antisqueezed branch
     branch = "squeezed" if params.squeeze_phase == setting else "antisqueezed"
     return opo_spectrum(params, branch)
+
+
+def _beam_psds(opo1: OpoParams, opo2: OpoParams, fs: float, setting: str):
+    """The measured quadrature's PSD of each input beam, checked."""
+    if setting not in ("X", "P"):
+        raise ValueError(f"setting must be 'X' or 'P', got {setting!r}")
+    epr_spectra(opo1, opo2)  # validates the squeezing arrangement
+    psd1 = _beam_psd(opo1, setting)
+    psd2 = _beam_psd(opo2, setting)
+    _check_alias(psd1, fs)
+    _check_alias(psd2, fs)
+    return psd1, psd2
 
 
 def block_length(duration: float, fs: float) -> int:
@@ -169,15 +190,25 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
+def _pair_coefficients(psd1: QuadPsd, psd2: QuadPsd, chain: Optional[DetectionChain],
+                       duration: float, fs: float, seed: SeedLike):
+    """The rfft coefficients of two independent blocks of block_length
+    samples from one generator, psd1's first. Each block is drawn when the
+    iterator reaches it, so a caller that needs psd1's alone draws only it."""
+    n_blk = block_length(duration, fs)
+    rng = np.random.default_rng(seed)
+    return (_coefficients(_amplitude(psd, chain, n_blk, fs), n_blk, rng)
+            for psd in (psd1, psd2))
+
+
 def _draw_pair(psd1: QuadPsd, psd2: QuadPsd, chain: Optional[DetectionChain],
                duration: float, fs: float, seed: SeedLike):
     """Two independent records of duration*fs samples from one generator,
     psd1's first, each trimmed from its own block of block_length samples."""
     n_blk = block_length(duration, fs)
     n_out = int(round(duration * fs))
-    rng = np.random.default_rng(seed)
-    return [_draw(_amplitude(psd, chain, n_blk, fs), n_blk, rng)[:n_out]
-            for psd in (psd1, psd2)]
+    return [np.fft.irfft(spec, n_blk)[:n_out]
+            for spec in _pair_coefficients(psd1, psd2, chain, duration, fs, seed)]
 
 
 def _series(y: np.ndarray, fs: float, chain: Optional[DetectionChain],
@@ -204,18 +235,27 @@ def epr_record(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,
     has the distribution detect gives the record drawn without the chain
     (exactly so when duration*fs is itself a block length, as 100,000 is).
     """
-    if setting not in ("X", "P"):
-        raise ValueError(f"setting must be 'X' or 'P', got {setting!r}")
-    epr_spectra(opo1, opo2)  # validates the squeezing arrangement
-    psd1 = _beam_psd(opo1, setting)
-    psd2 = _beam_psd(opo2, setting)
-    _check_alias(psd1, fs)
-    _check_alias(psd2, fs)
-    b1, b2 = _draw_pair(psd1, psd2, chain, duration, fs, seed)
+    b1, b2 = _draw_pair(*_beam_psds(opo1, opo2, fs, setting), chain, duration, fs, seed)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     lab = "x" if setting == "X" else "p"
     return TwoModeRecord(a=_series((b1 + b2) * inv_sqrt2, fs, chain, f"{lab}_A"),
                          b=_series((b1 - b2) * inv_sqrt2, fs, chain, f"{lab}_B"))
+
+
+def epr_coefficients(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,
+                     setting: str, seed: SeedLike,
+                     chain: Optional[DetectionChain] = None):
+    """The rfft coefficients (Y1, Y2) of the two input beams' blocks that
+    epr_record(..., setting, seed, chain) draws, after the same checks,
+    without the inverse FFTs; an iterator that draws Y2 only when it is
+    reached.
+
+    The record's combinations follow from the beam-splitter map: the X
+    setting's (x_A - x_B)/sqrt(2) is beam 2's quadrature and the P
+    setting's (p_A + p_B)/sqrt(2) beam 1's.
+    """
+    return _pair_coefficients(*_beam_psds(opo1, opo2, fs, setting), chain,
+                              duration, fs, seed)
 
 
 def vacuum_record(duration: float, fs: float, seed: SeedLike,
@@ -226,3 +266,11 @@ def vacuum_record(duration: float, fs: float, seed: SeedLike,
     a, b = _draw_pair(flat_psd(), flat_psd(), chain, duration, fs, seed)
     return TwoModeRecord(a=_series(a, fs, chain, "vacuum"),
                          b=_series(b, fs, chain, "vacuum"))
+
+
+def vacuum_coefficients(duration: float, fs: float, seed: SeedLike,
+                        chain: Optional[DetectionChain] = None):
+    """The rfft coefficients of the two blocks vacuum_record(duration, fs,
+    seed, chain) draws, without the inverse FFTs; an iterator, as
+    epr_coefficients returns."""
+    return _pair_coefficients(flat_psd(), flat_psd(), chain, duration, fs, seed)

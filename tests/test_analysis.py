@@ -12,7 +12,9 @@ from eprsim import (CalibrationError, DetectionChain, TemporalMode,
                     epr_record, epr_report, expected_mode_variance,
                     extract_modes, opo_spectrum, synthesize_colored, flat_psd,
                     trace_excerpt, vacuum_record, welch_psd)
-from eprsim.synth import TimeSeries
+from eprsim.analysis import folded_mode_variance
+from eprsim.detection import placed_window
+from eprsim.synth import TimeSeries, _coefficients
 
 import refvals
 
@@ -141,6 +143,37 @@ def test_epr_report_input_validation(calibrated_pair):
     slow = [vacuum_record(1e-4, 25e6, 553)]
     with pytest.raises(ValueError, match="sample rates"):
         epr_report(xs, ps, slow, MODE)
+
+
+@pytest.mark.parametrize("n, factor, width, n_out", [
+    (10_000, 1, 10, 9_999),   # paper.cfg's shape at a tenth, trimmed
+    (10_000, 2, 10, 10_000),  # decimated: Nyquist passes the window
+    (1_125, 3, 5, 1_120),     # odd block
+    (4_096, 1, 1, 4_096),     # one-sample modes: no bin folds
+    (4_096, 1, 2_048, 4_096),  # two modes per block
+])
+def test_folded_mode_variance_matches_extract_modes(n, factor, width, n_out):
+    # an asymmetric window and white coefficients: the fold equals the mode
+    # values extract_modes takes from the digitized, trimmed block
+    rng = np.random.default_rng(n + factor + width)
+    fs = 50e6 * factor
+    chain = DetectionChain(adc_rate=50e6)
+    mode = TemporalMode.tabulated(rng.uniform(0.1, 1.0, width), width / 50e6)
+    coeffs = _coefficients(np.ones(n // 2 + 1), n, rng)
+    series = TimeSeries(50e6, np.fft.irfft(coeffs, n)[:n_out][::factor])
+    vals = extract_modes(series, mode).values
+    window, d, n_w = placed_window(chain, fs, mode, n)
+    assert (d, n_w) == (factor, width)
+    folded = folded_mode_variance(coeffs, window, n, d * n_w, vals.size)
+    assert folded == pytest.approx(np.var(vals, ddof=1), rel=1e-13, abs=0.0)
+
+
+def test_folded_mode_variance_validation():
+    window = np.fft.rfft(np.r_[1.0, np.zeros(99)])
+    with pytest.raises(ValueError, match="does not divide"):
+        folded_mode_variance(window, window, 100, 3, 2)
+    with pytest.raises(ValueError, match="at least 2 mode values"):
+        folded_mode_variance(window, window, 100, 50, 1)
 
 
 def test_relabeling_beams_leaves_variances_unchanged(calibrated_pair):

@@ -18,6 +18,7 @@ from eprsim import cli
 from eprsim.cli import main
 from eprsim.config import load_config
 from eprsim.modes import KINDS
+from eprsim.synth import block_length
 
 PAPER_CFG = Path(__file__).resolve().parents[1] / "paper.cfg"
 
@@ -152,30 +153,79 @@ def test_sweep_mc_check_does_not_replay_a_run(fast_cfg, tmp_path):
     assert duan_mc != "" and duan_mc not in (rows[0][3], rows[1][3])
 
 
-def test_report_equals_epr_report_over_all_records(tmp_path):
+# run configs, as edits of FAST, whose readings are folded from the drawn
+# rfft coefficients, and those that keep the time-domain path
+FOLDED = {
+    "paper_chain": {},
+    "decimating_chain": {"fs": 100e6, "duration": 1e-4},
+    "trimmed_block": {"duration": 9999 / 50e6},  # 9,999 samples of a 10,000 block
+    "double_exp_mode": {"mode": {"kind": "double_exp", "rate": 1e7, "support": 5e-7}},
+}
+TIME_DOMAIN = {
+    "quantizing_chain": {"chain": dict(FAST["chain"], adc_bits=12)},
+    "undivided_block": {"mode": {"kind": "square", "duration": 7e-7}},  # 35 samples
+}
+
+
+@pytest.mark.parametrize("case", [*FOLDED, *TIME_DOMAIN])
+def test_report_matches_epr_report_over_all_records(case, tmp_path):
     # run holds only repetition 0's records; its report.csv is still the
-    # report of epr_report over every repetition's records
+    # report of epr_report over every repetition's records: to rounding
+    # where the readings are folded from the drawn coefficients, exactly
+    # on the time-domain path
     path = tmp_path / "three.json"
-    path.write_text(json.dumps(dict(FAST, repetitions=3)))
+    path.write_text(json.dumps(dict(FAST, repetitions=3, **{**FOLDED, **TIME_DOMAIN}[case])))
     out = tmp_path / "run"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
 
     cfg = load_config(path)
+    folded = cli._fold_plan(cfg, block_length(cfg.duration, cfg.fs)) is not None
+    assert folded == (case in FOLDED)
     report0, records0, expected_ref = cli._run_pipeline(cfg)
     seqs = np.random.SeedSequence(cfg.seed, spawn_key=(0,)).spawn(3)
     xs, ps, vs = zip(*(cli._one_repetition(cfg, seq, expected_ref, keep=True)[1]
                        for seq in seqs))
     for kept, rebuilt in zip(records0, (xs[0], ps[0], vs[0])):
         assert np.array_equal(kept.a.samples, rebuilt.a.samples)
+        assert np.array_equal(kept.b.samples, rebuilt.b.samples)
     report = epr_report(xs, ps, vs, cfg.mode, expected_ref_variance=expected_ref)
-    assert report == report0
+    if folded:
+        for row, row0 in zip(report.per_rep, report0.per_rep, strict=True):
+            assert row0 == pytest.approx(row, rel=1e-13, abs=0.0)
+    else:
+        assert report == report0
 
     text = (out / "report.csv").read_text()
     header = next(ln for ln in text.splitlines() if not ln.startswith("#")).split(",")
     cli._write_csv(tmp_path / "all.csv",
                    cli._meta(cfg, "run", repetitions=3, expected_ref_variance=expected_ref),
-                   header, cli._report_rows(report))
+                   header, cli._report_rows(report0))
     assert (tmp_path / "all.csv").read_bytes() == (out / "report.csv").read_bytes()
+
+
+@pytest.mark.parametrize("case", ["paper_chain", "quantizing_chain"])
+def test_only_kept_records_take_a_full_block_inverse_fft(case, tmp_path, monkeypatch):
+    # the fold path inverts repetition 0's six blocks (its records) and no
+    # others; the quantizing chain needs every repetition's records
+    path = tmp_path / "five.json"
+    path.write_text(json.dumps(dict(FAST, **{**FOLDED, **TIME_DOMAIN}[case])))
+    block = block_length(FAST["duration"], FAST["fs"])
+    lengths = []
+    irfft = np.fft.irfft
+
+    def counting(a, n=None, *args, **kwargs):
+        lengths.append(2 * (len(a) - 1) if n is None else n)
+        return irfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counting)
+    assert main(["run", "--config", str(path), "--reps", "5",
+                 "--out", str(tmp_path / "run")]) == 0
+    if case in FOLDED:
+        assert lengths.count(block) == 6
+        assert lengths.count(block // 10) == 4 * 5  # one per combination and repetition
+    else:
+        assert lengths.count(block) == 6 * 5
+    assert set(lengths) <= {block, block // 10}
 
 
 def _scipy_modules_after(code: str, *args: str) -> str:
@@ -447,13 +497,27 @@ def test_usage_errors_exit_2(fast_cfg, tmp_path):
                  "--grid", "0:1e-7:5", "--log", "--out", str(tmp_path / "g")]) == 2
 
 
-def test_numeric_failure_exits_3(fast_cfg, tmp_path, monkeypatch):
+def test_numeric_failure_exits_3(fast_cfg, tmp_path, monkeypatch, capsys):
     def boom(cfg):
         raise QuadratureError("synthetic quadrature blowup")
 
     monkeypatch.setattr("eprsim.cli._run_pipeline", boom)
     rc = main(["run", "--config", str(fast_cfg), "--out", str(tmp_path / "o")])
     assert rc == 3
+    monkeypatch.undo()
+
+    # a vacuum reference 20 % off its expectation, on the fold path: 10,000
+    # modes put 5 SE at 7 %
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(dict(FAST, duration=2e-3, repetitions=1)))
+    cfg = load_config(path)
+    assert cli._fold_plan(cfg, block_length(cfg.duration, cfg.fs)) is not None
+    expected = cli.expected_mode_variance
+    monkeypatch.setattr("eprsim.cli.expected_mode_variance",
+                        lambda *args, **kwargs: 1.2 * expected(*args, **kwargs))
+    capsys.readouterr()
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "c")]) == 3
+    assert "vacuum reference variance" in capsys.readouterr().err
 
 
 def test_unwritable_output_exits_4(fast_cfg, tmp_path):
@@ -527,20 +591,22 @@ def test_sweep_efficiency_reaches_vacuum_and_mc_checks(fast_cfg, tmp_path):
 
 def test_sweep_range_validation(fast_cfg, tmp_path, capsys):
     # a rejected point is named before the field that rejects it
-    for var, grid, point in (("pump_param", "0.5:1.5:3", "pump_param=1: pump_param: "),
-                             ("efficiency", "0.5:1.5:3", "efficiency=1.5: efficiency: "),
-                             ("T", "1e-7:1:3", "T=0.5: mode.duration: "),
-                             ("T", "0:1e-6:3", "T=0: duration: ")):
+    # T below one ADC sample has an analytic value; only a Monte Carlo
+    # check there is rejected
+    for var, grid, flags, point in (
+            ("pump_param", "0.5:1.5:3", (), "pump_param=1: pump_param: "),
+            ("efficiency", "0.5:1.5:3", (), "efficiency=1.5: efficiency: "),
+            ("T", "1e-7:1:3", (), "T=0.5: mode.duration: "),
+            ("T", "0:1e-6:3", (), "T=0: duration: "),
+            ("T", "1e-9:1e-8:3", ("--mc-check",),
+             "T=1e-09: mode.duration: spans no sample at the ADC rate")):
         assert main(["sweep", "--config", str(fast_cfg), "--var", var,
-                     "--grid", grid, "--out", str(tmp_path / "x")]) == 2
+                     "--grid", grid, *flags, "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: --grid {point}")
     assert not (tmp_path / "x").exists()
-    # T below one ADC sample still has an analytic value; only a Monte
-    # Carlo check there is rejected
     small = ["sweep", "--config", str(fast_cfg), "--var", "T", "--grid", "1e-9:1e-8:3"]
     assert main([*small, "--out", str(tmp_path / "small")]) == 0
     assert len(_read_csv(tmp_path / "small" / "sweep.csv")[2]) == 3
-    assert main([*small, "--mc-check", "--out", str(tmp_path / "mc")]) == 2
 
 
 def test_sweep_T_up_to_record_length(tmp_path):
