@@ -11,9 +11,10 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .detection import placed_window
 from .modes import TemporalMode
 from .spectra import duan_sum, to_db
-from .synth import TimeSeries, TwoModeRecord
+from .synth import TimeSeries, TwoModeRecord, _drawn
 
 __all__ = [
     "TemporalMode",
@@ -25,7 +26,6 @@ __all__ = [
     "extract_modes",
     "combo_series",
     "epr_report",
-    "variance_report",
     "folded_mode_variance",
     "combine_reports",
     "welch_psd",
@@ -57,16 +57,18 @@ def extract_modes(series: TimeSeries, mode: TemporalMode) -> ModeValues:
     mode weights (statistically independent values for white input).
     Yields floor(n / n_w) values, n_w the mode's sample count.
     """
-    fs = series.sample_rate
-    w = mode.discretize(fs)
-    n_w = w.size
+    w = mode.discretize(series.sample_rate)
+    count = _mode_count(series, w.size, mode)
+    vals = series.samples[: count * w.size].reshape(count, w.size) @ w
+    return ModeValues(values=vals, mode=mode)
+
+
+def _mode_count(series: TimeSeries, n_w: int, mode: TemporalMode) -> int:
     if n_w > series.n:
         raise ValueError(
             f"mode duration {mode.duration:g} s exceeds series duration "
             f"{series.duration:g} s")
-    count = series.n // n_w
-    vals = series.samples[: count * n_w].reshape(count, n_w) @ w
-    return ModeValues(values=vals, mode=mode)
+    return series.n // n_w
 
 
 @dataclass(frozen=True)
@@ -98,10 +100,27 @@ def combo_series(record: TwoModeRecord, sign: float) -> TimeSeries:
 
 def _combo_variance(record: TwoModeRecord, sign: float,
                     mode: TemporalMode) -> Tuple[float, int]:
-    """Sample variance of the combination's mode values, and their count."""
-    vals = extract_modes(combo_series(record, sign), mode).values
-    if vals.size < 2:
+    """Sample variance of the combination's mode values, and their count.
+
+    For a record synth drew through a linear chain (no quantizer) whose
+    windows' spacing divides the block, the values are folded from the
+    block's drawn rfft coefficients (folded_mode_variance), without the
+    record's samples; otherwise they are taken from the combination's
+    series (extract_modes).
+    """
+    w = mode.discretize(record.sample_rate)
+    count = _mode_count(record.a, w.size, mode)
+    if count < 2:
         raise ValueError("need at least 2 mode values per repetition")
+    drawn = _drawn(record)
+    if drawn is not None:
+        draw, i, j = drawn
+        hop = draw.stride * w.size
+        if draw.n % hop == 0:
+            window = placed_window(mode, record.sample_rate, draw.stride, draw.n)
+            return folded_mode_variance(draw.combination(i, j, sign), window, draw.n,
+                                        hop, count), count
+    vals = extract_modes(combo_series(record, sign), mode).values
     return float(np.var(vals, ddof=1)), vals.size
 
 
@@ -148,33 +167,13 @@ def epr_report(x_records: Sequence[TwoModeRecord],
         ref = vacuum_refs[i if len(vacuum_refs) == reps else 0]
         ref_x, n_modes = _combo_variance(ref, -1.0, mode)
         ref_p, _ = _combo_variance(ref, +1.0, mode)
-        var_x, _ = _combo_variance(x_records[i], -1.0, mode)
-        var_p, _ = _combo_variance(p_records[i], +1.0, mode)
-        per_rep.append(_reading(ref_x, ref_p, var_x, var_p, n_modes,
-                                expected_ref_variance))
+        if expected_ref_variance is not None:
+            _check_reference(ref_x, expected_ref_variance, n_modes)
+            _check_reference(ref_p, expected_ref_variance, n_modes)
+        vx = _combo_variance(x_records[i], -1.0, mode)[0] / ref_x
+        vp = _combo_variance(p_records[i], +1.0, mode)[0] / ref_p
+        per_rep.append((to_db(vx), to_db(vp), duan_sum(vx, vp)))
     return _summarize(per_rep, mode)
-
-
-def variance_report(variances: Tuple[float, float, float, float], n_modes: int,
-                    mode: TemporalMode,
-                    expected_ref_variance: Optional[float] = 1.0) -> EprReport:
-    """The report epr_report gives for one repetition whose combinations'
-    mode values have the sample variances (reference diff-x, reference
-    sum-p, diff-x, sum-p), n_modes values each; the same reference check
-    applies."""
-    return _summarize([_reading(*variances, n_modes, expected_ref_variance)], mode)
-
-
-def _reading(ref_x: float, ref_p: float, var_x: float, var_p: float, n_modes: int,
-             expected_ref_variance: Optional[float]) -> Tuple[float, float, float]:
-    """One repetition's (diff_x dB, sum_p dB, duan), after checking both
-    reference variances against expected_ref_variance."""
-    if expected_ref_variance is not None:
-        _check_reference(ref_x, expected_ref_variance, n_modes)
-        _check_reference(ref_p, expected_ref_variance, n_modes)
-    vx = var_x / ref_x
-    vp = var_p / ref_p
-    return to_db(vx), to_db(vp), duan_sum(vx, vp)
 
 
 def folded_mode_variance(coeffs: np.ndarray, window: np.ndarray, n: int,

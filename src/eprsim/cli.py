@@ -24,17 +24,15 @@ import numpy as np
 
 from .analysis import (CalibrationError, Diagram, EprReport, combine_reports,
                        combo_series, correlation_diagram, epr_report,
-                       extract_modes, folded_mode_variance, trace_excerpt,
-                       variance_report, welch_psd)
+                       extract_modes, trace_excerpt, welch_psd)
 from .config import ConfigError, RunConfig, load_config, require_adc_sample
 # detect is not called here (the pipeline draws detected records directly)
 # but stays importable from eprsim.cli, where perfbench's tracer wraps it
-from .detection import detect, expected_mode_variance, placed_window  # noqa: F401
+from .detection import detect, expected_mode_variance  # noqa: F401
 from .modeopt import ModeFamily, NonUnimodalError, mode_duan, optimize
 from .modes import KINDS, TemporalMode
 from .spectra import QuadratureError, epr_spectra, filtered_variance, to_db
-from .synth import (block_length, epr_coefficients, epr_record, vacuum_coefficients,
-                    vacuum_record)
+from .synth import block_length, epr_record, vacuum_record
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -87,60 +85,19 @@ def _meta(cfg: RunConfig, command: str, **extra) -> Dict[str, object]:
 
 # -- run ----------------------------------------------------------------------
 
-def _fold_plan(cfg: RunConfig, block: int):
-    """(placed window's rfft, block length, window spacing, mode count) for
-    reading a repetition from its drawn rfft coefficients
-    (folded_mode_variance), or None where the readings need the records:
-    a quantizing chain, or a window spacing that does not divide the
-    block."""
-    if cfg.chain.adc_bits is not None:
-        return None
-    window, factor, width = placed_window(cfg.chain, cfg.fs, cfg.mode, block)
-    hop = factor * width
-    if block % hop:
-        return None
-    # extract_modes' count on the record of round(duration*fs) samples
-    # trimmed from the block and decimated by factor
-    n_adc = -(-int(round(cfg.duration * cfg.fs)) // factor)
-    return window, block, hop, n_adc // width
-
-
 def _one_repetition(cfg: RunConfig, seq: np.random.SeedSequence,
-                    expected_ref: float, keep: bool, fold=None):
+                    expected_ref: float, keep: bool):
     """One repetition's report, and its detected (X, P, vacuum) records
     when keep is set. The records are drawn through the chain from the
-    three streams spawned from seq.
-
-    With a fold plan (_fold_plan) the readings come from the same draws'
-    rfft coefficients: the four combinations' mode variances by
-    folded_mode_variance, with the same checks, and no record is built
-    unless keep is set. Without one they come from the records
-    (epr_report)."""
+    three streams spawned from seq."""
     x_seed, p_seed, v_seed = seq.spawn(3)
-    records = None
-    if keep or fold is None:
-        records = (epr_record(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, "X", x_seed,
-                              chain=cfg.chain),
-                   epr_record(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, "P", p_seed,
-                              chain=cfg.chain),
-                   vacuum_record(cfg.duration, cfg.fs, v_seed, chain=cfg.chain))
-    if fold is None:
-        xr, pr, vr = records
-        report = epr_report([xr], [pr], [vr], cfg.mode, expected_ref_variance=expected_ref)
-        return report, records if keep else None
-    # the X setting's diff-x combination is beam 2, the P setting's sum-p
-    # beam 1, whose stream need not go on to beam 2
-    _, x_diff = epr_coefficients(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, "X", x_seed,
-                                 chain=cfg.chain)
-    p_sum = next(epr_coefficients(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, "P", p_seed,
-                                  chain=cfg.chain))
-    va, vb = vacuum_coefficients(cfg.duration, cfg.fs, v_seed, chain=cfg.chain)
-    root2 = math.sqrt(2.0)
-    window, n, hop, count = fold
-    variances = tuple(folded_mode_variance(c, window, n, hop, count)
-                      for c in ((va - vb) / root2, (va + vb) / root2, x_diff, p_sum))
-    report = variance_report(variances, count, cfg.mode, expected_ref_variance=expected_ref)
-    return report, records
+    xr = epr_record(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, "X", x_seed,
+                    chain=cfg.chain)
+    pr = epr_record(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, "P", p_seed,
+                    chain=cfg.chain)
+    vr = vacuum_record(cfg.duration, cfg.fs, v_seed, chain=cfg.chain)
+    report = epr_report([xr], [pr], [vr], cfg.mode, expected_ref_variance=expected_ref)
+    return report, ((xr, pr, vr) if keep else None)
 
 
 def _run_pipeline(cfg: RunConfig, slot: int = 0):
@@ -154,10 +111,9 @@ def _run_pipeline(cfg: RunConfig, slot: int = 0):
     not depend on cfg.repetitions."""
     block = block_length(cfg.duration, cfg.fs)
     expected_ref = expected_mode_variance(None, cfg.chain, cfg.fs, cfg.mode, block=block)
-    fold = _fold_plan(cfg, block)
     root = np.random.SeedSequence(cfg.seed, spawn_key=(slot,))
     with ThreadPoolExecutor(max_workers=_worker_count(cfg.repetitions)) as pool:
-        futures = [pool.submit(_one_repetition, cfg, seq, expected_ref, i == 0, fold)
+        futures = [pool.submit(_one_repetition, cfg, seq, expected_ref, i == 0)
                    for i, seq in enumerate(root.spawn(cfg.repetitions))]
         results = [f.result() for f in futures]
     report = combine_reports([r for r, _ in results])

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -91,10 +92,15 @@ class DetectionChain:
             out += 10.0 ** (self.electronic_noise_db / 10.0) * hp
         return out
 
+    def decimation(self, fs: float) -> int:
+        """Samples at rate fs per ADC sample: digitize keeps every one of
+        them."""
+        return _decimation_factor(fs, self.adc_rate)
+
     def digitize(self, y: np.ndarray, fs: float) -> np.ndarray:
         """Decimation of a series sampled at fs to adc_rate, then the
         optional quantization."""
-        y = y[::_decimation_factor(fs, self.adc_rate)]
+        y = y[::self.decimation(fs)]
         if self.adc_bits is not None:
             y = _quantize(y, self.adc_bits)
         return y
@@ -176,25 +182,25 @@ def detect(record: TwoModeRecord, chain: DetectionChain, seed: SeedLike) -> TwoM
     return TwoModeRecord(a=process(record.a), b=process(record.b))
 
 
-def placed_window(chain: Optional[DetectionChain], fs: float, mode: TemporalMode,
-                  block: int) -> Tuple[np.ndarray, int, int]:
-    """(rfft of the mode window placed on a block, decimation factor d,
-    window width n_w in ADC samples).
+@lru_cache(maxsize=8)
+def placed_window(mode: TemporalMode, adc_rate: float, stride: int,
+                  block: int) -> np.ndarray:
+    """rfft of the mode window placed on a block (read-only, cached).
 
-    The placed window is an n-sample block (n = block) holding the mode's
-    weights at the ADC stride d, so that a mode value of a record drawn on
-    the block and digitized (chain.digitize) is its correlation with this
-    window; consecutive windows start n_w*d block samples apart. chain
-    None means no decimation.
+    The placed window is a block of that many samples holding the mode's
+    weights at adc_rate (mode.discretize) every stride samples, so that a
+    mode value of a series trimmed from the block and decimated by stride
+    is the block's correlation with it: value j at lag j*n_w*stride, n_w
+    the window's ADC samples.
     """
-    adc_rate = fs if chain is None else chain.adc_rate
-    factor = _decimation_factor(fs, adc_rate)
     w = mode.discretize(adc_rate)
-    if w.size * factor > block:
+    if w.size * stride > block:
         raise ValueError("mode window does not fit in one synthesis block")
     placed = np.zeros(block)
-    placed[: w.size * factor : factor] = w
-    return np.fft.rfft(placed), factor, w.size
+    placed[: w.size * stride : stride] = w
+    window = np.fft.rfft(placed)
+    window.flags.writeable = False
+    return window
 
 
 def expected_mode_variance(psd: Optional[QuadPsd], chain: Optional[DetectionChain],
@@ -213,7 +219,9 @@ def expected_mode_variance(psd: Optional[QuadPsd], chain: Optional[DetectionChai
     (placed_window), over the block length, with every bin but DC and (for
     even blocks) Nyquist counted twice for its mirror image.
     """
-    win = np.abs(placed_window(chain, fs, mode, block)[0]) ** 2
+    adc_rate = fs if chain is None else chain.adc_rate
+    window = placed_window(mode, adc_rate, _decimation_factor(fs, adc_rate), block)
+    win = np.abs(window) ** 2
     win[1: (block + 1) // 2] *= 2.0
     p = _power(flat_psd() if psd is None else psd, chain, block, fs)
     return float(np.sum(p * win) / block)

@@ -7,17 +7,21 @@ for a record drawn through a detection chain the detected PSD
 (DetectionChain.detected_psd). The expected periodogram equals P bin by
 bin, and for a flat PSD the map from the drawn normals to the samples is
 orthogonal, so the samples are white with unit variance (the vacuum
-calibration contract). epr_coefficients and vacuum_coefficients give the
-same draws' coefficients without the inverse FFT, for readings taken from
-them (analysis.folded_mode_variance).
+calibration contract).
+
+A record keeps the rfft coefficients it was drawn as, and its samples are
+built from them on first read (_Draw): readings that are linear in the
+samples (analysis.epr_report) are taken from the coefficients, without
+the inverse FFTs.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -33,8 +37,6 @@ __all__ = [
     "synthesize_colored",
     "epr_record",
     "vacuum_record",
-    "epr_coefficients",
-    "vacuum_coefficients",
 ]
 
 _LABELS = ("x_A", "p_A", "x_B", "p_B", "vacuum")
@@ -46,11 +48,19 @@ SeedLike = int | np.random.SeedSequence
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Uniformly sampled real quadrature record in vacuum units."""
+    """Uniformly sampled real quadrature record in vacuum units.
+
+    A series of a record synth draws is built on first read of samples
+    from the record's drawn coefficients (_Draw.record); dataclasses.replace
+    of it gives a plain series.
+    """
 
     sample_rate: float
     samples: np.ndarray
     label: str = "vacuum"
+    # (draw, index) of a drawn record's series (_Draw.record); not a field,
+    # so dataclasses.replace and asdict leave it out
+    _source = None
 
     def __post_init__(self):
         if not (self.sample_rate > 0.0):
@@ -60,8 +70,19 @@ class TimeSeries:
         if self.label not in _LABELS:
             raise ValueError(f"label must be one of {_LABELS}, got {self.label!r}")
 
+    def __getattr__(self, name):
+        # reached only while a drawn series' samples are not yet built
+        if name != "samples" or self._source is None:
+            raise AttributeError(name)
+        draw, index = self._source
+        samples = draw.series()[index]
+        object.__setattr__(self, "samples", samples)
+        return samples
+
     @property
     def n(self) -> int:
+        if self._source is not None:
+            return self._source[0].n_series
         return self.samples.size
 
     @property
@@ -154,18 +175,6 @@ def _beam_psd(params: OpoParams, setting: str) -> QuadPsd:
     return opo_spectrum(params, branch)
 
 
-def _beam_psds(opo1: OpoParams, opo2: OpoParams, fs: float, setting: str):
-    """The measured quadrature's PSD of each input beam, checked."""
-    if setting not in ("X", "P"):
-        raise ValueError(f"setting must be 'X' or 'P', got {setting!r}")
-    epr_spectra(opo1, opo2)  # validates the squeezing arrangement
-    psd1 = _beam_psd(opo1, setting)
-    psd2 = _beam_psd(opo2, setting)
-    _check_alias(psd1, fs)
-    _check_alias(psd2, fs)
-    return psd1, psd2
-
-
 def block_length(duration: float, fs: float) -> int:
     """Length of the block a record of duration*fs samples is drawn on and
     trimmed from: the next length a real FFT handles fast, 2^a 3^b 5^c
@@ -190,32 +199,84 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _pair_coefficients(psd1: QuadPsd, psd2: QuadPsd, chain: Optional[DetectionChain],
-                       duration: float, fs: float, seed: SeedLike):
-    """The rfft coefficients of two independent blocks of block_length
-    samples from one generator, psd1's first. Each block is drawn when the
-    iterator reaches it, so a caller that needs psd1's alone draws only it."""
-    n_blk = block_length(duration, fs)
-    rng = np.random.default_rng(seed)
-    return (_coefficients(_amplitude(psd, chain, n_blk, fs), n_blk, rng)
-            for psd in (psd1, psd2))
+class _Draw:
+    """The two input beams' blocks of one record, drawn in order from one
+    generator as rfft coefficients, and the record's two series.
+
+    The series are built on first read of either one's samples: the
+    blocks' inverse FFTs, trimmed to n_out samples, the half-beam-splitter
+    map when mixed (epr_record), then digitizing through the chain. A
+    reading that is linear in the samples can be taken from combination()
+    without them.
+    """
+
+    def __init__(self, psds: Tuple[QuadPsd, QuadPsd], chain: Optional[DetectionChain],
+                 duration: float, fs: float, seed: SeedLike, mixed: bool):
+        self.n = block_length(duration, fs)
+        self.n_out = int(round(duration * fs))
+        self.fs = fs
+        self.chain = chain
+        self.stride = 1 if chain is None else chain.decimation(fs)
+        self.n_series = len(range(0, self.n_out, self.stride))
+        self.linear = chain is None or chain.adc_bits is None
+        self.mixed = mixed
+        rng = np.random.default_rng(seed)
+        self.beams = tuple(_coefficients(_amplitude(psd, chain, self.n, fs), self.n, rng)
+                           for psd in psds)
+        self._series = None
+        self._lock = threading.Lock()
+
+    def record(self, labels: Tuple[str, str]) -> TwoModeRecord:
+        """The record whose series a and b are this draw's, unbuilt."""
+        rate = self.fs if self.chain is None else self.chain.adc_rate
+        series = []
+        for index, label in enumerate(labels):
+            s = object.__new__(TimeSeries)
+            for attr, value in (("sample_rate", rate), ("label", label),
+                                ("_source", (self, index))):
+                object.__setattr__(s, attr, value)
+            series.append(s)
+        if not self.linear:
+            # readings through a quantizer need the samples; build them
+            # now, so that its warnings come from the draw
+            self.series()
+        return TwoModeRecord(*series)
+
+    def series(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The samples of series a and b."""
+        with self._lock:
+            if self._series is None:
+                b1, b2 = (np.fft.irfft(y, self.n)[: self.n_out] for y in self.beams)
+                if self.mixed:
+                    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+                    b1, b2 = (b1 + b2) * inv_sqrt2, (b1 - b2) * inv_sqrt2
+                if self.chain is not None:
+                    b1, b2 = (self.chain.digitize(y, self.fs) for y in (b1, b2))
+                self._series = (b1, b2)
+            return self._series
+
+    def combination(self, i: int, j: int, sign: float) -> np.ndarray:
+        """rfft coefficients of the block whose trimmed, digitized samples
+        are (series i + sign * series j)/sqrt(2), for a linear chain; each
+        series is (b1 + b2, b1 - b2)/sqrt(2) when mixed, else (b1, b2)."""
+        inv_sqrt2 = 1.0 / math.sqrt(2.0)
+        weights = (((inv_sqrt2, inv_sqrt2), (inv_sqrt2, -inv_sqrt2)) if self.mixed
+                   else ((1.0, 0.0), (0.0, 1.0)))
+        out = None
+        for y, wi, wj in zip(self.beams, weights[i], weights[j]):
+            c = (wi + sign * wj) * inv_sqrt2
+            if c:
+                out = c * y if out is None else out + c * y
+        return np.zeros_like(self.beams[0]) if out is None else out
 
 
-def _draw_pair(psd1: QuadPsd, psd2: QuadPsd, chain: Optional[DetectionChain],
-               duration: float, fs: float, seed: SeedLike):
-    """Two independent records of duration*fs samples from one generator,
-    psd1's first, each trimmed from its own block of block_length samples."""
-    n_blk = block_length(duration, fs)
-    n_out = int(round(duration * fs))
-    return [np.fft.irfft(spec, n_blk)[:n_out]
-            for spec in _pair_coefficients(psd1, psd2, chain, duration, fs, seed)]
-
-
-def _series(y: np.ndarray, fs: float, chain: Optional[DetectionChain],
-            label: str) -> TimeSeries:
-    if chain is None:
-        return TimeSeries(fs, y, label=label)
-    return TimeSeries(chain.adc_rate, chain.digitize(y, fs), label=label)
+def _drawn(record: TwoModeRecord) -> Optional[Tuple[_Draw, int, int]]:
+    """(draw, index of a, index of b) when both series of the record are
+    series of one draw through a linear chain (no quantizer), else None."""
+    sa, sb = record.a._source, record.b._source
+    if sa is None or sb is None or sa[0] is not sb[0] or not sa[0].linear:
+        return None
+    return sa[0], sa[1], sb[1]
 
 
 def epr_record(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,
@@ -235,27 +296,16 @@ def epr_record(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,
     has the distribution detect gives the record drawn without the chain
     (exactly so when duration*fs is itself a block length, as 100,000 is).
     """
-    b1, b2 = _draw_pair(*_beam_psds(opo1, opo2, fs, setting), chain, duration, fs, seed)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    if setting not in ("X", "P"):
+        raise ValueError(f"setting must be 'X' or 'P', got {setting!r}")
+    epr_spectra(opo1, opo2)  # validates the squeezing arrangement
+    psd1 = _beam_psd(opo1, setting)
+    psd2 = _beam_psd(opo2, setting)
+    _check_alias(psd1, fs)
+    _check_alias(psd2, fs)
+    draw = _Draw((psd1, psd2), chain, duration, fs, seed, mixed=True)
     lab = "x" if setting == "X" else "p"
-    return TwoModeRecord(a=_series((b1 + b2) * inv_sqrt2, fs, chain, f"{lab}_A"),
-                         b=_series((b1 - b2) * inv_sqrt2, fs, chain, f"{lab}_B"))
-
-
-def epr_coefficients(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,
-                     setting: str, seed: SeedLike,
-                     chain: Optional[DetectionChain] = None):
-    """The rfft coefficients (Y1, Y2) of the two input beams' blocks that
-    epr_record(..., setting, seed, chain) draws, after the same checks,
-    without the inverse FFTs; an iterator that draws Y2 only when it is
-    reached.
-
-    The record's combinations follow from the beam-splitter map: the X
-    setting's (x_A - x_B)/sqrt(2) is beam 2's quadrature and the P
-    setting's (p_A + p_B)/sqrt(2) beam 1's.
-    """
-    return _pair_coefficients(*_beam_psds(opo1, opo2, fs, setting), chain,
-                              duration, fs, seed)
+    return draw.record((f"{lab}_A", f"{lab}_B"))
 
 
 def vacuum_record(duration: float, fs: float, seed: SeedLike,
@@ -263,14 +313,5 @@ def vacuum_record(duration: float, fs: float, seed: SeedLike,
     """Two independent draws from the flat vacuum PSD (the 0 dB
     reference); with a chain, from the detected vacuum PSD, digitized (the
     detected reference, as epr_record draws with a chain)."""
-    a, b = _draw_pair(flat_psd(), flat_psd(), chain, duration, fs, seed)
-    return TwoModeRecord(a=_series(a, fs, chain, "vacuum"),
-                         b=_series(b, fs, chain, "vacuum"))
-
-
-def vacuum_coefficients(duration: float, fs: float, seed: SeedLike,
-                        chain: Optional[DetectionChain] = None):
-    """The rfft coefficients of the two blocks vacuum_record(duration, fs,
-    seed, chain) draws, without the inverse FFTs; an iterator, as
-    epr_coefficients returns."""
-    return _pair_coefficients(flat_psd(), flat_psd(), chain, duration, fs, seed)
+    draw = _Draw((flat_psd(), flat_psd()), chain, duration, fs, seed, mixed=False)
+    return draw.record(("vacuum", "vacuum"))

@@ -156,15 +156,12 @@ def test_folded_mode_variance_matches_extract_modes(n, factor, width, n_out):
     # an asymmetric window and white coefficients: the fold equals the mode
     # values extract_modes takes from the digitized, trimmed block
     rng = np.random.default_rng(n + factor + width)
-    fs = 50e6 * factor
-    chain = DetectionChain(adc_rate=50e6)
     mode = TemporalMode.tabulated(rng.uniform(0.1, 1.0, width), width / 50e6)
     coeffs = _coefficients(np.ones(n // 2 + 1), n, rng)
     series = TimeSeries(50e6, np.fft.irfft(coeffs, n)[:n_out][::factor])
     vals = extract_modes(series, mode).values
-    window, d, n_w = placed_window(chain, fs, mode, n)
-    assert (d, n_w) == (factor, width)
-    folded = folded_mode_variance(coeffs, window, n, d * n_w, vals.size)
+    window = placed_window(mode, 50e6, factor, n)
+    folded = folded_mode_variance(coeffs, window, n, factor * width, vals.size)
     assert folded == pytest.approx(np.var(vals, ddof=1), rel=1e-13, abs=0.0)
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from eprsim import (QuadratureError, TemporalMode, detect, epr_report, epr_spectra,
                     mode_duan)
-from eprsim import cli
+from eprsim import analysis, cli
 from eprsim.cli import main
 from eprsim.config import load_config
 from eprsim.modes import KINDS
@@ -167,40 +168,74 @@ TIME_DOMAIN = {
 }
 
 
-@pytest.mark.parametrize("case", [*FOLDED, *TIME_DOMAIN])
-def test_report_matches_epr_report_over_all_records(case, tmp_path):
+def _counting_folds(monkeypatch):
+    """The list that collects one entry per folded_mode_variance call."""
+    calls = []
+    fold = analysis.folded_mode_variance
+
+    def counting(*args):
+        calls.append(args[2])
+        return fold(*args)
+
+    monkeypatch.setattr(analysis, "folded_mode_variance", counting)
+    return calls
+
+
+def _plain(record):
+    """The record with its samples and without its drawn coefficients, so
+    that epr_report reads it in the time domain."""
+    return replace(record, a=replace(record.a), b=replace(record.b))
+
+
+def test_report_equals_epr_report_over_all_records(tmp_path):
     # run holds only repetition 0's records; its report.csv is still the
-    # report of epr_report over every repetition's records: to rounding
-    # where the readings are folded from the drawn coefficients, exactly
-    # on the time-domain path
+    # report of epr_report over every repetition's records
     path = tmp_path / "three.json"
-    path.write_text(json.dumps(dict(FAST, repetitions=3, **{**FOLDED, **TIME_DOMAIN}[case])))
+    path.write_text(json.dumps(dict(FAST, repetitions=3)))
     out = tmp_path / "run"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
 
     cfg = load_config(path)
-    folded = cli._fold_plan(cfg, block_length(cfg.duration, cfg.fs)) is not None
-    assert folded == (case in FOLDED)
     report0, records0, expected_ref = cli._run_pipeline(cfg)
     seqs = np.random.SeedSequence(cfg.seed, spawn_key=(0,)).spawn(3)
     xs, ps, vs = zip(*(cli._one_repetition(cfg, seq, expected_ref, keep=True)[1]
                        for seq in seqs))
     for kept, rebuilt in zip(records0, (xs[0], ps[0], vs[0])):
         assert np.array_equal(kept.a.samples, rebuilt.a.samples)
-        assert np.array_equal(kept.b.samples, rebuilt.b.samples)
     report = epr_report(xs, ps, vs, cfg.mode, expected_ref_variance=expected_ref)
-    if folded:
-        for row, row0 in zip(report.per_rep, report0.per_rep, strict=True):
-            assert row0 == pytest.approx(row, rel=1e-13, abs=0.0)
-    else:
-        assert report == report0
+    assert report == report0
 
     text = (out / "report.csv").read_text()
     header = next(ln for ln in text.splitlines() if not ln.startswith("#")).split(",")
     cli._write_csv(tmp_path / "all.csv",
                    cli._meta(cfg, "run", repetitions=3, expected_ref_variance=expected_ref),
-                   header, cli._report_rows(report0))
+                   header, cli._report_rows(report))
     assert (tmp_path / "all.csv").read_bytes() == (out / "report.csv").read_bytes()
+
+
+@pytest.mark.parametrize("case", [*FOLDED, *TIME_DOMAIN])
+def test_folded_readings_match_the_time_domain(case, tmp_path, monkeypatch):
+    # epr_report reads run's records from their drawn coefficients where it
+    # can; the same records read in the time domain agree to rounding, and
+    # exactly where nothing is folded
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(dict(FAST, repetitions=3, **{**FOLDED, **TIME_DOMAIN}[case])))
+    cfg = load_config(path)
+    report0, _, expected_ref = cli._run_pipeline(cfg)
+    seqs = np.random.SeedSequence(cfg.seed, spawn_key=(0,)).spawn(3)
+    reps = [cli._one_repetition(cfg, seq, expected_ref, keep=True)[1] for seq in seqs]
+    folds = _counting_folds(monkeypatch)
+    assert epr_report(*zip(*reps), cfg.mode, expected_ref_variance=expected_ref) == report0
+    assert len(folds) == (4 * 3 if case in FOLDED else 0)
+
+    plain = ([_plain(r) for r in records] for records in zip(*reps))
+    timed = epr_report(*plain, cfg.mode, expected_ref_variance=expected_ref)
+    assert len(folds) == (4 * 3 if case in FOLDED else 0)
+    if case in FOLDED:
+        for row, row0 in zip(timed.per_rep, report0.per_rep, strict=True):
+            assert row0 == pytest.approx(row, rel=1e-13, abs=0.0)
+    else:
+        assert timed == report0
 
 
 @pytest.mark.parametrize("case", ["paper_chain", "quantizing_chain"])
@@ -510,14 +545,14 @@ def test_numeric_failure_exits_3(fast_cfg, tmp_path, monkeypatch, capsys):
     # modes put 5 SE at 7 %
     path = tmp_path / "long.json"
     path.write_text(json.dumps(dict(FAST, duration=2e-3, repetitions=1)))
-    cfg = load_config(path)
-    assert cli._fold_plan(cfg, block_length(cfg.duration, cfg.fs)) is not None
     expected = cli.expected_mode_variance
     monkeypatch.setattr("eprsim.cli.expected_mode_variance",
                         lambda *args, **kwargs: 1.2 * expected(*args, **kwargs))
+    folds = _counting_folds(monkeypatch)
     capsys.readouterr()
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "c")]) == 3
     assert "vacuum reference variance" in capsys.readouterr().err
+    assert len(folds) == 2  # the reference's two combinations, then the check
 
 
 def test_unwritable_output_exits_4(fast_cfg, tmp_path):

@@ -1,5 +1,8 @@
 """Colored Gaussian synthesis: calibration, statistics, and the beam-splitter map."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -142,6 +145,31 @@ def test_epr_record_is_beam_splitter_of_two_streams(calibrated_pair):
                   for opo, branch in ((opo1, "antisqueezed"), (opo2, "squeezed")))
         assert np.array_equal(rec.a.samples, (b1 + b2) * inv_sqrt2)
         assert np.array_equal(rec.b.samples, (b1 - b2) * inv_sqrt2)
+
+
+def test_drawn_record_is_built_once_from_any_thread(calibrated_pair, monkeypatch):
+    # a drawn record's series are built on first read of either; threads
+    # that read them at once share one build (two inverse FFTs)
+    rec = epr_record(*calibrated_pair, 2e-4, 50e6, "X", 5, chain=DetectionChain())
+    calls = []
+    irfft = np.fft.irfft
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counting)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(getattr, s, "samples") for s in (rec.a, rec.b) * 8]
+            arrays = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == 2
+    assert all(a is rec.a.samples for a in arrays[0::2])
+    assert all(b is rec.b.samples for b in arrays[1::2])
 
 
 def test_amplitude_cache_hits_on_every_repetition(calibrated_pair):
