@@ -16,6 +16,9 @@ from .modes import TemporalMode
 from .spectra import duan_sum, to_db
 from .synth import TimeSeries, TwoModeRecord, _drawn
 
+# shortest segment welch_psd takes
+MIN_SEGMENT = 64
+
 __all__ = [
     "TemporalMode",
     "ModeValues",
@@ -271,8 +274,8 @@ def welch_psd(series: TimeSeries, segment_len: int = 4096) -> PsdEstimate:
     Nyquist) are on the same scale, so a flat spectrum reads flat across
     the whole axis. No detrending is applied.
     """
-    if segment_len < 64:
-        raise ValueError("segment_len must be at least 64 samples")
+    if segment_len < MIN_SEGMENT:
+        raise ValueError(f"segment_len must be at least {MIN_SEGMENT} samples")
     if segment_len > series.n:
         raise ValueError("segment_len exceeds series length")
     w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)

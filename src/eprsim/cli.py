@@ -22,10 +22,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .analysis import (CalibrationError, Diagram, EprReport, combine_reports,
-                       combo_series, correlation_diagram, epr_report,
-                       extract_modes, trace_excerpt, welch_psd)
-from .config import ConfigError, RunConfig, load_config, require_adc_sample
+from .analysis import (MIN_SEGMENT, CalibrationError, Diagram, EprReport,
+                       combine_reports, combo_series, correlation_diagram,
+                       epr_report, extract_modes, trace_excerpt, welch_psd)
+from .config import ConfigError, RunConfig, load_config, require_monte_carlo
 # detect is not called here (the pipeline draws detected records directly)
 # but stays importable from eprsim.cli, where perfbench's tracer wraps it
 from .detection import detect, expected_mode_variance  # noqa: F401
@@ -158,6 +158,7 @@ def _write_setting_outputs(cfg: RunConfig, out: Path, tag: str, record,
 
 
 def cmd_run(cfg: RunConfig, out: Path) -> int:
+    require_monte_carlo(cfg, min_samples=MIN_SEGMENT)  # the PSD files' Welch segment
     report, (x0, p0, v0), expected_ref = _run_pipeline(cfg)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "report.csv",
@@ -237,16 +238,19 @@ def _sweep_setting(cfg: RunConfig, variable: str, value: float) -> RunConfig:
 
 def cmd_sweep(cfg: RunConfig, out: Path, variable: str, grid: np.ndarray,
               mc_check: bool) -> int:
-    rows = []
+    settings = []
     endpoints = {0, grid.size - 1}
-    for j, value in enumerate(grid):
+    for j, value in enumerate(grid):  # every point is checked before any work
         checked = mc_check and j in endpoints
         try:
             c = _sweep_setting(cfg, variable, float(value))
             if checked:
-                require_adc_sample(c)
+                require_monte_carlo(c)
         except ValueError as exc:  # name the point, not the config field alone
             raise ConfigError(f"--grid {variable}={value:g}: {exc}") from exc
+        settings.append((value, c, checked))
+    rows = []
+    for j, (value, c, checked) in enumerate(settings):
         duan = mode_duan(epr_spectra(c.opo1, c.opo2), c.mode)
         duan_mc = None
         if checked:

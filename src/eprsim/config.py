@@ -16,9 +16,10 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Dict
 
-from .detection import DetectionChain, _corners, _decimation_factor
+from .detection import DetectionChain
 from .modes import KINDS, TemporalMode
-from .spectra import OpoParams
+from .spectra import OpoParams, opo_spectrum
+from .synth import check_alias
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "config_fingerprint"]
 
@@ -64,8 +65,7 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError("seed: must be non-negative")
         try:  # the chain's own conditions at the record rate
-            _decimation_factor(self.fs, self.chain.adc_rate)
-            _corners(self.chain, self.fs)
+            self.chain.decimation(self.fs)
         except ValueError as exc:
             raise ConfigError(f"chain.{exc}") from exc
         if self.mode.duration > self.duration:
@@ -211,6 +211,31 @@ def require_adc_sample(cfg: RunConfig) -> None:
     because sweep --var T has analytic values below one sample."""
     if int(round(cfg.mode.duration * cfg.chain.adc_rate)) < 1:
         raise ConfigError("mode.duration: spans no sample at the ADC rate")
+
+
+def require_monte_carlo(cfg: RunConfig, min_samples: int = 0) -> None:
+    """The rules a Monte Carlo run (run, sweep --mc-check) adds, checked
+    before any draw: require_adc_sample, at least 2 mode windows and
+    min_samples samples at the ADC rate, and synth.check_alias at fs for
+    every beam PSD."""
+    require_adc_sample(cfg)
+    samples = -(-int(round(cfg.duration * cfg.fs)) // cfg.chain.decimation(cfg.fs))
+    windows = samples // cfg.mode.n_samples(cfg.chain.adc_rate)
+    if windows < 2:
+        raise ConfigError(
+            f"mode.duration: the record holds {windows} mode window(s) at the ADC "
+            "rate; a Monte Carlo run needs at least 2")
+    if samples < min_samples:
+        raise ConfigError(
+            f"duration: the record holds {samples} samples at the ADC rate; "
+            f"at least {min_samples} are needed")
+    for opo in (cfg.opo1, cfg.opo2):
+        for branch in ("squeezed", "antisqueezed"):
+            psd = opo_spectrum(opo, branch)
+            try:
+                check_alias(psd, cfg.fs)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
 
 
 def load_config(path) -> RunConfig:

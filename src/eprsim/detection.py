@@ -1,18 +1,12 @@
 """Measurement-chain emulation: detector bandwidth, electronic noise,
 DC-blocking high-pass, ADC decimation and optional quantization.
 
-Filters are first-order bilinear-transform sections. A low-pass cutoff at
-or beyond the Nyquist frequency degenerates to a pass-through (the wide-
-open surrogate), as does a high-pass cutoff below 1e-9 of the sample rate
-(its pole is then numerically indistinguishable from 1 over any finite
-record).
-
-The linear stages (low-pass, white electronic noise, high-pass) are
-stationary, so on a circulant block they act as gains on the PSD
-(DetectionChain.gains, the one place the response lives): synth draws
-detected records from DetectionChain.detected_psd directly, detect applies
-the same gains to a record's own block, and expected_mode_variance is
-exact for both.
+The filters are the detector's analog first-order sections. The linear
+stages (low-pass, white electronic noise, high-pass) are stationary, so
+on a circulant block they act as gains on the PSD (DetectionChain.gains,
+the one place the response lives): synth draws detected records from
+DetectionChain.detected_psd directly, detect applies the same gains to a
+record's own block, and expected_mode_variance is exact for both.
 """
 
 from __future__ import annotations
@@ -61,41 +55,46 @@ class DetectionChain:
         if self.adc_bits is not None and not 2 <= self.adc_bits <= 32:
             raise ValueError(f"adc_bits: must lie in [2, 32] when given, got {self.adc_bits}")
 
-    def gains(self, omega: np.ndarray, fs: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Power gains (|H_lp|^2, |H_hp|^2) of the bilinear first-order
-        sections at angular frequencies omega (rad/s) and sample rate fs;
-        ones for a stage that passes through.
-
-        With w = omega/fs and the prewarped corner K = tan(pi f_c/fs),
-        |H_lp|^2 = K^2 cos^2(w/2) / D and |H_hp|^2 = sin^2(w/2) / D,
-        D = K^2 cos^2(w/2) + sin^2(w/2).
-        """
-        lp_fc, hp_fc = _corners(self, fs)
-        half = 0.5 * np.asarray(omega, dtype=float) / fs
-        cos2, sin2 = np.cos(half) ** 2, np.sin(half) ** 2
-        lp = np.ones_like(cos2)
-        hp = np.ones_like(cos2)
-        if lp_fc is not None:
-            k2c = math.tan(math.pi * lp_fc / fs) ** 2 * cos2
-            lp = k2c / (k2c + sin2)
-        if hp_fc is not None:
-            hp = sin2 / (math.tan(math.pi * hp_fc / fs) ** 2 * cos2 + sin2)
+    def gains(self, omega: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Power gains (|H_lp|^2, |H_hp|^2) of the analog first-order
+        sections at angular frequencies omega (rad/s): w_c^2/(w_c^2 + omega^2)
+        and omega^2/(omega^2 + w_h^2), w_c and w_h the corners in rad/s (as
+        ratios to a hypot, so that no finite corner overflows)."""
+        f = np.asarray(omega, dtype=float) / (2.0 * math.pi)
+        lp = (self.detector_bandwidth / np.hypot(self.detector_bandwidth, f)) ** 2
+        hp = (f / np.hypot(f, self.highpass_cutoff)) ** 2
         return lp, hp
 
-    def detected_psd(self, s: np.ndarray, omega: np.ndarray, fs: float) -> np.ndarray:
-        """PSD after the linear stages of the chain at sample rate fs:
+    def detected_psd(self, s: np.ndarray, omega: np.ndarray) -> np.ndarray:
+        """PSD after the linear stages of the chain:
         |H_lp|^2 |H_hp|^2 S + N |H_hp|^2 with N = 10^(electronic_noise_db/10),
         for input PSD values s at angular frequencies omega (rad/s)."""
-        lp, hp = self.gains(omega, fs)
+        lp, hp = self.gains(omega)
         out = lp * hp * s
         if self.electronic_noise_db is not None:
             out += 10.0 ** (self.electronic_noise_db / 10.0) * hp
         return out
 
     def decimation(self, fs: float) -> int:
-        """Samples at rate fs per ADC sample: digitize keeps every one of
-        them."""
-        return _decimation_factor(fs, self.adc_rate)
+        """Samples at record rate fs per ADC sample (digitize keeps one of
+        each that many), after the chain's rules at fs, each a ValueError
+        naming its field: adc_rate must not exceed fs and must divide it,
+        and highpass_cutoff must lie below the Nyquist frequency."""
+        if self.adc_rate > fs * (1.0 + 1e-9):
+            raise ValueError(
+                f"adc_rate: must not exceed fs ({self.adc_rate:g} Hz exceeds the "
+                f"record rate {fs:g} Hz)")
+        ratio = fs / self.adc_rate
+        factor = int(round(ratio))
+        if abs(ratio - factor) > 1e-9:
+            raise ValueError(
+                f"adc_rate: the record rate {fs:g} Hz is not an integer multiple of "
+                f"{self.adc_rate:g} Hz")
+        if self.highpass_cutoff >= 0.499 * fs:
+            raise ValueError(
+                f"highpass_cutoff: {self.highpass_cutoff:g} Hz is not below the "
+                f"Nyquist frequency of fs={fs:g} Hz")
+        return factor
 
     def digitize(self, y: np.ndarray, fs: float) -> np.ndarray:
         """Decimation of a series sampled at fs to adc_rate, then the
@@ -104,35 +103,6 @@ class DetectionChain:
         if self.adc_bits is not None:
             y = _quantize(y, self.adc_bits)
         return y
-
-
-def _corners(chain: DetectionChain, fs: float) -> Tuple[Optional[float], Optional[float]]:
-    """Low-pass and high-pass corner frequencies at sample rate fs; None
-    for a stage that degenerates to a pass-through."""
-    lp = hp = None
-    if chain.detector_bandwidth < 0.499 * fs:
-        lp = chain.detector_bandwidth
-    if chain.highpass_cutoff > 1e-9 * fs:
-        if chain.highpass_cutoff >= 0.499 * fs:
-            raise ValueError(
-                f"highpass_cutoff: {chain.highpass_cutoff:g} Hz is not below the "
-                f"Nyquist frequency of fs={fs:g} Hz")
-        hp = chain.highpass_cutoff
-    return lp, hp
-
-
-def _decimation_factor(fs: float, adc_rate: float) -> int:
-    if adc_rate > fs * (1.0 + 1e-9):
-        raise ValueError(
-            f"adc_rate: must not exceed fs ({adc_rate:g} Hz exceeds the record "
-            f"rate {fs:g} Hz)")
-    ratio = fs / adc_rate
-    factor = int(round(ratio))
-    if abs(ratio - factor) > 1e-9:
-        raise ValueError(
-            f"adc_rate: the record rate {fs:g} Hz is not an integer multiple of "
-            f"{adc_rate:g} Hz")
-    return factor
 
 
 def _quantize(y: np.ndarray, bits: int) -> np.ndarray:
@@ -157,24 +127,18 @@ def detect(record: TwoModeRecord, chain: DetectionChain, seed: SeedLike) -> TwoM
     """
     fs = record.sample_rate
     n = record.a.n
-    filtered = _corners(chain, fs) != (None, None)
-    if filtered:
-        omega = 2.0 * np.pi * fs * np.arange(n // 2 + 1) / n
-        lp, hp = (np.sqrt(g) for g in chain.gains(omega, fs))
+    chain.decimation(fs)  # the chain's rules at fs, before any work
+    omega = 2.0 * np.pi * fs * np.arange(n // 2 + 1) / n
+    lp, hp = (np.sqrt(g) for g in chain.gains(omega))
     rng = np.random.default_rng(seed)
-    amp = None
-    if chain.electronic_noise_db is not None:
-        amp = 10.0 ** (chain.electronic_noise_db / 20.0)
+    db = chain.electronic_noise_db
+    amp = None if db is None else 10.0 ** (db / 20.0)
 
     def process(series: TimeSeries) -> TimeSeries:
-        y = series.samples
-        if filtered:
-            spec = np.fft.rfft(y) * lp
-            if amp is not None:
-                spec += np.fft.rfft(amp * rng.standard_normal(n))
-            y = np.fft.irfft(spec * hp, n)
-        elif amp is not None:
-            y = y + amp * rng.standard_normal(n)
+        spec = np.fft.rfft(series.samples) * lp
+        if amp is not None:
+            spec += np.fft.rfft(amp * rng.standard_normal(n))
+        y = np.fft.irfft(spec * hp, n)
         return TimeSeries(sample_rate=chain.adc_rate,
                           samples=np.asarray(chain.digitize(y, fs)),
                           label=series.label)
@@ -219,8 +183,8 @@ def expected_mode_variance(psd: Optional[QuadPsd], chain: Optional[DetectionChai
     (placed_window), over the block length, with every bin but DC and (for
     even blocks) Nyquist counted twice for its mirror image.
     """
-    adc_rate = fs if chain is None else chain.adc_rate
-    window = placed_window(mode, adc_rate, _decimation_factor(fs, adc_rate), block)
+    rate, stride = (fs, 1) if chain is None else (chain.adc_rate, chain.decimation(fs))
+    window = placed_window(mode, rate, stride, block)
     win = np.abs(window) ** 2
     win[1: (block + 1) // 2] *= 2.0
     p = _power(flat_psd() if psd is None else psd, chain, block, fs)

@@ -106,11 +106,12 @@ class TwoModeRecord:
         return self.a.sample_rate
 
 
-def _check_alias(psd: QuadPsd, fs: float) -> None:
+def check_alias(psd: QuadPsd, fs: float) -> None:
+    """Rejects an fs at whose Nyquist frequency the PSD is not yet near 1."""
     s_nyq = float(psd(np.array([np.pi * fs]))[0])
     if abs(s_nyq - 1.0) > _ALIAS_TOL:
         raise ValueError(
-            f"fs={fs:g} Hz too low for this PSD: |S(Nyquist)-1| = "
+            f"fs: {fs:g} Hz too low for this PSD: |S(Nyquist)-1| = "
             f"{abs(s_nyq - 1.0):.3g} exceeds alias tolerance {_ALIAS_TOL:g}")
 
 
@@ -121,7 +122,7 @@ def _power(psd: QuadPsd, chain: Optional[DetectionChain], n: int,
     omega = 2.0 * np.pi * fs * np.arange(n // 2 + 1) / n
     p = psd(omega)
     if chain is not None:
-        p = chain.detected_psd(p, omega, fs)
+        p = chain.detected_psd(p, omega)
     return p
 
 
@@ -164,7 +165,7 @@ def synthesize_colored(psd: QuadPsd, n: int, fs: float, seed: SeedLike) -> TimeS
     """
     if n < 2:
         raise ValueError(f"block length must be at least 2 samples, got {n}")
-    _check_alias(psd, fs)
+    check_alias(psd, fs)
     rng = np.random.default_rng(seed)
     return TimeSeries(sample_rate=fs, samples=_draw(_amplitude(psd, None, n, fs), n, rng))
 
@@ -301,8 +302,8 @@ def epr_record(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,
     epr_spectra(opo1, opo2)  # validates the squeezing arrangement
     psd1 = _beam_psd(opo1, setting)
     psd2 = _beam_psd(opo2, setting)
-    _check_alias(psd1, fs)
-    _check_alias(psd2, fs)
+    check_alias(psd1, fs)
+    check_alias(psd2, fs)
     draw = _Draw((psd1, psd2), chain, duration, fs, seed, mixed=True)
     lab = "x" if setting == "X" else "p"
     return draw.record((f"{lab}_A", f"{lab}_B"))

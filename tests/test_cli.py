@@ -500,6 +500,26 @@ def test_hostile_config_exits_2_naming_the_field(case, tmp_path, capsys):
     assert message.startswith(paths), (paths, err)
 
 
+@pytest.mark.parametrize("edits, field", [
+    ({"duration": 3e-7}, "mode.duration"),       # 15 samples, one 0.2 us window
+    ({"duration": 8e-7}, "duration"),            # 40 samples, under one Welch segment
+    ({"opo1": dict(_PAPER["opo1"], hwhm=3e7)}, "fs"),  # aliases at 50 MS/s
+], ids=("one_mode_window", "under_64_samples", "aliasing_fs"))
+def test_run_rejects_monte_carlo_only_configs_before_drawing(tmp_path, capsys, edits,
+                                                             field):
+    # valid configs (spectra takes them) that run cannot draw or read
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps(dict(_PAPER, **edits)))
+    assert main(["spectra", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"config error: {field}: "), err
+    assert not out.exists()
+
+
 def test_benchmark_tracer_installs_on_this_package():
     # perfbench wraps functions where eprsim binds them (eprsim.cli.detect,
     # eprsim.synth.epr_spectra, ...); dropping one of those names must fail
@@ -628,14 +648,21 @@ def test_sweep_range_validation(fast_cfg, tmp_path, capsys):
     # a rejected point is named before the field that rejects it
     # T below one ADC sample has an analytic value; only a Monte Carlo
     # check there is rejected
-    for var, grid, flags, point in (
-            ("pump_param", "0.5:1.5:3", (), "pump_param=1: pump_param: "),
-            ("efficiency", "0.5:1.5:3", (), "efficiency=1.5: efficiency: "),
-            ("T", "1e-7:1:3", (), "T=0.5: mode.duration: "),
-            ("T", "0:1e-6:3", (), "T=0: duration: "),
+    # (every endpoint, with the Monte Carlo rules, before any draw)
+    for var, grid, flags, point, edits in (
+            ("pump_param", "0.5:1.5:3", (), "pump_param=1: pump_param: ", {}),
+            ("efficiency", "0.5:1.5:3", (), "efficiency=1.5: efficiency: ", {}),
+            ("T", "1e-7:1:3", (), "T=0.5: mode.duration: ", {}),
+            ("T", "0:1e-6:3", (), "T=0: duration: ", {}),
             ("T", "1e-9:1e-8:3", ("--mc-check",),
-             "T=1e-09: mode.duration: spans no sample at the ADC rate")):
-        assert main(["sweep", "--config", str(fast_cfg), "--var", var,
+             "T=1e-09: mode.duration: spans no sample at the ADC rate", {}),
+            ("T", "1e-7:2.5e-7:2", ("--mc-check",),  # one mode window
+             "T=2.5e-07: mode.duration: ", {"duration": 3e-7}),
+            ("efficiency", "0.5:0.9:2", ("--mc-check",),  # aliasing fs
+             "efficiency=0.5: fs: ", {"opo1": dict(FAST["opo1"], hwhm=3e7)})):
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(dict(FAST, **edits)))
+        assert main(["sweep", "--config", str(path), "--var", var,
                      "--grid", grid, *flags, "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: --grid {point}")
     assert not (tmp_path / "x").exists()

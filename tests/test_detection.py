@@ -10,7 +10,6 @@ from scipy import signal
 from eprsim import (DetectionChain, TemporalMode, detect, epr_record,
                     expected_mode_variance, extract_modes, flat_psd,
                     opo_spectrum, vacuum_record)
-from eprsim.detection import _corners
 from eprsim.synth import TimeSeries, TwoModeRecord, block_length
 
 import refvals
@@ -25,14 +24,15 @@ def _combo_var(record, sign, mode=MODE):
     return float(np.var(vals, ddof=1))
 
 
-def _design_filters(chain, fs):
-    """The chain's sections as first-order Butterworth filters from
-    scipy.signal (the reference the chain's gains are checked against);
-    None for a stage that passes through."""
-    lp_fc, hp_fc = _corners(chain, fs)
-    lp = None if lp_fc is None else signal.butter(1, lp_fc, "lowpass", fs=fs)
-    hp = None if hp_fc is None else signal.butter(1, hp_fc, "highpass", fs=fs)
-    return lp, hp
+def _analog_gains(chain, omega):
+    """|H|^2 of the chain's sections at omega (rad/s), from the analog
+    first-order Butterworth filters of scipy.signal (the reference the
+    chain's gains are checked against)."""
+    return tuple(
+        np.abs(signal.freqs(*signal.butter(1, 2.0 * np.pi * fc, btype, analog=True),
+                            worN=omega)[1]) ** 2
+        for fc, btype in ((chain.detector_bandwidth, "lowpass"),
+                          (chain.highpass_cutoff, "highpass")))
 
 
 def _scaled(record, factor):
@@ -52,51 +52,62 @@ def test_chain_validation():
         DetectionChain(adc_bits=1)
 
 
-def test_identity_chain_is_passthrough():
-    # wide-open surrogates: bandwidth far beyond Nyquist, cutoff far below
-    # any resolvable frequency, noise at -200 dB
+def _minus_block_mean(series):
+    return series.samples - np.mean(series.samples)
+
+
+def test_wide_open_chain_removes_the_block_mean():
+    # bandwidth far beyond Nyquist, cutoff far below any resolvable
+    # frequency, noise at -200 dB: the analog high-pass still removes DC
     chain = DetectionChain(detector_bandwidth=1e12, highpass_cutoff=1e-3,
                            electronic_noise_db=-200.0, adc_rate=FS)
     rec = vacuum_record(2e-4, FS, seed=21)
     out = detect(rec, chain, seed=22)
-    rms = np.sqrt(np.mean(rec.a.samples ** 2))
-    assert np.max(np.abs(out.a.samples - rec.a.samples)) < 1e-6 * rms
-    assert np.max(np.abs(out.b.samples - rec.b.samples)) < 1e-6 * rms
+    for source, series in ((rec.a, out.a), (rec.b, out.b)):
+        rms = np.sqrt(np.mean(source.samples ** 2))
+        assert abs(np.mean(source.samples)) > 1e-3 * rms  # a mean to remove
+        assert np.max(np.abs(series.samples - _minus_block_mean(source))) < 1e-6 * rms
 
 
-def test_identity_chain_without_noise_is_exact():
-    chain = DetectionChain(detector_bandwidth=1e12, highpass_cutoff=1e-3,
+def test_wide_open_chain_without_noise_removes_only_the_block_mean():
+    # gains within 1e-13 of one on every bin but DC, which gets zero
+    chain = DetectionChain(detector_bandwidth=1e15, highpass_cutoff=1e-3,
                            electronic_noise_db=None, adc_rate=FS)
     rec = vacuum_record(2e-4, FS, seed=23)
     out = detect(rec, chain, seed=24)
-    assert np.array_equal(out.a.samples, rec.a.samples)
-    assert np.array_equal(out.b.samples, rec.b.samples)
+    for source, series in ((rec.a, out.a), (rec.b, out.b)):
+        rms = np.sqrt(np.mean(source.samples ** 2))
+        assert np.max(np.abs(series.samples - _minus_block_mean(source))) < 1e-12 * rms
 
 
 def test_lowpass_attenuates_3db_at_bandwidth():
     chain = DetectionChain()
-    lp, _ = _design_filters(chain, FS)
-    w = 2.0 * np.pi * chain.detector_bandwidth / FS
-    _, h = signal.freqz(*lp, worN=[w])
-    assert abs(h[0]) ** 2 == pytest.approx(0.5, abs=1e-12)
-    g_lp, _ = chain.gains(np.array([w * FS]), FS)
-    assert abs(g_lp[0] - abs(h[0]) ** 2) <= 1e-12
+    omega = np.array([2.0 * np.pi * chain.detector_bandwidth])
+    g_lp, _ = chain.gains(omega)
+    assert g_lp[0] == pytest.approx(0.5, abs=1e-15)
+    assert abs(g_lp[0] - _analog_gains(chain, omega)[0][0]) <= 1e-12
+
+
+def test_highpass_attenuates_3db_at_cutoff():
+    chain = DetectionChain()
+    omega = np.array([2.0 * np.pi * chain.highpass_cutoff])
+    _, g_hp = chain.gains(omega)
+    assert g_hp[0] == pytest.approx(0.5, abs=1e-15)
+    assert abs(g_hp[0] - _analog_gains(chain, omega)[1][0]) <= 1e-12
 
 
 def test_highpass_suppresses_dc():
     chain = DetectionChain()
-    _, hp = _design_filters(chain, FS)
-    _, h = signal.freqz(*hp, worN=[0.0])
-    assert abs(h[0]) < 1e-12
-    _, g_hp = chain.gains(np.array([0.0]), FS)
-    assert abs(g_hp[0] - abs(h[0]) ** 2) <= 1e-12
+    omega = np.array([0.0])
+    _, g_hp = chain.gains(omega)
+    assert g_hp[0] == 0.0
+    assert abs(g_hp[0] - _analog_gains(chain, omega)[1][0]) <= 1e-12
 
 
 def test_detect_scales_bin_centred_sinusoids_by_the_filter_magnitude():
     # on its own circulant block, detect is the zero-phase gain |H| of the
-    # scipy.signal sections: a sinusoid centred on a bin keeps its phase
+    # analog sections: a sinusoid centred on a bin keeps its phase
     chain = DetectionChain(electronic_noise_db=None)
-    lp, hp = _design_filters(chain, FS)
     n = 10_000
     t = np.arange(n)
     rec = TwoModeRecord(a=TimeSeries(FS, np.cos(2.0 * np.pi * 1680 * t / n)),
@@ -104,8 +115,8 @@ def test_detect_scales_bin_centred_sinusoids_by_the_filter_magnitude():
     out = detect(rec, chain, seed=0)
     # bins 1680 and 1 are 8.4 MHz and 5 kHz, the two corners
     for source, series, k in ((rec.a, out.a, 1680), (rec.b, out.b, 1)):
-        w = [2.0 * np.pi * k / n]
-        gain = abs(signal.freqz(*lp, worN=w)[1][0] * signal.freqz(*hp, worN=w)[1][0])
+        g_lp, g_hp = _analog_gains(chain, np.array([2.0 * np.pi * FS * k / n]))
+        gain = math.sqrt(g_lp[0] * g_hp[0])
         assert np.max(np.abs(series.samples - gain * source.samples)) <= 1e-12
 
 
@@ -269,7 +280,7 @@ def _full_grid_mode_variance(psd, chain, fs, mode, block):
     s = psd(omega)
     adc_rate = fs
     if chain is not None:
-        s = chain.detected_psd(s, omega, fs)
+        s = chain.detected_psd(s, omega)
         adc_rate = chain.adc_rate
     factor = round(fs / adc_rate)
     w = mode.discretize(adc_rate)
@@ -293,24 +304,20 @@ def test_expected_mode_variance_equals_the_full_grid_sum(chain, block, calibrate
 @pytest.mark.parametrize("chain", [
     DetectionChain(),
     DetectionChain(electronic_noise_db=None),
-    DetectionChain(detector_bandwidth=1e12),       # low-pass passes through
-    DetectionChain(highpass_cutoff=1e-3),          # high-pass passes through
+    DetectionChain(detector_bandwidth=1e12),       # low-pass far beyond Nyquist
+    DetectionChain(highpass_cutoff=1e-3),          # high-pass far below bin 1
     DetectionChain(detector_bandwidth=1e12, highpass_cutoff=1e-3,
-                   electronic_noise_db=None),      # identity
-], ids=("default", "noise_off", "lowpass_open", "highpass_open", "identity"))
+                   electronic_noise_db=None),      # both
+], ids=("default", "noise_off", "lowpass_open", "highpass_open", "wide_open"))
 def test_detected_psd_matches_freqz_of_the_filters(chain, calibrated_pair):
+    # the reference is scipy.signal.freqs, freqz's analog counterpart
     omega = 2.0 * np.pi * FS * np.arange(50_001) / 100_000  # DC to Nyquist
     s = opo_spectrum(calibrated_pair[0], "antisqueezed")(omega)
-    lp, hp = _design_filters(chain, FS)
-    g_lp = g_hp = np.ones_like(omega)
-    if lp is not None:
-        g_lp = np.abs(signal.freqz(*lp, worN=omega / FS)[1]) ** 2
-    if hp is not None:
-        g_hp = np.abs(signal.freqz(*hp, worN=omega / FS)[1]) ** 2
+    g_lp, g_hp = _analog_gains(chain, omega)
     noise = 0.0 if chain.electronic_noise_db is None else 10.0 ** (
         chain.electronic_noise_db / 10.0)
     reference = g_lp * g_hp * s + noise * g_hp
-    assert np.max(np.abs(chain.detected_psd(s, omega, FS) - reference)) <= 1e-12
+    assert np.max(np.abs(chain.detected_psd(s, omega) - reference)) <= 1e-12
 
 
 def _detected_mc(draw, seeds, sign):
