@@ -53,6 +53,27 @@ def _fmt(value) -> str:
     return f"{v:.12g}"
 
 
+def _data_lines(rows: Sequence[Sequence[object]]) -> str:
+    """The CSV lines of rows, each value as _fmt writes it.
+
+    When every column holds only integers or only floats and no float is
+    NaN, the lines are one % over a repeated row template, %d for an
+    integer column and %.12g for a float one (the bytes _fmt gives);
+    otherwise (strings, None, NaN) each value takes _fmt."""
+    conversions = []
+    for column in zip(*rows):
+        types = set(map(type, column))
+        if all(issubclass(t, (int, np.integer)) for t in types):
+            conversions.append("%d")
+        elif (all(issubclass(t, (float, np.floating)) for t in types)
+              and not np.isnan(np.array(column, dtype=float)).any()):
+            conversions.append("%.12g")
+        else:
+            return "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    template = (",".join(conversions) + "\n") * len(rows)
+    return template % tuple(v for row in rows for v in row)
+
+
 def _write_csv(path: Path, meta: Dict[str, object], header: Sequence[str],
                rows: Iterable[Sequence[object]]) -> None:
     tmp = path.parent / (path.name + ".tmp")
@@ -60,20 +81,24 @@ def _write_csv(path: Path, meta: Dict[str, object], header: Sequence[str],
         for key, value in meta.items():
             fh.write(f"# {key}={_fmt(value)}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(_data_lines(list(rows)))
     os.replace(tmp, path)
 
 
 def _worker_count(reps: int) -> int:
+    """Worker threads for reps repetitions: at most one per core (each
+    repetition is CPU-bound), capped further by EPR_THREADS when set."""
+    cap = os.cpu_count() or 1
     env = os.environ.get("EPR_THREADS")
     if env:
         try:
-            cap = int(env)
+            want = int(env)
         except ValueError as exc:
             raise ConfigError(f"EPR_THREADS: expected an integer, got {env!r}") from exc
-        return max(1, min(cap, reps))
-    return max(1, min(os.cpu_count() or 1, reps))
+        if want < 1:
+            raise ConfigError(f"EPR_THREADS: expected at least 1, got {env!r}")
+        cap = min(cap, want)
+    return max(1, min(cap, reps))
 
 
 def _meta(cfg: RunConfig, command: str, **extra) -> Dict[str, object]:
@@ -89,7 +114,9 @@ def _one_repetition(cfg: RunConfig, seq: np.random.SeedSequence,
                     expected_ref: float, keep: bool):
     """One repetition's report, and its detected (X, P, vacuum) records
     when keep is set. The records are drawn through the chain from the
-    three streams spawned from seq."""
+    three streams spawned from seq. The report draws only the beams it
+    reads, X's beam 2, P's beam 1 and both vacuum beams (synth._Draw); the
+    other two are drawn when a kept record's samples are first read."""
     x_seed, p_seed, v_seed = seq.spawn(3)
     xr = epr_record(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, "X", x_seed,
                     chain=cfg.chain)
@@ -106,9 +133,10 @@ def _run_pipeline(cfg: RunConfig, slot: int = 0):
     only repetition 0's records are held.
 
     Random streams form the spawn tree seed -> slot -> repetition ->
-    stream (slot 0 is `run`, slot j+1 the `sweep --mc-check` run at grid
-    point j): no two streams share a seed, and repetition i's streams do
-    not depend on cfg.repetitions."""
+    stream -> beam (slot 0 is `run`, slot j+1 the `sweep --mc-check` run
+    at grid point j; a stream is one record, X, P or vacuum, and its two
+    beams are children of it, synth._Draw): no two streams share a seed,
+    and repetition i's streams do not depend on cfg.repetitions."""
     block = block_length(cfg.duration, cfg.fs)
     expected_ref = expected_mode_variance(None, cfg.chain, cfg.fs, cfg.mode, block=block)
     root = np.random.SeedSequence(cfg.seed, spawn_key=(slot,))

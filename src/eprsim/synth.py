@@ -9,10 +9,15 @@ bin, and for a flat PSD the map from the drawn normals to the samples is
 orthogonal, so the samples are white with unit variance (the vacuum
 calibration contract).
 
-A record keeps the rfft coefficients it was drawn as, and its samples are
-built from them on first read (_Draw): readings that are linear in the
-samples (analysis.epr_report) are taken from the coefficients, without
-the inverse FFTs.
+A record's two input beams are drawn from their own streams, each on
+first use, and the record keeps the rfft coefficients it was drawn as; its
+samples are built from them on first read (_Draw). Readings that are
+linear in the samples (analysis.epr_report) are taken from the
+coefficients, without the inverse FFTs, and draw only the beams they
+weigh: the X record's x_A - x_B is input beam 2 alone, the P record's
+p_A + p_B beam 1 alone. Beam k of a record seeded by the sequence seq is
+drawn by default_rng(SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key,
+k))), so a record is the same whatever is read first, and from any thread.
 """
 
 from __future__ import annotations
@@ -201,14 +206,17 @@ def _next_fast_len(n: int) -> int:
 
 
 class _Draw:
-    """The two input beams' blocks of one record, drawn in order from one
-    generator as rfft coefficients, and the record's two series.
+    """The two input beams' blocks of one record, drawn as rfft
+    coefficients, and the record's two series.
 
-    The series are built on first read of either one's samples: the
-    blocks' inverse FFTs, trimmed to n_out samples, the half-beam-splitter
-    map when mixed (epr_record), then digitizing through the chain. A
-    reading that is linear in the samples can be taken from combination()
-    without them.
+    Beam k (0 or 1) is drawn on first use (beam) from its own stream, the
+    child (*seed's spawn_key, k) of the record's seed sequence, so a beam
+    is the same whichever reading draws it. The series are built on first
+    read of either one's samples: both beams' inverse FFTs, trimmed to
+    n_out samples, the half-beam-splitter map when mixed (epr_record),
+    then digitizing through the chain. A reading that is linear in the
+    samples can be taken from combination() without them, and draws only
+    the beams it weighs.
     """
 
     def __init__(self, psds: Tuple[QuadPsd, QuadPsd], chain: Optional[DetectionChain],
@@ -221,11 +229,26 @@ class _Draw:
         self.n_series = len(range(0, self.n_out, self.stride))
         self.linear = chain is None or chain.adc_bits is None
         self.mixed = mixed
-        rng = np.random.default_rng(seed)
-        self.beams = tuple(_coefficients(_amplitude(psd, chain, self.n, fs), self.n, rng)
-                           for psd in psds)
+        # built here, not spawned: spawn() would advance the caller's sequence
+        seq = (seed if isinstance(seed, np.random.SeedSequence)
+               else np.random.SeedSequence(seed))
+        self._streams = tuple(np.random.SeedSequence(seq.entropy,
+                                                     spawn_key=(*seq.spawn_key, k),
+                                                     pool_size=seq.pool_size)
+                              for k in range(2))
+        self._amps = tuple(_amplitude(psd, chain, self.n, fs) for psd in psds)
+        self._beams = [None, None]
         self._series = None
-        self._lock = threading.Lock()
+        # reentrant: series() draws its beams under the lock it holds
+        self._lock = threading.RLock()
+
+    def beam(self, k: int) -> np.ndarray:
+        """rfft coefficients of input beam k's block, drawn on first use."""
+        with self._lock:
+            if self._beams[k] is None:
+                rng = np.random.default_rng(self._streams[k])
+                self._beams[k] = _coefficients(self._amps[k], self.n, rng)
+            return self._beams[k]
 
     def record(self, labels: Tuple[str, str]) -> TwoModeRecord:
         """The record whose series a and b are this draw's, unbuilt."""
@@ -247,7 +270,8 @@ class _Draw:
         """The samples of series a and b."""
         with self._lock:
             if self._series is None:
-                b1, b2 = (np.fft.irfft(y, self.n)[: self.n_out] for y in self.beams)
+                b1, b2 = (np.fft.irfft(self.beam(k), self.n)[: self.n_out]
+                          for k in range(2))
                 if self.mixed:
                     inv_sqrt2 = 1.0 / np.sqrt(2.0)
                     b1, b2 = (b1 + b2) * inv_sqrt2, (b1 - b2) * inv_sqrt2
@@ -259,16 +283,18 @@ class _Draw:
     def combination(self, i: int, j: int, sign: float) -> np.ndarray:
         """rfft coefficients of the block whose trimmed, digitized samples
         are (series i + sign * series j)/sqrt(2), for a linear chain; each
-        series is (b1 + b2, b1 - b2)/sqrt(2) when mixed, else (b1, b2)."""
+        series is (b1 + b2, b1 - b2)/sqrt(2) when mixed, else (b1, b2).
+        Only beams of nonzero weight are drawn."""
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         weights = (((inv_sqrt2, inv_sqrt2), (inv_sqrt2, -inv_sqrt2)) if self.mixed
                    else ((1.0, 0.0), (0.0, 1.0)))
         out = None
-        for y, wi, wj in zip(self.beams, weights[i], weights[j]):
+        for k, (wi, wj) in enumerate(zip(weights[i], weights[j])):
             c = (wi + sign * wj) * inv_sqrt2
             if c:
+                y = self.beam(k)
                 out = c * y if out is None else out + c * y
-        return np.zeros_like(self.beams[0]) if out is None else out
+        return np.zeros(self.n // 2 + 1, complex) if out is None else out
 
 
 def _drawn(record: TwoModeRecord) -> Optional[Tuple[_Draw, int, int]]:
@@ -285,9 +311,9 @@ def epr_record(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,
                chain: Optional[DetectionChain] = None) -> TwoModeRecord:
     """EPR beam pair for one measurement setting.
 
-    Draws the measured quadrature of each input beam independently (one
-    block of block_length(duration, fs) samples each, trimmed to
-    duration*fs) and applies the half-beam-splitter map
+    Draws the measured quadrature of each input beam from its own stream
+    (one block of block_length(duration, fs) samples each, trimmed to
+    duration*fs; _Draw) and applies the half-beam-splitter map
     A = (b1+b2)/sqrt(2), B = (b1-b2)/sqrt(2) samplewise.
 
     With a chain, each beam is drawn from its detected PSD instead, and A

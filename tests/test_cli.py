@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from eprsim import (QuadratureError, TemporalMode, detect, epr_report, epr_spectra,
                     mode_duan)
-from eprsim import analysis, cli
+from eprsim import analysis, cli, synth
 from eprsim.cli import main
 from eprsim.config import load_config
 from eprsim.modes import KINDS
@@ -307,6 +307,100 @@ def test_bad_thread_env_is_config_error(fast_cfg, tmp_path, monkeypatch):
     monkeypatch.setenv("EPR_THREADS", "many")
     rc = main(["run", "--config", str(fast_cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+def test_thread_env_below_one_is_config_error(fast_cfg, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("EPR_THREADS", "0")
+    rc = main(["run", "--config", str(fast_cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "EPR_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_worker_count_is_bounded_by_cores_and_reps(monkeypatch):
+    # called directly: a run with a large EPR_THREADS would start threads
+    cores = 3
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    monkeypatch.delenv("EPR_THREADS", raising=False)
+    assert [cli._worker_count(r) for r in (1, 2, 5000)] == [1, 2, cores]
+    monkeypatch.setenv("EPR_THREADS", "5000")
+    assert cli._worker_count(5000) == cores
+    monkeypatch.setenv("EPR_THREADS", "2")
+    assert [cli._worker_count(r) for r in (1, 5000)] == [1, 2]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._worker_count(5000) == 1
+    for bad in ("0", "-5", "many", "1.5"):
+        monkeypatch.setenv("EPR_THREADS", bad)
+        with pytest.raises(cli.ConfigError, match="EPR_THREADS"):
+            cli._worker_count(4)
+
+
+def test_repetitions_draw_only_the_beams_they_read(fast_cfg, monkeypatch):
+    # a report reads X's beam 2, P's beam 1 and both vacuum beams; a kept
+    # repetition's records draw the other two when their samples are read
+    cfg = load_config(fast_cfg)
+
+    def seq():  # _one_repetition spawns from the sequence it is given
+        return np.random.SeedSequence(cfg.seed, spawn_key=(0, 0))
+
+    expected_ref = cli._run_pipeline(cfg)[2]
+    draws = []
+    coefficients = synth._coefficients
+
+    def counting(*args):
+        draws.append(1)
+        return coefficients(*args)
+
+    monkeypatch.setattr(synth, "_coefficients", counting)
+    report, records = cli._one_repetition(cfg, seq(), expected_ref, keep=False)
+    assert records is None and len(draws) == 4
+    draws.clear()
+    report_kept, records = cli._one_repetition(cfg, seq(), expected_ref, keep=True)
+    assert len(draws) == 4 and report_kept.per_rep == report.per_rep
+    for record in records:
+        record.b.samples
+    assert len(draws) == 6
+
+
+def _fmt_lines(rows):
+    return "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+
+
+def test_csv_rows_are_formatted_as_fmt_writes_each_value(tmp_path):
+    # the one-call template gives the bytes of the per-value path
+    edge = [-0.0, 0.0, np.inf, -np.inf, 5e-324, 1e16, 123456789012.0,
+            1234567890123.0, 1 / 3, -2.5e-300, 1.7976931348623157e308]
+    rng = np.random.default_rng(3)
+    floats = np.concatenate([edge, rng.standard_normal(2000) * 10.0 ** rng.integers(
+        -30, 30, 2000)])
+    ints = [np.int64(-7), np.int32(0), 2 ** 70, np.uint64(2 ** 64 - 1), True]
+    cases = [
+        list(zip(range(floats.size), floats, floats[::-1])),
+        [(i, float(v)) for i, v in zip(ints, edge)],
+        list(zip(np.arange(5), [np.float32(0.1)] * 5)),
+        [],
+    ]
+    for rows in cases:
+        assert cli._data_lines(rows) == _fmt_lines(rows)
+    path = tmp_path / "edge.csv"
+    cli._write_csv(path, {"seed": 1}, ("i", "a", "b"), cases[0])
+    assert path.read_text() == "# seed=1\ni,a,b\n" + _fmt_lines(cases[0])
+
+
+def test_nan_and_none_stay_empty_fields(fast_cfg, tmp_path):
+    out = tmp_path / "one"
+    assert main(["run", "--config", str(fast_cfg), "--out", str(out), "--reps", "1"]) == 0
+    _, _, rows = _read_csv(out / "report.csv")
+    assert rows[0][0] == "0" and rows[0][4:] == ["", "", ""]   # None
+    assert rows[1][0] == "summary" and rows[1][4:] == ["", "", ""]  # NaN SE
+    rows = [(1, 2.0, np.nan), (np.int64(2), None, -0.0), ("x", 1e16, np.inf)]
+    assert cli._data_lines(rows) == "1,2,\n2,,-0\nx,1e+16,inf\n"
+    assert cli._data_lines([(1.5, np.nan), (2.0, 3.0)]) == "1.5,\n2,3\n"
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(fast_cfg), "--var", "efficiency",
+                 "--grid", "0.5:0.9:3", "--mc-check", "--out", str(out)]) == 0
+    duan_mc = [r[3] for r in _read_csv(out / "sweep.csv")[2]]
+    assert duan_mc[1] == "" and "" not in (duan_mc[0], duan_mc[2])
 
 
 def test_seed_and_reps_overrides(fast_cfg, tmp_path, capsys):

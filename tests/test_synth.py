@@ -8,6 +8,7 @@ import pytest
 
 from eprsim import (DetectionChain, OpoParams, TemporalMode, extract_modes, flat_psd,
                     opo_spectrum, synthesize_colored, epr_record, vacuum_record)
+from eprsim import synth
 from eprsim.synth import (TimeSeries, TwoModeRecord, _amplitude, _draw, _next_fast_len,
                           block_length)
 
@@ -127,30 +128,60 @@ def test_mode_values_are_gaussian():
     assert abs(excess) < 0.1
 
 
-def test_epr_record_is_beam_splitter_of_two_streams(calibrated_pair):
-    # channel A/B must equal (b1 +/- b2)/sqrt(2) of the two beams drawn
-    # from one generator in order, each trimmed from its own block, with
-    # and without a chain (the default chain neither decimates at 50 MS/s
-    # nor quantizes)
+def _beam_stream(seq, k):
+    """The generator input beam k of a record seeded by seq draws from."""
+    return np.random.default_rng(
+        np.random.SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key, k)))
+
+
+def test_epr_record_is_beam_splitter_of_two_beam_streams(calibrated_pair):
+    # channel A/B must equal (b1 +/- b2)/sqrt(2) of the two beams, beam k
+    # drawn from the child (*spawn_key, k) of the record's seed sequence,
+    # each trimmed from its own block, with and without a chain (the
+    # default chain neither decimates at 50 MS/s nor quantizes), for an int
+    # seed and a spawned sequence alike
     opo1, opo2 = calibrated_pair
-    fs, duration, seed, n_out = 50e6, 2001 / 50e6, 42, 2001
+    fs, duration, n_out = 50e6, 2001 / 50e6, 2001
     n_blk = block_length(duration, fs)
     assert n_blk == 2025
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for chain in (None, DetectionChain()):
-        rec = epr_record(opo1, opo2, duration, fs, "X", seed, chain=chain)
-        rng = np.random.default_rng(seed)
-        b1, b2 = (_draw(_amplitude(opo_spectrum(opo, branch), chain, n_blk, fs),
-                        n_blk, rng)[:n_out]
-                  for opo, branch in ((opo1, "antisqueezed"), (opo2, "squeezed")))
-        assert np.array_equal(rec.a.samples, (b1 + b2) * inv_sqrt2)
-        assert np.array_equal(rec.b.samples, (b1 - b2) * inv_sqrt2)
+    spawned = np.random.SeedSequence(42, spawn_key=(0, 3, 1))
+    for seed, seq in ((42, np.random.SeedSequence(42)), (spawned, spawned)):
+        for chain in (None, DetectionChain()):
+            rec = epr_record(opo1, opo2, duration, fs, "X", seed, chain=chain)
+            b1, b2 = (_draw(_amplitude(opo_spectrum(opo, branch), chain, n_blk, fs),
+                            n_blk, _beam_stream(seq, k))[:n_out]
+                      for k, (opo, branch) in enumerate(((opo1, "antisqueezed"),
+                                                         (opo2, "squeezed"))))
+            assert np.array_equal(rec.a.samples, (b1 + b2) * inv_sqrt2)
+            assert np.array_equal(rec.b.samples, (b1 - b2) * inv_sqrt2)
+            vac = vacuum_record(duration, fs, seed, chain=chain)
+            for k, series in enumerate((vac.a, vac.b)):
+                v = _draw(_amplitude(flat_psd(), chain, n_blk, fs), n_blk,
+                          _beam_stream(seq, k))[:n_out]
+                assert np.array_equal(series.samples, v)
+
+
+def _counting_draws(monkeypatch):
+    """The amplitude of every beam synth draws from now on, in order."""
+    calls = []
+    coefficients = synth._coefficients
+
+    def counting(amp, n, rng):
+        calls.append(amp)
+        return coefficients(amp, n, rng)
+
+    monkeypatch.setattr(synth, "_coefficients", counting)
+    return calls
 
 
 def test_drawn_record_is_built_once_from_any_thread(calibrated_pair, monkeypatch):
-    # a drawn record's series are built on first read of either; threads
-    # that read them at once share one build (two inverse FFTs)
+    # a drawn record's beams are drawn on first use and its series built
+    # on first read of either; threads that read samples and combinations
+    # at once share one draw of each beam and one build (two inverse FFTs)
     rec = epr_record(*calibrated_pair, 2e-4, 50e6, "X", 5, chain=DetectionChain())
+    draw = synth._drawn(rec)[0]
+    draws = _counting_draws(monkeypatch)
     calls = []
     irfft = np.fft.irfft
 
@@ -163,13 +194,53 @@ def test_drawn_record_is_built_once_from_any_thread(calibrated_pair, monkeypatch
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
+            combos = [pool.submit(draw.combination, 0, 1, sign) for sign in (1.0, -1.0) * 4]
             futures = [pool.submit(getattr, s, "samples") for s in (rec.a, rec.b) * 8]
             arrays = [f.result(timeout=60) for f in futures]
+            for f in combos:
+                f.result(timeout=60)
     finally:
         sys.setswitchinterval(interval)
     assert len(calls) == 2
+    assert len(draws) == 2 and draws[0] is not draws[1]
     assert all(a is rec.a.samples for a in arrays[0::2])
     assert all(b is rec.b.samples for b in arrays[1::2])
+
+
+def test_beams_are_drawn_on_first_use(calibrated_pair, monkeypatch):
+    # a combination draws only the beams it weighs: x_A - x_B is beam 2,
+    # p_A + p_B beam 1, a vacuum combination both; a zero combination none
+    opo1, opo2 = calibrated_pair
+    draws = _counting_draws(monkeypatch)
+    for setting, sign, beam in (("X", -1.0, "squeezed"), ("P", +1.0, "squeezed")):
+        draw = synth._drawn(epr_record(opo1, opo2, 4e-5, 50e6, setting, 3))[0]
+        assert draws == []
+        assert not np.any(draw.combination(0, 0, -1.0))
+        assert draws == []
+        draw.combination(0, 1, sign)
+        opo = opo2 if setting == "X" else opo1
+        assert draws == [_amplitude(opo_spectrum(opo, beam), None, draw.n, 50e6)]
+        draw.combination(0, 1, -sign)
+        assert len(draws) == 2
+        draws.clear()
+    draw = synth._drawn(vacuum_record(4e-5, 50e6, 3))[0]
+    draw.combination(0, 1, -1.0)
+    assert len(draws) == 2
+
+
+@pytest.mark.parametrize("chain", [None, DetectionChain()], ids=("no_chain", "chain"))
+def test_record_is_the_same_whatever_is_read_first(calibrated_pair, chain):
+    # a record read combination-first builds the samples of one read
+    # samples-first, and the same sequence object seeds equal records
+    # (the record does not advance it)
+    seq = np.random.SeedSequence(9, spawn_key=(0, 2))
+    for setting, sign in (("X", -1.0), ("P", +1.0)):
+        first = epr_record(*calibrated_pair, 4e-5, 50e6, setting, seq, chain=chain)
+        second = epr_record(*calibrated_pair, 4e-5, 50e6, setting, seq, chain=chain)
+        synth._drawn(first)[0].combination(0, 1, sign)
+        for s1, s2 in ((second.a, first.a), (second.b, first.b)):
+            assert np.array_equal(s1.samples, s2.samples)
+    assert seq.n_children_spawned == 0
 
 
 def test_amplitude_cache_hits_on_every_repetition(calibrated_pair):
