@@ -32,7 +32,7 @@ from .detection import detect, expected_mode_variance  # noqa: F401
 from .modeopt import ModeFamily, NonUnimodalError, mode_duan, optimize
 from .modes import KINDS, TemporalMode
 from .spectra import QuadratureError, epr_spectra, filtered_variance, to_db
-from .synth import block_length, epr_record, vacuum_record
+from .synth import _children, block_length, epr_record, vacuum_record
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -114,10 +114,12 @@ def _one_repetition(cfg: RunConfig, seq: np.random.SeedSequence,
                     expected_ref: float, keep: bool):
     """One repetition's report, and its detected (X, P, vacuum) records
     when keep is set. The records are drawn through the chain from the
-    three streams spawned from seq. The report draws only the beams it
-    reads, X's beam 2, P's beam 1 and both vacuum beams (synth._Draw); the
-    other two are drawn when a kept record's samples are first read."""
-    x_seed, p_seed, v_seed = seq.spawn(3)
+    three streams that are seq's children (synth._children: seq is not
+    advanced, so the same seq gives the same repetition). The report
+    draws only the beams it reads, X's beam 2, P's beam 1 and both vacuum
+    beams (synth._Draw); the other two are drawn when a kept record's
+    samples are first read."""
+    x_seed, p_seed, v_seed = _children(seq, 3)
     xr = epr_record(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, "X", x_seed,
                     chain=cfg.chain)
     pr = epr_record(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, "P", p_seed,

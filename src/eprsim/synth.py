@@ -18,12 +18,20 @@ weigh: the X record's x_A - x_B is input beam 2 alone, the P record's
 p_A + p_B beam 1 alone. Beam k of a record seeded by the sequence seq is
 drawn by default_rng(SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key,
 k))), so a record is the same whatever is read first, and from any thread.
+
+synthesize_colored inverts an even block as two half-length transforms,
+one on the calling thread and one on the module's single helper thread
+(_irfft), so a 2^22-sample block's inverse FFT uses two cores. The helper
+is started on first use, and the samples do not depend on which thread
+runs which half.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Tuple
@@ -47,6 +55,8 @@ __all__ = [
 _LABELS = ("x_A", "p_A", "x_B", "p_B", "vacuum")
 # largest |S(Nyquist) - 1| the aliasing guard accepts
 _ALIAS_TOL = 0.15
+# bins per pass of _irfft's in-place split, so its temporaries stay small
+_CHUNK = 1 << 16
 
 SeedLike = int | np.random.SeedSequence
 
@@ -155,9 +165,76 @@ def _coefficients(amp: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarr
     return spec
 
 
+def _start_helper() -> None:
+    """A fresh _HELPER, the executor that runs one half of each even
+    block's inverse FFT (_irfft). Its thread starts on the first submit,
+    not at import."""
+    global _HELPER
+    _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="eprsim-irfft")
+
+
+_start_helper()
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the executor but not its thread
+    os.register_at_fork(after_in_child=_start_helper)
+
+
+def _irfft(spec: np.ndarray, n: int) -> np.ndarray:
+    """np.fft.irfft(spec, n) to within rounding, for the n // 2 + 1 rfft
+    coefficients spec of a real block; spec is overwritten.
+
+    Odd n is np.fft.irfft itself. Even n is split by decimation in time:
+    with h = n/2 and w = exp(2 pi i/n), the even samples are irfft(e, h)
+    and the odd ones irfft(o, h), where for k = 0..h//2
+    e_k = (X_k + conj X_{h-k})/2 and o_k = (X_k - conj X_{h-k}) w^k/2.
+    e_k is written to slot k of spec and o_k to slot h-k, in passes of
+    _CHUNK bins; when h is even both share slot h/2, which keeps e_{h/2},
+    and the odd samples are corrected by (o_{h/2} - e_{h/2})(-1)^m/h. The
+    two half transforms run at once, the odd one on the helper thread, and
+    their samples are interleaved into the first n doubles of spec, which
+    are returned. The memory used is spec plus one n-sample block, as for
+    np.fft.irfft.
+    """
+    if n % 2:
+        return np.fft.irfft(spec, n)
+    h = n // 2
+    bins = h // 2 + 1
+    if h % 2 == 0:
+        e_mid, o_mid = spec[h // 2].real, -spec[h // 2].imag
+    # w^k / 2 is step[k - k0] * w^k0 in the pass starting at bin k0
+    step = 0.5 * np.exp(2j * np.pi / n * np.arange(min(bins, _CHUNK)))
+    for k0 in range(0, bins, _CHUNK):
+        k1 = min(k0 + _CHUNK, bins)
+        lo, hi = spec[k0:k1], spec[h - k0:h - k1:-1]
+        b = np.conj(hi)
+        d = lo - b
+        lo += b
+        lo *= 0.5
+        np.multiply(step[:k1 - k0], np.exp(2j * np.pi * k0 / n), out=b)
+        d *= b
+        hi[...] = d
+    del step, b, d  # freed before the two half outputs are allocated
+    if h % 2 == 0:
+        spec[h // 2] = e_mid
+    odd = _HELPER.submit(np.fft.irfft, spec[::-1][:bins], h)
+    even = np.fft.irfft(spec[:bins], h)
+    odd = odd.result()
+    if h % 2 == 0:
+        c = (o_mid - e_mid) / h
+        odd[0::2] += c
+        odd[1::2] -= c
+    out = spec.view(np.float64)[:n]
+    out[0::2] = even
+    out[1::2] = odd
+    return out
+
+
 def _draw(amp: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One n-sample block drawn in the frequency domain (_coefficients)."""
-    return np.fft.irfft(_coefficients(amp, n, rng), n)
+    """One n-sample block drawn in the frequency domain (_coefficients)
+    and inverted by _irfft: an even block as two half-length transforms,
+    one on the calling thread and one on the helper thread. Which thread
+    runs which half does not change the samples."""
+    return _irfft(_coefficients(amp, n, rng), n)
 
 
 def synthesize_colored(psd: QuadPsd, n: int, fs: float, seed: SeedLike) -> TimeSeries:
@@ -205,6 +282,18 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
+def _children(seed: SeedLike, count: int) -> Tuple[np.random.SeedSequence, ...]:
+    """The children (*seq.spawn_key, k), k < count, of the seed's sequence
+    seq (an int seeds SeedSequence(int)). They are built from the key, not
+    spawned: seq.spawn would advance seq, so the same sequence object would
+    not give the same children twice. For a fresh seq they are
+    seq.spawn(count)."""
+    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return tuple(np.random.SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key, k),
+                                        pool_size=seq.pool_size)
+                 for k in range(count))
+
+
 class _Draw:
     """The two input beams' blocks of one record, drawn as rfft
     coefficients, and the record's two series.
@@ -229,13 +318,7 @@ class _Draw:
         self.n_series = len(range(0, self.n_out, self.stride))
         self.linear = chain is None or chain.adc_bits is None
         self.mixed = mixed
-        # built here, not spawned: spawn() would advance the caller's sequence
-        seq = (seed if isinstance(seed, np.random.SeedSequence)
-               else np.random.SeedSequence(seed))
-        self._streams = tuple(np.random.SeedSequence(seq.entropy,
-                                                     spawn_key=(*seq.spawn_key, k),
-                                                     pool_size=seq.pool_size)
-                              for k in range(2))
+        self._streams = _children(seed, 2)
         self._amps = tuple(_amplitude(psd, chain, self.n, fs) for psd in psds)
         self._beams = [None, None]
         self._series = None
@@ -270,6 +353,8 @@ class _Draw:
         """The samples of series a and b."""
         with self._lock:
             if self._series is None:
+                # np.fft.irfft, not _irfft: these blocks gain nothing measurable
+                # from the split, and run's files keep their last digits
                 b1, b2 = (np.fft.irfft(self.beam(k), self.n)[: self.n_out]
                           for k in range(2))
                 if self.mixed:

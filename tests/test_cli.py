@@ -362,6 +362,22 @@ def test_repetitions_draw_only_the_beams_they_read(fast_cfg, monkeypatch):
     assert len(draws) == 6
 
 
+def test_one_repetition_leaves_its_sequence_unchanged(fast_cfg):
+    # the three streams are built from seq's key, so the same sequence
+    # object gives the same repetition twice, and the children of a fresh
+    # sequence are those spawn gives
+    cfg = load_config(fast_cfg)
+    expected_ref = cli._run_pipeline(cfg)[2]
+    seq = np.random.SeedSequence(cfg.seed, spawn_key=(0, 0))
+    first = cli._one_repetition(cfg, seq, expected_ref, keep=False)[0]
+    assert seq.n_children_spawned == 0
+    again = cli._one_repetition(cfg, seq, expected_ref, keep=False)[0]
+    assert again.per_rep == first.per_rep
+    fresh = np.random.SeedSequence(cfg.seed, spawn_key=(0, 0))
+    for built, spawned in zip(synth._children(seq, 3), fresh.spawn(3), strict=True):
+        assert np.array_equal(built.generate_state(4), spawned.generate_state(4))
+
+
 def _fmt_lines(rows):
     return "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
 

@@ -1,7 +1,12 @@
 """Colored Gaussian synthesis: calibration, statistics, and the beam-splitter map."""
 
+import os
+import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import tracemalloc
+from concurrent.futures import Future, ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +14,8 @@ import pytest
 from eprsim import (DetectionChain, OpoParams, TemporalMode, extract_modes, flat_psd,
                     opo_spectrum, synthesize_colored, epr_record, vacuum_record)
 from eprsim import synth
-from eprsim.synth import (TimeSeries, TwoModeRecord, _amplitude, _draw, _next_fast_len,
-                          block_length)
+from eprsim.synth import (TimeSeries, TwoModeRecord, _amplitude, _draw, _irfft,
+                          _next_fast_len, block_length)
 
 import refvals
 
@@ -51,6 +56,109 @@ def test_flat_psd_passes_white_noise_through():
         out = synthesize_colored(flat_psd(), n, fs, seed=11)
         z = np.random.default_rng(11).standard_normal(2 * amp.size)
         assert np.max(np.abs(out.samples - m @ z)) <= 1e-12
+
+
+def _spectrum(n, seed):
+    """n // 2 + 1 complex normals; DC and Nyquist keep their imaginary
+    parts, which an inverse real FFT ignores."""
+    return np.random.default_rng(seed).standard_normal(2 * (n // 2 + 1)).view(complex)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 16, 18, 1000, 100_000, 1 << 22, (1 << 22) + 2])
+def test_irfft_matches_numpy_for_even_lengths(n):
+    # the split into two half-length transforms is np.fft.irfft to rounding
+    # (n/2 even: a shared middle bin; n/2 odd: none)
+    spec = _spectrum(n, n)
+    want = np.fft.irfft(spec, n)
+    got = _irfft(spec.copy(), n)
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [3, 15, 2025, 100_001])
+def test_irfft_of_odd_length_is_numpy_irfft(n):
+    spec = _spectrum(n, n)
+    assert np.array_equal(_irfft(spec.copy(), n), np.fft.irfft(spec, n))
+
+
+class _Inline:
+    """Stands in for the helper executor, running each call on the caller."""
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+def test_irfft_does_not_depend_on_the_helper_thread(monkeypatch):
+    # an even block's odd half runs on the helper thread; run on the
+    # calling thread instead, it gives the same bytes
+    threads = []
+    irfft = np.fft.irfft
+
+    def recording(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", recording)
+    for n in (4, 18, 1000, 1 << 17):
+        spec = _spectrum(n, n)
+        threads.clear()
+        threaded = _irfft(spec.copy(), n)
+        assert len(set(threads)) == 2 and threading.get_ident() in threads
+        with monkeypatch.context() as m:
+            m.setattr(synth, "_HELPER", _Inline())
+            threads.clear()
+            inline = _irfft(spec.copy(), n)
+            assert set(threads) == {threading.get_ident()}
+        assert threaded.tobytes() == inline.tobytes()
+
+
+def test_synthesis_allocates_coefficients_and_one_block():
+    # an even block is inverted in place: the coefficients plus one
+    # n-sample output, as a single np.fft.irfft of them takes
+    n = 1 << 20
+    synthesize_colored(flat_psd(), n, 400e6, seed=1)  # warm the amplitude cache
+    tracemalloc.start()
+    try:
+        synthesize_colored(flat_psd(), n, 400e6, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n + (4 << 20)
+
+
+def test_import_starts_no_thread():
+    # the helper thread starts on the first even block, not at import
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, threading; sys.path.insert(0, sys.argv[1]); "
+            "import eprsim.cli; print(threading.active_count()); "
+            "from eprsim import flat_psd, synthesize_colored; "
+            "synthesize_colored(flat_psd(), 1024, 400e6, 1); "
+            "print(threading.active_count())")
+    done = subprocess.run([sys.executable, "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    after_import, after_draw = map(int, done.stdout.split())
+    assert after_import == 1
+    assert after_draw <= 2
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_helper():
+    # a child forked after the helper thread started does not inherit the
+    # thread; its even blocks must not wait on it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import os, signal, sys; sys.path.insert(0, sys.argv[1]); "
+            "import numpy as np; from eprsim import flat_psd, synthesize_colored; "
+            "draw = lambda: synthesize_colored(flat_psd(), 1024, 400e6, 1).samples; "
+            "want = draw(); pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(60)\n"
+            "    os._exit(0 if np.array_equal(draw(), want) else 1)\n"
+            "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))")
+    done = subprocess.run([sys.executable, "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.split() == ["0"]
 
 
 def test_synthesis_deterministic():
