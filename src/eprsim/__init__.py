@@ -19,7 +19,7 @@ from .modeopt import (ModeFamily, NonUnimodalError, OptResult, brute_force,
 from .modes import TemporalMode
 from .recordio import (load_series_bin, load_series_csv, save_series_bin,
                        save_series_csv)
-from .spectra import (EprSpectra, OpoParams, QuadPsd, QuadratureError,
+from .spectra import (EprSpectra, OpoParams, QuadPsd, QuadratureError, beam_spectra,
                       calibrate_pump_param, duan_sum, epr_spectra, filtered_variance,
                       flat_psd, opo_spectrum, to_db)
 from .synth import TimeSeries, TwoModeRecord, epr_record, synthesize_colored, vacuum_record
@@ -45,6 +45,7 @@ __all__ = [
     "TemporalMode",
     "TimeSeries",
     "TwoModeRecord",
+    "beam_spectra",
     "brute_force",
     "calibrate_pump_param",
     "combine_reports",

@@ -54,12 +54,10 @@ def _fmt(value) -> str:
 
 
 def _data_lines(rows: Sequence[Sequence[object]]) -> str:
-    """The CSV lines of rows, each value as _fmt writes it.
-
-    When every column holds only integers or only floats and no float is
-    NaN, the lines are one % over a repeated row template, %d for an
-    integer column and %.12g for a float one (the bytes _fmt gives);
-    otherwise (strings, None, NaN) each value takes _fmt."""
+    """The CSV lines of rows, each value as _fmt writes it: one % over a
+    repeated row template, %d for an integer column, %.12g for a float
+    column with no NaN (the bytes _fmt gives), and %s of _fmt(v) for any
+    other column (strings, None, NaN)."""
     conversions = []
     for column in zip(*rows):
         types = set(map(type, column))
@@ -69,9 +67,10 @@ def _data_lines(rows: Sequence[Sequence[object]]) -> str:
               and not np.isnan(np.array(column, dtype=float)).any()):
             conversions.append("%.12g")
         else:
-            return "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+            conversions.append("%s")
     template = (",".join(conversions) + "\n") * len(rows)
-    return template % tuple(v for row in rows for v in row)
+    return template % tuple(_fmt(v) if c == "%s" else v
+                            for row in rows for v, c in zip(row, conversions))
 
 
 def _write_csv(path: Path, meta: Dict[str, object], header: Sequence[str],
@@ -144,7 +143,7 @@ def _run_pipeline(cfg: RunConfig, slot: int = 0):
     root = np.random.SeedSequence(cfg.seed, spawn_key=(slot,))
     with ThreadPoolExecutor(max_workers=_worker_count(cfg.repetitions)) as pool:
         futures = [pool.submit(_one_repetition, cfg, seq, expected_ref, i == 0)
-                   for i, seq in enumerate(root.spawn(cfg.repetitions))]
+                   for i, seq in enumerate(_children(root, cfg.repetitions))]
         results = [f.result() for f in futures]
     report = combine_reports([r for r, _ in results])
     return report, results[0][1], expected_ref

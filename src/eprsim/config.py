@@ -18,7 +18,7 @@ from typing import Any, Dict
 
 from .detection import DetectionChain
 from .modes import KINDS, TemporalMode
-from .spectra import OpoParams, opo_spectrum
+from .spectra import OpoParams, beam_spectra
 from .synth import check_alias
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "config_fingerprint"]
@@ -217,7 +217,7 @@ def require_monte_carlo(cfg: RunConfig, min_samples: int = 0) -> None:
     """The rules a Monte Carlo run (run, sweep --mc-check) adds, checked
     before any draw: require_adc_sample, at least 2 mode windows and
     min_samples samples at the ADC rate, and synth.check_alias at fs for
-    every beam PSD."""
+    every beam PSD of either setting (spectra.beam_spectra)."""
     require_adc_sample(cfg)
     samples = -(-int(round(cfg.duration * cfg.fs)) // cfg.chain.decimation(cfg.fs))
     windows = samples // cfg.mode.n_samples(cfg.chain.adc_rate)
@@ -229,9 +229,8 @@ def require_monte_carlo(cfg: RunConfig, min_samples: int = 0) -> None:
         raise ConfigError(
             f"duration: the record holds {samples} samples at the ADC rate; "
             f"at least {min_samples} are needed")
-    for opo in (cfg.opo1, cfg.opo2):
-        for branch in ("squeezed", "antisqueezed"):
-            psd = opo_spectrum(opo, branch)
+    for setting in ("X", "P"):
+        for psd in beam_spectra(cfg.opo1, cfg.opo2, setting):
             try:
                 check_alias(psd, cfg.fs)
             except ValueError as exc:

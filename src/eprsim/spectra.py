@@ -35,6 +35,7 @@ __all__ = [
     "EprSpectra",
     "QuadratureError",
     "opo_spectrum",
+    "beam_spectra",
     "epr_spectra",
     "flat_psd",
     "filtered_variance",
@@ -154,24 +155,30 @@ def opo_spectrum(params: OpoParams, quadrature: str = "squeezed") -> QuadPsd:
                    lorentz=(sgn * eta * 4.0 * x * g * g, width))
 
 
-def epr_spectra(opo1: OpoParams, opo2: OpoParams) -> EprSpectra:
-    """EPR pair spectra from two OPOs combined on a half beam splitter.
-
-    With A = (b1 + b2)/sqrt(2) and B = (b1 - b2)/sqrt(2), the combination
-    (x_A - x_B)/sqrt(2) equals the x quadrature of beam 2 and
-    (p_A + p_B)/sqrt(2) equals the p quadrature of beam 1. Hence diff_x
-    carries the squeezed spectrum of the X-squeezed OPO and sum_p that of
-    the P-squeezed OPO. The two OPOs must squeeze orthogonal quadratures.
-    """
-    phases = (opo1.squeeze_phase, opo2.squeeze_phase)
-    if phases[0] == phases[1]:
+def beam_spectra(opo1: OpoParams, opo2: OpoParams, setting: str) -> Tuple[QuadPsd, QuadPsd]:
+    """PSDs (beam 1, beam 2) of the half beam splitter's input beams as
+    setting "X" or "P" measures them: the one definition of the EPR
+    arrangement. Beam 1 is the P-squeezed OPO and beam 2 the X-squeezed
+    one, whichever argument each is; each shows its squeezed branch in the
+    quadrature it squeezes, so X gives (antisqueezed P-OPO, squeezed
+    X-OPO) and P (squeezed P-OPO, antisqueezed X-OPO)."""
+    if setting not in ("X", "P"):
+        raise ValueError(f"setting must be 'X' or 'P', got {setting!r}")
+    if opo1.squeeze_phase == opo2.squeeze_phase:
         raise ValueError(
             "EPR arrangement requires one X-squeezed and one P-squeezed OPO; "
-            f"got both squeezed in {phases[0]}")
-    x_opo = opo1 if opo1.squeeze_phase == "X" else opo2
-    p_opo = opo1 if opo1.squeeze_phase == "P" else opo2
-    return EprSpectra(diff_x=opo_spectrum(x_opo, "squeezed"),
-                      sum_p=opo_spectrum(p_opo, "squeezed"))
+            f"got both squeezed in {opo1.squeeze_phase}")
+    beams = (opo1, opo2) if opo1.squeeze_phase == "P" else (opo2, opo1)
+    return tuple(opo_spectrum(o, "squeezed" if o.squeeze_phase == setting else "antisqueezed")
+                 for o in beams)
+
+
+def epr_spectra(opo1: OpoParams, opo2: OpoParams) -> EprSpectra:
+    """EPR pair spectra of two OPOs on a half beam splitter, A, B = (b1 +/- b2)/sqrt(2):
+    (x_A - x_B)/sqrt(2) is beam 2's x and (p_A + p_B)/sqrt(2) beam 1's p
+    (beam_spectra), the squeezed spectra of the X- and P-squeezed OPO."""
+    return EprSpectra(diff_x=beam_spectra(opo1, opo2, "X")[1],
+                      sum_p=beam_spectra(opo1, opo2, "P")[0])
 
 
 # -- filtered variance --------------------------------------------------------

@@ -9,15 +9,17 @@ bin, and for a flat PSD the map from the drawn normals to the samples is
 orthogonal, so the samples are white with unit variance (the vacuum
 calibration contract).
 
-A record's two input beams are drawn from their own streams, each on
-first use, and the record keeps the rfft coefficients it was drawn as; its
-samples are built from them on first read (_Draw). Readings that are
-linear in the samples (analysis.epr_report) are taken from the
-coefficients, without the inverse FFTs, and draw only the beams they
-weigh: the X record's x_A - x_B is input beam 2 alone, the P record's
-p_A + p_B beam 1 alone. Beam k of a record seeded by the sequence seq is
-drawn by default_rng(SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key,
-k))), so a record is the same whatever is read first, and from any thread.
+A record's two input beams (beam 1 the P-squeezed OPO, beam 2 the
+X-squeezed one, with the PSDs spectra.beam_spectra gives) are drawn from
+their own streams, each on first use, and the record keeps the rfft
+coefficients it was drawn as; its samples are built from them on first
+read (_Draw). Readings that are linear in the samples
+(analysis.epr_report) are taken from the coefficients, without the inverse
+FFTs, and draw only the beams they weigh: the X record's x_A - x_B is
+input beam 2 alone, the P record's p_A + p_B beam 1 alone. Beam k of a
+record seeded by the sequence seq is drawn by
+default_rng(SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key, k))), so
+a record is the same whatever is read first, and from any thread.
 
 synthesize_colored inverts an even block as two half-length transforms,
 one on the calling thread and one on the module's single helper thread
@@ -38,7 +40,8 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
-from .spectra import OpoParams, QuadPsd, epr_spectra, flat_psd, opo_spectrum
+# epr_spectra is not called here; perfbench's tracer wraps eprsim.synth.epr_spectra
+from .spectra import OpoParams, QuadPsd, beam_spectra, epr_spectra, flat_psd  # noqa: F401
 
 if TYPE_CHECKING:  # detection imports synth
     from .detection import DetectionChain
@@ -147,7 +150,9 @@ def _amplitude(psd: QuadPsd, chain: Optional[DetectionChain], n: int,
     """sqrt(n/2 * P) on the rfft bins of an n-sample block (_power).
     Read-only and cached, because every repetition of a run and every
     block of a Monte Carlo check draws from the same few (spectra caches
-    its PSD objects, so equal arguments give the same key)."""
+    its PSD objects, so equal arguments give the same key). Every draw's
+    PSD passes the aliasing guard here, before anything is cached."""
+    check_alias(psd, fs)
     amp = np.sqrt(0.5 * n * _power(psd, chain, n, fs))
     amp.flags.writeable = False
     return amp
@@ -247,15 +252,8 @@ def synthesize_colored(psd: QuadPsd, n: int, fs: float, seed: SeedLike) -> TimeS
     """
     if n < 2:
         raise ValueError(f"block length must be at least 2 samples, got {n}")
-    check_alias(psd, fs)
     rng = np.random.default_rng(seed)
     return TimeSeries(sample_rate=fs, samples=_draw(_amplitude(psd, None, n, fs), n, rng))
-
-
-def _beam_psd(params: OpoParams, setting: str) -> QuadPsd:
-    # measuring X on a P-squeezed OPO sees its antisqueezed branch
-    branch = "squeezed" if params.squeeze_phase == setting else "antisqueezed"
-    return opo_spectrum(params, branch)
 
 
 def block_length(duration: float, fs: float) -> int:
@@ -399,7 +397,9 @@ def epr_record(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,
     Draws the measured quadrature of each input beam from its own stream
     (one block of block_length(duration, fs) samples each, trimmed to
     duration*fs; _Draw) and applies the half-beam-splitter map
-    A = (b1+b2)/sqrt(2), B = (b1-b2)/sqrt(2) samplewise.
+    A = (b1+b2)/sqrt(2), B = (b1-b2)/sqrt(2) samplewise. Beam 1 is the
+    P-squeezed OPO and beam 2 the X-squeezed one, whichever argument each
+    is; spectra.beam_spectra gives their PSDs for the setting.
 
     With a chain, each beam is drawn from its detected PSD instead, and A
     and B are digitized (chain.digitize). The chain's electronic noise is
@@ -408,14 +408,7 @@ def epr_record(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,
     has the distribution detect gives the record drawn without the chain
     (exactly so when duration*fs is itself a block length, as 100,000 is).
     """
-    if setting not in ("X", "P"):
-        raise ValueError(f"setting must be 'X' or 'P', got {setting!r}")
-    epr_spectra(opo1, opo2)  # validates the squeezing arrangement
-    psd1 = _beam_psd(opo1, setting)
-    psd2 = _beam_psd(opo2, setting)
-    check_alias(psd1, fs)
-    check_alias(psd2, fs)
-    draw = _Draw((psd1, psd2), chain, duration, fs, seed, mixed=True)
+    draw = _Draw(beam_spectra(opo1, opo2, setting), chain, duration, fs, seed, mixed=True)
     lab = "x" if setting == "X" else "p"
     return draw.record((f"{lab}_A", f"{lab}_B"))
 

@@ -154,6 +154,27 @@ def test_sweep_mc_check_does_not_replay_a_run(fast_cfg, tmp_path):
     assert duan_mc != "" and duan_mc not in (rows[0][3], rows[1][3])
 
 
+def test_opo_order_does_not_change_monte_carlo_outputs(tmp_path):
+    # beam 1 is the P-squeezed OPO whichever entry lists it
+    # (spectra.beam_spectra), so run and sweep --mc-check on the config
+    # with opo1 and opo2 exchanged write the same files but for the
+    # fingerprint
+    swapped = dict(FAST, opo1=FAST["opo2"], opo2=FAST["opo1"])
+    outputs = []
+    for name, table in (("fast", FAST), ("swapped", swapped)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(table))
+        out = tmp_path / name
+        assert main(["run", "--config", str(path), "--out", str(out / "run")]) == 0
+        assert main(["sweep", "--config", str(path), "--var", "T", "--grid", "2e-7:2e-6:2",
+                     "--mc-check", "--out", str(out / "sweep")]) == 0
+        outputs.append({f.relative_to(out): [line for line in f.read_text().splitlines()
+                                             if not line.startswith("# fingerprint=")]
+                        for f in out.rglob("*.csv")})
+    assert len(outputs[0]) == 8
+    assert outputs[0] == outputs[1]
+
+
 # run configs, as edits of FAST, whose readings are folded from the drawn
 # rfft coefficients, and those that keep the time-domain path
 FOLDED = {
@@ -340,7 +361,7 @@ def test_repetitions_draw_only_the_beams_they_read(fast_cfg, monkeypatch):
     # repetition's records draw the other two when their samples are read
     cfg = load_config(fast_cfg)
 
-    def seq():  # _one_repetition spawns from the sequence it is given
+    def seq():  # _one_repetition builds its streams from the key of the sequence it is given
         return np.random.SeedSequence(cfg.seed, spawn_key=(0, 0))
 
     expected_ref = cli._run_pipeline(cfg)[2]

@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from eprsim import (OpoParams, TemporalMode, calibrate_pump_param, duan_sum,
-                    epr_spectra, filtered_variance, flat_psd, opo_spectrum,
+from eprsim import (OpoParams, TemporalMode, beam_spectra, calibrate_pump_param,
+                    duan_sum, epr_spectra, filtered_variance, flat_psd, opo_spectrum,
                     to_db)
 from eprsim.spectra import MAX_HWHM, _gl_integral
 
@@ -273,6 +273,24 @@ def test_epr_spectra_selects_squeezed_branches(calibrated_pair):
     # order of arguments does not matter
     swapped = epr_spectra(opo2, opo1)
     assert np.array_equal(swapped.diff_x(om), spectra.diff_x(om))
+    # both are beam_spectra's branches, the same objects
+    assert spectra.diff_x is beam_spectra(opo1, opo2, "X")[1]
+    assert spectra.sum_p is beam_spectra(opo1, opo2, "P")[0]
+
+
+def test_beam_spectra_puts_the_p_squeezed_opo_first(calibrated_pair):
+    # beam 1 is the P-squeezed OPO and beam 2 the X-squeezed one, whichever
+    # argument each is; each is squeezed in the quadrature it squeezes
+    p_opo, x_opo = calibrated_pair  # P-squeezed, X-squeezed
+    for opos in ((p_opo, x_opo), (x_opo, p_opo)):
+        assert beam_spectra(*opos, "X") == (opo_spectrum(p_opo, "antisqueezed"),
+                                            opo_spectrum(x_opo, "squeezed"))
+        assert beam_spectra(*opos, "P") == (opo_spectrum(p_opo, "squeezed"),
+                                            opo_spectrum(x_opo, "antisqueezed"))
+    with pytest.raises(ValueError, match="setting"):
+        beam_spectra(p_opo, x_opo, "Y")
+    with pytest.raises(ValueError, match="X-squeezed"):
+        beam_spectra(p_opo, p_opo, "X")
 
 
 def test_to_db_and_duan_sum_validation():

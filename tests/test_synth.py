@@ -170,14 +170,26 @@ def test_synthesis_deterministic():
     assert not np.array_equal(a.samples, c.samples)
 
 
-def test_alias_guard_rejects_slow_sampling():
+@pytest.mark.parametrize("draw", [
+    lambda opo1, opo2, fs: synthesize_colored(
+        opo_spectrum(opo1, "antisqueezed"), 2000, fs, seed=0),
+    lambda opo1, opo2, fs: epr_record(opo1, opo2, 1e-4, fs, "X", seed=0),
+    lambda opo1, opo2, fs: epr_record(opo1, opo2, 1e-4, fs, "X", seed=0,
+                                      chain=DetectionChain(adc_rate=fs)),
+], ids=("synthesize_colored", "epr_record", "epr_record_chain"))
+def test_alias_guard_rejects_slow_sampling(draw):
+    # the guard is applied where every draw's PSD passes (synth._amplitude)
     opo1 = OpoParams(pump_param=refvals.STRESS_X, hwhm=refvals.HWHM,
                      efficiency=refvals.STRESS_ETA, squeeze_phase="P")
     opo2 = OpoParams(pump_param=refvals.STRESS_X, hwhm=refvals.HWHM,
                      efficiency=refvals.STRESS_ETA, squeeze_phase="X")
+    _amplitude.cache_clear()
     # antisqueezed branch still ~2x vacuum at a 10 MHz Nyquist
     with pytest.raises(ValueError, match="alias"):
-        epr_record(opo1, opo2, 1e-4, 20e6, "X", seed=0)
+        draw(opo1, opo2, 20e6)
+    assert _amplitude.cache_info().currsize == 0  # rejected before it was cached
+    # the vacuum PSD is flat, so the same rate is accepted
+    assert vacuum_record(1e-4, 20e6, seed=0).a.n == 2000
 
 
 def test_alias_guard_accepts_calibrated_rates(calibrated_pair):
@@ -268,6 +280,18 @@ def test_epr_record_is_beam_splitter_of_two_beam_streams(calibrated_pair):
                 v = _draw(_amplitude(flat_psd(), chain, n_blk, fs), n_blk,
                           _beam_stream(seq, k))[:n_out]
                 assert np.array_equal(series.samples, v)
+
+
+@pytest.mark.parametrize("chain", [None, DetectionChain()], ids=("no_chain", "chain"))
+def test_epr_record_is_the_same_whichever_opo_is_listed_first(calibrated_pair, chain):
+    # beam 1 is the P-squeezed OPO and beam 2 the X-squeezed one whichever
+    # argument each is (spectra.beam_spectra)
+    opo1, opo2 = calibrated_pair
+    for setting in ("X", "P"):
+        rec = epr_record(opo1, opo2, 4e-5, 50e6, setting, 11, chain=chain)
+        swapped = epr_record(opo2, opo1, 4e-5, 50e6, setting, 11, chain=chain)
+        assert np.array_equal(swapped.a.samples, rec.a.samples)
+        assert np.array_equal(swapped.b.samples, rec.b.samples)
 
 
 def _counting_draws(monkeypatch):
