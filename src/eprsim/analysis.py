@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -105,24 +105,21 @@ def _combo_variance(record: TwoModeRecord, sign: float,
                     mode: TemporalMode) -> Tuple[float, int]:
     """Sample variance of the combination's mode values, and their count.
 
-    For a record synth drew through a linear chain (no quantizer) whose
-    windows' spacing divides the block, the values are folded from the
-    block's drawn rfft coefficients (folded_mode_variance), without the
-    record's samples; otherwise they are taken from the combination's
-    series (extract_modes).
+    For a record synth drew through a linear chain (no quantizer), read as
+    drawn (synth._drawn), whose windows' spacing divides the block, the
+    values are folded from the block's drawn rfft coefficients
+    (folded_mode_variance), without the record's samples; otherwise they
+    are taken from the combination's series (extract_modes).
     """
     w = mode.discretize(record.sample_rate)
     count = _mode_count(record.a, w.size, mode)
     if count < 2:
         raise ValueError("need at least 2 mode values per repetition")
-    drawn = _drawn(record)
-    if drawn is not None:
-        draw, i, j = drawn
-        hop = draw.stride * w.size
-        if draw.n % hop == 0:
-            window = placed_window(mode, record.sample_rate, draw.stride, draw.n)
-            return folded_mode_variance(draw.combination(i, j, sign), window, draw.n,
-                                        hop, count), count
+    draw = _drawn(record)
+    if draw is not None and draw.n % (hop := draw.stride * w.size) == 0:
+        window = placed_window(mode, record.sample_rate, draw.stride, draw.n)
+        return folded_mode_variance(draw.combination(sign), window, draw.n, hop,
+                                    count), count
     vals = extract_modes(combo_series(record, sign), mode).values
     return float(np.var(vals, ddof=1)), vals.size
 
@@ -135,48 +132,33 @@ def _check_reference(ref_var: float, expected: float, n_modes: int) -> None:
             f"{expected:.4f} by more than 5 standard errors ({se:.2g})")
 
 
-def epr_report(x_records: Sequence[TwoModeRecord],
-               p_records: Sequence[TwoModeRecord],
-               vacuum_refs: Sequence[TwoModeRecord],
-               mode: TemporalMode,
-               expected_ref_variance: Optional[float] = 1.0) -> EprReport:
-    """Vacuum-normalized EPR variances, averaged in dB across repetitions.
+def epr_report(x_record: TwoModeRecord, p_record: TwoModeRecord,
+               vacuum_ref: TwoModeRecord, mode: TemporalMode,
+               expected_ref_variance: float = 1.0) -> EprReport:
+    """Vacuum-normalized EPR variances of one repetition; combine_reports
+    pools repetitions.
 
-    Per repetition i, Var((x_A - x_B)/sqrt(2)) from x_records[i] and
-    Var((p_A + p_B)/sqrt(2)) from p_records[i] are each normalized to the
-    same combination of the paired vacuum reference, and the dB values are
-    averaged across repetitions (standard error over repetitions; NaN for a
-    single repetition). The Duan sum applies duan_sum to the linear means
-    of the dB averages, so report.duan is exactly
-    duan_sum(report.var_diff_x, report.var_sum_p).
+    Var((x_A - x_B)/sqrt(2)) from x_record and Var((p_A + p_B)/sqrt(2))
+    from p_record are each normalized to the same combination of the
+    vacuum reference, in dB. The Duan sum applies duan_sum to the linear
+    values of the dB readings, so report.duan is exactly
+    duan_sum(report.var_diff_x, report.var_sum_p); the standard errors of
+    a single repetition are NaN.
 
     expected_ref_variance is the anticipated reference level (1 for raw
-    vacuum; the analytic chain expectation for detected references); each
+    vacuum; the analytic chain expectation for detected references); the
     reference is rejected when inconsistent with it by more than 5 sigma.
-    None skips that check.
     """
-    reps = len(x_records)
-    if reps == 0 or len(p_records) != reps:
-        raise ValueError("x_records and p_records must have equal nonzero length")
-    if len(vacuum_refs) not in (reps, 1):
-        raise ValueError("vacuum_refs must match the repetition count or be a single record")
-
-    rates = {r.sample_rate for r in (*x_records, *p_records, *vacuum_refs)}
+    rates = {r.sample_rate for r in (x_record, p_record, vacuum_ref)}
     if len(rates) != 1:
         raise ValueError(f"mismatched sample rates across records: {sorted(rates)}")
-
-    per_rep = []
-    for i in range(reps):
-        ref = vacuum_refs[i if len(vacuum_refs) == reps else 0]
-        ref_x, n_modes = _combo_variance(ref, -1.0, mode)
-        ref_p, _ = _combo_variance(ref, +1.0, mode)
-        if expected_ref_variance is not None:
-            _check_reference(ref_x, expected_ref_variance, n_modes)
-            _check_reference(ref_p, expected_ref_variance, n_modes)
-        vx = _combo_variance(x_records[i], -1.0, mode)[0] / ref_x
-        vp = _combo_variance(p_records[i], +1.0, mode)[0] / ref_p
-        per_rep.append((to_db(vx), to_db(vp), duan_sum(vx, vp)))
-    return _summarize(per_rep, mode)
+    ref_x, n_modes = _combo_variance(vacuum_ref, -1.0, mode)
+    ref_p, _ = _combo_variance(vacuum_ref, +1.0, mode)
+    _check_reference(ref_x, expected_ref_variance, n_modes)
+    _check_reference(ref_p, expected_ref_variance, n_modes)
+    vx = _combo_variance(x_record, -1.0, mode)[0] / ref_x
+    vp = _combo_variance(p_record, +1.0, mode)[0] / ref_p
+    return _summarize([(to_db(vx), to_db(vp), duan_sum(vx, vp))], mode)
 
 
 def folded_mode_variance(coeffs: np.ndarray, window: np.ndarray, n: int,
@@ -221,7 +203,8 @@ def folded_mode_variance(coeffs: np.ndarray, window: np.ndarray, n: int,
 
 def combine_reports(reports: Sequence[EprReport]) -> EprReport:
     """One report over the repetitions of several reports on the same mode,
-    in order: equal to epr_report over all their records at once."""
+    in order: the mean dB readings, their standard errors over the
+    repetitions, and the Duan sum of the means."""
     if not reports:
         raise ValueError("need at least one report")
     mode = reports[0].mode

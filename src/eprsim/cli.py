@@ -1,7 +1,8 @@
 """Reproducible experiment driver.
 
-Verbs: spectra (analytic tables, no RNG), run (full synthesize -> detect ->
-analyze pipeline), sweep (duan vs one variable), optimize (mode search).
+Verbs: spectra (analytic tables, no RNG), run (records drawn through the
+detection chain, then analyzed), sweep (duan vs one variable), optimize
+(mode search).
 Every CSV carries "# key=value" provenance comments including the config
 fingerprint; identical config and seed produce byte-identical outputs.
 
@@ -124,7 +125,7 @@ def _one_repetition(cfg: RunConfig, seq: np.random.SeedSequence,
     pr = epr_record(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, "P", p_seed,
                     chain=cfg.chain)
     vr = vacuum_record(cfg.duration, cfg.fs, v_seed, chain=cfg.chain)
-    report = epr_report([xr], [pr], [vr], cfg.mode, expected_ref_variance=expected_ref)
+    report = epr_report(xr, pr, vr, cfg.mode, expected_ref_variance=expected_ref)
     return report, ((xr, pr, vr) if keep else None)
 
 
@@ -320,7 +321,7 @@ def cmd_optimize(cfg: RunConfig, out: Path, kind: str, budget: int,
     result = optimize(spectra, family, budget=budget)
     out.mkdir(parents=True, exist_ok=True)
     names = family.param_names
-    best = min(result.trace, key=lambda pv: pv[1])[0]
+    best = result.best_mode.params
     meta = _meta(cfg, "optimize", family=kind, budget=budget,
                  converged=str(result.converged).lower(),
                  best_duan=result.best_duan,
@@ -394,9 +395,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             grid = _parse_grid(args.grid, args.log)
             return cmd_sweep(cfg, out, args.var, grid, args.mc_check)
         return cmd_optimize(cfg, out, args.family, args.budget, args.bound)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (QuadratureError, CalibrationError, NonUnimodalError,
             FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -178,8 +178,7 @@ def config_fingerprint(cfg: "RunConfig") -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-_TOP_KEYS = ("opo1", "opo2", "chain", "fs", "duration", "mode",
-             "repetitions", "seed", "output_dir")
+_TOP_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def parse_config(table: Dict[str, Any]) -> RunConfig:

@@ -22,8 +22,8 @@ default_rng(SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key, k))), so
 a record is the same whatever is read first, and from any thread.
 
 synthesize_colored inverts an even block as two half-length transforms,
-one on the calling thread and one on the module's single helper thread
-(_irfft), so a 2^22-sample block's inverse FFT uses two cores. The helper
+one on the calling thread and one on the process's helper thread (_irfft,
+_helper), so a 2^22-sample block's inverse FFT uses two cores. The helper
 is started on first use, and the samples do not depend on which thread
 runs which half.
 """
@@ -170,18 +170,15 @@ def _coefficients(amp: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarr
     return spec
 
 
-def _start_helper() -> None:
-    """A fresh _HELPER, the executor that runs one half of each even
-    block's inverse FFT (_irfft). Its thread starts on the first submit,
-    not at import."""
-    global _HELPER
-    _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="eprsim-irfft")
-
-
-_start_helper()
-if hasattr(os, "register_at_fork"):
-    # a forked child inherits the executor but not its thread
-    os.register_at_fork(after_in_child=_start_helper)
+@lru_cache(maxsize=1)
+def _helper(pid: int) -> ThreadPoolExecutor:
+    """The executor that runs one half of each even block's inverse FFT
+    (_irfft) in the process pid: a forked child, which inherits the
+    executor but not its thread, gets its own. Its thread starts on the
+    first submit and then persists, because a thread started per block
+    faults in its half's 32 MB of FFT buffers afresh on every 2^22-sample
+    block (about 15 ms each on a 2-vCPU host)."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="eprsim-irfft")
 
 
 def _irfft(spec: np.ndarray, n: int) -> np.ndarray:
@@ -221,7 +218,7 @@ def _irfft(spec: np.ndarray, n: int) -> np.ndarray:
     del step, b, d  # freed before the two half outputs are allocated
     if h % 2 == 0:
         spec[h // 2] = e_mid
-    odd = _HELPER.submit(np.fft.irfft, spec[::-1][:bins], h)
+    odd = _helper(os.getpid()).submit(np.fft.irfft, spec[::-1][:bins], h)
     even = np.fft.irfft(spec[:bins], h)
     odd = odd.result()
     if h % 2 == 0:
@@ -234,26 +231,20 @@ def _irfft(spec: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _draw(amp: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One n-sample block drawn in the frequency domain (_coefficients)
-    and inverted by _irfft: an even block as two half-length transforms,
-    one on the calling thread and one on the helper thread. Which thread
-    runs which half does not change the samples."""
-    return _irfft(_coefficients(amp, n, rng), n)
-
-
 def synthesize_colored(psd: QuadPsd, n: int, fs: float, seed: SeedLike) -> TimeSeries:
     """One n-sample circulant Gaussian block whose expected periodogram
     equals the PSD bin by bin.
 
-    Any n >= 2 is accepted; 2^a 3^b 5^c lengths are the fastest. The
-    aliasing guard rejects sample rates at which the PSD has not yet
+    The block is drawn in the frequency domain (_coefficients) and
+    inverted by _irfft, an even block as two half-length transforms on two
+    threads. Any n >= 2 is accepted; 2^a 3^b 5^c lengths are the fastest.
+    The aliasing guard rejects sample rates at which the PSD has not yet
     settled to its asymptote at the Nyquist frequency.
     """
     if n < 2:
         raise ValueError(f"block length must be at least 2 samples, got {n}")
-    rng = np.random.default_rng(seed)
-    return TimeSeries(sample_rate=fs, samples=_draw(_amplitude(psd, None, n, fs), n, rng))
+    spec = _coefficients(_amplitude(psd, None, n, fs), n, np.random.default_rng(seed))
+    return TimeSeries(sample_rate=fs, samples=_irfft(spec, n))
 
 
 def block_length(duration: float, fs: float) -> int:
@@ -363,30 +354,32 @@ class _Draw:
                 self._series = (b1, b2)
             return self._series
 
-    def combination(self, i: int, j: int, sign: float) -> np.ndarray:
+    def combination(self, sign: float) -> np.ndarray:
         """rfft coefficients of the block whose trimmed, digitized samples
-        are (series i + sign * series j)/sqrt(2), for a linear chain; each
-        series is (b1 + b2, b1 - b2)/sqrt(2) when mixed, else (b1, b2).
-        Only beams of nonzero weight are drawn."""
+        are (series a + sign * series b)/sqrt(2), for a linear chain; the
+        series are (b1 + b2, b1 - b2)/sqrt(2) when mixed, else (b1, b2).
+        Only beams of nonzero weight are drawn, and one of them always is."""
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
+        # beam k's weights (wi, wj) in series a and b
         weights = (((inv_sqrt2, inv_sqrt2), (inv_sqrt2, -inv_sqrt2)) if self.mixed
                    else ((1.0, 0.0), (0.0, 1.0)))
         out = None
-        for k, (wi, wj) in enumerate(zip(weights[i], weights[j])):
+        for k, (wi, wj) in enumerate(weights):
             c = (wi + sign * wj) * inv_sqrt2
             if c:
                 y = self.beam(k)
                 out = c * y if out is None else out + c * y
-        return np.zeros(self.n // 2 + 1, complex) if out is None else out
+        return out
 
 
-def _drawn(record: TwoModeRecord) -> Optional[Tuple[_Draw, int, int]]:
-    """(draw, index of a, index of b) when both series of the record are
-    series of one draw through a linear chain (no quantizer), else None."""
+def _drawn(record: TwoModeRecord) -> Optional[_Draw]:
+    """The draw whose series 0 and 1 are the record's a and b, in that
+    order, when it is through a linear chain (no quantizer), else None."""
     sa, sb = record.a._source, record.b._source
-    if sa is None or sb is None or sa[0] is not sb[0] or not sa[0].linear:
-        return None
-    return sa[0], sa[1], sb[1]
+    if (sa is not None and sb is not None and sa[0] is sb[0]
+            and (sa[1], sb[1]) == (0, 1) and sa[0].linear):
+        return sa[0]
+    return None
 
 
 def epr_record(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,

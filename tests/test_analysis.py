@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from eprsim import (CalibrationError, DetectionChain, TemporalMode,
-                    combo_series, correlation_diagram, detect, duan_sum,
-                    epr_record, epr_report, expected_mode_variance,
+                    combine_reports, combo_series, correlation_diagram, detect,
+                    duan_sum, epr_record, epr_report, expected_mode_variance,
                     extract_modes, opo_spectrum, synthesize_colored, flat_psd,
                     trace_excerpt, vacuum_record, welch_psd)
+from eprsim import analysis, synth
 from eprsim.analysis import folded_mode_variance
 from eprsim.detection import placed_window
-from eprsim.synth import TimeSeries, _coefficients
+from eprsim.synth import TimeSeries, TwoModeRecord, _coefficients
 
 import refvals
 
@@ -48,11 +49,17 @@ def test_mode_longer_than_series_rejected():
         extract_modes(series, TemporalMode.square(1e-3))
 
 
+def _pooled(xs, ps, vs, mode=MODE, **kwargs):
+    """epr_report of each repetition's records, pooled by combine_reports."""
+    return combine_reports([epr_report(x, p, v, mode, **kwargs)
+                            for x, p, v in zip(xs, ps, vs, strict=True)])
+
+
 def _report(x_seeds, p_seeds, vac_seeds, pair, mode=MODE, **kwargs):
     xs = [epr_record(*pair, 2e-3, FS, "X", s) for s in x_seeds]
     ps = [epr_record(*pair, 2e-3, FS, "P", s) for s in p_seeds]
     vs = [vacuum_record(2e-3, FS, s) for s in vac_seeds]
-    return epr_report(xs, ps, vs, mode, **kwargs)
+    return _pooled(xs, ps, vs, mode, **kwargs)
 
 
 def test_epr_report_vacuum_reads_zero_db():
@@ -61,7 +68,7 @@ def test_epr_report_vacuum_reads_zero_db():
     xs = [vacuum_record(2e-3, FS, 90 + i) for i in range(3)]
     ps = [vacuum_record(2e-3, FS, 93 + i) for i in range(3)]
     vacs = [vacuum_record(2e-3, FS, 96 + i) for i in range(3)]
-    report = epr_report(xs, ps, vacs, MODE)
+    report = _pooled(xs, ps, vacs)
     assert abs(report.var_diff_x_db) < 0.3
     assert abs(report.var_sum_p_db) < 0.3
     assert abs(report.duan - 1.0) < 0.05
@@ -83,7 +90,7 @@ def test_epr_report_matches_discrete_expectation(calibrated_pair, calibrated_spe
 
 def test_epr_report_duan_identity(calibrated_pair):
     report = _report([500], [501], [502], calibrated_pair,
-                     expected_ref_variance=None)
+                     expected_ref_variance=1.0)
     assert report.duan == duan_sum(report.var_diff_x, report.var_sum_p)
     assert math.isnan(report.var_diff_x_db_se)
     assert math.isnan(report.duan_se)
@@ -114,35 +121,58 @@ def test_epr_report_with_blocked_second_opo(calibrated_pair):
     assert abs(report.var_diff_x_db) < 0.35
 
 
-def test_epr_report_shared_single_reference(calibrated_pair):
-    report = _report([530, 531], [532, 533], [534], calibrated_pair)
-    assert report.repetitions == 2
-
-
 def test_epr_report_flags_bad_reference(calibrated_pair):
-    xs = [epr_record(*calibrated_pair, 2e-3, FS, "X", 540)]
-    ps = [epr_record(*calibrated_pair, 2e-3, FS, "P", 541)]
+    x = epr_record(*calibrated_pair, 2e-3, FS, "X", 540)
+    p = epr_record(*calibrated_pair, 2e-3, FS, "P", 541)
     vac = vacuum_record(2e-3, FS, 542)
     bad = replace(vac, a=replace(vac.a, samples=vac.a.samples * 1.2),
                   b=replace(vac.b, samples=vac.b.samples * 1.2))
     with pytest.raises(CalibrationError, match="5 standard errors"):
-        epr_report(xs, ps, [bad], MODE)
-    # matching expectation or disabling the check both pass
-    epr_report(xs, ps, [bad], MODE, expected_ref_variance=1.44)
-    epr_report(xs, ps, [bad], MODE, expected_ref_variance=None)
+        epr_report(x, p, bad, MODE)
+    # the matching expectation passes
+    epr_report(x, p, bad, MODE, expected_ref_variance=1.44)
 
 
 def test_epr_report_input_validation(calibrated_pair):
-    xs = [epr_record(*calibrated_pair, 1e-4, FS, "X", 550)]
-    ps = [epr_record(*calibrated_pair, 1e-4, FS, "P", 551)]
-    vac = [vacuum_record(1e-4, FS, 552)]
-    with pytest.raises(ValueError, match="equal nonzero length"):
-        epr_report(xs, [], vac, MODE)
-    with pytest.raises(ValueError, match="vacuum_refs"):
-        epr_report(xs, ps, [], MODE)
-    slow = [vacuum_record(1e-4, 25e6, 553)]
+    x = epr_record(*calibrated_pair, 1e-4, FS, "X", 550)
+    p = epr_record(*calibrated_pair, 1e-4, FS, "P", 551)
+    slow = vacuum_record(1e-4, 25e6, 553)
     with pytest.raises(ValueError, match="sample rates"):
-        epr_report(xs, ps, slow, MODE)
+        epr_report(x, p, slow, MODE)
+
+
+@pytest.mark.parametrize("reorder", [lambda r: TwoModeRecord(r.b, r.a),
+                                     lambda r: TwoModeRecord(r.a, r.a),
+                                     lambda r: TwoModeRecord(r.b, r.b)],
+                         ids=("swapped", "a_repeated", "b_repeated"))
+@pytest.mark.parametrize("make", [
+    lambda pair: epr_record(*pair, 1e-4, FS, "X", 565),
+    lambda pair: vacuum_record(1e-4, FS, 566),
+], ids=("epr", "vacuum"))
+def test_reordered_drawn_series_are_read_in_the_time_domain(calibrated_pair, make,
+                                                            reorder, monkeypatch):
+    # only a drawn record's own (a, b) order is folded from its
+    # coefficients; its series swapped or repeated are read from their
+    # samples, as extract_modes of the combination series reads them
+    folds = []
+    fold = analysis.folded_mode_variance
+
+    def counting(*args):
+        folds.append(args)
+        return fold(*args)
+
+    monkeypatch.setattr(analysis, "folded_mode_variance", counting)
+    rec = make(calibrated_pair)
+    assert synth._drawn(rec) is not None
+    other = reorder(rec)
+    assert synth._drawn(other) is None
+    for sign in (-1.0, +1.0):
+        var, count = analysis._combo_variance(other, sign, MODE)
+        vals = extract_modes(combo_series(other, sign), MODE).values
+        assert (var, count) == (np.var(vals, ddof=1), vals.size)
+    assert folds == []
+    analysis._combo_variance(rec, -1.0, MODE)
+    assert len(folds) == 1
 
 
 @pytest.mark.parametrize("n, factor, width, n_out", [

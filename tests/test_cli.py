@@ -13,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eprsim import (QuadratureError, TemporalMode, detect, epr_report, epr_spectra,
-                    mode_duan)
+from eprsim import (QuadratureError, TemporalMode, combine_reports, detect, epr_report,
+                    epr_spectra, mode_duan)
 from eprsim import analysis, cli, synth
 from eprsim.cli import main
 from eprsim.config import load_config
@@ -208,9 +208,16 @@ def _plain(record):
     return replace(record, a=replace(record.a), b=replace(record.b))
 
 
+def _pooled(repetitions, cfg, expected_ref):
+    """epr_report of each repetition's (X, P, vacuum) records, pooled by
+    combine_reports."""
+    return combine_reports([epr_report(*records, cfg.mode, expected_ref_variance=expected_ref)
+                            for records in repetitions])
+
+
 def test_report_equals_epr_report_over_all_records(tmp_path):
     # run holds only repetition 0's records; its report.csv is still the
-    # report of epr_report over every repetition's records
+    # pooled epr_report of every repetition's records
     path = tmp_path / "three.json"
     path.write_text(json.dumps(dict(FAST, repetitions=3)))
     out = tmp_path / "run"
@@ -219,11 +226,10 @@ def test_report_equals_epr_report_over_all_records(tmp_path):
     cfg = load_config(path)
     report0, records0, expected_ref = cli._run_pipeline(cfg)
     seqs = np.random.SeedSequence(cfg.seed, spawn_key=(0,)).spawn(3)
-    xs, ps, vs = zip(*(cli._one_repetition(cfg, seq, expected_ref, keep=True)[1]
-                       for seq in seqs))
-    for kept, rebuilt in zip(records0, (xs[0], ps[0], vs[0])):
+    reps = [cli._one_repetition(cfg, seq, expected_ref, keep=True)[1] for seq in seqs]
+    for kept, rebuilt in zip(records0, reps[0]):
         assert np.array_equal(kept.a.samples, rebuilt.a.samples)
-    report = epr_report(xs, ps, vs, cfg.mode, expected_ref_variance=expected_ref)
+    report = _pooled(reps, cfg, expected_ref)
     assert report == report0
 
     text = (out / "report.csv").read_text()
@@ -246,11 +252,10 @@ def test_folded_readings_match_the_time_domain(case, tmp_path, monkeypatch):
     seqs = np.random.SeedSequence(cfg.seed, spawn_key=(0,)).spawn(3)
     reps = [cli._one_repetition(cfg, seq, expected_ref, keep=True)[1] for seq in seqs]
     folds = _counting_folds(monkeypatch)
-    assert epr_report(*zip(*reps), cfg.mode, expected_ref_variance=expected_ref) == report0
+    assert _pooled(reps, cfg, expected_ref) == report0
     assert len(folds) == (4 * 3 if case in FOLDED else 0)
 
-    plain = ([_plain(r) for r in records] for records in zip(*reps))
-    timed = epr_report(*plain, cfg.mode, expected_ref_variance=expected_ref)
+    timed = _pooled([map(_plain, records) for records in reps], cfg, expected_ref)
     assert len(folds) == (4 * 3 if case in FOLDED else 0)
     if case in FOLDED:
         for row, row0 in zip(timed.per_rep, report0.per_rep, strict=True):

@@ -14,8 +14,8 @@ import pytest
 from eprsim import (DetectionChain, OpoParams, TemporalMode, extract_modes, flat_psd,
                     opo_spectrum, synthesize_colored, epr_record, vacuum_record)
 from eprsim import synth
-from eprsim.synth import (TimeSeries, TwoModeRecord, _amplitude, _draw, _irfft,
-                          _next_fast_len, block_length)
+from eprsim.synth import (TimeSeries, TwoModeRecord, _amplitude, _coefficients,
+                          _irfft, _next_fast_len, block_length)
 
 import refvals
 
@@ -24,6 +24,11 @@ def _stress_psd():
     p = OpoParams(pump_param=refvals.STRESS_X, hwhm=refvals.HWHM,
                   efficiency=refvals.STRESS_ETA, squeeze_phase="X")
     return opo_spectrum(p, "squeezed")
+
+
+def _draw(amp, n, rng):
+    """One n-sample block as synthesize_colored draws it from rng."""
+    return _irfft(_coefficients(amp, n, rng), n)
 
 
 class _Fixed:
@@ -107,7 +112,7 @@ def test_irfft_does_not_depend_on_the_helper_thread(monkeypatch):
         threaded = _irfft(spec.copy(), n)
         assert len(set(threads)) == 2 and threading.get_ident() in threads
         with monkeypatch.context() as m:
-            m.setattr(synth, "_HELPER", _Inline())
+            m.setattr(synth, "_helper", lambda pid: _Inline())
             threads.clear()
             inline = _irfft(spec.copy(), n)
             assert set(threads) == {threading.get_ident()}
@@ -312,7 +317,7 @@ def test_drawn_record_is_built_once_from_any_thread(calibrated_pair, monkeypatch
     # on first read of either; threads that read samples and combinations
     # at once share one draw of each beam and one build (two inverse FFTs)
     rec = epr_record(*calibrated_pair, 2e-4, 50e6, "X", 5, chain=DetectionChain())
-    draw = synth._drawn(rec)[0]
+    draw = synth._drawn(rec)
     draws = _counting_draws(monkeypatch)
     calls = []
     irfft = np.fft.irfft
@@ -326,7 +331,7 @@ def test_drawn_record_is_built_once_from_any_thread(calibrated_pair, monkeypatch
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            combos = [pool.submit(draw.combination, 0, 1, sign) for sign in (1.0, -1.0) * 4]
+            combos = [pool.submit(draw.combination, sign) for sign in (1.0, -1.0) * 4]
             futures = [pool.submit(getattr, s, "samples") for s in (rec.a, rec.b) * 8]
             arrays = [f.result(timeout=60) for f in futures]
             for f in combos:
@@ -341,22 +346,20 @@ def test_drawn_record_is_built_once_from_any_thread(calibrated_pair, monkeypatch
 
 def test_beams_are_drawn_on_first_use(calibrated_pair, monkeypatch):
     # a combination draws only the beams it weighs: x_A - x_B is beam 2,
-    # p_A + p_B beam 1, a vacuum combination both; a zero combination none
+    # p_A + p_B beam 1, a vacuum combination both
     opo1, opo2 = calibrated_pair
     draws = _counting_draws(monkeypatch)
     for setting, sign, beam in (("X", -1.0, "squeezed"), ("P", +1.0, "squeezed")):
-        draw = synth._drawn(epr_record(opo1, opo2, 4e-5, 50e6, setting, 3))[0]
+        draw = synth._drawn(epr_record(opo1, opo2, 4e-5, 50e6, setting, 3))
         assert draws == []
-        assert not np.any(draw.combination(0, 0, -1.0))
-        assert draws == []
-        draw.combination(0, 1, sign)
+        draw.combination(sign)
         opo = opo2 if setting == "X" else opo1
         assert draws == [_amplitude(opo_spectrum(opo, beam), None, draw.n, 50e6)]
-        draw.combination(0, 1, -sign)
+        draw.combination(-sign)
         assert len(draws) == 2
         draws.clear()
-    draw = synth._drawn(vacuum_record(4e-5, 50e6, 3))[0]
-    draw.combination(0, 1, -1.0)
+    draw = synth._drawn(vacuum_record(4e-5, 50e6, 3))
+    draw.combination(-1.0)
     assert len(draws) == 2
 
 
@@ -369,7 +372,7 @@ def test_record_is_the_same_whatever_is_read_first(calibrated_pair, chain):
     for setting, sign in (("X", -1.0), ("P", +1.0)):
         first = epr_record(*calibrated_pair, 4e-5, 50e6, setting, seq, chain=chain)
         second = epr_record(*calibrated_pair, 4e-5, 50e6, setting, seq, chain=chain)
-        synth._drawn(first)[0].combination(0, 1, sign)
+        synth._drawn(first).combination(sign)
         for s1, s2 in ((second.a, first.a), (second.b, first.b)):
             assert np.array_equal(s1.samples, s2.samples)
     assert seq.n_children_spawned == 0
