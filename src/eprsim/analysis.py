@@ -111,12 +111,12 @@ def _combo_variance(record: TwoModeRecord, sign: float,
     (folded_mode_variance), without the record's samples; otherwise they
     are taken from the combination's series (extract_modes).
     """
-    w = mode.discretize(record.sample_rate)
-    count = _mode_count(record.a, w.size, mode)
+    n_w = mode.n_samples(record.sample_rate)
+    count = _mode_count(record.a, n_w, mode)
     if count < 2:
         raise ValueError("need at least 2 mode values per repetition")
     draw = _drawn(record)
-    if draw is not None and draw.n % (hop := draw.stride * w.size) == 0:
+    if draw is not None and draw.n % (hop := draw.stride * n_w) == 0:
         window = placed_window(mode, record.sample_rate, draw.stride, draw.n)
         return folded_mode_variance(draw.combination(sign), window, draw.n, hop,
                                     count), count

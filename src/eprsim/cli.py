@@ -26,7 +26,8 @@ import numpy as np
 from .analysis import (MIN_SEGMENT, CalibrationError, Diagram, EprReport,
                        combine_reports, combo_series, correlation_diagram,
                        epr_report, extract_modes, trace_excerpt, welch_psd)
-from .config import ConfigError, RunConfig, load_config, require_monte_carlo
+from .config import (MAX_GRID_POINTS, ConfigError, RunConfig, load_config,
+                     require_monte_carlo)
 # detect is not called here (the pipeline draws detected records directly)
 # but stays importable from eprsim.cli, where perfbench's tracer wraps it
 from .detection import detect, expected_mode_variance  # noqa: F401
@@ -247,8 +248,9 @@ def _parse_grid(text: str, log: bool) -> np.ndarray:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"--grid expects numbers lo:hi:n, got {text!r}") from exc
-    if n < 2 or not (lo < hi):
-        raise ConfigError("--grid requires lo < hi and n >= 2")
+    if not (lo < hi and math.isfinite(hi - lo) and 2 <= n <= MAX_GRID_POINTS):
+        raise ConfigError(
+            f"--grid requires finite lo < hi and 2 <= n <= {MAX_GRID_POINTS}, got {text!r}")
     if log:
         if lo <= 0:
             raise ConfigError("--log grid requires positive bounds")

@@ -24,9 +24,13 @@ from .synth import check_alias
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "config_fingerprint"]
 
 # size limits: a run spawns a stream per repetition and holds records of
-# duration*fs samples, so a valid config must not ask for unbounded work
+# duration*fs samples, sweep evaluates every grid point, and a tabulated
+# mode's closed-form overlap costs time quadratic in its samples, so a valid
+# config or command line must not ask for unbounded work
 MAX_REPETITIONS = 10_000
 MAX_RECORD_SAMPLES = 1 << 24
+MAX_GRID_POINTS = 10_000
+MAX_MODE_SAMPLES = 1 << 16
 
 
 class ConfigError(ValueError):
@@ -148,10 +152,13 @@ def _parse_mode(table: Any, path: str) -> TemporalMode:
         value = _require(table, name, path)
         if name != "samples":
             params[name] = _number(value, path + name, positive=True)
-        elif isinstance(value, list) and value:
-            params[name] = [_number(v, path + name) for v in value]
-        else:
+        elif not (isinstance(value, list) and value):
             raise ConfigError(f"{path}{name}: expected a non-empty array")
+        elif len(value) > MAX_MODE_SAMPLES:
+            raise ConfigError(
+                f"{path}{name}: at most {MAX_MODE_SAMPLES} samples, got {len(value)}")
+        else:
+            params[name] = [_number(v, path + name) for v in value]
     try:
         return TemporalMode.from_params(kind, params)
     except ValueError as exc:

@@ -7,6 +7,7 @@ then count little-endian f64 samples. Round-trips are bit exact.
 from __future__ import annotations
 
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,50 +39,49 @@ def save_series_csv(path, series: TimeSeries) -> None:
 
 
 def load_series_csv(path) -> TimeSeries:
+    """Read a save_series_csv file: the leading "# key=value" lines give
+    sample_rate_hz (required) and label, and np.loadtxt reads the value
+    column of the rows after them."""
     p = Path(path)
-    rate = None
-    label = "vacuum"
-    values = []
+    meta = {}
     with p.open() as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].strip().partition("=")
-                if key == "sample_rate_hz":
-                    rate = float(val)
-                elif key == "label":
-                    label = val
-                continue
-            if line.startswith("time_s"):
-                continue
-            _, _, second = line.partition(",")
-            values.append(float(second))
-    if rate is None:
+            if not line.startswith("#"):
+                break
+            key, _, val = line[1:].strip().partition("=")
+            meta[key] = val
+    if "sample_rate_hz" not in meta:
         raise ValueError(f"{p}: missing sample_rate_hz header")
-    return TimeSeries(sample_rate=rate, samples=np.array(values), label=label)
+    with warnings.catch_warnings():  # no rows: TimeSeries rejects the empty series
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        values = np.loadtxt(p, delimiter=",", comments=("#", "time_s"), usecols=1, ndmin=1)
+    return TimeSeries(sample_rate=float(meta["sample_rate_hz"]), samples=values,
+                      label=meta.get("label", "vacuum"))
 
 
 def save_series_bin(path, series: TimeSeries) -> None:
     p = Path(path)
     with p.open("wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, series.sample_rate, series.n))
-        fh.write(np.ascontiguousarray(series.samples, dtype="<f8").tobytes())
+        np.ascontiguousarray(series.samples, dtype="<f8").tofile(fh)
 
 
 def load_series_bin(path, label: str = "vacuum") -> TimeSeries:
+    """Read a save_series_bin file; the samples go from the file straight
+    into their array."""
     p = Path(path)
-    raw = p.read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{p}: truncated header")
-    magic, version, rate, n = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise ValueError(f"{p}: bad magic {magic!r}")
-    if version != _VERSION:
-        raise ValueError(f"{p}: unsupported version {version}")
-    expected = _HEADER.size + 8 * n
-    if len(raw) != expected:
-        raise ValueError(f"{p}: expected {expected} bytes, found {len(raw)}")
-    samples = np.frombuffer(raw, dtype="<f8", count=n, offset=_HEADER.size).copy()
+    with p.open("rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ValueError(f"{p}: truncated header")
+        magic, version, rate, n = _HEADER.unpack(head)
+        if magic != _MAGIC:
+            raise ValueError(f"{p}: bad magic {magic!r}")
+        if version != _VERSION:
+            raise ValueError(f"{p}: unsupported version {version}")
+        expected = _HEADER.size + 8 * n
+        size = p.stat().st_size
+        if size != expected:
+            raise ValueError(f"{p}: expected {expected} bytes, found {size}")
+        samples = np.fromfile(fh, dtype="<f8", count=n)
     return TimeSeries(sample_rate=rate, samples=samples, label=label)

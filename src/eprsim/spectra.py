@@ -226,18 +226,14 @@ def filtered_variance(psd: QuadPsd, mode: TemporalMode) -> float:
     n_panels = max(64, min(_MAX_PANELS, math.ceil(band / h)))
 
     est = 1.0 + _gl_integral(integrand, 0.0, band, n_panels) / math.pi
-    for _ in range(2):
-        n_panels *= 2
-        if n_panels > _MAX_PANELS:
+    for n in (2 * n_panels, 4 * n_panels):
+        if n > _MAX_PANELS:
             break
-        refined = 1.0 + _gl_integral(integrand, 0.0, band, n_panels) / math.pi
+        refined = 1.0 + _gl_integral(integrand, 0.0, band, n) / math.pi
         if abs(refined - est) <= 1e-8 * max(1.0, abs(refined)):
             return refined
-        est = refined
-    else:
-        raise QuadratureError(
-            f"filtered variance did not converge within {n_panels} panels")
-    raise QuadratureError("filtered variance exceeded the panel budget")
+        est, n_panels = refined, n
+    raise QuadratureError(f"filtered variance did not converge within {n_panels} panels")
 
 
 def to_db(ratio: float) -> float:

@@ -360,16 +360,9 @@ class _Draw:
         series are (b1 + b2, b1 - b2)/sqrt(2) when mixed, else (b1, b2).
         Only beams of nonzero weight are drawn, and one of them always is."""
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        # beam k's weights (wi, wj) in series a and b
-        weights = (((inv_sqrt2, inv_sqrt2), (inv_sqrt2, -inv_sqrt2)) if self.mixed
-                   else ((1.0, 0.0), (0.0, 1.0)))
-        out = None
-        for k, (wi, wj) in enumerate(weights):
-            c = (wi + sign * wj) * inv_sqrt2
-            if c:
-                y = self.beam(k)
-                out = c * y if out is None else out + c * y
-        return out
+        if self.mixed:  # the sum keeps beam 1 alone, the difference beam 2
+            return ((inv_sqrt2 + inv_sqrt2) * inv_sqrt2) * self.beam(0 if sign > 0 else 1)
+        return inv_sqrt2 * self.beam(0) + (sign * inv_sqrt2) * self.beam(1)
 
 
 def _drawn(record: TwoModeRecord) -> Optional[_Draw]:

@@ -795,7 +795,13 @@ def test_sweep_range_validation(fast_cfg, tmp_path, capsys):
             ("T", "1e-7:2.5e-7:2", ("--mc-check",),  # one mode window
              "T=2.5e-07: mode.duration: ", {"duration": 3e-7}),
             ("efficiency", "0.5:0.9:2", ("--mc-check",),  # aliasing fs
-             "efficiency=0.5: fs: ", {"opo1": dict(FAST["opo1"], hwhm=3e7)})):
+             "efficiency=0.5: fs: ", {"opo1": dict(FAST["opo1"], hwhm=3e7)}),
+            # bounds a user never gave, and unbounded work, before any point
+            ("T", "2e-7:inf:3", (), "requires finite lo < hi", {}),
+            ("T", "2e-7:nan:3", ("--log",), "requires finite lo < hi", {}),
+            ("T", "2e-7:2e-6:10000000000000", (), "requires finite lo < hi and "
+             "2 <= n <= 10000, got '2e-7:2e-6:10000000000000'", {}),
+            ("T", "2e-7:2e-6:10001", (), "requires finite lo < hi", {})):
         path = tmp_path / "case.json"
         path.write_text(json.dumps(dict(FAST, **edits)))
         assert main(["sweep", "--config", str(path), "--var", var,

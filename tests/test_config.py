@@ -114,6 +114,9 @@ def test_fingerprint_is_stable_and_ignores_output_dir():
     (lambda t: t.update(repetitions=10_001), r"^repetitions: must be at most 10000$"),
     (lambda t: t.update(duration=1.0), r"^duration: duration\*fs must cover 2 to 16777216"),
     (lambda t: t.update(duration=1e-8), r"^duration: duration\*fs must cover 2 to 16777216"),
+    (lambda t: t.update(mode={"kind": "tabulated", "samples": [1.0] * 65_537,
+                              "duration": 2e-7}),
+     r"^mode\.samples: at most 65536 samples, got 65537$"),
 ])
 def test_validation_messages_name_the_field(mutate, message):
     table = _base_table()

@@ -2,20 +2,23 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import signal
 
-from eprsim import (DetectionChain, TemporalMode, detect, epr_record,
-                    expected_mode_variance, extract_modes, flat_psd,
+from eprsim import (DetectionChain, TemporalMode, detect, epr_record, epr_spectra,
+                    expected_mode_variance, extract_modes, flat_psd, load_config,
                     opo_spectrum, vacuum_record)
+from eprsim.modes import _tail
 from eprsim.synth import TimeSeries, TwoModeRecord, block_length
 
 import refvals
 
 MODE = TemporalMode.square(0.2e-6)
 FS = 50e6
+PAPER_CFG = Path(__file__).resolve().parents[1] / "paper.cfg"
 
 
 def _combo_var(record, sign, mode=MODE):
@@ -297,6 +300,64 @@ def test_expected_mode_variance_equals_the_full_grid_sum(chain, block, calibrate
         expected = expected_mode_variance(psd, chain, FS, MODE, block)
         reference = _full_grid_mode_variance(psd, chain, FS, MODE, block)
         assert abs(expected / reference - 1.0) <= 1e-14
+
+
+def _residues(numer, poles):
+    """Partial fractions of numer(x) / prod(x + p) over distinct poles p:
+    the (p, c) of its terms c/(x + p)."""
+    return [(p, numer(-p) / math.prod(q - p for q in poles if q != p)) for p in poles]
+
+
+def _lag_domain_mode_variance(lorentz, chain, fs, mode):
+    """The mode variance of a record drawn through a linear chain, in the
+    lag domain: sum_m a_m R(m d/fs), a_m the autocorrelation of the
+    discretized window at ADC lags m (counted for +-m), d the decimation
+    and R the correlation of the detected PSD band-limited at pi fs.
+
+    In x = Omega^2, lp hp S + N hp is N plus terms c/(x + p) over the
+    poles w_c^2, w_h^2 and kappa^2 (S = 1 + A/(kappa^2 + x)); each term's
+    R(tau) is (c/(pi fs)) [pi exp(-sqrt(p) tau)/(2 sqrt(p)) - Re tail],
+    the tail its cosine integral beyond pi fs (modes._tail), and N adds
+    N at lag 0. Needs distinct poles, each at most pi fs/2, and no
+    quantizer."""
+    assert chain.adc_bits is None
+    a = (2.0 * math.pi * chain.detector_bandwidth) ** 2
+    b = (2.0 * math.pi * chain.highpass_cutoff) ** 2
+    terms = _residues(lambda x: a * x, (a, b))  # lp hp
+    if lorentz is not None:
+        amp, kappa = lorentz
+        assert kappa * kappa not in (a, b)
+        terms += _residues(lambda x: amp * a * x, (a, b, kappa * kappa))
+    noise = 0.0
+    if chain.electronic_noise_db is not None:
+        noise = 10.0 ** (chain.electronic_noise_db / 10.0)
+        terms.append((b, -noise * b))  # N hp = N - N w_h^2/(x + w_h^2)
+    w = mode.discretize(chain.adc_rate)
+    acf = np.correlate(w, w, "full")[w.size - 1:]
+    acf[1:] *= 2.0
+    tau = np.arange(w.size) * chain.decimation(fs) / fs
+    band = math.pi * fs
+    corr = np.zeros(w.size)
+    corr[0] = noise
+    for p, c in terms:
+        k = math.sqrt(p)
+        assert k <= band / 2.0
+        corr += c / band * (math.pi * np.exp(-k * tau) / (2.0 * k)
+                            - _tail(k, band, tau, 0).real)
+    return float(acf @ corr)
+
+
+@pytest.mark.parametrize("T, rel", [(0.2e-6, 1e-12), (2e-6, 1e-12), (1 / 50e6, 1e-10)],
+                         ids=("0.2us", "2us", "one_sample"))
+def test_expected_mode_variance_matches_the_lag_domain_closed_form(T, rel):
+    cfg = load_config(PAPER_CFG)
+    spectra = epr_spectra(cfg.opo1, cfg.opo2)
+    mode = TemporalMode.square(T)
+    for psd in (None, spectra.diff_x, spectra.sum_p):
+        reference = _lag_domain_mode_variance(None if psd is None else psd.lorentz,
+                                              cfg.chain, cfg.fs, mode)
+        expected = expected_mode_variance(psd, cfg.chain, cfg.fs, mode)
+        assert abs(expected / reference - 1.0) <= rel
 
 
 # -- the chain as a gain on the PSD (records drawn through the chain) ----------

@@ -1,5 +1,8 @@
 """CSV and binary record round trips."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -95,3 +98,35 @@ def test_binary_corruption_detected(tmp_path, series):
     header_only.write_bytes(bytes(raw[:10]))
     with pytest.raises(ValueError, match="truncated"):
         load_series_bin(header_only)
+
+
+def test_csv_round_trip_extreme_values_bit_exact(tmp_path):
+    values = np.array([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                       -1.7976931348623157e308, 2.2250738585072014e-308, 0.1, -1 / 3])
+    path = tmp_path / "extreme.csv"
+    save_series_csv(path, TimeSeries(50e6, values, label="x_A"))
+    back = load_series_csv(path)
+    assert back.samples.tobytes() == values.tobytes()
+
+
+def test_csv_header_only_is_rejected_without_a_warning(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("# sample_rate_hz=50000000.0\n# label=p_B\ntime_s,value\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-empty"):
+            load_series_csv(path)
+
+
+def test_binary_load_holds_the_samples_once(tmp_path):
+    n = 1 << 20
+    path = tmp_path / "big.bin"
+    save_series_bin(path, TimeSeries(50e6, np.arange(n, dtype=float)))
+    tracemalloc.start()
+    try:
+        back = load_series_bin(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.samples.size == n and back.samples[-1] == n - 1
+    assert peak <= 8 * n + (1 << 20)

@@ -10,7 +10,7 @@ import pytest
 from eprsim import (OpoParams, TemporalMode, beam_spectra, calibrate_pump_param,
                     duan_sum, epr_spectra, filtered_variance, flat_psd, opo_spectrum,
                     to_db)
-from eprsim.spectra import MAX_HWHM, _gl_integral
+from eprsim.spectra import MAX_HWHM, QuadPsd, QuadratureError, _gl_integral
 
 import refvals
 
@@ -191,6 +191,15 @@ def test_quadrature_fallback_matches_closed_form():
     assert fast.lorentz_overlap(psd.lorentz[1], psd.band_limit) is None
     assert filtered_variance(psd, fast) == pytest.approx(
         _gl_reference(psd, fast), rel=1e-9)
+
+
+def test_quadrature_reports_non_convergence():
+    # a 1 rad/s Lorentzian peak inside panels ~8e5 rad/s wide, with no
+    # scale_hint to size them: each doubling samples the peak differently
+    spike = QuadPsd(lambda om: 1.0 + 1e-3 / (1e-6 + ((om - 1.2345678e6) / 1e6) ** 2),
+                    band_limit=1e9)
+    with pytest.raises(QuadratureError, match=r"did not converge within \d+ panels"):
+        filtered_variance(spike, TemporalMode.square(1e-6))
 
 
 @pytest.mark.parametrize("T", [1e-4, 1e-3, 2e-3])
