@@ -21,7 +21,7 @@ from .recordio import (load_series_bin, load_series_csv, save_series_bin,
                        save_series_csv)
 from .spectra import (EprSpectra, OpoParams, QuadPsd, QuadratureError, beam_spectra,
                       calibrate_pump_param, duan_sum, epr_spectra, filtered_variance,
-                      flat_psd, opo_spectrum, to_db)
+                      flat_psd, opo_spectrum, square_variances, to_db)
 from .synth import TimeSeries, TwoModeRecord, epr_record, synthesize_colored, vacuum_record
 
 __version__ = "1.0.0"
@@ -70,6 +70,7 @@ __all__ = [
     "parse_config",
     "save_series_bin",
     "save_series_csv",
+    "square_variances",
     "synthesize_colored",
     "to_db",
     "trace_excerpt",

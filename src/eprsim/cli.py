@@ -33,7 +33,10 @@ from .config import (MAX_GRID_POINTS, ConfigError, RunConfig, load_config,
 from .detection import detect, expected_mode_variance  # noqa: F401
 from .modeopt import ModeFamily, NonUnimodalError, mode_duan, optimize
 from .modes import KINDS, TemporalMode
-from .spectra import QuadratureError, epr_spectra, filtered_variance, to_db
+# filtered_variance is not called here but stays importable from
+# eprsim.cli, where perfbench's tracer wraps it
+from .spectra import filtered_variance  # noqa: F401
+from .spectra import QuadratureError, epr_spectra, square_variances, to_db
 from .synth import _children, block_length, epr_record, vacuum_record
 
 EXIT_OK = 0
@@ -59,9 +62,12 @@ def _data_lines(rows: Sequence[Sequence[object]]) -> str:
     """The CSV lines of rows, each value as _fmt writes it: one % over a
     repeated row template, %d for an integer column, %.12g for a float
     column with no NaN (the bytes _fmt gives), and %s of _fmt(v) for any
-    other column (strings, None, NaN)."""
+    other column (strings, None, NaN). The values are laid out row by row
+    with one slice assignment per column."""
+    columns = list(zip(*rows))
     conversions = []
-    for column in zip(*rows):
+    values: List[object] = [None] * (len(rows) * len(columns))
+    for j, column in enumerate(columns):
         types = set(map(type, column))
         if all(issubclass(t, (int, np.integer)) for t in types):
             conversions.append("%d")
@@ -70,9 +76,10 @@ def _data_lines(rows: Sequence[Sequence[object]]) -> str:
             conversions.append("%.12g")
         else:
             conversions.append("%s")
+            column = [_fmt(v) for v in column]
+        values[j::len(columns)] = column
     template = (",".join(conversions) + "\n") * len(rows)
-    return template % tuple(_fmt(v) if c == "%s" else v
-                            for row in rows for v, c in zip(row, conversions))
+    return template % tuple(values)
 
 
 def _write_csv(path: Path, meta: Dict[str, object], header: Sequence[str],
@@ -222,12 +229,10 @@ def cmd_spectra(cfg: RunConfig, out: Path) -> int:
                    ("freq_hz", "db"), zip(freq, db))
 
     t_grid = np.geomspace(1e-8, 1e-5, 151)  # 50 points per decade
-    rows = []
-    for t in t_grid:
-        mode = TemporalMode.square(float(t))
-        vx = filtered_variance(spectra.diff_x, mode)
-        vp = filtered_variance(spectra.sum_p, mode)
-        rows.append((t, vx, vp, to_db(vx), to_db(vp), 0.5 * (vx + vp)))
+    vx = square_variances(spectra.diff_x, t_grid).tolist()
+    vp = square_variances(spectra.sum_p, t_grid).tolist()
+    rows = [(t, x, p, to_db(x), to_db(p), 0.5 * (x + p))
+            for t, x, p in zip(t_grid.tolist(), vx, vp)]
     _write_csv(out / "variances.csv", _meta(cfg, "spectra"),
                ("T_s", "var_diff_x", "var_sum_p", "db_diff_x", "db_sum_p", "duan"),
                rows)

@@ -8,6 +8,13 @@ names and default search bounds. All modes satisfy the norm contract
 integral f(t)^2 dt = 1; discretized weights are renormalized to unit
 Euclidean norm so a white unit-variance input always yields mode variance
 exactly 1.
+
+Each mode also has the closed-form overlap with a Lorentzian spectrum
+(TemporalMode.lorentz_overlap) that the filtered-variance oracle uses;
+square_lorentz_overlaps gives it for square modes of many durations at
+once. Its band tail is a series of generalized exponential integrals
+(_expint), each element evaluated to its own convergence, so a value does
+not depend on the batch it is computed in.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["KINDS", "ModeKind", "TemporalMode"]
+__all__ = ["KINDS", "ModeKind", "TemporalMode", "square_lorentz_overlaps"]
 
 
 class ModeKind(NamedTuple):
@@ -145,9 +152,7 @@ class TemporalMode:
         return self.rate / -math.expm1(-self.rate * self.duration)
 
     def _steps(self) -> Tuple[np.ndarray, float]:
-        """Jumps of a piecewise-constant mode at breakpoints k*spacing."""
-        if self.kind == "square":
-            return np.array([1.0, -1.0]) / math.sqrt(self.duration), self.duration
+        """Jumps of a tabulated mode at breakpoints k*spacing."""
         arr = np.asarray(self.samples)
         return np.diff(arr, prepend=0.0, append=0.0), self.duration / arr.size
 
@@ -194,14 +199,18 @@ class TemporalMode:
         beyond it filters to the variance 1 + A * overlap. The full-line
         overlap has a closed form (Wiener-Khinchin: S - 1 has correlation
         (A/2 width) exp(-width |tau|)); the [band, inf) tail is subtracted
-        exactly as a series in Omega^-2. Piecewise-constant modes (square,
-        tabulated) with jumps df_k at tau_k use
+        exactly as a series in Omega^-2. A square mode is
+        square_lorentz_overlaps at its one duration; a tabulated mode with
+        jumps df_k at tau_k uses
         |F|^2 = -Omega^-2 sum_kl df_k df_l (1 - cos Omega |tau_k - tau_l|).
         Returns None when width or the decay rate exceeds band/2, where the
         tail series converges slowly; callers then integrate numerically.
         """
         k, B = float(width), float(band)
-        if self.kind in ("square", "tabulated"):
+        if self.kind == "square":
+            overlap = square_lorentz_overlaps(k, B, np.array([self.duration]))
+            return None if overlap is None else float(overlap[0])
+        if self.kind == "tabulated":
             if k > 0.5 * B:
                 return None
             jumps, spacing = self._steps()
@@ -267,6 +276,22 @@ class TemporalMode:
 
 # -- Lorentzian overlap helpers -------------------------------------------------
 
+def square_lorentz_overlaps(width: float, band: float,
+                            durations: np.ndarray) -> Optional[np.ndarray]:
+    """TemporalMode.lorentz_overlap of a square mode of each duration T,
+    in one pass: the mode's two jumps +-1/sqrt(T) give
+    (2/T) [phi(width T)/(2 width^3) - (tail(0) - tail(T))/pi], with one
+    _tail call over d = [0, T...]. None when width exceeds band/2."""
+    k, B = float(width), float(band)
+    if k > 0.5 * B:
+        return None
+    T = np.asarray(durations, dtype=float)
+    tail = _tail(k, B, np.concatenate(([0.0], T)), power=-2).real
+    kernel = _phi(k * T) / (2.0 * k ** 3) - (tail[0] - tail[1:]) / math.pi
+    jump = 1.0 / np.sqrt(T)
+    return 2.0 * (jump * jump) * kernel
+
+
 def _phi(z: np.ndarray) -> np.ndarray:
     """z - 1 + exp(-z) for z >= 0, by its Taylor series where it cancels."""
     z = np.asarray(z, dtype=float)
@@ -312,21 +337,33 @@ def _expint(y: np.ndarray, p: np.ndarray) -> np.ndarray:
     far = y > 1.0
     if np.any(far):
         # modified Lentz evaluation of the continued fraction for exp(z) E_p(z);
-        # the scaled form stays finite where exp(z) alone is huge or tiny
+        # the scaled form stays finite where exp(z) alone is huge or tiny.
+        # Each element retires at its own convergence, so its value does not
+        # depend on the rest of the batch; the active ones (index live) are
+        # kept packed, and those still active at the cap keep their last h.
         zf, pf = z[far], p[far]
         b = zf + pf
+        pm1 = pf - 1.0
         c = np.full(zf.shape, 1e300, dtype=complex)
         dd = 1.0 / b
-        h = dd
+        h = dd.copy()
+        hl = dd
+        live = np.arange(zf.size)
         for i in range(1, 2000):
-            a = -i * (pf - 1.0 + i)
+            a = -i * (pm1 + i)
             b = b + 2.0
             dd = 1.0 / (a * dd + b)
             c = b + a / c
             delta = c * dd
-            h = h * delta
-            if np.all(np.abs(delta - 1.0) <= 4e-16):
-                break
+            hl = hl * delta
+            done = np.abs(delta - 1.0) <= 4e-16
+            if done.any():
+                h[live[done]] = hl[done]
+                left = ~done
+                live, pm1, b, c, dd, hl = (v[left] for v in (live, pm1, b, c, dd, hl))
+                if not live.size:
+                    break
+        h[live] = hl
         out[far] = h * np.exp(-zf)
     return out
 

@@ -24,18 +24,22 @@ __all__ = [
 _MAGIC = b"EPRT"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIdQ")
+_CSV_CHUNK = 1 << 16  # rows formatted per %: bounds the value tuple
 
 
 def save_series_csv(path, series: TimeSeries) -> None:
-    """Write one row per sample: time_s,value (17 significant digits)."""
+    """Write one row per sample: time_s,value (17 significant digits),
+    with one % over a repeated row template per chunk of _CSV_CHUNK rows."""
     p = Path(path)
     dt = 1.0 / series.sample_rate
     with p.open("w", newline="") as fh:
         fh.write(f"# sample_rate_hz={series.sample_rate!r}\n")
         fh.write(f"# label={series.label}\n")
         fh.write("time_s,value\n")
-        np.savetxt(fh, np.column_stack([np.arange(series.n) * dt, series.samples]),
-                   fmt="%.17g", delimiter=",")
+        for start in range(0, series.n, _CSV_CHUNK):
+            stop = min(start + _CSV_CHUNK, series.n)
+            rows = np.column_stack([np.arange(start, stop) * dt, series.samples[start:stop]])
+            fh.write("%.17g,%.17g\n" * (stop - start) % tuple(rows.ravel().tolist()))
 
 
 def load_series_csv(path) -> TimeSeries:

@@ -11,8 +11,10 @@ Lorentzian, S = 1 + A/(kappa^2 + Omega^2) inside the band, so by
 Wiener-Khinchin S - 1 has correlation (A/2kappa) exp(-kappa|tau|) and V has
 a closed form (TemporalMode.lorentz_overlap): the full-line overlap of the
 mode with that correlation, minus the exactly integrated [B, inf) tail.
-Composite Gauss-Legendre quadrature remains for spectra with an arbitrary
-evaluator and for modes whose decay rate exceeds B/2.
+square_variances evaluates it for square modes of a whole grid of
+durations in one vectorized pass. Composite Gauss-Legendre quadrature
+remains for spectra with an arbitrary evaluator and for modes whose decay
+rate exceeds B/2.
 
 All public frequencies are in Hz; angular frequency appears only inside
 integrals and evaluator callables (rad/s).
@@ -27,7 +29,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .modes import TemporalMode
+from .modes import TemporalMode, square_lorentz_overlaps
 
 __all__ = [
     "OpoParams",
@@ -39,6 +41,7 @@ __all__ = [
     "epr_spectra",
     "flat_psd",
     "filtered_variance",
+    "square_variances",
     "to_db",
     "duan_sum",
     "calibrate_pump_param",
@@ -234,6 +237,26 @@ def filtered_variance(psd: QuadPsd, mode: TemporalMode) -> float:
             return refined
         est, n_panels = refined, n
     raise QuadratureError(f"filtered variance did not converge within {n_panels} panels")
+
+
+def square_variances(psd: QuadPsd, durations) -> np.ndarray:
+    """filtered_variance of square modes of each duration (a 1-D array, in
+    s), in one pass for a Lorentzian spectrum (1 + A *
+    modes.square_lorentz_overlaps), ones for flat_psd, and one
+    filtered_variance call per duration otherwise."""
+    T = np.asarray(durations, dtype=float)
+    if T.ndim != 1:
+        raise ValueError("durations: must be one-dimensional")
+    if not np.all((T > 0.0) & np.isfinite(T)):
+        raise ValueError("duration: must be positive and finite")
+    if psd.band_limit <= 0.0:
+        return np.ones(T.shape)
+    if psd.lorentz is not None:
+        weight, width = psd.lorentz
+        overlap = square_lorentz_overlaps(width, psd.band_limit, T)
+        if overlap is not None:
+            return 1.0 + weight * overlap
+    return np.array([filtered_variance(psd, TemporalMode.square(t)) for t in T.tolist()])
 
 
 def to_db(ratio: float) -> float:

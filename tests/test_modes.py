@@ -5,6 +5,7 @@ import pytest
 from scipy.special import sici
 
 from eprsim import TemporalMode
+from eprsim.modes import _expint
 
 ALL_KINDS = [
     TemporalMode.square(0.2e-6),
@@ -102,6 +103,18 @@ def test_exp_spectrum_band_coverage(mode):
     om = np.linspace(0.0, B, 2_000_001)
     got = np.trapezoid(mode.power_spectrum(om), om) / np.pi
     assert 0.99 < got < 1.0 + 1e-9
+
+
+def test_expint_elements_do_not_depend_on_their_batch():
+    # the continued fraction retires each element at its own convergence:
+    # a fast element (y = 4e4) batched with slow ones (y = 1.5) takes the
+    # value it has alone
+    y = np.array([1.5, 4e4, 1.5, 4e4, 1.5, 4e4, 1.5, 4e4])
+    p = np.array([2, 2, 4, 4, 10, 10, 40, 40])
+    batch = _expint(y, p)
+    for j in range(y.size):
+        alone = _expint(y[j:j + 1], p[j:j + 1])
+        assert batch[j] == alone[0], (y[j], p[j])
 
 
 def test_n_samples_rounding():

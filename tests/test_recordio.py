@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from eprsim import recordio
 from eprsim import (load_series_bin, load_series_csv, save_series_bin,
                     save_series_csv, synthesize_colored, flat_psd)
 from eprsim.synth import TimeSeries
@@ -38,15 +39,18 @@ def test_csv_header_content(tmp_path, series):
 
 
 @pytest.mark.parametrize("fs", [25e6, 33e6, 50e6, 400e6])
-def test_csv_bytes_equal_per_sample_formatting(tmp_path, series, fs):
-    # the vectorized writer produces exactly the rows of a per-sample loop
+def test_csv_bytes_equal_per_sample_formatting(tmp_path, series, fs, monkeypatch):
+    # the vectorized writer produces exactly the rows of a per-sample loop,
+    # in one chunk and across chunk boundaries (100-row chunks of 256 rows)
     rec = TimeSeries(fs, series.samples, label=series.label)
     path = tmp_path / "rec.csv"
-    save_series_csv(path, rec)
     dt = 1.0 / fs
     rows = "".join(f"{i * dt:.17g},{v:.17g}\n" for i, v in enumerate(rec.samples))
     expected = f"# sample_rate_hz={fs!r}\n# label=x_A\ntime_s,value\n" + rows
-    assert path.read_bytes() == expected.encode()
+    for chunk in (recordio._CSV_CHUNK, 100):
+        monkeypatch.setattr(recordio, "_CSV_CHUNK", chunk)
+        save_series_csv(path, rec)
+        assert path.read_bytes() == expected.encode()
 
 
 def test_csv_missing_rate_rejected(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from eprsim import (OpoParams, TemporalMode, beam_spectra, calibrate_pump_param,
                     duan_sum, epr_spectra, filtered_variance, flat_psd, opo_spectrum,
-                    to_db)
+                    square_variances, to_db)
 from eprsim.spectra import MAX_HWHM, QuadPsd, QuadratureError, _gl_integral
 
 import refvals
@@ -103,11 +103,27 @@ def test_filtered_variance_frozen_tables(x, eta, sq_table, anti_table):
     for T, ref in zip(refvals.T_GRID, sq_table):
         got = filtered_variance(sq, TemporalMode.square(T))
         assert got == pytest.approx(ref, rel=1e-9)
+    assert square_variances(sq, refvals.T_GRID) == pytest.approx(sq_table, rel=1e-9)
     if anti_table is None:
         return
     for T, ref in zip(refvals.T_GRID, anti_table):
         got = filtered_variance(anti, TemporalMode.square(T))
         assert got == pytest.approx(ref, rel=1e-9)
+    assert square_variances(anti, refvals.T_GRID) == pytest.approx(anti_table, rel=1e-9)
+
+
+def test_square_variances_equal_one_filtered_variance_per_duration(calibrated_pair):
+    # the one-pass table of the spectra verb against the scalar oracle
+    grid = np.geomspace(1e-8, 1e-5, 151)
+    spectra = epr_spectra(*calibrated_pair)
+    for psd in (spectra.diff_x, spectra.sum_p):
+        table = square_variances(psd, grid)
+        scalar = [filtered_variance(psd, TemporalMode.square(T)) for T in grid]
+        assert table.shape == grid.shape
+        assert np.max(np.abs(table / scalar - 1.0)) <= 2e-15
+    for bad in ([2e-7, 0.0], [-1e-6], [np.inf], [np.nan], 2e-7, [[2e-7]]):
+        with pytest.raises(ValueError, match="duration"):
+            square_variances(spectra.diff_x, bad)
 
 
 @pytest.mark.parametrize("mode", [
@@ -187,6 +203,12 @@ def test_quadrature_fallback_matches_closed_form():
                  TemporalMode.double_exp(rate=4e7, support=1e-6)):
         assert filtered_variance(numeric, mode) == pytest.approx(
             filtered_variance(psd, mode), rel=1e-9)
+    # square_variances answers each duration by filtered_variance where no
+    # closed form applies: no Lorentz fields, or a width beyond band/2
+    grid = [0.05e-6, 0.2e-6, 1e-6]
+    for other in (numeric, dataclasses.replace(psd, band_limit=psd.lorentz[1])):
+        assert square_variances(other, grid).tolist() == [
+            filtered_variance(other, TemporalMode.square(T)) for T in grid]
     fast = TemporalMode.one_sided_exp(rate=0.6 * psd.band_limit, support=1e-8)
     assert fast.lorentz_overlap(psd.lorentz[1], psd.band_limit) is None
     assert filtered_variance(psd, fast) == pytest.approx(
@@ -232,6 +254,7 @@ def test_flat_psd_variance_is_exactly_one():
     for mode in (TemporalMode.square(0.2e-6),
                  TemporalMode.double_exp(rate=1e6, support=1e-6)):
         assert filtered_variance(flat_psd(), mode) == 1.0
+    assert square_variances(flat_psd(), [1e-8, 0.2e-6, 1e-5]).tolist() == [1.0] * 3
 
 
 def test_degenerate_pump_gives_vacuum():
