@@ -30,6 +30,7 @@ __all__ = [
     "combo_series",
     "epr_report",
     "folded_mode_variance",
+    "mode_value_spectrum",
     "combine_reports",
     "welch_psd",
     "correlation_diagram",
@@ -105,9 +106,11 @@ def _combo_variance(record: TwoModeRecord, sign: float,
                     mode: TemporalMode) -> Tuple[float, int]:
     """Sample variance of the combination's mode values, and their count.
 
-    For a record synth drew through a linear chain (no quantizer), read as
-    drawn (synth._drawn), whose windows' spacing divides the block, the
-    values are folded from the block's drawn rfft coefficients
+    For a record synth drew in mode space, the values are the inverse FFT
+    of the combination's drawn mode-value coefficients. For a record synth
+    drew through a linear chain (no quantizer), read as drawn
+    (synth._drawn), whose windows' spacing divides the block, the values
+    are folded from the block's drawn rfft coefficients
     (folded_mode_variance), without the record's samples; otherwise they
     are taken from the combination's series (extract_modes).
     """
@@ -116,6 +119,11 @@ def _combo_variance(record: TwoModeRecord, sign: float,
     if count < 2:
         raise ValueError("need at least 2 mode values per repetition")
     draw = _drawn(record)
+    if draw is not None and draw.mode is not None:
+        if draw.mode != mode:
+            raise ValueError("record was drawn in mode space for another mode")
+        vals = np.fft.irfft(draw.combination(sign), draw.size)[:count]
+        return float(np.var(vals, ddof=1)), count
     if draw is not None and draw.n % (hop := draw.stride * n_w) == 0:
         window = placed_window(mode, record.sample_rate, draw.stride, draw.n)
         return folded_mode_variance(draw.combination(sign), window, draw.n, hop,
@@ -173,10 +181,8 @@ def folded_mode_variance(coeffs: np.ndarray, window: np.ndarray, n: int,
     sample j*hop of the circular correlation c = irfft(coeffs *
     conj(window), n), so the m = n/hop values v_j = c[j*hop] have the DFT
     V_q = (1/hop) sum_r C[q + r*m], the fold of c's full spectrum C onto m
-    bins. C is Hermitian, so the fold is summed from the half spectrum
-    alone: bin k stands for itself and, as its conjugate, for bin n - k;
-    DC and (for even n) Nyquist stand for themselves only. One length-m
-    irfft gives the values. For count = extract_modes' count on the
+    bins (_fold, from the half spectrum alone). One length-m irfft gives
+    the values. For count = extract_modes' count on the
     digitized record trimmed from the block, the result equals the time-
     domain variance up to rounding.
     """
@@ -187,18 +193,50 @@ def folded_mode_variance(coeffs: np.ndarray, window: np.ndarray, n: int,
         raise ValueError("need at least 2 mode values per repetition")
     h = np.conj(window)
     h *= coeffs
+    spec = _fold(h, n, m)
+    spec /= hop
+    return float(np.var(np.fft.irfft(spec, m)[:count], ddof=1))
+
+
+def mode_value_spectrum(power: np.ndarray, window: np.ndarray, n: int,
+                        hop: int) -> np.ndarray:
+    """The spectrum S_q, q = 0 .. m-1, of the m = n/hop mode values of an
+    n-sample circulant Gaussian block whose rfft coefficients X_k are
+    independent with E|X_k|^2 = n * power_k (synth's draws, power their
+    P on the rfft bins).
+
+    window and hop are as for folded_mode_variance. The values' DFT is
+    the fold of X * conj(window) onto m bins, over hop, so its bin q has
+    E|V_q|^2 = m * S_q with S the same fold of n * power * |window|^2 over
+    m * hop^2, and bins q and q' != +-q are independent: the values are a
+    circulant Gaussian sequence, each of variance mean(S). S is even,
+    S_q = S_{m-q}.
+    """
+    if n % hop:
+        raise ValueError(f"window spacing {hop} does not divide the block length {n}")
+    m = n // hop
+    half = _fold(n * power * np.abs(window) ** 2, n, m)
+    half /= m * hop * hop
+    return np.concatenate([half, half[(m + 1) // 2 - 1: 0: -1]])
+
+
+def _fold(h: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Bins q = 0 .. m//2 of the fold onto m bins of the Hermitian n-bin
+    spectrum whose half spectrum (bins 0 .. n//2) is h: the sum of its
+    bins k = q (mod m), each of h's bins standing for itself and, as its
+    conjugate, for bin n - k; DC and (for even n) Nyquist stand for
+    themselves only."""
     rows = h.size // m
     fold = h[: rows * m].reshape(rows, m).sum(axis=0)
     fold[: h.size - rows * m] += h[rows * m:]
-    # V_q for q = 0 .. m//2: the bins k = q (mod m) plus the mirror images
-    # n - k = q (mod m), i.e. conj(fold[-q mod m]) less DC's and Nyquist's
+    # the bins k = q (mod m) plus the mirror images n - k = q (mod m),
+    # i.e. conj(fold[-q mod m]) less DC's and Nyquist's
     spec = fold[: m // 2 + 1].copy()
     spec[0] += np.conj(fold[0]) - np.conj(h[0])
     spec[1:] += np.conj(fold[m - 1: m - m // 2 - 1: -1])
     if n % 2 == 0:
         spec[(n // 2) % m] -= np.conj(h[-1])
-    spec /= hop
-    return float(np.var(np.fft.irfft(spec, m)[:count], ddof=1))
+    return spec
 
 
 def combine_reports(reports: Sequence[EprReport]) -> EprReport:

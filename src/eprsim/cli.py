@@ -82,15 +82,25 @@ def _data_lines(rows: Sequence[Sequence[object]]) -> str:
     return template % tuple(values)
 
 
-def _write_csv(path: Path, meta: Dict[str, object], header: Sequence[str],
-               rows: Iterable[Sequence[object]]) -> None:
+def _csv_text(meta: Dict[str, object], header: Sequence[str],
+              rows: Iterable[Sequence[object]]) -> str:
+    """A CSV file's text: "# key=value" lines, the header, the rows."""
+    lines = [f"# {key}={_fmt(value)}\n" for key, value in meta.items()]
+    lines.append(",".join(header) + "\n")
+    lines.append(_data_lines(list(rows)))
+    return "".join(lines)
+
+
+def _write_text(path: Path, text: str) -> None:
     tmp = path.parent / (path.name + ".tmp")
     with tmp.open("w", newline="") as fh:
-        for key, value in meta.items():
-            fh.write(f"# {key}={_fmt(value)}\n")
-        fh.write(",".join(header) + "\n")
-        fh.write(_data_lines(list(rows)))
+        fh.write(text)
     os.replace(tmp, path)
+
+
+def _write_csv(path: Path, meta: Dict[str, object], header: Sequence[str],
+               rows: Iterable[Sequence[object]]) -> None:
+    _write_text(path, _csv_text(meta, header, rows))
 
 
 def _worker_count(reps: int) -> int:
@@ -119,39 +129,50 @@ def _meta(cfg: RunConfig, command: str, **extra) -> Dict[str, object]:
 # -- run ----------------------------------------------------------------------
 
 def _one_repetition(cfg: RunConfig, seq: np.random.SeedSequence,
-                    expected_ref: float, keep: bool):
-    """One repetition's report, and its detected (X, P, vacuum) records
-    when keep is set. The records are drawn through the chain from the
-    three streams that are seq's children (synth._children: seq is not
-    advanced, so the same seq gives the same repetition). The report
-    draws only the beams it reads, X's beam 2, P's beam 1 and both vacuum
-    beams (synth._Draw); the other two are drawn when a kept record's
-    samples are first read."""
+                    expected_ref: float, full: bool, files: bool = False):
+    """One repetition's report, and with files the files of its records
+    (_run_files), rendered here, in the repetition's worker.
+
+    The detected (X, P, vacuum) records are drawn through the chain from
+    the three streams that are seq's children (synth._children: seq is not
+    advanced, so the same seq gives the same repetition). A full
+    repetition (repetition 0, whose files need samples) draws blocks, and
+    the report reads X's beam 2, P's beam 1 and both vacuum beams from
+    their coefficients; the other two beams are drawn when the files read
+    the records' samples. Any other repetition draws its records in mode
+    space for cfg.mode (synth: mode=) where the chain and the mode allow
+    it: the same four beams, each as the rfft coefficients of its m mode
+    values."""
     x_seed, p_seed, v_seed = _children(seq, 3)
+    mode = None if full else cfg.mode
     xr = epr_record(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, "X", x_seed,
-                    chain=cfg.chain)
+                    chain=cfg.chain, mode=mode)
     pr = epr_record(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, "P", p_seed,
-                    chain=cfg.chain)
-    vr = vacuum_record(cfg.duration, cfg.fs, v_seed, chain=cfg.chain)
+                    chain=cfg.chain, mode=mode)
+    vr = vacuum_record(cfg.duration, cfg.fs, v_seed, chain=cfg.chain, mode=mode)
     report = epr_report(xr, pr, vr, cfg.mode, expected_ref_variance=expected_ref)
-    return report, ((xr, pr, vr) if keep else None)
+    return report, (_run_files(cfg, xr, pr, vr) if files else None)
 
 
-def _run_pipeline(cfg: RunConfig, slot: int = 0):
-    """(report, repetition 0's (X, P, vacuum) records, expected reference
-    variance). Each repetition is reduced to its report in its worker, so
-    only repetition 0's records are held.
+def _run_pipeline(cfg: RunConfig, slot: int = 0, files: bool = True):
+    """(report, repetition 0's files (_run_files) or None without files,
+    expected reference variance). Each repetition is reduced to its report
+    in its worker, and repetition 0's worker renders the files while the
+    others draw, so no records outlive their repetition.
 
     Random streams form the spawn tree seed -> slot -> repetition ->
     stream -> beam (slot 0 is `run`, slot j+1 the `sweep --mc-check` run
-    at grid point j; a stream is one record, X, P or vacuum, and its two
-    beams are children of it, synth._Draw): no two streams share a seed,
-    and repetition i's streams do not depend on cfg.repetitions."""
+    at grid point j; a stream is one record, X, P or vacuum, and its
+    beams are children of it: (..., 0) and (..., 1) drawn as blocks,
+    (..., 2) and (..., 3) drawn in mode space, synth._Draw): no two draws
+    share a seed, and repetition i's streams do not depend on
+    cfg.repetitions."""
     block = block_length(cfg.duration, cfg.fs)
     expected_ref = expected_mode_variance(None, cfg.chain, cfg.fs, cfg.mode, block=block)
     root = np.random.SeedSequence(cfg.seed, spawn_key=(slot,))
     with ThreadPoolExecutor(max_workers=_worker_count(cfg.repetitions)) as pool:
-        futures = [pool.submit(_one_repetition, cfg, seq, expected_ref, i == 0)
+        futures = [pool.submit(_one_repetition, cfg, seq, expected_ref, i == 0,
+                               files and i == 0)
                    for i, seq in enumerate(_children(root, cfg.repetitions))]
         results = [f.result() for f in futures]
     report = combine_reports([r for r, _ in results])
@@ -168,20 +189,20 @@ def _report_rows(report: EprReport):
     return rows
 
 
-def _write_setting_outputs(cfg: RunConfig, out: Path, tag: str, record,
-                           vacuum, sign: float) -> Diagram:
-    """diagram, trace and vacuum-referenced PSD for one setting; returns the
-    diagram."""
+def _setting_files(cfg: RunConfig, tag: str, record, vacuum,
+                   sign: float) -> Tuple[Dict[str, str], Diagram]:
+    """The texts of one setting's diagram, trace and vacuum-referenced PSD
+    files, by name, and the diagram."""
     mode = cfg.mode
     va = extract_modes(record.a, mode)
     vb = extract_modes(record.b, mode)
     diagram = correlation_diagram(va, vb)
+    files = {}
     meta = _meta(cfg, "run", setting=tag, pearson_r=diagram.pearson_r)
-    _write_csv(out / f"diagram_{tag}.csv", meta, ("a", "b"),
-               zip(diagram.a, diagram.b))
+    files[f"diagram_{tag}.csv"] = _csv_text(meta, ("a", "b"), zip(diagram.a, diagram.b))
     idx, ta, tb = trace_excerpt(va, vb, n=min(50, va.count))
-    _write_csv(out / f"trace_{tag}.csv", _meta(cfg, "run", setting=tag),
-               ("index", "a", "b"), zip(idx, ta, tb))
+    files[f"trace_{tag}.csv"] = _csv_text(_meta(cfg, "run", setting=tag),
+                                          ("index", "a", "b"), zip(idx, ta, tb))
 
     sig = combo_series(record, sign)
     ref = combo_series(vacuum, sign)
@@ -189,15 +210,23 @@ def _write_setting_outputs(cfg: RunConfig, out: Path, tag: str, record,
     est_sig = welch_psd(sig, segment_len=seg)
     est_ref = welch_psd(ref, segment_len=seg)
     db = est_sig.db - est_ref.db
-    _write_csv(out / f"psd_{tag}.csv",
-               _meta(cfg, "run", setting=tag, segments=est_sig.n_segments),
-               ("freq_hz", "db"), zip(est_sig.freq_hz, db))
-    return diagram
+    files[f"psd_{tag}.csv"] = _csv_text(
+        _meta(cfg, "run", setting=tag, segments=est_sig.n_segments),
+        ("freq_hz", "db"), zip(est_sig.freq_hz, db))
+    return files, diagram
+
+
+def _run_files(cfg: RunConfig, x_record, p_record, vacuum):
+    """(the texts of run's diagram, trace and PSD files by name, the X
+    diagram, the P diagram) of one repetition's records."""
+    files_x, dx = _setting_files(cfg, "x", x_record, vacuum, -1.0)
+    files_p, dp = _setting_files(cfg, "p", p_record, vacuum, +1.0)
+    return {**files_x, **files_p}, dx, dp
 
 
 def cmd_run(cfg: RunConfig, out: Path) -> int:
     require_monte_carlo(cfg, min_samples=MIN_SEGMENT)  # the PSD files' Welch segment
-    report, (x0, p0, v0), expected_ref = _run_pipeline(cfg)
+    report, (files, dx, dp), expected_ref = _run_pipeline(cfg)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "report.csv",
                _meta(cfg, "run", repetitions=report.repetitions,
@@ -205,8 +234,8 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
                ("rep", "var_diff_x_db", "var_sum_p_db", "duan",
                 "var_diff_x_db_se", "var_sum_p_db_se", "duan_se"),
                _report_rows(report))
-    dx = _write_setting_outputs(cfg, out, "x", x0, v0, -1.0)
-    dp = _write_setting_outputs(cfg, out, "p", p0, v0, +1.0)
+    for name, text in files.items():
+        _write_text(out / name, text)
     print(f"diff-x: {report.var_diff_x_db:+.3f} dB (se {report.var_diff_x_db_se:.3f})")
     print(f"sum-p:  {report.var_sum_p_db:+.3f} dB (se {report.var_sum_p_db_se:.3f})")
     print(f"duan:   {report.duan:.4f} (se {report.duan_se:.4f}, separable bound 1)")
@@ -291,7 +320,8 @@ def cmd_sweep(cfg: RunConfig, out: Path, variable: str, grid: np.ndarray,
         duan = mode_duan(epr_spectra(c.opo1, c.opo2), c.mode)
         duan_mc = None
         if checked:
-            duan_mc = _run_pipeline(replace(c, repetitions=1), slot=j + 1)[0].duan
+            duan_mc = _run_pipeline(replace(c, repetitions=1), slot=j + 1,
+                                    files=False)[0].duan
         rows.append((variable, value, duan, duan_mc))
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "sweep.csv", _meta(cfg, "sweep", variable=variable),

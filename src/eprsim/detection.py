@@ -21,7 +21,7 @@ import numpy as np
 
 from .modes import TemporalMode
 from .spectra import QuadPsd, flat_psd
-from .synth import SeedLike, TimeSeries, TwoModeRecord, _power
+from .synth import SeedLike, TimeSeries, TwoModeRecord, _power, _rate_stride
 
 __all__ = [
     "DetectionChain",
@@ -183,7 +183,7 @@ def expected_mode_variance(psd: Optional[QuadPsd], chain: Optional[DetectionChai
     (placed_window), over the block length, with every bin but DC and (for
     even blocks) Nyquist counted twice for its mirror image.
     """
-    rate, stride = (fs, 1) if chain is None else (chain.adc_rate, chain.decimation(fs))
+    rate, stride = _rate_stride(chain, fs)
     window = placed_window(mode, rate, stride, block)
     win = np.abs(window) ** 2
     win[1: (block + 1) // 2] *= 2.0

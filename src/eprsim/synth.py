@@ -21,6 +21,18 @@ record seeded by the sequence seq is drawn by
 default_rng(SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key, k))), so
 a record is the same whatever is read first, and from any thread.
 
+A record drawn for a temporal mode (epr_record and vacuum_record with
+mode=) is drawn in mode space and has no samples: the m = n/hop mode
+values of a beam's block (hop the windows' spacing in block samples) are
+a circulant Gaussian sequence whose spectrum S_q is known
+(analysis.mode_value_spectrum), so each beam draws the m//2 + 1 rfft
+coefficients of its mode values from sqrt(m/2 * S_q), as a block draws
+its own from sqrt(n/2 * P), and one length-m inverse FFT gives the
+values. This is exact in distribution. Beam k then draws from the child
+(*seq.spawn_key, 2 + k), so it shares no seed with the full draw of the
+same record. A quantizing chain, or a hop that does not divide the block,
+keeps the full draw.
+
 synthesize_colored inverts an even block as two half-length transforms,
 one on the calling thread and one on the process's helper thread (_irfft,
 _helper), so a 2^22-sample block's inverse FFT uses two cores. The helper
@@ -45,6 +57,7 @@ from .spectra import OpoParams, QuadPsd, beam_spectra, epr_spectra, flat_psd  # 
 
 if TYPE_CHECKING:  # detection imports synth
     from .detection import DetectionChain
+    from .modes import TemporalMode
 
 __all__ = [
     "TimeSeries",
@@ -158,6 +171,35 @@ def _amplitude(psd: QuadPsd, chain: Optional[DetectionChain], n: int,
     return amp
 
 
+def _rate_stride(chain: Optional[DetectionChain], fs: float) -> Tuple[float, int]:
+    """(rate, stride) of a record drawn at fs: its series' sample rate and
+    the block samples per series sample."""
+    return (fs, 1) if chain is None else (chain.adc_rate, chain.decimation(fs))
+
+
+@lru_cache(maxsize=8)
+def _mode_amplitude(psd: QuadPsd, chain: Optional[DetectionChain], n: int,
+                    fs: float, mode: TemporalMode) -> np.ndarray:
+    """sqrt(m/2 * S_q) on the rfft bins q = 0 .. m//2 of the m mode values
+    of an n-sample block (analysis.mode_value_spectrum of _power), for a
+    mode whose windows' spacing hop divides n, m = n/hop. Read-only and
+    cached per (PSD, chain, n, fs, mode), as _amplitude is; the PSD passes
+    the aliasing guard here too."""
+    # analysis and detection import synth
+    from .analysis import mode_value_spectrum
+    from .detection import placed_window
+
+    check_alias(psd, fs)
+    rate, stride = _rate_stride(chain, fs)
+    hop = stride * mode.n_samples(rate)
+    s = mode_value_spectrum(_power(psd, chain, n, fs),
+                            placed_window(mode, rate, stride, n), n, hop)
+    m = n // hop
+    amp = np.sqrt(0.5 * m * s[: m // 2 + 1])
+    amp.flags.writeable = False
+    return amp
+
+
 def _coefficients(amp: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """The rfft coefficients of one n-sample block: interior bins complex
     with variance n/2 per part, DC and Nyquist real with variance n, all
@@ -257,8 +299,10 @@ def block_length(duration: float, fs: float) -> int:
     return _next_fast_len(n_out)
 
 
+@lru_cache(maxsize=64)
 def _next_fast_len(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n, the lengths a real FFT handles fastest."""
+    """Smallest 2^a 3^b 5^c >= n, the lengths a real FFT handles fastest
+    (cached: every record of a run asks for the same one)."""
     best = 1 << (n - 1).bit_length()
     p5 = 1
     while p5 < best:
@@ -271,21 +315,22 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _children(seed: SeedLike, count: int) -> Tuple[np.random.SeedSequence, ...]:
-    """The children (*seq.spawn_key, k), k < count, of the seed's sequence
-    seq (an int seeds SeedSequence(int)). They are built from the key, not
-    spawned: seq.spawn would advance seq, so the same sequence object would
-    not give the same children twice. For a fresh seq they are
-    seq.spawn(count)."""
+def _children(seed: SeedLike, count: int,
+              first: int = 0) -> Tuple[np.random.SeedSequence, ...]:
+    """The children (*seq.spawn_key, k), first <= k < first + count, of the
+    seed's sequence seq (an int seeds SeedSequence(int)). They are built
+    from the key, not spawned: seq.spawn would advance seq, so the same
+    sequence object would not give the same children twice. For a fresh
+    seq and first 0 they are seq.spawn(count)."""
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return tuple(np.random.SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key, k),
                                         pool_size=seq.pool_size)
-                 for k in range(count))
+                 for k in range(first, first + count))
 
 
 class _Draw:
-    """The two input beams' blocks of one record, drawn as rfft
-    coefficients, and the record's two series.
+    """The two input beams of one record, drawn as rfft coefficients, and
+    the record's two series.
 
     Beam k (0 or 1) is drawn on first use (beam) from its own stream, the
     child (*seed's spawn_key, k) of the record's seed sequence, so a beam
@@ -295,40 +340,57 @@ class _Draw:
     then digitizing through the chain. A reading that is linear in the
     samples can be taken from combination() without them, and draws only
     the beams it weighs.
+
+    With a mode, a linear chain and windows whose spacing hop divides the
+    block, the draw is in mode space: each beam's coefficients are those
+    of its m = n/hop mode values (_mode_amplitude), beam k drawn from the
+    child (..., 2 + k), and the record has no samples.
     """
 
     def __init__(self, psds: Tuple[QuadPsd, QuadPsd], chain: Optional[DetectionChain],
-                 duration: float, fs: float, seed: SeedLike, mixed: bool):
+                 duration: float, fs: float, seed: SeedLike, mixed: bool,
+                 mode: Optional[TemporalMode] = None):
         self.n = block_length(duration, fs)
         self.n_out = int(round(duration * fs))
         self.fs = fs
         self.chain = chain
-        self.stride = 1 if chain is None else chain.decimation(fs)
+        self.rate, self.stride = _rate_stride(chain, fs)
         self.n_series = len(range(0, self.n_out, self.stride))
         self.linear = chain is None or chain.adc_bits is None
         self.mixed = mixed
-        self._streams = _children(seed, 2)
-        self._amps = tuple(_amplitude(psd, chain, self.n, fs) for psd in psds)
+        # the mode a draw in mode space is for, and the length its
+        # coefficients are the rfft of (the block's n, or m)
+        self.mode, self.size = None, self.n
+        if (mode is not None and self.linear
+                and self.n % (hop := self.stride * mode.n_samples(self.rate)) == 0):
+            self.mode, self.size = mode, self.n // hop
+            self._streams = _children(seed, 2, first=2)
+            self._amps = tuple(_mode_amplitude(psd, chain, self.n, fs, mode) for psd in psds)
+        else:
+            self._streams = _children(seed, 2)
+            self._amps = tuple(_amplitude(psd, chain, self.n, fs) for psd in psds)
         self._beams = [None, None]
         self._series = None
         # reentrant: series() draws its beams under the lock it holds
         self._lock = threading.RLock()
 
     def beam(self, k: int) -> np.ndarray:
-        """rfft coefficients of input beam k's block, drawn on first use."""
+        """rfft coefficients of input beam k (its block, or in mode space
+        its mode values), drawn on first use; read-only."""
         with self._lock:
             if self._beams[k] is None:
                 rng = np.random.default_rng(self._streams[k])
-                self._beams[k] = _coefficients(self._amps[k], self.n, rng)
+                spec = _coefficients(self._amps[k], self.size, rng)
+                spec.flags.writeable = False
+                self._beams[k] = spec
             return self._beams[k]
 
     def record(self, labels: Tuple[str, str]) -> TwoModeRecord:
         """The record whose series a and b are this draw's, unbuilt."""
-        rate = self.fs if self.chain is None else self.chain.adc_rate
         series = []
         for index, label in enumerate(labels):
             s = object.__new__(TimeSeries)
-            for attr, value in (("sample_rate", rate), ("label", label),
+            for attr, value in (("sample_rate", self.rate), ("label", label),
                                 ("_source", (self, index))):
                 object.__setattr__(s, attr, value)
             series.append(s)
@@ -340,6 +402,8 @@ class _Draw:
 
     def series(self) -> Tuple[np.ndarray, np.ndarray]:
         """The samples of series a and b."""
+        if self.mode is not None:
+            raise ValueError("a record drawn in mode space has no samples")
         with self._lock:
             if self._series is None:
                 # np.fft.irfft, not _irfft: these blocks gain nothing measurable
@@ -355,13 +419,14 @@ class _Draw:
             return self._series
 
     def combination(self, sign: float) -> np.ndarray:
-        """rfft coefficients of the block whose trimmed, digitized samples
-        are (series a + sign * series b)/sqrt(2), for a linear chain; the
-        series are (b1 + b2, b1 - b2)/sqrt(2) when mixed, else (b1, b2).
-        Only beams of nonzero weight are drawn, and one of them always is."""
+        """rfft coefficients of the block (or in mode space the mode
+        values) of (series a + sign * series b)/sqrt(2), trimmed and
+        digitized, for a linear chain; the series are (b1 + b2, b1 - b2)/sqrt(2)
+        when mixed, else (b1, b2). Only beams of nonzero weight are drawn,
+        and one of them always is."""
+        if self.mixed:  # the sum is beam 1 alone, the difference beam 2
+            return self.beam(0 if sign > 0 else 1)
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        if self.mixed:  # the sum keeps beam 1 alone, the difference beam 2
-            return ((inv_sqrt2 + inv_sqrt2) * inv_sqrt2) * self.beam(0 if sign > 0 else 1)
         return inv_sqrt2 * self.beam(0) + (sign * inv_sqrt2) * self.beam(1)
 
 
@@ -377,7 +442,8 @@ def _drawn(record: TwoModeRecord) -> Optional[_Draw]:
 
 def epr_record(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,
                setting: str, seed: SeedLike,
-               chain: Optional[DetectionChain] = None) -> TwoModeRecord:
+               chain: Optional[DetectionChain] = None,
+               mode: Optional[TemporalMode] = None) -> TwoModeRecord:
     """EPR beam pair for one measurement setting.
 
     Draws the measured quadrature of each input beam from its own stream
@@ -393,16 +459,25 @@ def epr_record(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,
     beam splitter is orthogonal, so it folds into the beams. The record then
     has the distribution detect gives the record drawn without the chain
     (exactly so when duration*fs is itself a block length, as 100,000 is).
+
+    With a mode, the record is drawn in mode space where it can be (a
+    linear chain, and a spacing of the mode's windows that divides the
+    block; _Draw): it has no samples, and analysis.epr_report reads its
+    mode values for that mode, with the distribution of the full draw's.
     """
-    draw = _Draw(beam_spectra(opo1, opo2, setting), chain, duration, fs, seed, mixed=True)
+    draw = _Draw(beam_spectra(opo1, opo2, setting), chain, duration, fs, seed,
+                 mixed=True, mode=mode)
     lab = "x" if setting == "X" else "p"
     return draw.record((f"{lab}_A", f"{lab}_B"))
 
 
 def vacuum_record(duration: float, fs: float, seed: SeedLike,
-                  chain: Optional[DetectionChain] = None) -> TwoModeRecord:
+                  chain: Optional[DetectionChain] = None,
+                  mode: Optional[TemporalMode] = None) -> TwoModeRecord:
     """Two independent draws from the flat vacuum PSD (the 0 dB
     reference); with a chain, from the detected vacuum PSD, digitized (the
-    detected reference, as epr_record draws with a chain)."""
-    draw = _Draw((flat_psd(), flat_psd()), chain, duration, fs, seed, mixed=False)
+    detected reference, as epr_record draws with a chain); with a mode,
+    drawn in mode space where it can be, as epr_record is."""
+    draw = _Draw((flat_psd(), flat_psd()), chain, duration, fs, seed, mixed=False,
+                 mode=mode)
     return draw.record(("vacuum", "vacuum"))

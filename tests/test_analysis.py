@@ -13,7 +13,7 @@ from eprsim import (CalibrationError, DetectionChain, TemporalMode,
                     extract_modes, opo_spectrum, synthesize_colored, flat_psd,
                     trace_excerpt, vacuum_record, welch_psd)
 from eprsim import analysis, synth
-from eprsim.analysis import folded_mode_variance
+from eprsim.analysis import folded_mode_variance, mode_value_spectrum
 from eprsim.detection import placed_window
 from eprsim.synth import TimeSeries, TwoModeRecord, _coefficients
 
@@ -193,6 +193,50 @@ def test_folded_mode_variance_matches_extract_modes(n, factor, width, n_out):
     window = placed_window(mode, 50e6, factor, n)
     folded = folded_mode_variance(coeffs, window, n, factor * width, vals.size)
     assert folded == pytest.approx(np.var(vals, ddof=1), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n, factor, width", [
+    (120, 1, 6),    # even block, even m
+    (120, 2, 3),    # decimated, hop 6
+    (135, 1, 5),    # odd block, odd m
+    (128, 1, 1),    # one-sample modes: S is the power itself
+    (96, 1, 48),    # two modes per block
+])
+def test_mode_value_spectrum_is_the_dft_of_the_mode_value_covariance(n, factor, width):
+    # against the dense covariance of the mode values: the block's
+    # covariance is circulant with first column irfft(power, n), the mode
+    # values are rows of shifted placed windows times the block, and their
+    # covariance is circulant with eigenvalues S_q
+    rng = np.random.default_rng(n + factor + width)
+    mode = TemporalMode.tabulated(rng.uniform(0.1, 1.0, width), width / 50e6)
+    power = rng.uniform(0.0, 2.0, n // 2 + 1)
+    hop, m = factor * width, n // (factor * width)
+    window = placed_window(mode, 50e6, factor, n)
+    s = mode_value_spectrum(power, window, n, hop)
+    gamma = np.fft.irfft(power, n)
+    block_cov = gamma[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
+    placed = np.fft.irfft(window, n)
+    rows = np.array([np.roll(placed, j * hop) for j in range(m)])
+    cov = rows @ block_cov @ rows.T
+    assert np.allclose(cov, cov[np.ix_((np.arange(m) + 1) % m, (np.arange(m) + 1) % m)],
+                       rtol=0.0, atol=1e-12)
+    reference = np.fft.fft(cov[:, 0]).real
+    assert s == pytest.approx(reference, rel=1e-10, abs=1e-12)
+    assert np.array_equal(s[1:], s[:0:-1])
+
+
+def test_mode_space_record_is_read_for_its_own_mode_only(calibrated_pair):
+    rec = epr_record(*calibrated_pair, 1e-4, FS, "X", 567, mode=MODE)
+    assert synth._drawn(rec).mode == MODE
+    analysis._combo_variance(rec, -1.0, MODE)
+    with pytest.raises(ValueError, match="another mode"):
+        analysis._combo_variance(rec, -1.0, TemporalMode.square(0.4e-6))
+
+
+def test_mode_value_spectrum_validation():
+    window = np.fft.rfft(np.r_[1.0, np.zeros(99)])
+    with pytest.raises(ValueError, match="does not divide"):
+        mode_value_spectrum(np.ones(51), window, 100, 3)
 
 
 def test_folded_mode_variance_validation():

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eprsim import (QuadratureError, TemporalMode, combine_reports, detect, epr_report,
-                    epr_spectra, mode_duan)
+from eprsim import (CalibrationError, QuadratureError, TemporalMode, combine_reports, detect,
+                    epr_record, epr_report, epr_spectra, mode_duan, vacuum_record)
 from eprsim import analysis, cli, synth
 from eprsim.cli import main
 from eprsim.config import load_config
@@ -104,7 +104,10 @@ def test_thread_count_does_not_change_results(fast_cfg, tmp_path, monkeypatch):
     assert main(["run", "--config", str(fast_cfg), "--out", str(out1)]) == 0
     monkeypatch.setenv("EPR_THREADS", "2")
     assert main(["run", "--config", str(fast_cfg), "--out", str(out2)]) == 0
-    assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+    names = sorted(p.name for p in out1.iterdir())
+    assert len(names) == 7 and names == sorted(p.name for p in out2.iterdir())
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def _rep_rows(cfg, out, *args):
@@ -208,6 +211,18 @@ def _plain(record):
     return replace(record, a=replace(record.a), b=replace(record.b))
 
 
+def _records(cfg, seq, mode=None):
+    """The (X, P, vacuum) records of the repetition seeded by seq, as
+    _one_repetition draws them: in full without a mode, else in mode space
+    where the chain and the mode allow it."""
+    x_seed, p_seed, v_seed = synth._children(seq, 3)
+    return (epr_record(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, "X", x_seed,
+                       chain=cfg.chain, mode=mode),
+            epr_record(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, "P", p_seed,
+                       chain=cfg.chain, mode=mode),
+            vacuum_record(cfg.duration, cfg.fs, v_seed, chain=cfg.chain, mode=mode))
+
+
 def _pooled(repetitions, cfg, expected_ref):
     """epr_report of each repetition's (X, P, vacuum) records, pooled by
     combine_reports."""
@@ -215,22 +230,24 @@ def _pooled(repetitions, cfg, expected_ref):
                             for records in repetitions])
 
 
-def test_report_equals_epr_report_over_all_records(tmp_path):
-    # run holds only repetition 0's records; its report.csv is still the
-    # pooled epr_report of every repetition's records
+def test_report_pools_repetition_0_in_full_and_the_rest_in_mode_space(tmp_path):
+    # run's report.csv is the pooled epr_report of repetition 0's records
+    # drawn in full and of every later repetition's records drawn in mode
+    # space, each from its own branch of the spawn tree
     path = tmp_path / "three.json"
     path.write_text(json.dumps(dict(FAST, repetitions=3)))
     out = tmp_path / "run"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
 
     cfg = load_config(path)
-    report0, records0, expected_ref = cli._run_pipeline(cfg)
+    report0, files0, expected_ref = cli._run_pipeline(cfg)
     seqs = np.random.SeedSequence(cfg.seed, spawn_key=(0,)).spawn(3)
-    reps = [cli._one_repetition(cfg, seq, expected_ref, keep=True)[1] for seq in seqs]
-    for kept, rebuilt in zip(records0, reps[0]):
-        assert np.array_equal(kept.a.samples, rebuilt.a.samples)
+    reps = [_records(cfg, seqs[0])] + [_records(cfg, seq, cfg.mode) for seq in seqs[1:]]
+    assert [synth._drawn(r[0]).mode for r in reps] == [None, cfg.mode, cfg.mode]
     report = _pooled(reps, cfg, expected_ref)
     assert report == report0
+    # a full draw of a later repetition gives other readings
+    assert _pooled([_records(cfg, seqs[1])], cfg, expected_ref).per_rep != report0.per_rep[1:2]
 
     text = (out / "report.csv").read_text()
     header = next(ln for ln in text.splitlines() if not ln.startswith("#")).split(",")
@@ -238,55 +255,76 @@ def test_report_equals_epr_report_over_all_records(tmp_path):
                    cli._meta(cfg, "run", repetitions=3, expected_ref_variance=expected_ref),
                    header, cli._report_rows(report))
     assert (tmp_path / "all.csv").read_bytes() == (out / "report.csv").read_bytes()
+    # the other files are rendered from repetition 0's full records
+    files, dx, dp = cli._run_files(cfg, *reps[0])
+    assert files == files0[0] and len(files) == 6
+    for name, text in files.items():
+        assert (out / name).read_text() == text, name
+    assert (dx.pearson_r, dp.pearson_r) == (files0[1].pearson_r, files0[2].pearson_r)
 
 
 @pytest.mark.parametrize("case", [*FOLDED, *TIME_DOMAIN])
 def test_folded_readings_match_the_time_domain(case, tmp_path, monkeypatch):
-    # epr_report reads run's records from their drawn coefficients where it
+    # epr_report reads full records from their drawn coefficients where it
     # can; the same records read in the time domain agree to rounding, and
-    # exactly where nothing is folded
+    # exactly where nothing is folded; run's row 0 is such a reading
     path = tmp_path / "three.json"
     path.write_text(json.dumps(dict(FAST, repetitions=3, **{**FOLDED, **TIME_DOMAIN}[case])))
     cfg = load_config(path)
     report0, _, expected_ref = cli._run_pipeline(cfg)
     seqs = np.random.SeedSequence(cfg.seed, spawn_key=(0,)).spawn(3)
-    reps = [cli._one_repetition(cfg, seq, expected_ref, keep=True)[1] for seq in seqs]
+    reps = [_records(cfg, seq) for seq in seqs]
     folds = _counting_folds(monkeypatch)
-    assert _pooled(reps, cfg, expected_ref) == report0
+    report = _pooled(reps, cfg, expected_ref)
+    assert report.per_rep[0] == report0.per_rep[0]
     assert len(folds) == (4 * 3 if case in FOLDED else 0)
 
     timed = _pooled([map(_plain, records) for records in reps], cfg, expected_ref)
     assert len(folds) == (4 * 3 if case in FOLDED else 0)
     if case in FOLDED:
-        for row, row0 in zip(timed.per_rep, report0.per_rep, strict=True):
+        for row, row0 in zip(timed.per_rep, report.per_rep, strict=True):
             assert row0 == pytest.approx(row, rel=1e-13, abs=0.0)
     else:
-        assert timed == report0
+        assert timed == report
 
 
-@pytest.mark.parametrize("case", ["paper_chain", "quantizing_chain"])
-def test_only_kept_records_take_a_full_block_inverse_fft(case, tmp_path, monkeypatch):
-    # the fold path inverts repetition 0's six blocks (its records) and no
-    # others; the quantizing chain needs every repetition's records
+@pytest.mark.parametrize("case", [*FOLDED, *TIME_DOMAIN])
+def test_only_repetition_0_draws_blocks_where_mode_space_is_possible(case, tmp_path,
+                                                                     monkeypatch):
+    # where the chain is linear and the mode's spacing divides the block,
+    # repetition 0 draws six block beams (four for the report, two more
+    # for its files) and takes six full-block inverse FFTs, and every
+    # later repetition draws four beams of m//2 + 1 mode-value
+    # coefficients, each inverted once; otherwise every repetition draws
+    # and builds its records in full
     path = tmp_path / "five.json"
     path.write_text(json.dumps(dict(FAST, **{**FOLDED, **TIME_DOMAIN}[case])))
-    block = block_length(FAST["duration"], FAST["fs"])
-    lengths = []
-    irfft = np.fft.irfft
+    cfg = load_config(path)
+    block = block_length(cfg.duration, cfg.fs)
+    m = block // (cfg.chain.decimation(cfg.fs) * cfg.mode.n_samples(cfg.chain.adc_rate))
+    lengths, draws = [], []
+    irfft, coefficients = np.fft.irfft, synth._coefficients
 
-    def counting(a, n=None, *args, **kwargs):
+    def counting_irfft(a, n=None, *args, **kwargs):
         lengths.append(2 * (len(a) - 1) if n is None else n)
         return irfft(a, n, *args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "irfft", counting)
+    def counting_draws(amp, n, rng):
+        draws.append(n)
+        return coefficients(amp, n, rng)
+
+    monkeypatch.setattr(np.fft, "irfft", counting_irfft)
+    monkeypatch.setattr(synth, "_coefficients", counting_draws)
     assert main(["run", "--config", str(path), "--reps", "5",
                  "--out", str(tmp_path / "run")]) == 0
     if case in FOLDED:
+        assert sorted(draws) == sorted([block] * 6 + [m] * 4 * 4)
         assert lengths.count(block) == 6
-        assert lengths.count(block // 10) == 4 * 5  # one per combination and repetition
+        assert lengths.count(m) == 4 * 5  # one per combination and repetition
+        assert set(lengths) <= {block, m}
     else:
-        assert lengths.count(block) == 6 * 5
-    assert set(lengths) <= {block, block // 10}
+        assert draws == [block] * 6 * 5
+        assert lengths == [block] * 6 * 5
 
 
 def _scipy_modules_after(code: str, *args: str) -> str:
@@ -361,31 +399,38 @@ def test_worker_count_is_bounded_by_cores_and_reps(monkeypatch):
             cli._worker_count(4)
 
 
-def test_repetitions_draw_only_the_beams_they_read(fast_cfg, monkeypatch):
-    # a report reads X's beam 2, P's beam 1 and both vacuum beams; a kept
-    # repetition's records draw the other two when their samples are read
+def test_repetitions_draw_four_beams_from_their_own_streams(fast_cfg, monkeypatch):
+    # a report reads X's beam 2, P's beam 1 and both vacuum beams: a full
+    # repetition draws them as blocks from the streams (..., 0) and
+    # (..., 1) of its records, and its files draw the other two; any other
+    # repetition draws the same four in mode space, from (..., 2) and
+    # (..., 3)
     cfg = load_config(fast_cfg)
 
     def seq():  # _one_repetition builds its streams from the key of the sequence it is given
         return np.random.SeedSequence(cfg.seed, spawn_key=(0, 0))
 
     expected_ref = cli._run_pipeline(cfg)[2]
-    draws = []
+    keys = []
     coefficients = synth._coefficients
 
-    def counting(*args):
-        draws.append(1)
-        return coefficients(*args)
+    def counting(amp, n, rng):
+        keys.append((n, rng.bit_generator.seed_seq.spawn_key[-2:]))
+        return coefficients(amp, n, rng)
 
     monkeypatch.setattr(synth, "_coefficients", counting)
-    report, records = cli._one_repetition(cfg, seq(), expected_ref, keep=False)
-    assert records is None and len(draws) == 4
-    draws.clear()
-    report_kept, records = cli._one_repetition(cfg, seq(), expected_ref, keep=True)
-    assert len(draws) == 4 and report_kept.per_rep == report.per_rep
-    for record in records:
-        record.b.samples
-    assert len(draws) == 6
+    block, m = 10_000, 1_000
+    report, files = cli._one_repetition(cfg, seq(), expected_ref, True)
+    assert files is None
+    assert sorted(keys) == [(block, (0, 1)), (block, (1, 0)), (block, (2, 0)), (block, (2, 1))]
+    keys.clear()
+    report_files, files = cli._one_repetition(cfg, seq(), expected_ref, True, files=True)
+    assert report_files.per_rep == report.per_rep and len(files[0]) == 6
+    assert sorted(keys) == [(block, (i, k)) for i in range(3) for k in range(2)]
+    keys.clear()
+    report_mode = cli._one_repetition(cfg, seq(), expected_ref, False)[0]
+    assert sorted(keys) == [(m, (0, 3)), (m, (1, 2)), (m, (2, 2)), (m, (2, 3))]
+    assert report_mode.per_rep != report.per_rep
 
 
 def test_one_repetition_leaves_its_sequence_unchanged(fast_cfg):
@@ -395,10 +440,11 @@ def test_one_repetition_leaves_its_sequence_unchanged(fast_cfg):
     cfg = load_config(fast_cfg)
     expected_ref = cli._run_pipeline(cfg)[2]
     seq = np.random.SeedSequence(cfg.seed, spawn_key=(0, 0))
-    first = cli._one_repetition(cfg, seq, expected_ref, keep=False)[0]
-    assert seq.n_children_spawned == 0
-    again = cli._one_repetition(cfg, seq, expected_ref, keep=False)[0]
-    assert again.per_rep == first.per_rep
+    for full in (False, True):
+        first = cli._one_repetition(cfg, seq, expected_ref, full)[0]
+        assert seq.n_children_spawned == 0
+        again = cli._one_repetition(cfg, seq, expected_ref, full)[0]
+        assert again.per_rep == first.per_rep
     fresh = np.random.SeedSequence(cfg.seed, spawn_key=(0, 0))
     for built, spawned in zip(synth._children(seq, 3), fresh.spawn(3), strict=True):
         assert np.array_equal(built.generate_state(4), spawned.generate_state(4))
@@ -709,6 +755,31 @@ def test_numeric_failure_exits_3(fast_cfg, tmp_path, monkeypatch, capsys):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "c")]) == 3
     assert "vacuum reference variance" in capsys.readouterr().err
     assert len(folds) == 2  # the reference's two combinations, then the check
+
+
+def test_a_failing_later_repetition_leaves_no_file(fast_cfg, tmp_path, monkeypatch, capsys):
+    # repetition 0 renders its files in its worker while later repetitions
+    # draw, but run writes nothing until every repetition has succeeded
+    report, render = cli.epr_report, cli._run_files
+    rendered = []
+
+    def failing(x, p, vacuum, *args, **kwargs):
+        if synth._drawn(vacuum).mode is not None:  # drawn in mode space: a later repetition
+            raise CalibrationError("synthetic reference failure")
+        return report(x, p, vacuum, *args, **kwargs)
+
+    def counting(*args):
+        rendered.append(render(*args))
+        return rendered[-1]
+
+    monkeypatch.setattr(cli, "epr_report", failing)
+    monkeypatch.setattr(cli, "_run_files", counting)
+    monkeypatch.setenv("EPR_THREADS", "2")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(fast_cfg), "--out", str(out), "--reps", "4"]) == 3
+    assert "synthetic reference failure" in capsys.readouterr().err
+    assert len(rendered) == 1 and len(rendered[0][0]) == 6
+    assert not out.exists()
 
 
 def test_unwritable_output_exits_4(fast_cfg, tmp_path):

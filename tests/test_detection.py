@@ -11,8 +11,10 @@ from scipy import signal
 from eprsim import (DetectionChain, TemporalMode, detect, epr_record, epr_spectra,
                     expected_mode_variance, extract_modes, flat_psd, load_config,
                     opo_spectrum, vacuum_record)
+from eprsim.analysis import mode_value_spectrum
+from eprsim.detection import placed_window
 from eprsim.modes import _tail
-from eprsim.synth import TimeSeries, TwoModeRecord, block_length
+from eprsim.synth import TimeSeries, TwoModeRecord, _power, _rate_stride, block_length
 
 import refvals
 
@@ -300,6 +302,24 @@ def test_expected_mode_variance_equals_the_full_grid_sum(chain, block, calibrate
         expected = expected_mode_variance(psd, chain, FS, MODE, block)
         reference = _full_grid_mode_variance(psd, chain, FS, MODE, block)
         assert abs(expected / reference - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("width", [2e-8, 2e-7, 2e-6], ids=("20ns", "0.2us", "2us"))
+def test_mode_value_spectrum_mean_is_the_expected_mode_variance(width):
+    # each mode value's variance is mean(S_q); expected_mode_variance is the
+    # independent bin sum over the block (paper.cfg's, 100,000 samples)
+    cfg = load_config(PAPER_CFG)
+    spectra = epr_spectra(cfg.opo1, cfg.opo2)
+    mode = TemporalMode.square(width)
+    block = block_length(cfg.duration, cfg.fs)
+    rate, stride = _rate_stride(cfg.chain, cfg.fs)
+    window = placed_window(mode, rate, stride, block)
+    hop = stride * mode.n_samples(rate)
+    for psd in (flat_psd(), spectra.diff_x, spectra.sum_p):
+        s = mode_value_spectrum(_power(psd, cfg.chain, block, cfg.fs), window, block, hop)
+        assert s.size == block // hop and np.all(s >= 0.0)
+        expected = expected_mode_variance(psd, cfg.chain, cfg.fs, mode, block)
+        assert abs(np.mean(s) / expected - 1.0) <= 1e-15
 
 
 def _residues(numer, poles):

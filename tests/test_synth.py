@@ -1,5 +1,6 @@
 """Colored Gaussian synthesis: calibration, statistics, and the beam-splitter map."""
 
+import math
 import os
 import subprocess
 import sys
@@ -11,11 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eprsim import (DetectionChain, OpoParams, TemporalMode, extract_modes, flat_psd,
-                    opo_spectrum, synthesize_colored, epr_record, vacuum_record)
-from eprsim import synth
+from eprsim import (DetectionChain, OpoParams, TemporalMode, beam_spectra, extract_modes,
+                    flat_psd, opo_spectrum, synthesize_colored, epr_record, vacuum_record)
+from eprsim import analysis, synth
+from eprsim.analysis import mode_value_spectrum
+from eprsim.detection import placed_window
 from eprsim.synth import (TimeSeries, TwoModeRecord, _amplitude, _coefficients,
-                          _irfft, _next_fast_len, block_length)
+                          _irfft, _mode_amplitude, _next_fast_len, _power, block_length)
 
 import refvals
 
@@ -380,14 +383,103 @@ def test_record_is_the_same_whatever_is_read_first(calibrated_pair, chain):
 
 def test_amplitude_cache_hits_on_every_repetition(calibrated_pair):
     # equal arguments give the same PSD objects, so repeated draws of a
-    # run's records compute no amplitude twice
+    # run's records, in full or in mode space, compute no amplitude twice
     chain = DetectionChain()
+    mode = TemporalMode.square(2e-7)
     for seed in (0, 1):
-        epr_record(*calibrated_pair, 1e-4, 50e6, "X", seed, chain=chain)
-        vacuum_record(1e-4, 50e6, seed, chain=chain)
+        for m in (None, mode):
+            epr_record(*calibrated_pair, 1e-4, 50e6, "X", seed, chain=chain, mode=m)
+            vacuum_record(1e-4, 50e6, seed, chain=chain, mode=m)
         if seed == 0:
-            misses = _amplitude.cache_info().misses
-    assert _amplitude.cache_info().misses == misses
+            misses = (_amplitude.cache_info().misses, _mode_amplitude.cache_info().misses)
+    assert (_amplitude.cache_info().misses, _mode_amplitude.cache_info().misses) == misses
+
+
+@pytest.mark.parametrize("fs, duration, chain, width, m", [
+    (50e6, 2e-4, DetectionChain(), 2e-7, 1_000),
+    (50e6, 2e-4, None, 2e-8, 10_000),
+    (100e6, 1e-4, DetectionChain(), 2e-7, 500),     # decimated: hop 20
+    (50e6, 2e-4, DetectionChain(adc_bits=12), 2e-7, None),  # quantizer: full draw
+    (50e6, 2e-4, DetectionChain(), 7e-7, None),     # 35 samples do not divide 10,000
+], ids=("chain", "no_chain", "decimating", "quantizing", "undivided"))
+def test_mode_space_draws_beams_2_and_3_of_the_mode_values(calibrated_pair, fs, duration,
+                                                           chain, width, m):
+    # with a mode, a record whose chain is linear and whose windows'
+    # spacing divides the block draws beam k's m//2 + 1 mode-value
+    # coefficients from sqrt(m/2 * S_q) and the child (*spawn_key, 2 + k),
+    # and has no samples; otherwise it is the full draw
+    mode = TemporalMode.square(width)
+    seq = np.random.SeedSequence(17, spawn_key=(4,))
+    n = block_length(duration, fs)
+    makers = (lambda m: epr_record(*calibrated_pair, duration, fs, "X", seq, chain=chain,
+                                   mode=m),
+              lambda m: vacuum_record(duration, fs, seq, chain=chain, mode=m))
+    for make, psds in zip(makers, (beam_spectra(*calibrated_pair, "X"),
+                                   (flat_psd(), flat_psd()))):
+        rec = make(mode)
+        draw = synth._drawn(rec)
+        if m is None:
+            assert draw is None or draw.mode is None
+            assert np.array_equal(rec.a.samples, make(None).a.samples)
+            continue
+        assert (draw.mode, draw.size) == (mode, m)
+        for k, psd in enumerate(psds):
+            amp = _mode_amplitude(psd, chain, n, fs, mode)
+            assert amp.size == m // 2 + 1 and not amp.flags.writeable
+            assert np.array_equal(draw.beam(k), _coefficients(amp, m, _beam_stream(seq, 2 + k)))
+        with pytest.raises(ValueError, match="mode space has no samples"):
+            rec.a.samples
+        assert rec.a.n == int(round(duration * fs)) // (1 if chain is None else
+                                                       chain.decimation(fs))
+    assert seq.n_children_spawned == 0
+
+
+def _combination_variances(records, mode):
+    """The four readings of one repetition's (X, P, vacuum) records: X's
+    diff-x, P's sum-p and the vacuum's two combinations."""
+    x, p, vac = records
+    return [analysis._combo_variance(rec, sign, mode)[0]
+            for rec, sign in ((x, -1.0), (p, +1.0), (vac, -1.0), (vac, +1.0))]
+
+
+@pytest.mark.parametrize("width", [2e-8, 2e-7], ids=("20ns", "0.2us"))
+def test_mode_space_readings_have_the_law_of_the_full_draw(calibrated_pair, width):
+    # over 400 repetitions of a 10,000-sample record through the default
+    # chain, the mode-space and full-draw readings of each combination
+    # agree in mean, each mean sits at mean(S_q), and each spread is the
+    # exact standard error sqrt(2 sum_q S_q^2)/m of a sample variance of
+    # the m circulant Gaussian mode values
+    fs, duration, reps = 50e6, 2e-4, 400
+    chain, mode = DetectionChain(), TemporalMode.square(width)
+    n = block_length(duration, fs)
+    hop = mode.n_samples(fs)
+    window = placed_window(mode, fs, 1, n)
+    psds = (beam_spectra(*calibrated_pair, "X")[1],
+            beam_spectra(*calibrated_pair, "P")[0], flat_psd(), flat_psd())
+    spectra = [mode_value_spectrum(_power(psd, chain, n, fs), window, n, hop) for psd in psds]
+    readings = {}
+    for m in (None, mode):
+        rows = []
+        for i in range(reps):
+            seqs = synth._children(np.random.SeedSequence(2024, spawn_key=(i,)), 3)
+            records = (epr_record(*calibrated_pair, duration, fs, "X", seqs[0], chain=chain,
+                                  mode=m),
+                       epr_record(*calibrated_pair, duration, fs, "P", seqs[1], chain=chain,
+                                  mode=m),
+                       vacuum_record(duration, fs, seqs[2], chain=chain, mode=m))
+            assert all((synth._drawn(r).mode is None) == (m is None) for r in records)
+            rows.append(_combination_variances(records, mode))
+        readings[m] = np.array(rows)
+    band = 4.0 / math.sqrt(2.0 * (reps - 1))  # 4 sigma of a sample standard deviation
+    for j, s in enumerate(spectra):
+        se = math.sqrt(2.0 * np.sum(s * s)) / s.size
+        full, drawn = readings[None][:, j], readings[mode][:, j]
+        z = (drawn.mean() - full.mean()) / math.sqrt((full.var(ddof=1) + drawn.var(ddof=1))
+                                                     / reps)
+        assert abs(z) < 4.0, (j, z)
+        for values in (full, drawn):
+            assert abs(values.mean() - s.mean()) < 4.0 * se / math.sqrt(reps), j
+            assert abs(values.std(ddof=1) / se - 1.0) < band, (j, values.std(ddof=1) / se)
 
 
 def test_block_length_is_next_fast_real_fft_length():
