@@ -11,7 +11,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .detection import placed_window
 from .modes import TemporalMode
 from .spectra import duan_sum, to_db
 from .synth import TimeSeries, TwoModeRecord, _drawn
@@ -29,7 +28,6 @@ __all__ = [
     "extract_modes",
     "combo_series",
     "epr_report",
-    "folded_mode_variance",
     "mode_value_spectrum",
     "combine_reports",
     "welch_psd",
@@ -106,30 +104,22 @@ def _combo_variance(record: TwoModeRecord, sign: float,
                     mode: TemporalMode) -> Tuple[float, int]:
     """Sample variance of the combination's mode values, and their count.
 
-    For a record synth drew in mode space, the values are the inverse FFT
-    of the combination's drawn mode-value coefficients. For a record synth
-    drew through a linear chain (no quantizer), read as drawn
-    (synth._drawn), whose windows' spacing divides the block, the values
-    are folded from the block's drawn rfft coefficients
-    (folded_mode_variance), without the record's samples; otherwise they
-    are taken from the combination's series (extract_modes).
+    A record synth drew in mode space (synth._drawn) is read from its drawn
+    mode-value coefficients: the values are the inverse FFT of the
+    combination's. Every other record is read from its samples
+    (extract_modes of the combination series).
     """
-    n_w = mode.n_samples(record.sample_rate)
-    count = _mode_count(record.a, n_w, mode)
+    count = _mode_count(record.a, mode.n_samples(record.sample_rate), mode)
     if count < 2:
         raise ValueError("need at least 2 mode values per repetition")
     draw = _drawn(record)
-    if draw is not None and draw.mode is not None:
+    if draw is not None:
         if draw.mode != mode:
             raise ValueError("record was drawn in mode space for another mode")
         vals = np.fft.irfft(draw.combination(sign), draw.size)[:count]
-        return float(np.var(vals, ddof=1)), count
-    if draw is not None and draw.n % (hop := draw.stride * n_w) == 0:
-        window = placed_window(mode, record.sample_rate, draw.stride, draw.n)
-        return folded_mode_variance(draw.combination(sign), window, draw.n, hop,
-                                    count), count
-    vals = extract_modes(combo_series(record, sign), mode).values
-    return float(np.var(vals, ddof=1)), vals.size
+    else:
+        vals = extract_modes(combo_series(record, sign), mode).values
+    return float(np.var(vals, ddof=1)), count
 
 
 def _check_reference(ref_var: float, expected: float, n_modes: int) -> None:
@@ -169,35 +159,6 @@ def epr_report(x_record: TwoModeRecord, p_record: TwoModeRecord,
     return _summarize([(to_db(vx), to_db(vp), duan_sum(vx, vp))], mode)
 
 
-def folded_mode_variance(coeffs: np.ndarray, window: np.ndarray, n: int,
-                         hop: int, count: int) -> float:
-    """Sample variance (ddof=1) of the first count mode values of the
-    n-sample block whose rfft coefficients are coeffs, computed without
-    the block itself.
-
-    window is the rfft of the mode window placed on the block
-    (detection.placed_window) and hop the spacing n_w*d of consecutive
-    windows in block samples, which must divide n. Mode value j is then
-    sample j*hop of the circular correlation c = irfft(coeffs *
-    conj(window), n), so the m = n/hop values v_j = c[j*hop] have the DFT
-    V_q = (1/hop) sum_r C[q + r*m], the fold of c's full spectrum C onto m
-    bins (_fold, from the half spectrum alone). One length-m irfft gives
-    the values. For count = extract_modes' count on the
-    digitized record trimmed from the block, the result equals the time-
-    domain variance up to rounding.
-    """
-    if n % hop:
-        raise ValueError(f"window spacing {hop} does not divide the block length {n}")
-    m = n // hop
-    if not 2 <= count <= m:
-        raise ValueError("need at least 2 mode values per repetition")
-    h = np.conj(window)
-    h *= coeffs
-    spec = _fold(h, n, m)
-    spec /= hop
-    return float(np.var(np.fft.irfft(spec, m)[:count], ddof=1))
-
-
 def mode_value_spectrum(power: np.ndarray, window: np.ndarray, n: int,
                         hop: int) -> np.ndarray:
     """The spectrum S_q, q = 0 .. m-1, of the m = n/hop mode values of an
@@ -205,12 +166,15 @@ def mode_value_spectrum(power: np.ndarray, window: np.ndarray, n: int,
     independent with E|X_k|^2 = n * power_k (synth's draws, power their
     P on the rfft bins).
 
-    window and hop are as for folded_mode_variance. The values' DFT is
-    the fold of X * conj(window) onto m bins, over hop, so its bin q has
-    E|V_q|^2 = m * S_q with S the same fold of n * power * |window|^2 over
-    m * hop^2, and bins q and q' != +-q are independent: the values are a
-    circulant Gaussian sequence, each of variance mean(S). S is even,
-    S_q = S_{m-q}.
+    window is the rfft of the mode window placed on the block
+    (detection.placed_window) and hop the spacing n_w*d of consecutive
+    windows in block samples, which must divide n. Mode value j is sample
+    j*hop of the circular correlation of the block with the window, so
+    the values' DFT is the fold (_fold) of X * conj(window) onto m bins,
+    over hop. Its bin q has E|V_q|^2 = m * S_q with S the same fold of
+    n * power * |window|^2 over m * hop^2, and bins q and q' != +-q are
+    independent: the values are a circulant Gaussian sequence, each of
+    variance mean(S). S is even, S_q = S_{m-q}.
     """
     if n % hop:
         raise ValueError(f"window spacing {hop} does not divide the block length {n}")

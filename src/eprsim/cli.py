@@ -129,22 +129,21 @@ def _meta(cfg: RunConfig, command: str, **extra) -> Dict[str, object]:
 # -- run ----------------------------------------------------------------------
 
 def _one_repetition(cfg: RunConfig, seq: np.random.SeedSequence,
-                    expected_ref: float, full: bool, files: bool = False):
+                    expected_ref: float, files: bool = False):
     """One repetition's report, and with files the files of its records
     (_run_files), rendered here, in the repetition's worker.
 
     The detected (X, P, vacuum) records are drawn through the chain from
     the three streams that are seq's children (synth._children: seq is not
-    advanced, so the same seq gives the same repetition). A full
-    repetition (repetition 0, whose files need samples) draws blocks, and
-    the report reads X's beam 2, P's beam 1 and both vacuum beams from
-    their coefficients; the other two beams are drawn when the files read
-    the records' samples. Any other repetition draws its records in mode
-    space for cfg.mode (synth: mode=) where the chain and the mode allow
-    it: the same four beams, each as the rfft coefficients of its m mode
-    values."""
+    advanced, so the same seq gives the same repetition). A repetition
+    with files draws its records in full, because the files need their
+    samples, and the report reads the samples too. Any other repetition
+    draws its records in mode space for cfg.mode (synth: mode=) where the
+    chain and the mode allow it, and the report reads four beams (X's
+    beam 2, P's beam 1, both vacuum beams) from the rfft coefficients of
+    their m mode values; elsewhere it draws in full as well."""
     x_seed, p_seed, v_seed = _children(seq, 3)
-    mode = None if full else cfg.mode
+    mode = None if files else cfg.mode
     xr = epr_record(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, "X", x_seed,
                     chain=cfg.chain, mode=mode)
     pr = epr_record(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, "P", p_seed,
@@ -157,24 +156,31 @@ def _one_repetition(cfg: RunConfig, seq: np.random.SeedSequence,
 def _run_pipeline(cfg: RunConfig, slot: int = 0, files: bool = True):
     """(report, repetition 0's files (_run_files) or None without files,
     expected reference variance). Each repetition is reduced to its report
-    in its worker, and repetition 0's worker renders the files while the
-    others draw, so no records outlive their repetition.
+    in its worker, and with files repetition 0's worker draws it in full
+    and renders the files while the others draw in mode space, so no
+    records outlive their repetition. Without files (`sweep --mc-check`)
+    every repetition draws in mode space where it can. The first failing
+    repetition ends the run: those not yet started are cancelled.
 
     Random streams form the spawn tree seed -> slot -> repetition ->
     stream -> beam (slot 0 is `run`, slot j+1 the `sweep --mc-check` run
     at grid point j; a stream is one record, X, P or vacuum, and its
     beams are children of it: (..., 0) and (..., 1) drawn as blocks,
-    (..., 2) and (..., 3) drawn in mode space, synth._Draw): no two draws
-    share a seed, and repetition i's streams do not depend on
+    (..., 2) and (..., 3) drawn in mode space, synth._ModeDraw): no two
+    draws share a seed, and repetition i's streams do not depend on
     cfg.repetitions."""
     block = block_length(cfg.duration, cfg.fs)
     expected_ref = expected_mode_variance(None, cfg.chain, cfg.fs, cfg.mode, block=block)
     root = np.random.SeedSequence(cfg.seed, spawn_key=(slot,))
     with ThreadPoolExecutor(max_workers=_worker_count(cfg.repetitions)) as pool:
-        futures = [pool.submit(_one_repetition, cfg, seq, expected_ref, i == 0,
-                               files and i == 0)
+        futures = [pool.submit(_one_repetition, cfg, seq, expected_ref, files and i == 0)
                    for i, seq in enumerate(_children(root, cfg.repetitions))]
-        results = [f.result() for f in futures]
+        try:
+            results = [f.result() for f in futures]
+        except BaseException:
+            # the pool's exit waits on every queued repetition
+            pool.shutdown(cancel_futures=True)
+            raise
     report = combine_reports([r for r, _ in results])
     return report, results[0][1], expected_ref
 

@@ -11,27 +11,27 @@ calibration contract).
 
 A record's two input beams (beam 1 the P-squeezed OPO, beam 2 the
 X-squeezed one, with the PSDs spectra.beam_spectra gives) are drawn from
-their own streams, each on first use, and the record keeps the rfft
-coefficients it was drawn as; its samples are built from them on first
-read (_Draw). Readings that are linear in the samples
-(analysis.epr_report) are taken from the coefficients, without the inverse
-FFTs, and draw only the beams they weigh: the X record's x_A - x_B is
-input beam 2 alone, the P record's p_A + p_B beam 1 alone. Beam k of a
-record seeded by the sequence seq is drawn by
-default_rng(SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key, k))), so
-a record is the same whatever is read first, and from any thread.
+their own streams: beam k of a record seeded by the sequence seq is drawn
+by default_rng(SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key, k))).
+A record is built when it is drawn (_record): both beams' inverse
+FFTs, the trim, the half-beam-splitter map, then digitizing through the
+chain. Its series are plain TimeSeries, and every reading takes their
+samples.
 
 A record drawn for a temporal mode (epr_record and vacuum_record with
-mode=) is drawn in mode space and has no samples: the m = n/hop mode
-values of a beam's block (hop the windows' spacing in block samples) are
-a circulant Gaussian sequence whose spectrum S_q is known
+mode=) is drawn in mode space and has no samples (_ModeDraw): the m =
+n/hop mode values of a beam's block (hop the windows' spacing in block
+samples) are a circulant Gaussian sequence whose spectrum S_q is known
 (analysis.mode_value_spectrum), so each beam draws the m//2 + 1 rfft
 coefficients of its mode values from sqrt(m/2 * S_q), as a block draws
 its own from sqrt(n/2 * P), and one length-m inverse FFT gives the
 values. This is exact in distribution. Beam k then draws from the child
 (*seq.spawn_key, 2 + k), so it shares no seed with the full draw of the
-same record. A quantizing chain, or a hop that does not divide the block,
-keeps the full draw.
+same record. Its beams are drawn on first use, the same from any thread,
+and a reading (analysis.epr_report) draws only the beams it weighs: the X
+record's x_A - x_B is input beam 2 alone, the P record's p_A + p_B beam 1
+alone. A quantizing chain, or a hop that does not divide the block, keeps
+the full draw.
 
 synthesize_colored inverts an even block as two half-length transforms,
 one on the calling thread and one on the process's helper thread (_irfft,
@@ -79,19 +79,11 @@ SeedLike = int | np.random.SeedSequence
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Uniformly sampled real quadrature record in vacuum units.
-
-    A series of a record synth draws is built on first read of samples
-    from the record's drawn coefficients (_Draw.record); dataclasses.replace
-    of it gives a plain series.
-    """
+    """Uniformly sampled real quadrature record in vacuum units."""
 
     sample_rate: float
     samples: np.ndarray
     label: str = "vacuum"
-    # (draw, index) of a drawn record's series (_Draw.record); not a field,
-    # so dataclasses.replace and asdict leave it out
-    _source = None
 
     def __post_init__(self):
         if not (self.sample_rate > 0.0):
@@ -101,19 +93,8 @@ class TimeSeries:
         if self.label not in _LABELS:
             raise ValueError(f"label must be one of {_LABELS}, got {self.label!r}")
 
-    def __getattr__(self, name):
-        # reached only while a drawn series' samples are not yet built
-        if name != "samples" or self._source is None:
-            raise AttributeError(name)
-        draw, index = self._source
-        samples = draw.series()[index]
-        object.__setattr__(self, "samples", samples)
-        return samples
-
     @property
     def n(self) -> int:
-        if self._source is not None:
-            return self._source[0].n_series
         return self.samples.size
 
     @property
@@ -328,55 +309,33 @@ def _children(seed: SeedLike, count: int,
                  for k in range(first, first + count))
 
 
-class _Draw:
-    """The two input beams of one record, drawn as rfft coefficients, and
-    the record's two series.
+class _ModeDraw:
+    """The two input beams of one record drawn in mode space, as the rfft
+    coefficients of their m = n/hop mode values (_mode_amplitude), hop the
+    spacing of the mode's windows in block samples.
 
-    Beam k (0 or 1) is drawn on first use (beam) from its own stream, the
-    child (*seed's spawn_key, k) of the record's seed sequence, so a beam
-    is the same whichever reading draws it. The series are built on first
-    read of either one's samples: both beams' inverse FFTs, trimmed to
-    n_out samples, the half-beam-splitter map when mixed (epr_record),
-    then digitizing through the chain. A reading that is linear in the
-    samples can be taken from combination() without them, and draws only
-    the beams it weighs.
-
-    With a mode, a linear chain and windows whose spacing hop divides the
-    block, the draw is in mode space: each beam's coefficients are those
-    of its m = n/hop mode values (_mode_amplitude), beam k drawn from the
-    child (..., 2 + k), and the record has no samples.
+    Beam k (0 or 1) is drawn on first use (beam), from the child
+    (*seed's spawn_key, 2 + k) of the record's seed sequence, so a beam is
+    the same whichever reading draws it, from whichever thread. A reading
+    takes combination(), which draws only the beams it weighs.
     """
 
     def __init__(self, psds: Tuple[QuadPsd, QuadPsd], chain: Optional[DetectionChain],
-                 duration: float, fs: float, seed: SeedLike, mixed: bool,
-                 mode: Optional[TemporalMode] = None):
-        self.n = block_length(duration, fs)
-        self.n_out = int(round(duration * fs))
-        self.fs = fs
-        self.chain = chain
-        self.rate, self.stride = _rate_stride(chain, fs)
-        self.n_series = len(range(0, self.n_out, self.stride))
-        self.linear = chain is None or chain.adc_bits is None
+                 n: int, n_out: int, fs: float, seed: SeedLike, mixed: bool,
+                 mode: TemporalMode):
+        self.rate, stride = _rate_stride(chain, fs)
+        self.n_series = len(range(0, n_out, stride))
         self.mixed = mixed
-        # the mode a draw in mode space is for, and the length its
-        # coefficients are the rfft of (the block's n, or m)
-        self.mode, self.size = None, self.n
-        if (mode is not None and self.linear
-                and self.n % (hop := self.stride * mode.n_samples(self.rate)) == 0):
-            self.mode, self.size = mode, self.n // hop
-            self._streams = _children(seed, 2, first=2)
-            self._amps = tuple(_mode_amplitude(psd, chain, self.n, fs, mode) for psd in psds)
-        else:
-            self._streams = _children(seed, 2)
-            self._amps = tuple(_amplitude(psd, chain, self.n, fs) for psd in psds)
+        self.mode = mode
+        self.size = n // (stride * mode.n_samples(self.rate))
+        self._streams = _children(seed, 2, first=2)
+        self._amps = tuple(_mode_amplitude(psd, chain, n, fs, mode) for psd in psds)
         self._beams = [None, None]
-        self._series = None
-        # reentrant: series() draws its beams under the lock it holds
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     def beam(self, k: int) -> np.ndarray:
-        """rfft coefficients of input beam k (its block, or in mode space
-        its mode values), drawn on first use; read-only."""
+        """rfft coefficients of input beam k's mode values, drawn on first
+        use; read-only."""
         with self._lock:
             if self._beams[k] is None:
                 rng = np.random.default_rng(self._streams[k])
@@ -385,59 +344,72 @@ class _Draw:
                 self._beams[k] = spec
             return self._beams[k]
 
-    def record(self, labels: Tuple[str, str]) -> TwoModeRecord:
-        """The record whose series a and b are this draw's, unbuilt."""
-        series = []
-        for index, label in enumerate(labels):
-            s = object.__new__(TimeSeries)
-            for attr, value in (("sample_rate", self.rate), ("label", label),
-                                ("_source", (self, index))):
-                object.__setattr__(s, attr, value)
-            series.append(s)
-        if not self.linear:
-            # readings through a quantizer need the samples; build them
-            # now, so that its warnings come from the draw
-            self.series()
-        return TwoModeRecord(*series)
-
-    def series(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The samples of series a and b."""
-        if self.mode is not None:
-            raise ValueError("a record drawn in mode space has no samples")
-        with self._lock:
-            if self._series is None:
-                # np.fft.irfft, not _irfft: these blocks gain nothing measurable
-                # from the split, and run's files keep their last digits
-                b1, b2 = (np.fft.irfft(self.beam(k), self.n)[: self.n_out]
-                          for k in range(2))
-                if self.mixed:
-                    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-                    b1, b2 = (b1 + b2) * inv_sqrt2, (b1 - b2) * inv_sqrt2
-                if self.chain is not None:
-                    b1, b2 = (self.chain.digitize(y, self.fs) for y in (b1, b2))
-                self._series = (b1, b2)
-            return self._series
-
     def combination(self, sign: float) -> np.ndarray:
-        """rfft coefficients of the block (or in mode space the mode
-        values) of (series a + sign * series b)/sqrt(2), trimmed and
-        digitized, for a linear chain; the series are (b1 + b2, b1 - b2)/sqrt(2)
-        when mixed, else (b1, b2). Only beams of nonzero weight are drawn,
-        and one of them always is."""
+        """rfft coefficients of the mode values of (series a + sign *
+        series b)/sqrt(2); the series are (b1 + b2, b1 - b2)/sqrt(2) when
+        mixed, else (b1, b2). Only beams of nonzero weight are drawn, and
+        one of them always is."""
         if self.mixed:  # the sum is beam 1 alone, the difference beam 2
             return self.beam(0 if sign > 0 else 1)
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         return inv_sqrt2 * self.beam(0) + (sign * inv_sqrt2) * self.beam(1)
 
 
-def _drawn(record: TwoModeRecord) -> Optional[_Draw]:
-    """The draw whose series 0 and 1 are the record's a and b, in that
-    order, when it is through a linear chain (no quantizer), else None."""
-    sa, sb = record.a._source, record.b._source
-    if (sa is not None and sb is not None and sa[0] is sb[0]
-            and (sa[1], sb[1]) == (0, 1) and sa[0].linear):
-        return sa[0]
+class _ModeSeries(TimeSeries):
+    """Series index (0 or 1) of a record drawn in mode space: a sample
+    rate, a label and a length, and no samples."""
+
+    def __init__(self, draw: _ModeDraw, index: int, label: str):
+        for attr, value in (("sample_rate", draw.rate), ("label", label),
+                            ("draw", draw), ("index", index)):
+            object.__setattr__(self, attr, value)
+
+    @property
+    def samples(self) -> np.ndarray:
+        raise ValueError("a record drawn in mode space has no samples")
+
+    @property
+    def n(self) -> int:
+        return self.draw.n_series
+
+
+def _drawn(record: TwoModeRecord) -> Optional[_ModeDraw]:
+    """The mode-space draw whose series 0 and 1 are the record's a and b,
+    in that order, else None."""
+    a, b = record.a, record.b
+    if (isinstance(a, _ModeSeries) and isinstance(b, _ModeSeries)
+            and a.draw is b.draw and (a.index, b.index) == (0, 1)):
+        return a.draw
     return None
+
+
+def _record(psds: Tuple[QuadPsd, QuadPsd], chain: Optional[DetectionChain],
+            duration: float, fs: float, seed: SeedLike, mixed: bool,
+            mode: Optional[TemporalMode], labels: Tuple[str, str]) -> TwoModeRecord:
+    """The record with series labels (a, b) whose input beams have the
+    PSDs psds: drawn in mode space (_ModeDraw) with a mode, a linear chain
+    and windows whose spacing divides the block, else in full: each beam's
+    block from the child (*seed's spawn_key, k), its inverse FFT trimmed to
+    duration*fs samples, the half-beam-splitter map when mixed, then
+    digitizing through the chain."""
+    n = block_length(duration, fs)
+    n_out = int(round(duration * fs))
+    rate, stride = _rate_stride(chain, fs)
+    if (mode is not None and (chain is None or chain.adc_bits is None)
+            and n % (stride * mode.n_samples(rate)) == 0):
+        draw = _ModeDraw(psds, chain, n, n_out, fs, seed, mixed, mode)
+        return TwoModeRecord(*(_ModeSeries(draw, k, label) for k, label in enumerate(labels)))
+    amps = [_amplitude(psd, chain, n, fs) for psd in psds]
+    # np.fft.irfft, not _irfft: these blocks gain nothing measurable from
+    # the split, and run's files keep their last digits
+    b1, b2 = (np.fft.irfft(_coefficients(amp, n, np.random.default_rng(stream)), n)[:n_out]
+              for amp, stream in zip(amps, _children(seed, 2)))
+    if mixed:
+        inv_sqrt2 = 1.0 / np.sqrt(2.0)
+        b1, b2 = (b1 + b2) * inv_sqrt2, (b1 - b2) * inv_sqrt2
+    if chain is not None:
+        b1, b2 = (chain.digitize(y, fs) for y in (b1, b2))
+    return TwoModeRecord(*(TimeSeries(rate, y, label) for y, label in zip((b1, b2), labels)))
 
 
 def epr_record(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,
@@ -448,7 +420,7 @@ def epr_record(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,
 
     Draws the measured quadrature of each input beam from its own stream
     (one block of block_length(duration, fs) samples each, trimmed to
-    duration*fs; _Draw) and applies the half-beam-splitter map
+    duration*fs; _record) and applies the half-beam-splitter map
     A = (b1+b2)/sqrt(2), B = (b1-b2)/sqrt(2) samplewise. Beam 1 is the
     P-squeezed OPO and beam 2 the X-squeezed one, whichever argument each
     is; spectra.beam_spectra gives their PSDs for the setting.
@@ -462,13 +434,14 @@ def epr_record(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,
 
     With a mode, the record is drawn in mode space where it can be (a
     linear chain, and a spacing of the mode's windows that divides the
-    block; _Draw): it has no samples, and analysis.epr_report reads its
-    mode values for that mode, with the distribution of the full draw's.
+    block; _ModeDraw): it has no samples, and analysis.epr_report reads
+    its mode values for that mode, with the distribution of the full
+    draw's. Otherwise the record is built here, and its series are plain
+    TimeSeries.
     """
-    draw = _Draw(beam_spectra(opo1, opo2, setting), chain, duration, fs, seed,
-                 mixed=True, mode=mode)
     lab = "x" if setting == "X" else "p"
-    return draw.record((f"{lab}_A", f"{lab}_B"))
+    return _record(beam_spectra(opo1, opo2, setting), chain, duration, fs, seed,
+                   mixed=True, mode=mode, labels=(f"{lab}_A", f"{lab}_B"))
 
 
 def vacuum_record(duration: float, fs: float, seed: SeedLike,
@@ -478,6 +451,5 @@ def vacuum_record(duration: float, fs: float, seed: SeedLike,
     reference); with a chain, from the detected vacuum PSD, digitized (the
     detected reference, as epr_record draws with a chain); with a mode,
     drawn in mode space where it can be, as epr_record is."""
-    draw = _Draw((flat_psd(), flat_psd()), chain, duration, fs, seed, mixed=False,
-                 mode=mode)
-    return draw.record(("vacuum", "vacuum"))
+    return _record((flat_psd(), flat_psd()), chain, duration, fs, seed, mixed=False,
+                   mode=mode, labels=("vacuum", "vacuum"))

@@ -13,9 +13,9 @@ from eprsim import (CalibrationError, DetectionChain, TemporalMode,
                     extract_modes, opo_spectrum, synthesize_colored, flat_psd,
                     trace_excerpt, vacuum_record, welch_psd)
 from eprsim import analysis, synth
-from eprsim.analysis import folded_mode_variance, mode_value_spectrum
+from eprsim.analysis import mode_value_spectrum
 from eprsim.detection import placed_window
-from eprsim.synth import TimeSeries, TwoModeRecord, _coefficients
+from eprsim.synth import TimeSeries, TwoModeRecord
 
 import refvals
 
@@ -146,53 +146,33 @@ def test_epr_report_input_validation(calibrated_pair):
                                      lambda r: TwoModeRecord(r.b, r.b)],
                          ids=("swapped", "a_repeated", "b_repeated"))
 @pytest.mark.parametrize("make", [
-    lambda pair: epr_record(*pair, 1e-4, FS, "X", 565),
-    lambda pair: vacuum_record(1e-4, FS, 566),
+    lambda pair: epr_record(*pair, 1e-4, FS, "X", 565, mode=MODE),
+    lambda pair: vacuum_record(1e-4, FS, 566, mode=MODE),
 ], ids=("epr", "vacuum"))
 def test_reordered_drawn_series_are_read_in_the_time_domain(calibrated_pair, make,
                                                             reorder, monkeypatch):
-    # only a drawn record's own (a, b) order is folded from its
+    # only a mode-space record's own (a, b) order is read from its drawn
     # coefficients; its series swapped or repeated are read from their
-    # samples, as extract_modes of the combination series reads them
-    folds = []
-    fold = analysis.folded_mode_variance
-
-    def counting(*args):
-        folds.append(args)
-        return fold(*args)
-
-    monkeypatch.setattr(analysis, "folded_mode_variance", counting)
+    # samples, which a mode-space record does not have, so the reading
+    # raises and draws no beam
     rec = make(calibrated_pair)
     assert synth._drawn(rec) is not None
     other = reorder(rec)
     assert synth._drawn(other) is None
+    draws = []
+    coefficients = synth._coefficients
+
+    def counting(*args):
+        draws.append(args)
+        return coefficients(*args)
+
+    monkeypatch.setattr(synth, "_coefficients", counting)
     for sign in (-1.0, +1.0):
-        var, count = analysis._combo_variance(other, sign, MODE)
-        vals = extract_modes(combo_series(other, sign), MODE).values
-        assert (var, count) == (np.var(vals, ddof=1), vals.size)
-    assert folds == []
+        with pytest.raises(ValueError, match="mode space has no samples"):
+            analysis._combo_variance(other, sign, MODE)
+    assert draws == []
     analysis._combo_variance(rec, -1.0, MODE)
-    assert len(folds) == 1
-
-
-@pytest.mark.parametrize("n, factor, width, n_out", [
-    (10_000, 1, 10, 9_999),   # paper.cfg's shape at a tenth, trimmed
-    (10_000, 2, 10, 10_000),  # decimated: Nyquist passes the window
-    (1_125, 3, 5, 1_120),     # odd block
-    (4_096, 1, 1, 4_096),     # one-sample modes: no bin folds
-    (4_096, 1, 2_048, 4_096),  # two modes per block
-])
-def test_folded_mode_variance_matches_extract_modes(n, factor, width, n_out):
-    # an asymmetric window and white coefficients: the fold equals the mode
-    # values extract_modes takes from the digitized, trimmed block
-    rng = np.random.default_rng(n + factor + width)
-    mode = TemporalMode.tabulated(rng.uniform(0.1, 1.0, width), width / 50e6)
-    coeffs = _coefficients(np.ones(n // 2 + 1), n, rng)
-    series = TimeSeries(50e6, np.fft.irfft(coeffs, n)[:n_out][::factor])
-    vals = extract_modes(series, mode).values
-    window = placed_window(mode, 50e6, factor, n)
-    folded = folded_mode_variance(coeffs, window, n, factor * width, vals.size)
-    assert folded == pytest.approx(np.var(vals, ddof=1), rel=1e-13, abs=0.0)
+    assert draws
 
 
 @pytest.mark.parametrize("n, factor, width", [
@@ -237,14 +217,6 @@ def test_mode_value_spectrum_validation():
     window = np.fft.rfft(np.r_[1.0, np.zeros(99)])
     with pytest.raises(ValueError, match="does not divide"):
         mode_value_spectrum(np.ones(51), window, 100, 3)
-
-
-def test_folded_mode_variance_validation():
-    window = np.fft.rfft(np.r_[1.0, np.zeros(99)])
-    with pytest.raises(ValueError, match="does not divide"):
-        folded_mode_variance(window, window, 100, 3, 2)
-    with pytest.raises(ValueError, match="at least 2 mode values"):
-        folded_mode_variance(window, window, 100, 50, 1)
 
 
 def test_relabeling_beams_leaves_variances_unchanged(calibrated_pair):

@@ -178,37 +178,18 @@ def test_opo_order_does_not_change_monte_carlo_outputs(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-# run configs, as edits of FAST, whose readings are folded from the drawn
-# rfft coefficients, and those that keep the time-domain path
-FOLDED = {
+# run configs, as edits of FAST, whose repetitions after the first draw in
+# mode space, and those whose chain or mode keeps the full draw
+MODE_SPACE = {
     "paper_chain": {},
     "decimating_chain": {"fs": 100e6, "duration": 1e-4},
     "trimmed_block": {"duration": 9999 / 50e6},  # 9,999 samples of a 10,000 block
     "double_exp_mode": {"mode": {"kind": "double_exp", "rate": 1e7, "support": 5e-7}},
 }
-TIME_DOMAIN = {
+FULL_DRAW = {
     "quantizing_chain": {"chain": dict(FAST["chain"], adc_bits=12)},
     "undivided_block": {"mode": {"kind": "square", "duration": 7e-7}},  # 35 samples
 }
-
-
-def _counting_folds(monkeypatch):
-    """The list that collects one entry per folded_mode_variance call."""
-    calls = []
-    fold = analysis.folded_mode_variance
-
-    def counting(*args):
-        calls.append(args[2])
-        return fold(*args)
-
-    monkeypatch.setattr(analysis, "folded_mode_variance", counting)
-    return calls
-
-
-def _plain(record):
-    """The record with its samples and without its drawn coefficients, so
-    that epr_report reads it in the time domain."""
-    return replace(record, a=replace(record.a), b=replace(record.b))
 
 
 def _records(cfg, seq, mode=None):
@@ -243,7 +224,7 @@ def test_report_pools_repetition_0_in_full_and_the_rest_in_mode_space(tmp_path):
     report0, files0, expected_ref = cli._run_pipeline(cfg)
     seqs = np.random.SeedSequence(cfg.seed, spawn_key=(0,)).spawn(3)
     reps = [_records(cfg, seqs[0])] + [_records(cfg, seq, cfg.mode) for seq in seqs[1:]]
-    assert [synth._drawn(r[0]).mode for r in reps] == [None, cfg.mode, cfg.mode]
+    assert [synth._drawn(r[0]) is None for r in reps] == [True, False, False]
     report = _pooled(reps, cfg, expected_ref)
     assert report == report0
     # a full draw of a later repetition gives other readings
@@ -263,42 +244,34 @@ def test_report_pools_repetition_0_in_full_and_the_rest_in_mode_space(tmp_path):
     assert (dx.pearson_r, dp.pearson_r) == (files0[1].pearson_r, files0[2].pearson_r)
 
 
-@pytest.mark.parametrize("case", [*FOLDED, *TIME_DOMAIN])
-def test_folded_readings_match_the_time_domain(case, tmp_path, monkeypatch):
-    # epr_report reads full records from their drawn coefficients where it
-    # can; the same records read in the time domain agree to rounding, and
-    # exactly where nothing is folded; run's row 0 is such a reading
+@pytest.mark.parametrize("case", [*MODE_SPACE, *FULL_DRAW])
+def test_repetition_0_is_read_from_its_full_records(case, tmp_path):
+    # run's row 0 is epr_report of repetition 0's records drawn in full,
+    # which are plain series read from their samples; the later rows are
+    # read from records drawn in mode space where the chain and the mode
+    # allow it, and from full records otherwise
     path = tmp_path / "three.json"
-    path.write_text(json.dumps(dict(FAST, repetitions=3, **{**FOLDED, **TIME_DOMAIN}[case])))
+    path.write_text(json.dumps(dict(FAST, repetitions=3, **{**MODE_SPACE, **FULL_DRAW}[case])))
     cfg = load_config(path)
     report0, _, expected_ref = cli._run_pipeline(cfg)
     seqs = np.random.SeedSequence(cfg.seed, spawn_key=(0,)).spawn(3)
-    reps = [_records(cfg, seq) for seq in seqs]
-    folds = _counting_folds(monkeypatch)
-    report = _pooled(reps, cfg, expected_ref)
-    assert report.per_rep[0] == report0.per_rep[0]
-    assert len(folds) == (4 * 3 if case in FOLDED else 0)
-
-    timed = _pooled([map(_plain, records) for records in reps], cfg, expected_ref)
-    assert len(folds) == (4 * 3 if case in FOLDED else 0)
-    if case in FOLDED:
-        for row, row0 in zip(timed.per_rep, report.per_rep, strict=True):
-            assert row0 == pytest.approx(row, rel=1e-13, abs=0.0)
-    else:
-        assert timed == report
+    reps = [_records(cfg, seqs[0])] + [_records(cfg, seq, cfg.mode) for seq in seqs[1:]]
+    assert all(type(s) is synth.TimeSeries for r in reps[0] for s in (r.a, r.b))
+    assert all((synth._drawn(r) is None) == (case in FULL_DRAW)
+               for records in reps[1:] for r in records)
+    assert _pooled(reps, cfg, expected_ref) == report0
 
 
-@pytest.mark.parametrize("case", [*FOLDED, *TIME_DOMAIN])
+@pytest.mark.parametrize("case", [*MODE_SPACE, *FULL_DRAW])
 def test_only_repetition_0_draws_blocks_where_mode_space_is_possible(case, tmp_path,
                                                                      monkeypatch):
     # where the chain is linear and the mode's spacing divides the block,
-    # repetition 0 draws six block beams (four for the report, two more
-    # for its files) and takes six full-block inverse FFTs, and every
-    # later repetition draws four beams of m//2 + 1 mode-value
-    # coefficients, each inverted once; otherwise every repetition draws
-    # and builds its records in full
+    # repetition 0 draws six block beams and takes six full-block inverse
+    # FFTs, for its report and its files, and every later repetition draws
+    # four beams of m//2 + 1 mode-value coefficients, each inverted once;
+    # otherwise every repetition draws and builds its records in full
     path = tmp_path / "five.json"
-    path.write_text(json.dumps(dict(FAST, **{**FOLDED, **TIME_DOMAIN}[case])))
+    path.write_text(json.dumps(dict(FAST, **{**MODE_SPACE, **FULL_DRAW}[case])))
     cfg = load_config(path)
     block = block_length(cfg.duration, cfg.fs)
     m = block // (cfg.chain.decimation(cfg.fs) * cfg.mode.n_samples(cfg.chain.adc_rate))
@@ -317,14 +290,44 @@ def test_only_repetition_0_draws_blocks_where_mode_space_is_possible(case, tmp_p
     monkeypatch.setattr(synth, "_coefficients", counting_draws)
     assert main(["run", "--config", str(path), "--reps", "5",
                  "--out", str(tmp_path / "run")]) == 0
-    if case in FOLDED:
+    if case in MODE_SPACE:
         assert sorted(draws) == sorted([block] * 6 + [m] * 4 * 4)
         assert lengths.count(block) == 6
-        assert lengths.count(m) == 4 * 5  # one per combination and repetition
+        assert lengths.count(m) == 4 * 4  # one per combination and later repetition
         assert set(lengths) <= {block, m}
     else:
         assert draws == [block] * 6 * 5
         assert lengths == [block] * 6 * 5
+
+
+@pytest.mark.parametrize("case", [*MODE_SPACE, *FULL_DRAW])
+def test_sweep_check_draws_in_mode_space_where_it_can(case, tmp_path, monkeypatch):
+    # a checked sweep point has no files, so its one repetition draws four
+    # beams in mode space and takes no full-block inverse FFT where the
+    # chain is linear and the mode's spacing divides the block; a
+    # quantizing chain or an undivided block still draws six block beams
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(dict(FAST, **{**MODE_SPACE, **FULL_DRAW}[case])))
+    cfg = load_config(path)
+    block = block_length(cfg.duration, cfg.fs)
+    m = block // (cfg.chain.decimation(cfg.fs) * cfg.mode.n_samples(cfg.chain.adc_rate))
+    lengths = []
+    irfft = np.fft.irfft
+
+    def counting(a, n=None, *args, **kwargs):
+        lengths.append(2 * (len(a) - 1) if n is None else n)
+        return irfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counting)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(path), "--var", "efficiency",
+                 "--grid", "0.9:1:2", "--mc-check", "--out", str(out)]) == 0
+    if case in MODE_SPACE:
+        assert lengths == [m] * 4 * 2  # one per combination and checked point
+    else:
+        assert lengths == [block] * 6 * 2
+    _, _, rows = _read_csv(out / "sweep.csv")
+    assert all(row[3] for row in rows)
 
 
 def _scipy_modules_after(code: str, *args: str) -> str:
@@ -400,11 +403,10 @@ def test_worker_count_is_bounded_by_cores_and_reps(monkeypatch):
 
 
 def test_repetitions_draw_four_beams_from_their_own_streams(fast_cfg, monkeypatch):
-    # a report reads X's beam 2, P's beam 1 and both vacuum beams: a full
-    # repetition draws them as blocks from the streams (..., 0) and
-    # (..., 1) of its records, and its files draw the other two; any other
-    # repetition draws the same four in mode space, from (..., 2) and
-    # (..., 3)
+    # a repetition with files draws all six beams of its records as blocks
+    # from the streams (..., 0) and (..., 1); any other repetition draws
+    # the four beams its report reads (X's beam 2, P's beam 1 and both
+    # vacuum beams) in mode space, from (..., 2) and (..., 3)
     cfg = load_config(fast_cfg)
 
     def seq():  # _one_repetition builds its streams from the key of the sequence it is given
@@ -420,15 +422,12 @@ def test_repetitions_draw_four_beams_from_their_own_streams(fast_cfg, monkeypatc
 
     monkeypatch.setattr(synth, "_coefficients", counting)
     block, m = 10_000, 1_000
-    report, files = cli._one_repetition(cfg, seq(), expected_ref, True)
-    assert files is None
-    assert sorted(keys) == [(block, (0, 1)), (block, (1, 0)), (block, (2, 0)), (block, (2, 1))]
-    keys.clear()
-    report_files, files = cli._one_repetition(cfg, seq(), expected_ref, True, files=True)
-    assert report_files.per_rep == report.per_rep and len(files[0]) == 6
+    report, files = cli._one_repetition(cfg, seq(), expected_ref, files=True)
+    assert len(files[0]) == 6
     assert sorted(keys) == [(block, (i, k)) for i in range(3) for k in range(2)]
     keys.clear()
-    report_mode = cli._one_repetition(cfg, seq(), expected_ref, False)[0]
+    report_mode, files = cli._one_repetition(cfg, seq(), expected_ref)
+    assert files is None
     assert sorted(keys) == [(m, (0, 3)), (m, (1, 2)), (m, (2, 2)), (m, (2, 3))]
     assert report_mode.per_rep != report.per_rep
 
@@ -440,10 +439,10 @@ def test_one_repetition_leaves_its_sequence_unchanged(fast_cfg):
     cfg = load_config(fast_cfg)
     expected_ref = cli._run_pipeline(cfg)[2]
     seq = np.random.SeedSequence(cfg.seed, spawn_key=(0, 0))
-    for full in (False, True):
-        first = cli._one_repetition(cfg, seq, expected_ref, full)[0]
+    for files in (False, True):
+        first = cli._one_repetition(cfg, seq, expected_ref, files)[0]
         assert seq.n_children_spawned == 0
-        again = cli._one_repetition(cfg, seq, expected_ref, full)[0]
+        again = cli._one_repetition(cfg, seq, expected_ref, files)[0]
         assert again.per_rep == first.per_rep
     fresh = np.random.SeedSequence(cfg.seed, spawn_key=(0, 0))
     for built, spawned in zip(synth._children(seq, 3), fresh.spawn(3), strict=True):
@@ -743,18 +742,25 @@ def test_numeric_failure_exits_3(fast_cfg, tmp_path, monkeypatch, capsys):
     assert rc == 3
     monkeypatch.undo()
 
-    # a vacuum reference 20 % off its expectation, on the fold path: 10,000
-    # modes put 5 SE at 7 %
+    # a vacuum reference 20 % off its expectation, read from its samples:
+    # 10,000 modes put 5 SE at 7 %
     path = tmp_path / "long.json"
     path.write_text(json.dumps(dict(FAST, duration=2e-3, repetitions=1)))
     expected = cli.expected_mode_variance
     monkeypatch.setattr("eprsim.cli.expected_mode_variance",
                         lambda *args, **kwargs: 1.2 * expected(*args, **kwargs))
-    folds = _counting_folds(monkeypatch)
+    readings = []
+    extract = analysis.extract_modes
+
+    def counting(series, mode):
+        readings.append(series.n)
+        return extract(series, mode)
+
+    monkeypatch.setattr(analysis, "extract_modes", counting)
     capsys.readouterr()
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "c")]) == 3
     assert "vacuum reference variance" in capsys.readouterr().err
-    assert len(folds) == 2  # the reference's two combinations, then the check
+    assert readings == [100_000] * 2  # the reference's two combinations, then the check
 
 
 def test_a_failing_later_repetition_leaves_no_file(fast_cfg, tmp_path, monkeypatch, capsys):
@@ -764,7 +770,7 @@ def test_a_failing_later_repetition_leaves_no_file(fast_cfg, tmp_path, monkeypat
     rendered = []
 
     def failing(x, p, vacuum, *args, **kwargs):
-        if synth._drawn(vacuum).mode is not None:  # drawn in mode space: a later repetition
+        if synth._drawn(vacuum) is not None:  # drawn in mode space: a later repetition
             raise CalibrationError("synthetic reference failure")
         return report(x, p, vacuum, *args, **kwargs)
 
@@ -780,6 +786,36 @@ def test_a_failing_later_repetition_leaves_no_file(fast_cfg, tmp_path, monkeypat
     assert "synthetic reference failure" in capsys.readouterr().err
     assert len(rendered) == 1 and len(rendered[0][0]) == 6
     assert not out.exists()
+
+
+def test_a_failing_repetition_cancels_those_not_started(fast_cfg, tmp_path, monkeypatch,
+                                                        capsys):
+    # with one worker, repetition 1 is the first to fail, and run ends
+    # there instead of running the 198 queued behind it. This races: the
+    # worker goes on to the next queued repetitions until the waiting
+    # thread, woken by the failure, gets the GIL and cancels the rest, so a
+    # few more may run (up to about 40 at the default 5 ms switch
+    # interval, 3-20 at the 0.1 ms set here); far fewer than 200 do
+    report = cli.epr_report
+    calls = []
+
+    def failing(x, p, vacuum, *args, **kwargs):
+        calls.append(1)
+        if synth._drawn(vacuum) is not None:  # drawn in mode space: a later repetition
+            raise CalibrationError("synthetic reference failure")
+        return report(x, p, vacuum, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "epr_report", failing)
+    monkeypatch.setenv("EPR_THREADS", "1")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        assert main(["run", "--config", str(fast_cfg), "--out", str(tmp_path / "o"),
+                     "--reps", "200"]) == 3
+    finally:
+        sys.setswitchinterval(interval)
+    assert "synthetic reference failure" in capsys.readouterr().err
+    assert 2 <= len(calls) < 100, len(calls)
 
 
 def test_unwritable_output_exits_4(fast_cfg, tmp_path):

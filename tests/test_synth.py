@@ -316,67 +316,68 @@ def _counting_draws(monkeypatch):
 
 
 def test_drawn_record_is_built_once_from_any_thread(calibrated_pair, monkeypatch):
-    # a drawn record's beams are drawn on first use and its series built
-    # on first read of either; threads that read samples and combinations
-    # at once share one draw of each beam and one build (two inverse FFTs)
-    rec = epr_record(*calibrated_pair, 2e-4, 50e6, "X", 5, chain=DetectionChain())
+    # a mode-space record's beams are drawn on first use; threads that
+    # read its combinations at once share one draw of each beam
+    mode = TemporalMode.square(2e-7)
+    rec = epr_record(*calibrated_pair, 2e-4, 50e6, "X", 5, chain=DetectionChain(), mode=mode)
     draw = synth._drawn(rec)
     draws = _counting_draws(monkeypatch)
-    calls = []
-    irfft = np.fft.irfft
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return irfft(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "irfft", counting)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            combos = [pool.submit(draw.combination, sign) for sign in (1.0, -1.0) * 4]
-            futures = [pool.submit(getattr, s, "samples") for s in (rec.a, rec.b) * 8]
-            arrays = [f.result(timeout=60) for f in futures]
-            for f in combos:
-                f.result(timeout=60)
+            futures = [pool.submit(draw.combination, sign) for sign in (1.0, -1.0) * 8]
+            combos = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert len(calls) == 2
     assert len(draws) == 2 and draws[0] is not draws[1]
-    assert all(a is rec.a.samples for a in arrays[0::2])
-    assert all(b is rec.b.samples for b in arrays[1::2])
+    assert all(c is draw.beam(0) for c in combos[0::2])
+    assert all(c is draw.beam(1) for c in combos[1::2])
 
 
 def test_beams_are_drawn_on_first_use(calibrated_pair, monkeypatch):
-    # a combination draws only the beams it weighs: x_A - x_B is beam 2,
-    # p_A + p_B beam 1, a vacuum combination both
+    # a mode-space combination draws only the beams it weighs: x_A - x_B
+    # is beam 2, p_A + p_B beam 1, a vacuum combination both
     opo1, opo2 = calibrated_pair
+    mode = TemporalMode.square(2e-7)
+    n = block_length(4e-5, 50e6)
     draws = _counting_draws(monkeypatch)
     for setting, sign, beam in (("X", -1.0, "squeezed"), ("P", +1.0, "squeezed")):
-        draw = synth._drawn(epr_record(opo1, opo2, 4e-5, 50e6, setting, 3))
+        draw = synth._drawn(epr_record(opo1, opo2, 4e-5, 50e6, setting, 3, mode=mode))
         assert draws == []
         draw.combination(sign)
         opo = opo2 if setting == "X" else opo1
-        assert draws == [_amplitude(opo_spectrum(opo, beam), None, draw.n, 50e6)]
+        assert draws == [_mode_amplitude(opo_spectrum(opo, beam), None, n, 50e6, mode)]
         draw.combination(-sign)
         assert len(draws) == 2
         draws.clear()
-    draw = synth._drawn(vacuum_record(4e-5, 50e6, 3))
+    draw = synth._drawn(vacuum_record(4e-5, 50e6, 3, mode=mode))
     draw.combination(-1.0)
     assert len(draws) == 2
 
 
 @pytest.mark.parametrize("chain", [None, DetectionChain()], ids=("no_chain", "chain"))
 def test_record_is_the_same_whatever_is_read_first(calibrated_pair, chain):
-    # a record read combination-first builds the samples of one read
-    # samples-first, and the same sequence object seeds equal records
-    # (the record does not advance it)
+    # a mode-space record's beams are the same whichever combination or
+    # beam draws them first; a full record is built when it is drawn, as
+    # plain series; and the same sequence object seeds equal records (a
+    # record does not advance it)
     seq = np.random.SeedSequence(9, spawn_key=(0, 2))
-    for setting, sign in (("X", -1.0), ("P", +1.0)):
-        first = epr_record(*calibrated_pair, 4e-5, 50e6, setting, seq, chain=chain)
-        second = epr_record(*calibrated_pair, 4e-5, 50e6, setting, seq, chain=chain)
-        synth._drawn(first).combination(sign)
-        for s1, s2 in ((second.a, first.a), (second.b, first.b)):
+    mode = TemporalMode.square(2e-7)
+    makers = (lambda m: epr_record(*calibrated_pair, 4e-5, 50e6, "X", seq, chain=chain, mode=m),
+              lambda m: epr_record(*calibrated_pair, 4e-5, 50e6, "P", seq, chain=chain, mode=m),
+              lambda m: vacuum_record(4e-5, 50e6, seq, chain=chain, mode=m))
+    for make in makers:
+        first, second = synth._drawn(make(mode)), synth._drawn(make(mode))
+        for sign in (1.0, -1.0):
+            first.combination(sign)
+        second.beam(1)  # beam 2 before beam 1
+        for k in (0, 1):
+            assert np.array_equal(first.beam(k), second.beam(k))
+        full, again = make(None), make(None)
+        for s1, s2 in ((full.a, again.a), (full.b, again.b)):
+            assert type(s1) is TimeSeries and set(vars(s1)) == {"sample_rate", "samples",
+                                                                "label"}
             assert np.array_equal(s1.samples, s2.samples)
     assert seq.n_children_spawned == 0
 
@@ -419,7 +420,7 @@ def test_mode_space_draws_beams_2_and_3_of_the_mode_values(calibrated_pair, fs, 
         rec = make(mode)
         draw = synth._drawn(rec)
         if m is None:
-            assert draw is None or draw.mode is None
+            assert draw is None and type(rec.a) is TimeSeries
             assert np.array_equal(rec.a.samples, make(None).a.samples)
             continue
         assert (draw.mode, draw.size) == (mode, m)
@@ -467,7 +468,7 @@ def test_mode_space_readings_have_the_law_of_the_full_draw(calibrated_pair, widt
                        epr_record(*calibrated_pair, duration, fs, "P", seqs[1], chain=chain,
                                   mode=m),
                        vacuum_record(duration, fs, seqs[2], chain=chain, mode=m))
-            assert all((synth._drawn(r).mode is None) == (m is None) for r in records)
+            assert all((synth._drawn(r) is None) == (m is None) for r in records)
             rows.append(_combination_variances(records, mode))
         readings[m] = np.array(rows)
     band = 4.0 / math.sqrt(2.0 * (reps - 1))  # 4 sigma of a sample standard deviation
