@@ -13,7 +13,7 @@ import numpy as np
 
 from .modes import TemporalMode
 from .spectra import duan_sum, to_db
-from .synth import TimeSeries, TwoModeRecord, _drawn
+from .synth import TimeSeries, TwoModeRecord, _ModeRecord
 
 # shortest segment welch_psd takes
 MIN_SEGMENT = 64
@@ -104,16 +104,17 @@ def _combo_variance(record: TwoModeRecord, sign: float,
                     mode: TemporalMode) -> Tuple[float, int]:
     """Sample variance of the combination's mode values, and their count.
 
-    A record synth drew in mode space (synth._drawn) is read from its drawn
-    mode-value coefficients: the values are the inverse FFT of the
-    combination's. Every other record is read from its samples
-    (extract_modes of the combination series).
+    A record synth drew in mode space (a synth._ModeRecord) is read from
+    its draw for the mode it was drawn for: the values are the inverse FFT
+    of the combination's drawn mode-value coefficients. Every other record,
+    one built from a drawn record's series included, is read from its
+    samples (extract_modes of the combination series).
     """
     count = _mode_count(record.a, mode.n_samples(record.sample_rate), mode)
     if count < 2:
         raise ValueError("need at least 2 mode values per repetition")
-    draw = _drawn(record)
-    if draw is not None:
+    if isinstance(record, _ModeRecord):
+        draw = record.draw
         if draw.mode != mode:
             raise ValueError("record was drawn in mode space for another mode")
         vals = np.fft.irfft(draw.combination(sign), draw.size)[:count]
@@ -170,37 +171,31 @@ def mode_value_spectrum(power: np.ndarray, window: np.ndarray, n: int,
     (detection.placed_window) and hop the spacing n_w*d of consecutive
     windows in block samples, which must divide n. Mode value j is sample
     j*hop of the circular correlation of the block with the window, so
-    the values' DFT is the fold (_fold) of X * conj(window) onto m bins,
-    over hop. Its bin q has E|V_q|^2 = m * S_q with S the same fold of
-    n * power * |window|^2 over m * hop^2, and bins q and q' != +-q are
-    independent: the values are a circulant Gaussian sequence, each of
-    variance mean(S). S is even, S_q = S_{m-q}.
+    the values' DFT is the fold of X * conj(window) onto m bins (the sum
+    of the bins k = q mod m), over hop. Its bin q has E|V_q|^2 = m * S_q
+    with S the same fold of h = n * power * |window|^2 over m * hop^2, and
+    bins q and q' != +-q are independent: the values are a circulant
+    Gaussian sequence, each of variance mean(S). S is even, S_q = S_{m-q}.
+
+    h is real and even on the n bins, so S_q for q = 0 .. m//2 is the fold
+    of h's half spectrum (bins 0 .. n//2) at q plus its fold at m - q,
+    the mirror images n - k of the bins k, less DC and (for even n)
+    Nyquist, which have no mirror image.
     """
     if n % hop:
         raise ValueError(f"window spacing {hop} does not divide the block length {n}")
     m = n // hop
-    half = _fold(n * power * np.abs(window) ** 2, n, m)
-    half /= m * hop * hop
-    return np.concatenate([half, half[(m + 1) // 2 - 1: 0: -1]])
-
-
-def _fold(h: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Bins q = 0 .. m//2 of the fold onto m bins of the Hermitian n-bin
-    spectrum whose half spectrum (bins 0 .. n//2) is h: the sum of its
-    bins k = q (mod m), each of h's bins standing for itself and, as its
-    conjugate, for bin n - k; DC and (for even n) Nyquist stand for
-    themselves only."""
+    h = n * power * np.abs(window) ** 2
     rows = h.size // m
     fold = h[: rows * m].reshape(rows, m).sum(axis=0)
     fold[: h.size - rows * m] += h[rows * m:]
-    # the bins k = q (mod m) plus the mirror images n - k = q (mod m),
-    # i.e. conj(fold[-q mod m]) less DC's and Nyquist's
-    spec = fold[: m // 2 + 1].copy()
-    spec[0] += np.conj(fold[0]) - np.conj(h[0])
-    spec[1:] += np.conj(fold[m - 1: m - m // 2 - 1: -1])
+    half = fold[: m // 2 + 1].copy()
+    half[0] += fold[0] - h[0]
+    half[1:] += fold[m - 1: m - m // 2 - 1: -1]
     if n % 2 == 0:
-        spec[(n // 2) % m] -= np.conj(h[-1])
-    return spec
+        half[(n // 2) % m] -= h[-1]
+    half /= m * hop * hop
+    return np.concatenate([half, half[(m + 1) // 2 - 1: 0: -1]])
 
 
 def combine_reports(reports: Sequence[EprReport]) -> EprReport:

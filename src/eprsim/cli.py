@@ -59,27 +59,16 @@ def _fmt(value) -> str:
 
 
 def _data_lines(rows: Sequence[Sequence[object]]) -> str:
-    """The CSV lines of rows, each value as _fmt writes it: one % over a
-    repeated row template, %d for an integer column, %.12g for a float
-    column with no NaN (the bytes _fmt gives), and %s of _fmt(v) for any
-    other column (strings, None, NaN). The values are laid out row by row
-    with one slice assignment per column."""
-    columns = list(zip(*rows))
-    conversions = []
-    values: List[object] = [None] * (len(rows) * len(columns))
-    for j, column in enumerate(columns):
-        types = set(map(type, column))
-        if all(issubclass(t, (int, np.integer)) for t in types):
-            conversions.append("%d")
-        elif (all(issubclass(t, (float, np.floating)) for t in types)
-              and not np.isnan(np.array(column, dtype=float)).any()):
-            conversions.append("%.12g")
-        else:
-            conversions.append("%s")
-            column = [_fmt(v) for v in column]
-        values[j::len(columns)] = column
-    template = (",".join(conversions) + "\n") * len(rows)
-    return template % tuple(values)
+    """The CSV lines of rows, each value as _fmt writes it: when every
+    value is a float and none is NaN (the diagram, PSD and spectra files),
+    one % over a repeated %.12g row template, the bytes _fmt gives;
+    otherwise _fmt of each value."""
+    values = [v for row in rows for v in row]
+    if (rows and all(isinstance(v, (float, np.floating)) for v in values)
+            and not np.isnan(values).any()):
+        template = ",".join(["%.12g"] * len(rows[0])) + "\n"
+        return template * len(rows) % tuple(values)
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def _csv_text(meta: Dict[str, object], header: Sequence[str],
@@ -160,7 +149,8 @@ def _run_pipeline(cfg: RunConfig, slot: int = 0, files: bool = True):
     and renders the files while the others draw in mode space, so no
     records outlive their repetition. Without files (`sweep --mc-check`)
     every repetition draws in mode space where it can. The first failing
-    repetition ends the run: those not yet started are cancelled.
+    repetition ends the run: pool.map's result iterator cancels those not
+    yet started when it raises, and the pool waits only on those running.
 
     Random streams form the spawn tree seed -> slot -> repetition ->
     stream -> beam (slot 0 is `run`, slot j+1 the `sweep --mc-check` run
@@ -173,14 +163,9 @@ def _run_pipeline(cfg: RunConfig, slot: int = 0, files: bool = True):
     expected_ref = expected_mode_variance(None, cfg.chain, cfg.fs, cfg.mode, block=block)
     root = np.random.SeedSequence(cfg.seed, spawn_key=(slot,))
     with ThreadPoolExecutor(max_workers=_worker_count(cfg.repetitions)) as pool:
-        futures = [pool.submit(_one_repetition, cfg, seq, expected_ref, files and i == 0)
-                   for i, seq in enumerate(_children(root, cfg.repetitions))]
-        try:
-            results = [f.result() for f in futures]
-        except BaseException:
-            # the pool's exit waits on every queued repetition
-            pool.shutdown(cancel_futures=True)
-            raise
+        results = list(pool.map(
+            lambda i, seq: _one_repetition(cfg, seq, expected_ref, files and i == 0),
+            range(cfg.repetitions), _children(root, cfg.repetitions)))
     report = combine_reports([r for r, _ in results])
     return report, results[0][1], expected_ref
 

@@ -19,19 +19,20 @@ chain. Its series are plain TimeSeries, and every reading takes their
 samples.
 
 A record drawn for a temporal mode (epr_record and vacuum_record with
-mode=) is drawn in mode space and has no samples (_ModeDraw): the m =
-n/hop mode values of a beam's block (hop the windows' spacing in block
-samples) are a circulant Gaussian sequence whose spectrum S_q is known
-(analysis.mode_value_spectrum), so each beam draws the m//2 + 1 rfft
-coefficients of its mode values from sqrt(m/2 * S_q), as a block draws
-its own from sqrt(n/2 * P), and one length-m inverse FFT gives the
-values. This is exact in distribution. Beam k then draws from the child
-(*seq.spawn_key, 2 + k), so it shares no seed with the full draw of the
-same record. Its beams are drawn on first use, the same from any thread,
-and a reading (analysis.epr_report) draws only the beams it weighs: the X
-record's x_A - x_B is input beam 2 alone, the P record's p_A + p_B beam 1
-alone. A quantizing chain, or a hop that does not divide the block, keeps
-the full draw.
+mode=) is drawn in mode space: it is a _ModeRecord, which holds its draw
+(_ModeDraw), and its series (_ModeSeries) have a rate, a length and a
+label but no samples. The m = n/hop mode values of a beam's block (hop
+the windows' spacing in block samples) are a circulant Gaussian sequence
+whose spectrum S_q is known (analysis.mode_value_spectrum), so each beam
+draws the m//2 + 1 rfft coefficients of its mode values from sqrt(m/2 *
+S_q), as a block draws its own from sqrt(n/2 * P), and one length-m
+inverse FFT gives the values. This is exact in distribution. Beam k then
+draws from the child (*seq.spawn_key, 2 + k), so it shares no seed with
+the full draw of the same record. Its beams are drawn on first use, the
+same from any thread, and a reading (analysis.epr_report) draws only the
+beams it weighs: the X record's x_A - x_B is input beam 2 alone, the P
+record's p_A + p_B beam 1 alone. A quantizing chain, or a hop that does
+not divide the block, keeps the full draw.
 
 synthesize_colored inverts an even block as two half-length transforms,
 one on the calling thread and one on the process's helper thread (_irfft,
@@ -46,7 +47,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Tuple
 
@@ -321,13 +322,11 @@ class _ModeDraw:
     """
 
     def __init__(self, psds: Tuple[QuadPsd, QuadPsd], chain: Optional[DetectionChain],
-                 n: int, n_out: int, fs: float, seed: SeedLike, mixed: bool,
-                 mode: TemporalMode):
-        self.rate, stride = _rate_stride(chain, fs)
-        self.n_series = len(range(0, n_out, stride))
+                 n: int, fs: float, seed: SeedLike, mixed: bool, mode: TemporalMode):
+        rate, stride = _rate_stride(chain, fs)
         self.mixed = mixed
         self.mode = mode
-        self.size = n // (stride * mode.n_samples(self.rate))
+        self.size = n // (stride * mode.n_samples(rate))
         self._streams = _children(seed, 2, first=2)
         self._amps = tuple(_mode_amplitude(psd, chain, n, fs, mode) for psd in psds)
         self._beams = [None, None]
@@ -355,32 +354,31 @@ class _ModeDraw:
         return inv_sqrt2 * self.beam(0) + (sign * inv_sqrt2) * self.beam(1)
 
 
-class _ModeSeries(TimeSeries):
-    """Series index (0 or 1) of a record drawn in mode space: a sample
-    rate, a label and a length, and no samples."""
+@dataclass(frozen=True)
+class _ModeSeries:
+    """A series of a record drawn in mode space: a sample rate, a length
+    and a label, and no samples."""
 
-    def __init__(self, draw: _ModeDraw, index: int, label: str):
-        for attr, value in (("sample_rate", draw.rate), ("label", label),
-                            ("draw", draw), ("index", index)):
-            object.__setattr__(self, attr, value)
+    sample_rate: float
+    n: int
+    label: str
 
     @property
     def samples(self) -> np.ndarray:
         raise ValueError("a record drawn in mode space has no samples")
 
     @property
-    def n(self) -> int:
-        return self.draw.n_series
+    def duration(self) -> float:
+        return self.n / self.sample_rate
 
 
-def _drawn(record: TwoModeRecord) -> Optional[_ModeDraw]:
-    """The mode-space draw whose series 0 and 1 are the record's a and b,
-    in that order, else None."""
-    a, b = record.a, record.b
-    if (isinstance(a, _ModeSeries) and isinstance(b, _ModeSeries)
-            and a.draw is b.draw and (a.index, b.index) == (0, 1)):
-        return a.draw
-    return None
+@dataclass(frozen=True)
+class _ModeRecord(TwoModeRecord):
+    """A record drawn in mode space: its two _ModeSeries and the draw
+    (_ModeDraw) that analysis.epr_report reads. A record built from its
+    series, such as TwoModeRecord(rec.b, rec.a), is a plain record."""
+
+    draw: _ModeDraw = field(repr=False)
 
 
 def _record(psds: Tuple[QuadPsd, QuadPsd], chain: Optional[DetectionChain],
@@ -397,8 +395,9 @@ def _record(psds: Tuple[QuadPsd, QuadPsd], chain: Optional[DetectionChain],
     rate, stride = _rate_stride(chain, fs)
     if (mode is not None and (chain is None or chain.adc_bits is None)
             and n % (stride * mode.n_samples(rate)) == 0):
-        draw = _ModeDraw(psds, chain, n, n_out, fs, seed, mixed, mode)
-        return TwoModeRecord(*(_ModeSeries(draw, k, label) for k, label in enumerate(labels)))
+        draw = _ModeDraw(psds, chain, n, fs, seed, mixed, mode)
+        n_series = len(range(0, n_out, stride))
+        return _ModeRecord(*(_ModeSeries(rate, n_series, label) for label in labels), draw)
     amps = [_amplitude(psd, chain, n, fs) for psd in psds]
     # np.fft.irfft, not _irfft: these blocks gain nothing measurable from
     # the split, and run's files keep their last digits
@@ -434,10 +433,10 @@ def epr_record(opo1: OpoParams, opo2: OpoParams, duration: float, fs: float,
 
     With a mode, the record is drawn in mode space where it can be (a
     linear chain, and a spacing of the mode's windows that divides the
-    block; _ModeDraw): it has no samples, and analysis.epr_report reads
-    its mode values for that mode, with the distribution of the full
-    draw's. Otherwise the record is built here, and its series are plain
-    TimeSeries.
+    block): it is a _ModeRecord, its series have no samples, and
+    analysis.epr_report reads its mode values for that mode from its draw
+    (_ModeDraw), with the distribution of the full draw's. Otherwise the
+    record is built here, and its series are plain TimeSeries.
     """
     lab = "x" if setting == "X" else "p"
     return _record(beam_spectra(opo1, opo2, setting), chain, duration, fs, seed,

@@ -156,9 +156,9 @@ def test_reordered_drawn_series_are_read_in_the_time_domain(calibrated_pair, mak
     # samples, which a mode-space record does not have, so the reading
     # raises and draws no beam
     rec = make(calibrated_pair)
-    assert synth._drawn(rec) is not None
+    assert isinstance(rec, synth._ModeRecord)
     other = reorder(rec)
-    assert synth._drawn(other) is None
+    assert type(other) is TwoModeRecord
     draws = []
     coefficients = synth._coefficients
 
@@ -207,7 +207,7 @@ def test_mode_value_spectrum_is_the_dft_of_the_mode_value_covariance(n, factor, 
 
 def test_mode_space_record_is_read_for_its_own_mode_only(calibrated_pair):
     rec = epr_record(*calibrated_pair, 1e-4, FS, "X", 567, mode=MODE)
-    assert synth._drawn(rec).mode == MODE
+    assert rec.draw.mode == MODE
     analysis._combo_variance(rec, -1.0, MODE)
     with pytest.raises(ValueError, match="another mode"):
         analysis._combo_variance(rec, -1.0, TemporalMode.square(0.4e-6))

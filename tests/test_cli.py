@@ -224,7 +224,7 @@ def test_report_pools_repetition_0_in_full_and_the_rest_in_mode_space(tmp_path):
     report0, files0, expected_ref = cli._run_pipeline(cfg)
     seqs = np.random.SeedSequence(cfg.seed, spawn_key=(0,)).spawn(3)
     reps = [_records(cfg, seqs[0])] + [_records(cfg, seq, cfg.mode) for seq in seqs[1:]]
-    assert [synth._drawn(r[0]) is None for r in reps] == [True, False, False]
+    assert [isinstance(r[0], synth._ModeRecord) for r in reps] == [False, True, True]
     report = _pooled(reps, cfg, expected_ref)
     assert report == report0
     # a full draw of a later repetition gives other readings
@@ -257,7 +257,7 @@ def test_repetition_0_is_read_from_its_full_records(case, tmp_path):
     seqs = np.random.SeedSequence(cfg.seed, spawn_key=(0,)).spawn(3)
     reps = [_records(cfg, seqs[0])] + [_records(cfg, seq, cfg.mode) for seq in seqs[1:]]
     assert all(type(s) is synth.TimeSeries for r in reps[0] for s in (r.a, r.b))
-    assert all((synth._drawn(r) is None) == (case in FULL_DRAW)
+    assert all(isinstance(r, synth._ModeRecord) == (case in MODE_SPACE)
                for records in reps[1:] for r in records)
     assert _pooled(reps, cfg, expected_ref) == report0
 
@@ -461,11 +461,21 @@ def test_csv_rows_are_formatted_as_fmt_writes_each_value(tmp_path):
     floats = np.concatenate([edge, rng.standard_normal(2000) * 10.0 ** rng.integers(
         -30, 30, 2000)])
     ints = [np.int64(-7), np.int32(0), 2 ** 70, np.uint64(2 ** 64 - 1), True]
+    with_nan = floats.copy()
+    with_nan[[3, 700]] = np.nan
     cases = [
         list(zip(range(floats.size), floats, floats[::-1])),
         [(i, float(v)) for i, v in zip(ints, edge)],
         list(zip(np.arange(5), [np.float32(0.1)] * 5)),
         [],
+        # every value a float and none NaN: the template
+        list(zip(floats, floats[::-1])),
+        [(v, np.float32(v)) for v in (0.1, -2.5, 1e16, 1 / 3, -0.0)],
+        # a NaN or a None among floats: _fmt of each value
+        list(zip(floats, with_nan)),
+        [(1.5, np.nan), (2.0, 3.0)],
+        [(v, None) for v in edge],
+        [(1.0, 2.0), (None, 3.0)],
     ]
     for rows in cases:
         assert cli._data_lines(rows) == _fmt_lines(rows)
@@ -770,7 +780,7 @@ def test_a_failing_later_repetition_leaves_no_file(fast_cfg, tmp_path, monkeypat
     rendered = []
 
     def failing(x, p, vacuum, *args, **kwargs):
-        if synth._drawn(vacuum) is not None:  # drawn in mode space: a later repetition
+        if isinstance(vacuum, synth._ModeRecord):  # drawn in mode space: a later repetition
             raise CalibrationError("synthetic reference failure")
         return report(x, p, vacuum, *args, **kwargs)
 
@@ -801,7 +811,7 @@ def test_a_failing_repetition_cancels_those_not_started(fast_cfg, tmp_path, monk
 
     def failing(x, p, vacuum, *args, **kwargs):
         calls.append(1)
-        if synth._drawn(vacuum) is not None:  # drawn in mode space: a later repetition
+        if isinstance(vacuum, synth._ModeRecord):  # drawn in mode space: a later repetition
             raise CalibrationError("synthetic reference failure")
         return report(x, p, vacuum, *args, **kwargs)
 

@@ -319,8 +319,8 @@ def test_drawn_record_is_built_once_from_any_thread(calibrated_pair, monkeypatch
     # a mode-space record's beams are drawn on first use; threads that
     # read its combinations at once share one draw of each beam
     mode = TemporalMode.square(2e-7)
-    rec = epr_record(*calibrated_pair, 2e-4, 50e6, "X", 5, chain=DetectionChain(), mode=mode)
-    draw = synth._drawn(rec)
+    draw = epr_record(*calibrated_pair, 2e-4, 50e6, "X", 5, chain=DetectionChain(),
+                      mode=mode).draw
     draws = _counting_draws(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -343,7 +343,7 @@ def test_beams_are_drawn_on_first_use(calibrated_pair, monkeypatch):
     n = block_length(4e-5, 50e6)
     draws = _counting_draws(monkeypatch)
     for setting, sign, beam in (("X", -1.0, "squeezed"), ("P", +1.0, "squeezed")):
-        draw = synth._drawn(epr_record(opo1, opo2, 4e-5, 50e6, setting, 3, mode=mode))
+        draw = epr_record(opo1, opo2, 4e-5, 50e6, setting, 3, mode=mode).draw
         assert draws == []
         draw.combination(sign)
         opo = opo2 if setting == "X" else opo1
@@ -351,7 +351,7 @@ def test_beams_are_drawn_on_first_use(calibrated_pair, monkeypatch):
         draw.combination(-sign)
         assert len(draws) == 2
         draws.clear()
-    draw = synth._drawn(vacuum_record(4e-5, 50e6, 3, mode=mode))
+    draw = vacuum_record(4e-5, 50e6, 3, mode=mode).draw
     draw.combination(-1.0)
     assert len(draws) == 2
 
@@ -368,7 +368,7 @@ def test_record_is_the_same_whatever_is_read_first(calibrated_pair, chain):
               lambda m: epr_record(*calibrated_pair, 4e-5, 50e6, "P", seq, chain=chain, mode=m),
               lambda m: vacuum_record(4e-5, 50e6, seq, chain=chain, mode=m))
     for make in makers:
-        first, second = synth._drawn(make(mode)), synth._drawn(make(mode))
+        first, second = make(mode).draw, make(mode).draw
         for sign in (1.0, -1.0):
             first.combination(sign)
         second.beam(1)  # beam 2 before beam 1
@@ -380,6 +380,23 @@ def test_record_is_the_same_whatever_is_read_first(calibrated_pair, chain):
                                                                 "label"}
             assert np.array_equal(s1.samples, s2.samples)
     assert seq.n_children_spawned == 0
+
+
+@pytest.mark.parametrize("mode", [None, TemporalMode.square(2e-7)],
+                         ids=("full", "mode_space"))
+def test_repr_of_a_record_names_its_labels(calibrated_pair, mode):
+    # repr() reads no samples, so a mode-space record prints as well as a
+    # full one; it names both series' labels and leaves the draw out
+    makers = (lambda: epr_record(*calibrated_pair, 4e-5, 50e6, "X", 1, mode=mode),
+              lambda: epr_record(*calibrated_pair, 4e-5, 50e6, "P", 1, mode=mode),
+              lambda: vacuum_record(4e-5, 50e6, 1, mode=mode))
+    for make, labels in zip(makers, (("x_A", "x_B"), ("p_A", "p_B"), ("vacuum",))):
+        rec = make()
+        text = repr(rec)
+        assert all(f"label='{label}'" in text for label in labels), text
+        assert "draw" not in text
+        if mode is not None:  # equal to itself and hashable; another draw differs
+            assert rec == rec and hash(rec) == hash(rec) and rec != make()
 
 
 def test_amplitude_cache_hits_on_every_repetition(calibrated_pair):
@@ -418,12 +435,12 @@ def test_mode_space_draws_beams_2_and_3_of_the_mode_values(calibrated_pair, fs, 
     for make, psds in zip(makers, (beam_spectra(*calibrated_pair, "X"),
                                    (flat_psd(), flat_psd()))):
         rec = make(mode)
-        draw = synth._drawn(rec)
         if m is None:
-            assert draw is None and type(rec.a) is TimeSeries
+            assert type(rec) is TwoModeRecord and type(rec.a) is TimeSeries
             assert np.array_equal(rec.a.samples, make(None).a.samples)
             continue
-        assert (draw.mode, draw.size) == (mode, m)
+        draw = rec.draw
+        assert type(rec) is synth._ModeRecord and (draw.mode, draw.size) == (mode, m)
         for k, psd in enumerate(psds):
             amp = _mode_amplitude(psd, chain, n, fs, mode)
             assert amp.size == m // 2 + 1 and not amp.flags.writeable
@@ -468,7 +485,7 @@ def test_mode_space_readings_have_the_law_of_the_full_draw(calibrated_pair, widt
                        epr_record(*calibrated_pair, duration, fs, "P", seqs[1], chain=chain,
                                   mode=m),
                        vacuum_record(duration, fs, seqs[2], chain=chain, mode=m))
-            assert all((synth._drawn(r) is None) == (m is None) for r in records)
+            assert all(isinstance(r, synth._ModeRecord) == (m is not None) for r in records)
             rows.append(_combination_variances(records, mode))
         readings[m] = np.array(rows)
     band = 4.0 / math.sqrt(2.0 * (reps - 1))  # 4 sigma of a sample standard deviation
