@@ -1,4 +1,4 @@
-"""From sampled records to physics: temporal-mode extraction, variance and
+"""Reading the records synth draws: temporal-mode extraction, variance and
 dB estimation with uncertainties, Duan-Simon verification, Welch PSD
 estimation, and correlation-diagram/trace tables.
 """
@@ -28,7 +28,6 @@ __all__ = [
     "extract_modes",
     "combo_series",
     "epr_report",
-    "mode_value_spectrum",
     "combine_reports",
     "welch_psd",
     "correlation_diagram",
@@ -158,44 +157,6 @@ def epr_report(x_record: TwoModeRecord, p_record: TwoModeRecord,
     vx = _combo_variance(x_record, -1.0, mode)[0] / ref_x
     vp = _combo_variance(p_record, +1.0, mode)[0] / ref_p
     return _summarize([(to_db(vx), to_db(vp), duan_sum(vx, vp))], mode)
-
-
-def mode_value_spectrum(power: np.ndarray, window: np.ndarray, n: int,
-                        hop: int) -> np.ndarray:
-    """The spectrum S_q, q = 0 .. m-1, of the m = n/hop mode values of an
-    n-sample circulant Gaussian block whose rfft coefficients X_k are
-    independent with E|X_k|^2 = n * power_k (synth's draws, power their
-    P on the rfft bins).
-
-    window is the rfft of the mode window placed on the block
-    (detection.placed_window) and hop the spacing n_w*d of consecutive
-    windows in block samples, which must divide n. Mode value j is sample
-    j*hop of the circular correlation of the block with the window, so
-    the values' DFT is the fold of X * conj(window) onto m bins (the sum
-    of the bins k = q mod m), over hop. Its bin q has E|V_q|^2 = m * S_q
-    with S the same fold of h = n * power * |window|^2 over m * hop^2, and
-    bins q and q' != +-q are independent: the values are a circulant
-    Gaussian sequence, each of variance mean(S). S is even, S_q = S_{m-q}.
-
-    h is real and even on the n bins, so S_q for q = 0 .. m//2 is the fold
-    of h's half spectrum (bins 0 .. n//2) at q plus its fold at m - q,
-    the mirror images n - k of the bins k, less DC and (for even n)
-    Nyquist, which have no mirror image.
-    """
-    if n % hop:
-        raise ValueError(f"window spacing {hop} does not divide the block length {n}")
-    m = n // hop
-    h = n * power * np.abs(window) ** 2
-    rows = h.size // m
-    fold = h[: rows * m].reshape(rows, m).sum(axis=0)
-    fold[: h.size - rows * m] += h[rows * m:]
-    half = fold[: m // 2 + 1].copy()
-    half[0] += fold[0] - h[0]
-    half[1:] += fold[m - 1: m - m // 2 - 1: -1]
-    if n % 2 == 0:
-        half[(n // 2) % m] -= h[-1]
-    half /= m * hop * hop
-    return np.concatenate([half, half[(m + 1) // 2 - 1: 0: -1]])
 
 
 def combine_reports(reports: Sequence[EprReport]) -> EprReport:

@@ -149,8 +149,8 @@ def _run_pipeline(cfg: RunConfig, slot: int = 0, files: bool = True):
     and renders the files while the others draw in mode space, so no
     records outlive their repetition. Without files (`sweep --mc-check`)
     every repetition draws in mode space where it can. The first failing
-    repetition ends the run: pool.map's result iterator cancels those not
-    yet started when it raises, and the pool waits only on those running.
+    repetition ends the run, whichever it is: its worker cancels the
+    repetitions not yet started, and the pool waits only on those running.
 
     Random streams form the spawn tree seed -> slot -> repetition ->
     stream -> beam (slot 0 is `run`, slot j+1 the `sweep --mc-check` run
@@ -163,9 +163,20 @@ def _run_pipeline(cfg: RunConfig, slot: int = 0, files: bool = True):
     expected_ref = expected_mode_variance(None, cfg.chain, cfg.fs, cfg.mode, block=block)
     root = np.random.SeedSequence(cfg.seed, spawn_key=(slot,))
     with ThreadPoolExecutor(max_workers=_worker_count(cfg.repetitions)) as pool:
-        results = list(pool.map(
-            lambda i, seq: _one_repetition(cfg, seq, expected_ref, files and i == 0),
-            range(cfg.repetitions), _children(root, cfg.repetitions)))
+        def stop_on_failure(done):  # in the failing worker, before it takes another
+            if not done.cancelled() and done.exception() is not None:
+                pool.shutdown(wait=False, cancel_futures=True)
+
+        futures = []
+        for i, seq in enumerate(_children(root, cfg.repetitions)):
+            try:  # raises once a failed repetition has shut the pool down
+                future = pool.submit(_one_repetition, cfg, seq, expected_ref, files and i == 0)
+            except RuntimeError:
+                break
+            future.add_done_callback(stop_on_failure)
+            futures.append(future)
+        # a failed repetition was not cancelled, so this raises unless all completed
+        results = [future.result() for future in futures if not future.cancelled()]
     report = combine_reports([r for r, _ in results])
     return report, results[0][1], expected_ref
 

@@ -6,7 +6,8 @@ stages (low-pass, white electronic noise, high-pass) are stationary, so
 on a circulant block they act as gains on the PSD (DetectionChain.gains,
 the one place the response lives): synth draws detected records from
 DetectionChain.detected_psd directly, detect applies the same gains to a
-record's own block, and expected_mode_variance is exact for both.
+record's own block, and expected_mode_variance, a bin sum of its own
+(not the mean of synth.mode_value_spectrum), is exact for both.
 """
 
 from __future__ import annotations
@@ -14,20 +15,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .modes import TemporalMode
 from .spectra import QuadPsd, flat_psd
-from .synth import SeedLike, TimeSeries, TwoModeRecord, _power, _rate_stride
+from .synth import SeedLike, TimeSeries, TwoModeRecord, _power, _rate_stride, placed_window
 
 __all__ = [
     "DetectionChain",
     "detect",
     "expected_mode_variance",
-    "placed_window",
 ]
 
 _FULL_SCALE = 10.0  # quantizer range in vacuum units, +/-
@@ -144,27 +143,6 @@ def detect(record: TwoModeRecord, chain: DetectionChain, seed: SeedLike) -> TwoM
                           label=series.label)
 
     return TwoModeRecord(a=process(record.a), b=process(record.b))
-
-
-@lru_cache(maxsize=8)
-def placed_window(mode: TemporalMode, adc_rate: float, stride: int,
-                  block: int) -> np.ndarray:
-    """rfft of the mode window placed on a block (read-only, cached).
-
-    The placed window is a block of that many samples holding the mode's
-    weights at adc_rate (mode.discretize) every stride samples, so that a
-    mode value of a series trimmed from the block and decimated by stride
-    is the block's correlation with it: value j at lag j*n_w*stride, n_w
-    the window's ADC samples.
-    """
-    w = mode.discretize(adc_rate)
-    if w.size * stride > block:
-        raise ValueError("mode window does not fit in one synthesis block")
-    placed = np.zeros(block)
-    placed[: w.size * stride : stride] = w
-    window = np.fft.rfft(placed)
-    window.flags.writeable = False
-    return window
 
 
 def expected_mode_variance(psd: Optional[QuadPsd], chain: Optional[DetectionChain],

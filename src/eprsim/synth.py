@@ -23,16 +23,17 @@ mode=) is drawn in mode space: it is a _ModeRecord, which holds its draw
 (_ModeDraw), and its series (_ModeSeries) have a rate, a length and a
 label but no samples. The m = n/hop mode values of a beam's block (hop
 the windows' spacing in block samples) are a circulant Gaussian sequence
-whose spectrum S_q is known (analysis.mode_value_spectrum), so each beam
-draws the m//2 + 1 rfft coefficients of its mode values from sqrt(m/2 *
-S_q), as a block draws its own from sqrt(n/2 * P), and one length-m
-inverse FFT gives the values. This is exact in distribution. Beam k then
-draws from the child (*seq.spawn_key, 2 + k), so it shares no seed with
-the full draw of the same record. Its beams are drawn on first use, the
-same from any thread, and a reading (analysis.epr_report) draws only the
-beams it weighs: the X record's x_A - x_B is input beam 2 alone, the P
-record's p_A + p_B beam 1 alone. A quantizing chain, or a hop that does
-not divide the block, keeps the full draw.
+whose spectrum S_q is known (mode_value_spectrum of P and placed_window),
+so each beam draws the m//2 + 1 rfft coefficients of its mode values
+from sqrt(m/2 * S_q), as a block draws its own from sqrt(n/2 * P), both
+from one cache (_amplitude), and one length-m inverse FFT gives the
+values. This is exact in distribution. Beam k then draws from the child
+(*seq.spawn_key, 2 + k), so it shares no seed with the full draw of the
+same record. Its beams are drawn on first use, the same from any thread,
+and a reading (analysis.epr_report) draws only the beams it weighs: the
+X record's x_A - x_B is input beam 2 alone, the P record's p_A + p_B
+beam 1 alone. A quantizing chain, or a hop that does not divide the
+block, keeps the full draw.
 
 synthesize_colored inverts an even block as two half-length transforms,
 one on the calling thread and one on the process's helper thread (_irfft,
@@ -56,7 +57,7 @@ import numpy as np
 # epr_spectra is not called here; perfbench's tracer wraps eprsim.synth.epr_spectra
 from .spectra import OpoParams, QuadPsd, beam_spectra, epr_spectra, flat_psd  # noqa: F401
 
-if TYPE_CHECKING:  # detection imports synth
+if TYPE_CHECKING:  # analysis and detection import synth, which imports neither
     from .detection import DetectionChain
     from .modes import TemporalMode
 
@@ -64,6 +65,8 @@ __all__ = [
     "TimeSeries",
     "TwoModeRecord",
     "block_length",
+    "placed_window",
+    "mode_value_spectrum",
     "synthesize_colored",
     "epr_record",
     "vacuum_record",
@@ -78,9 +81,9 @@ _CHUNK = 1 << 16
 SeedLike = int | np.random.SeedSequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Uniformly sampled real quadrature record in vacuum units."""
+    """Uniformly sampled real quadrature record in vacuum units, equal only to itself."""
 
     sample_rate: float
     samples: np.ndarray
@@ -139,20 +142,6 @@ def _power(psd: QuadPsd, chain: Optional[DetectionChain], n: int,
     return p
 
 
-@lru_cache(maxsize=8)
-def _amplitude(psd: QuadPsd, chain: Optional[DetectionChain], n: int,
-               fs: float) -> np.ndarray:
-    """sqrt(n/2 * P) on the rfft bins of an n-sample block (_power).
-    Read-only and cached, because every repetition of a run and every
-    block of a Monte Carlo check draws from the same few (spectra caches
-    its PSD objects, so equal arguments give the same key). Every draw's
-    PSD passes the aliasing guard here, before anything is cached."""
-    check_alias(psd, fs)
-    amp = np.sqrt(0.5 * n * _power(psd, chain, n, fs))
-    amp.flags.writeable = False
-    return amp
-
-
 def _rate_stride(chain: Optional[DetectionChain], fs: float) -> Tuple[float, int]:
     """(rate, stride) of a record drawn at fs: its series' sample rate and
     the block samples per series sample."""
@@ -160,24 +149,84 @@ def _rate_stride(chain: Optional[DetectionChain], fs: float) -> Tuple[float, int
 
 
 @lru_cache(maxsize=8)
-def _mode_amplitude(psd: QuadPsd, chain: Optional[DetectionChain], n: int,
-                    fs: float, mode: TemporalMode) -> np.ndarray:
-    """sqrt(m/2 * S_q) on the rfft bins q = 0 .. m//2 of the m mode values
-    of an n-sample block (analysis.mode_value_spectrum of _power), for a
-    mode whose windows' spacing hop divides n, m = n/hop. Read-only and
-    cached per (PSD, chain, n, fs, mode), as _amplitude is; the PSD passes
-    the aliasing guard here too."""
-    # analysis and detection import synth
-    from .analysis import mode_value_spectrum
-    from .detection import placed_window
+def placed_window(mode: TemporalMode, adc_rate: float, stride: int,
+                  block: int) -> np.ndarray:
+    """rfft of the mode window placed on a block (read-only, cached).
 
-    check_alias(psd, fs)
-    rate, stride = _rate_stride(chain, fs)
-    hop = stride * mode.n_samples(rate)
-    s = mode_value_spectrum(_power(psd, chain, n, fs),
-                            placed_window(mode, rate, stride, n), n, hop)
+    The placed window is a block of that many samples holding the mode's
+    weights at adc_rate (mode.discretize) every stride samples, so that a
+    mode value of a series trimmed from the block and decimated by stride
+    is the block's correlation with it: value j at lag j*n_w*stride, n_w
+    the window's ADC samples.
+    """
+    w = mode.discretize(adc_rate)
+    if w.size * stride > block:
+        raise ValueError("mode window does not fit in one synthesis block")
+    placed = np.zeros(block)
+    placed[: w.size * stride : stride] = w
+    window = np.fft.rfft(placed)
+    window.flags.writeable = False
+    return window
+
+
+def mode_value_spectrum(power: np.ndarray, window: np.ndarray, n: int,
+                        hop: int) -> np.ndarray:
+    """The spectrum S_q, q = 0 .. m-1, of the m = n/hop mode values of an
+    n-sample circulant Gaussian block whose rfft coefficients X_k are
+    independent with E|X_k|^2 = n * power_k (the draws here, power their
+    P on the rfft bins, _power).
+
+    window is the rfft of the mode window placed on the block
+    (placed_window) and hop the spacing n_w*d of consecutive windows in
+    block samples, which must divide n. Mode value j is sample j*hop of
+    the circular correlation of the block with the window, so the values'
+    DFT is the fold of X * conj(window) onto m bins (the sum of the bins
+    k = q mod m), over hop. Its bin q has E|V_q|^2 = m * S_q with S the
+    same fold of h = n * power * |window|^2 over m * hop^2, and bins q and
+    q' != +-q are independent: the values are a circulant Gaussian
+    sequence, each of variance mean(S). S is even, S_q = S_{m-q}.
+
+    h is real and even on the n bins, so S_q for q = 0 .. m//2 is the fold
+    of h's half spectrum (bins 0 .. n//2) at q plus its fold at m - q,
+    the mirror images n - k of the bins k, less DC and (for even n)
+    Nyquist, which have no mirror image.
+    """
+    if n % hop:
+        raise ValueError(f"window spacing {hop} does not divide the block length {n}")
     m = n // hop
-    amp = np.sqrt(0.5 * m * s[: m // 2 + 1])
+    h = n * power * np.abs(window) ** 2
+    rows = h.size // m
+    fold = h[: rows * m].reshape(rows, m).sum(axis=0)
+    fold[: h.size - rows * m] += h[rows * m:]
+    half = fold[: m // 2 + 1].copy()
+    half[0] += fold[0] - h[0]
+    half[1:] += fold[m - 1: m - m // 2 - 1: -1]
+    if n % 2 == 0:
+        half[(n // 2) % m] -= h[-1]
+    half /= m * hop * hop
+    return np.concatenate([half, half[(m + 1) // 2 - 1: 0: -1]])
+
+
+@lru_cache(maxsize=16)
+def _amplitude(psd: QuadPsd, chain: Optional[DetectionChain], n: int,
+               fs: float, mode: Optional[TemporalMode] = None) -> np.ndarray:
+    """sqrt(n/2 * P) on the rfft bins of an n-sample block (_power), or
+    with a mode whose windows' spacing hop divides n, sqrt(m/2 * S_q) on
+    those of its m = n/hop mode values (mode_value_spectrum). Read-only
+    and cached, because every repetition of a run and every block of a
+    Monte Carlo check draws from the same few (spectra caches its PSD
+    objects, so equal arguments give the same key; 16 hold a run's full
+    and mode-space amplitudes). Every draw's PSD passes the aliasing guard
+    here, before anything is cached."""
+    check_alias(psd, fs)
+    p = _power(psd, chain, n, fs)
+    if mode is not None:
+        rate, stride = _rate_stride(chain, fs)
+        hop = stride * mode.n_samples(rate)
+        p = mode_value_spectrum(p, placed_window(mode, rate, stride, n), n, hop)
+        n //= hop
+        p = p[: n // 2 + 1]
+    amp = np.sqrt(np.multiply(0.5 * n, p, out=p))  # p in place: two n-sized arrays, not three
     amp.flags.writeable = False
     return amp
 
@@ -312,8 +361,8 @@ def _children(seed: SeedLike, count: int,
 
 class _ModeDraw:
     """The two input beams of one record drawn in mode space, as the rfft
-    coefficients of their m = n/hop mode values (_mode_amplitude), hop the
-    spacing of the mode's windows in block samples.
+    coefficients of their size = n/hop mode values (hop the windows'
+    spacing in block samples), drawn from amps (_amplitude with the mode).
 
     Beam k (0 or 1) is drawn on first use (beam), from the child
     (*seed's spawn_key, 2 + k) of the record's seed sequence, so a beam is
@@ -321,14 +370,13 @@ class _ModeDraw:
     takes combination(), which draws only the beams it weighs.
     """
 
-    def __init__(self, psds: Tuple[QuadPsd, QuadPsd], chain: Optional[DetectionChain],
-                 n: int, fs: float, seed: SeedLike, mixed: bool, mode: TemporalMode):
-        rate, stride = _rate_stride(chain, fs)
+    def __init__(self, amps: Tuple[np.ndarray, np.ndarray], size: int, seed: SeedLike,
+                 mixed: bool, mode: TemporalMode):
         self.mixed = mixed
         self.mode = mode
-        self.size = n // (stride * mode.n_samples(rate))
+        self.size = size
         self._streams = _children(seed, 2, first=2)
-        self._amps = tuple(_mode_amplitude(psd, chain, n, fs, mode) for psd in psds)
+        self._amps = amps
         self._beams = [None, None]
         self._lock = threading.Lock()
 
@@ -394,8 +442,9 @@ def _record(psds: Tuple[QuadPsd, QuadPsd], chain: Optional[DetectionChain],
     n_out = int(round(duration * fs))
     rate, stride = _rate_stride(chain, fs)
     if (mode is not None and (chain is None or chain.adc_bits is None)
-            and n % (stride * mode.n_samples(rate)) == 0):
-        draw = _ModeDraw(psds, chain, n, fs, seed, mixed, mode)
+            and n % (hop := stride * mode.n_samples(rate)) == 0):
+        amps = tuple(_amplitude(psd, chain, n, fs, mode) for psd in psds)
+        draw = _ModeDraw(amps, n // hop, seed, mixed, mode)
         n_series = len(range(0, n_out, stride))
         return _ModeRecord(*(_ModeSeries(rate, n_series, label) for label in labels), draw)
     amps = [_amplitude(psd, chain, n, fs) for psd in psds]

@@ -13,9 +13,7 @@ from eprsim import (CalibrationError, DetectionChain, TemporalMode,
                     extract_modes, opo_spectrum, synthesize_colored, flat_psd,
                     trace_excerpt, vacuum_record, welch_psd)
 from eprsim import analysis, synth
-from eprsim.analysis import mode_value_spectrum
-from eprsim.detection import placed_window
-from eprsim.synth import TimeSeries, TwoModeRecord
+from eprsim.synth import TimeSeries, TwoModeRecord, mode_value_spectrum, placed_window
 
 import refvals
 

@@ -11,10 +11,9 @@ from scipy import signal
 from eprsim import (DetectionChain, TemporalMode, detect, epr_record, epr_spectra,
                     expected_mode_variance, extract_modes, flat_psd, load_config,
                     opo_spectrum, vacuum_record)
-from eprsim.analysis import mode_value_spectrum
-from eprsim.detection import placed_window
 from eprsim.modes import _tail
-from eprsim.synth import TimeSeries, TwoModeRecord, _power, _rate_stride, block_length
+from eprsim.synth import (TimeSeries, TwoModeRecord, _power, _rate_stride, block_length,
+                          mode_value_spectrum, placed_window)
 
 import refvals
 

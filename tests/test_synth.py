@@ -1,7 +1,9 @@
 """Colored Gaussian synthesis: calibration, statistics, and the beam-splitter map."""
 
+import ast
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -15,10 +17,9 @@ import pytest
 from eprsim import (DetectionChain, OpoParams, TemporalMode, beam_spectra, extract_modes,
                     flat_psd, opo_spectrum, synthesize_colored, epr_record, vacuum_record)
 from eprsim import analysis, synth
-from eprsim.analysis import mode_value_spectrum
-from eprsim.detection import placed_window
 from eprsim.synth import (TimeSeries, TwoModeRecord, _amplitude, _coefficients,
-                          _irfft, _mode_amplitude, _next_fast_len, _power, block_length)
+                          _irfft, _next_fast_len, _power, block_length,
+                          mode_value_spectrum, placed_window)
 
 import refvals
 
@@ -149,6 +150,28 @@ def test_import_starts_no_thread():
     after_import, after_draw = map(int, done.stdout.split())
     assert after_import == 1
     assert after_draw <= 2
+
+
+def test_synth_imports_neither_analysis_nor_detection_at_run_time():
+    # the forward model lives in synth, which analysis and detection
+    # import; synth imports them for type checking only, at module level
+    # or inside a function alike
+    tree = ast.parse(Path(synth.__file__).read_text())
+    typing_only = {id(node) for branch in ast.walk(tree)
+                   if isinstance(branch, ast.If) and isinstance(branch.test, ast.Name)
+                   and branch.test.id == "TYPE_CHECKING"
+                   for stmt in branch.body for node in ast.walk(stmt)}
+    imported = []
+    for node in ast.walk(tree):
+        if id(node) in typing_only:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            imported += [f"{'.' * node.level}{node.module or ''}:{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+    assert any(name.startswith(".spectra:") for name in imported)
+    assert not [name for name in imported
+                if {"analysis", "detection"} & set(re.split(r"[.:]", name))]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -347,7 +370,7 @@ def test_beams_are_drawn_on_first_use(calibrated_pair, monkeypatch):
         assert draws == []
         draw.combination(sign)
         opo = opo2 if setting == "X" else opo1
-        assert draws == [_mode_amplitude(opo_spectrum(opo, beam), None, n, 50e6, mode)]
+        assert draws == [_amplitude(opo_spectrum(opo, beam), None, n, 50e6, mode)]
         draw.combination(-sign)
         assert len(draws) == 2
         draws.clear()
@@ -386,7 +409,9 @@ def test_record_is_the_same_whatever_is_read_first(calibrated_pair, chain):
                          ids=("full", "mode_space"))
 def test_repr_of_a_record_names_its_labels(calibrated_pair, mode):
     # repr() reads no samples, so a mode-space record prints as well as a
-    # full one; it names both series' labels and leaves the draw out
+    # full one; it names both series' labels and leaves the draw out. A
+    # record of either kind is equal to itself and hashable, and another
+    # draw of the same arguments differs
     makers = (lambda: epr_record(*calibrated_pair, 4e-5, 50e6, "X", 1, mode=mode),
               lambda: epr_record(*calibrated_pair, 4e-5, 50e6, "P", 1, mode=mode),
               lambda: vacuum_record(4e-5, 50e6, 1, mode=mode))
@@ -395,8 +420,7 @@ def test_repr_of_a_record_names_its_labels(calibrated_pair, mode):
         text = repr(rec)
         assert all(f"label='{label}'" in text for label in labels), text
         assert "draw" not in text
-        if mode is not None:  # equal to itself and hashable; another draw differs
-            assert rec == rec and hash(rec) == hash(rec) and rec != make()
+        assert rec == rec and hash(rec) == hash(rec) and rec != make()
 
 
 def test_amplitude_cache_hits_on_every_repetition(calibrated_pair):
@@ -409,8 +433,8 @@ def test_amplitude_cache_hits_on_every_repetition(calibrated_pair):
             epr_record(*calibrated_pair, 1e-4, 50e6, "X", seed, chain=chain, mode=m)
             vacuum_record(1e-4, 50e6, seed, chain=chain, mode=m)
         if seed == 0:
-            misses = (_amplitude.cache_info().misses, _mode_amplitude.cache_info().misses)
-    assert (_amplitude.cache_info().misses, _mode_amplitude.cache_info().misses) == misses
+            misses = _amplitude.cache_info().misses
+    assert _amplitude.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("fs, duration, chain, width, m", [
@@ -442,7 +466,7 @@ def test_mode_space_draws_beams_2_and_3_of_the_mode_values(calibrated_pair, fs, 
         draw = rec.draw
         assert type(rec) is synth._ModeRecord and (draw.mode, draw.size) == (mode, m)
         for k, psd in enumerate(psds):
-            amp = _mode_amplitude(psd, chain, n, fs, mode)
+            amp = _amplitude(psd, chain, n, fs, mode)
             assert amp.size == m // 2 + 1 and not amp.flags.writeable
             assert np.array_equal(draw.beam(k), _coefficients(amp, m, _beam_stream(seq, 2 + k)))
         with pytest.raises(ValueError, match="mode space has no samples"):
