@@ -1,6 +1,7 @@
 """Reading the records synth draws: temporal-mode extraction, variance and
 dB estimation with uncertainties, Duan-Simon verification, Welch PSD
-estimation, and correlation-diagram/trace tables.
+estimation, correlation-diagram/trace tables, and the one check of a
+run's pooled vacuum reference variances (check_reference).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "combo_series",
     "epr_report",
     "combine_reports",
+    "check_reference",
     "welch_psd",
     "correlation_diagram",
     "trace_excerpt",
@@ -88,6 +90,8 @@ class EprReport:
     mode: TemporalMode
     per_rep: Tuple[Tuple[float, float, float], ...] = field(default=())
     """Per repetition: (diff_x dB, sum_p dB, duan)."""
+    ref_variances: Tuple[float, ...] = field(default=())
+    """Per repetition: the vacuum reference's diff_x and sum_p variances."""
 
 
 def combo_series(record: TwoModeRecord, sign: float) -> TimeSeries:
@@ -99,9 +103,8 @@ def combo_series(record: TwoModeRecord, sign: float) -> TimeSeries:
                       label=record.a.label)
 
 
-def _combo_variance(record: TwoModeRecord, sign: float,
-                    mode: TemporalMode) -> Tuple[float, int]:
-    """Sample variance of the combination's mode values, and their count.
+def _combo_variance(record: TwoModeRecord, sign: float, mode: TemporalMode) -> float:
+    """Sample variance (ddof=1) of the combination's mode values.
 
     A record synth drew in mode space (a synth._ModeRecord) is read from
     its draw for the mode it was drawn for: the values are the inverse FFT
@@ -119,20 +122,11 @@ def _combo_variance(record: TwoModeRecord, sign: float,
         vals = np.fft.irfft(draw.combination(sign), draw.size)[:count]
     else:
         vals = extract_modes(combo_series(record, sign), mode).values
-    return float(np.var(vals, ddof=1)), count
-
-
-def _check_reference(ref_var: float, expected: float, n_modes: int) -> None:
-    se = expected * math.sqrt(2.0 / max(n_modes - 1, 1))
-    if abs(ref_var - expected) > 5.0 * se:
-        raise CalibrationError(
-            f"vacuum reference variance {ref_var:.4f} deviates from expected "
-            f"{expected:.4f} by more than 5 standard errors ({se:.2g})")
+    return float(np.var(vals, ddof=1))
 
 
 def epr_report(x_record: TwoModeRecord, p_record: TwoModeRecord,
-               vacuum_ref: TwoModeRecord, mode: TemporalMode,
-               expected_ref_variance: float = 1.0) -> EprReport:
+               vacuum_ref: TwoModeRecord, mode: TemporalMode) -> EprReport:
     """Vacuum-normalized EPR variances of one repetition; combine_reports
     pools repetitions.
 
@@ -142,21 +136,15 @@ def epr_report(x_record: TwoModeRecord, p_record: TwoModeRecord,
     values of the dB readings, so report.duan is exactly
     duan_sum(report.var_diff_x, report.var_sum_p); the standard errors of
     a single repetition are NaN.
-
-    expected_ref_variance is the anticipated reference level (1 for raw
-    vacuum; the analytic chain expectation for detected references); the
-    reference is rejected when inconsistent with it by more than 5 sigma.
     """
     rates = {r.sample_rate for r in (x_record, p_record, vacuum_ref)}
     if len(rates) != 1:
         raise ValueError(f"mismatched sample rates across records: {sorted(rates)}")
-    ref_x, n_modes = _combo_variance(vacuum_ref, -1.0, mode)
-    ref_p, _ = _combo_variance(vacuum_ref, +1.0, mode)
-    _check_reference(ref_x, expected_ref_variance, n_modes)
-    _check_reference(ref_p, expected_ref_variance, n_modes)
-    vx = _combo_variance(x_record, -1.0, mode)[0] / ref_x
-    vp = _combo_variance(p_record, +1.0, mode)[0] / ref_p
-    return _summarize([(to_db(vx), to_db(vp), duan_sum(vx, vp))], mode)
+    ref_x = _combo_variance(vacuum_ref, -1.0, mode)
+    ref_p = _combo_variance(vacuum_ref, +1.0, mode)
+    vx = _combo_variance(x_record, -1.0, mode) / ref_x
+    vp = _combo_variance(p_record, +1.0, mode) / ref_p
+    return _summarize([(to_db(vx), to_db(vp), duan_sum(vx, vp))], mode, (ref_x, ref_p))
 
 
 def combine_reports(reports: Sequence[EprReport]) -> EprReport:
@@ -168,11 +156,24 @@ def combine_reports(reports: Sequence[EprReport]) -> EprReport:
     mode = reports[0].mode
     if any(r.mode != mode for r in reports):
         raise ValueError("reports must share the analysis mode")
-    return _summarize([row for r in reports for row in r.per_rep], mode)
+    return _summarize([row for r in reports for row in r.per_rep], mode,
+                      [v for r in reports for v in r.ref_variances])
 
 
-def _summarize(per_rep: Sequence[Tuple[float, float, float]],
-               mode: TemporalMode) -> EprReport:
+def check_reference(report: EprReport, mean: float, sd: float) -> None:
+    """Raises CalibrationError unless the mean of the report's 2*reps
+    (independent) reference variances lies within 5 SE, sd/sqrt(2*reps),
+    of mean, with (mean, sd) the exact law of one (sample_variance_law)."""
+    refs = report.ref_variances
+    pooled, se = np.mean(refs), sd / math.sqrt(len(refs))
+    if abs(pooled - mean) > 5.0 * se:
+        raise CalibrationError(
+            f"vacuum reference variance {pooled:.4f} (mean of {len(refs)}) deviates from "
+            f"expected {mean:.4f} by more than 5 standard errors ({se:.2g})")
+
+
+def _summarize(per_rep: Sequence[Tuple[float, float, float]], mode: TemporalMode,
+               ref_variances: Sequence[float]) -> EprReport:
     """Means, standard errors and Duan sum from per-repetition
     (diff_x dB, sum_p dB, duan) rows."""
     reps = len(per_rep)
@@ -196,7 +197,8 @@ def _summarize(per_rep: Sequence[Tuple[float, float, float]],
         var_diff_x=lin_x, var_sum_p=lin_p,
         duan=duan, duan_se=duan_se,
         repetitions=reps, mode=mode,
-        per_rep=tuple((float(x), float(p), float(d)) for x, p, d in per_rep))
+        per_rep=tuple((float(x), float(p), float(d)) for x, p, d in per_rep),
+        ref_variances=tuple(ref_variances))
 
 
 @dataclass(frozen=True)

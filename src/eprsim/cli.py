@@ -23,14 +23,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .analysis import (MIN_SEGMENT, CalibrationError, Diagram, EprReport,
+from .analysis import (MIN_SEGMENT, CalibrationError, Diagram, EprReport, check_reference,
                        combine_reports, combo_series, correlation_diagram,
                        epr_report, extract_modes, trace_excerpt, welch_psd)
 from .config import (MAX_GRID_POINTS, ConfigError, RunConfig, load_config,
                      require_monte_carlo)
 # detect is not called here (the pipeline draws detected records directly)
 # but stays importable from eprsim.cli, where perfbench's tracer wraps it
-from .detection import detect, expected_mode_variance  # noqa: F401
+from .detection import detect, expected_mode_variance, sample_variance_law  # noqa: F401
 from .modeopt import ModeFamily, NonUnimodalError, mode_duan, optimize
 from .modes import KINDS, TemporalMode
 # filtered_variance is not called here but stays importable from
@@ -117,10 +117,9 @@ def _meta(cfg: RunConfig, command: str, **extra) -> Dict[str, object]:
 
 # -- run ----------------------------------------------------------------------
 
-def _one_repetition(cfg: RunConfig, seq: np.random.SeedSequence,
-                    expected_ref: float, files: bool = False):
-    """One repetition's report, and with files the files of its records
-    (_run_files), rendered here, in the repetition's worker.
+def _one_repetition(cfg: RunConfig, seq: np.random.SeedSequence, files: bool = False):
+    """One repetition's report, a pure function of (cfg, seq), and with
+    files the files of its records (_run_files), rendered in its worker.
 
     The detected (X, P, vacuum) records are drawn through the chain from
     the three streams that are seq's children (synth._children: seq is not
@@ -138,7 +137,7 @@ def _one_repetition(cfg: RunConfig, seq: np.random.SeedSequence,
     pr = epr_record(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, "P", p_seed,
                     chain=cfg.chain, mode=mode)
     vr = vacuum_record(cfg.duration, cfg.fs, v_seed, chain=cfg.chain, mode=mode)
-    report = epr_report(xr, pr, vr, cfg.mode, expected_ref_variance=expected_ref)
+    report = epr_report(xr, pr, vr, cfg.mode)
     return report, (_run_files(cfg, xr, pr, vr) if files else None)
 
 
@@ -148,9 +147,9 @@ def _run_pipeline(cfg: RunConfig, slot: int = 0, files: bool = True):
     in its worker, and with files repetition 0's worker draws it in full
     and renders the files while the others draw in mode space, so no
     records outlive their repetition. Without files (`sweep --mc-check`)
-    every repetition draws in mode space where it can. The first failing
-    repetition ends the run, whichever it is: its worker cancels the
-    repetitions not yet started, and the pool waits only on those running.
+    every repetition draws in mode space where it can. The run's 2*reps
+    reference variances are then checked once against their exact law
+    (check_reference, sample_variance_law): a fixed false-failure rate.
 
     Random streams form the spawn tree seed -> slot -> repetition ->
     stream -> beam (slot 0 is `run`, slot j+1 the `sweep --mc-check` run
@@ -162,22 +161,13 @@ def _run_pipeline(cfg: RunConfig, slot: int = 0, files: bool = True):
     block = block_length(cfg.duration, cfg.fs)
     expected_ref = expected_mode_variance(None, cfg.chain, cfg.fs, cfg.mode, block=block)
     root = np.random.SeedSequence(cfg.seed, spawn_key=(slot,))
-    with ThreadPoolExecutor(max_workers=_worker_count(cfg.repetitions)) as pool:
-        def stop_on_failure(done):  # in the failing worker, before it takes another
-            if not done.cancelled() and done.exception() is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-
-        futures = []
-        for i, seq in enumerate(_children(root, cfg.repetitions)):
-            try:  # raises once a failed repetition has shut the pool down
-                future = pool.submit(_one_repetition, cfg, seq, expected_ref, files and i == 0)
-            except RuntimeError:
-                break
-            future.add_done_callback(stop_on_failure)
-            futures.append(future)
-        # a failed repetition was not cancelled, so this raises unless all completed
-        results = [future.result() for future in futures if not future.cancelled()]
+    seqs = _children(root, cfg.repetitions)
+    with ThreadPoolExecutor(max_workers=_worker_count(len(seqs))) as pool:
+        results = list(pool.map(_one_repetition, [cfg] * len(seqs), seqs,
+                                [files] + [False] * (len(seqs) - 1)))
     report = combine_reports([r for r, _ in results])
+    check_reference(report, *sample_variance_law(None, cfg.chain, cfg.fs, cfg.mode,
+                                                 cfg.duration))
     return report, results[0][1], expected_ref
 
 
@@ -238,9 +228,9 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
                _report_rows(report))
     for name, text in files.items():
         _write_text(out / name, text)
-    print(f"diff-x: {report.var_diff_x_db:+.3f} dB (se {report.var_diff_x_db_se:.3f})")
-    print(f"sum-p:  {report.var_sum_p_db:+.3f} dB (se {report.var_sum_p_db_se:.3f})")
-    print(f"duan:   {report.duan:.4f} (se {report.duan_se:.4f}, separable bound 1)")
+    print(f"diff-x: {report.var_diff_x_db:+.3f} dB (se {report.var_diff_x_db_se:#.2g})")
+    print(f"sum-p:  {report.var_sum_p_db:+.3f} dB (se {report.var_sum_p_db_se:#.2g})")
+    print(f"duan:   {report.duan:.4f} (se {report.duan_se:#.2g}, separable bound 1)")
     print(f"repetitions: {report.repetitions}, modes per repetition: {dx.a.size}")
     print(f"pearson r: x {dx.pearson_r:+.3f}, p {dp.pearson_r:+.3f}")
     print(f"outputs in {out}")

@@ -21,12 +21,14 @@ import numpy as np
 
 from .modes import TemporalMode
 from .spectra import QuadPsd, flat_psd
-from .synth import SeedLike, TimeSeries, TwoModeRecord, _power, _rate_stride, placed_window
+from .synth import (SeedLike, TimeSeries, TwoModeRecord, _power, _rate_stride, block_length,
+                    placed_window)
 
 __all__ = [
     "DetectionChain",
     "detect",
     "expected_mode_variance",
+    "sample_variance_law",
 ]
 
 _FULL_SCALE = 10.0  # quantizer range in vacuum units, +/-
@@ -167,3 +169,30 @@ def expected_mode_variance(psd: Optional[QuadPsd], chain: Optional[DetectionChai
     win[1: (block + 1) // 2] *= 2.0
     p = _power(flat_psd() if psd is None else psd, chain, block, fs)
     return float(np.sum(p * win) / block)
+
+
+def sample_variance_law(psd: Optional[QuadPsd], chain: Optional[DetectionChain],
+                        fs: float, mode: TemporalMode, duration: float) -> Tuple[float, float]:
+    """Exact (mean, SD) of the ddof=1 variance analysis reads from the m
+    mode values of a series drawn at duration and fs, in full or in mode
+    space (psd None means vacuum). The values are Gaussian with Toeplitz
+    covariance c_|j-l|, c_l = irfft(P |W|^2, n)[l*hop] (P and W as in
+    expected_mode_variance, hop the windows' spacing in block samples); with
+    M = I - 11^T/m the mean is tr(CM)/(m-1) and the variance
+    2 tr(CMCM)/(m-1)^2, both from prefix sums of c. Quantization adds
+    Sheppard's Delta^2/12 to c_0."""
+    n = block_length(duration, fs)
+    rate, stride = _rate_stride(chain, fs)
+    n_w = mode.n_samples(rate)
+    m = len(range(0, int(round(duration * fs)), stride)) // n_w
+    window = placed_window(mode, rate, stride, n)
+    h = _power(flat_psd() if psd is None else psd, chain, n, fs) * np.abs(window) ** 2
+    c = np.fft.irfft(h, n)[:: stride * n_w][:m]
+    if chain is not None and chain.adc_bits is not None:
+        c[0] += (2.0 * _FULL_SCALE / (1 << chain.adc_bits)) ** 2 / 12.0
+    prefix = np.cumsum(c)
+    rows = prefix + prefix[::-1] - c[0]  # C1
+    total = float(np.sum(rows))  # 1^T C 1
+    tr_cc = m * c[0] ** 2 + np.sum(2.0 * (m - np.arange(1, m)) * c[1:] ** 2)
+    var = 2.0 * (tr_cc - 2.0 * np.sum(rows * rows) / m + (total / m) ** 2) / (m - 1) ** 2
+    return float((m * c[0] - total / m) / (m - 1)), math.sqrt(var)

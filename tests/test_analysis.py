@@ -13,6 +13,8 @@ from eprsim import (CalibrationError, DetectionChain, TemporalMode,
                     extract_modes, opo_spectrum, synthesize_colored, flat_psd,
                     trace_excerpt, vacuum_record, welch_psd)
 from eprsim import analysis, synth
+from eprsim.analysis import check_reference
+from eprsim.detection import sample_variance_law
 from eprsim.synth import TimeSeries, TwoModeRecord, mode_value_spectrum, placed_window
 
 import refvals
@@ -87,8 +89,7 @@ def test_epr_report_matches_discrete_expectation(calibrated_pair, calibrated_spe
 
 
 def test_epr_report_duan_identity(calibrated_pair):
-    report = _report([500], [501], [502], calibrated_pair,
-                     expected_ref_variance=1.0)
+    report = _report([500], [501], [502], calibrated_pair)
     assert report.duan == duan_sum(report.var_diff_x, report.var_sum_p)
     assert math.isnan(report.var_diff_x_db_se)
     assert math.isnan(report.duan_se)
@@ -120,15 +121,34 @@ def test_epr_report_with_blocked_second_opo(calibrated_pair):
 
 
 def test_epr_report_flags_bad_reference(calibrated_pair):
+    # a report keeps its reference's two variances, and check_reference
+    # rejects their mean beyond 5 pooled SE, sd/sqrt(2), of the law's mean
     x = epr_record(*calibrated_pair, 2e-3, FS, "X", 540)
     p = epr_record(*calibrated_pair, 2e-3, FS, "P", 541)
     vac = vacuum_record(2e-3, FS, 542)
     bad = replace(vac, a=replace(vac.a, samples=vac.a.samples * 1.2),
                   b=replace(vac.b, samples=vac.b.samples * 1.2))
+    report = epr_report(x, p, bad, MODE)
+    assert report.ref_variances == pytest.approx(
+        [1.44 * v for v in epr_report(x, p, vac, MODE).ref_variances], rel=1e-12)
+    mean, sd = sample_variance_law(None, None, FS, MODE, 2e-3)
     with pytest.raises(CalibrationError, match="5 standard errors"):
-        epr_report(x, p, bad, MODE)
+        check_reference(report, mean, sd)
     # the matching expectation passes
-    epr_report(x, p, bad, MODE, expected_ref_variance=1.44)
+    check_reference(report, 1.44 * mean, 1.44 * sd)
+    se = sd / math.sqrt(2.0)
+    for z in (-4.99, 4.99):
+        check_reference(replace(report, ref_variances=(mean + z * se,) * 2), mean, sd)
+    for z in (-5.01, 5.01):
+        with pytest.raises(CalibrationError):
+            check_reference(replace(report, ref_variances=(mean + z * se,) * 2), mean, sd)
+    # pooled over 50 repetitions the SE is sd/10: a shift of 0.501 sd,
+    # which one repetition passes, fails
+    pooled = combine_reports([report] * 50)
+    assert len(pooled.ref_variances) == 100
+    check_reference(replace(report, ref_variances=(mean + 0.501 * sd,) * 2), mean, sd)
+    with pytest.raises(CalibrationError, match="mean of 100"):
+        check_reference(replace(pooled, ref_variances=(mean + 0.501 * sd,) * 100), mean, sd)
 
 
 def test_epr_report_input_validation(calibrated_pair):

@@ -11,6 +11,8 @@ from scipy import signal
 from eprsim import (DetectionChain, TemporalMode, detect, epr_record, epr_spectra,
                     expected_mode_variance, extract_modes, flat_psd, load_config,
                     opo_spectrum, vacuum_record)
+from eprsim import analysis, synth
+from eprsim.detection import sample_variance_law
 from eprsim.modes import _tail
 from eprsim.synth import (TimeSeries, TwoModeRecord, _power, _rate_stride, block_length,
                           mode_value_spectrum, placed_window)
@@ -319,6 +321,48 @@ def test_mode_value_spectrum_mean_is_the_expected_mode_variance(width):
         assert s.size == block // hop and np.all(s >= 0.0)
         expected = expected_mode_variance(psd, cfg.chain, cfg.fs, mode, block)
         assert abs(np.mean(s) / expected - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("width", [2e-8, 2e-7, 2e-6], ids=("20ns", "0.2us", "2us"))
+def test_sample_variance_law_equals_the_circulant_law(width):
+    # where the windows' spacing divides the block (paper.cfg's record) the
+    # m values are circulant: the ddof=1 variance is sum_{q>=1} S_q chi^2
+    # terms over m-1, of mean sum_{q>=1} S_q/(m-1) and SD
+    # sqrt(2 sum_{q>=1} S_q^2)/(m-1), with S from mode_value_spectrum
+    cfg = load_config(PAPER_CFG)
+    spectra = epr_spectra(cfg.opo1, cfg.opo2)
+    mode = TemporalMode.square(width)
+    block = block_length(cfg.duration, cfg.fs)
+    rate, stride = _rate_stride(cfg.chain, cfg.fs)
+    window = placed_window(mode, rate, stride, block)
+    hop = stride * mode.n_samples(rate)
+    for psd in (None, spectra.diff_x, spectra.sum_p):
+        s = mode_value_spectrum(_power(psd or flat_psd(), cfg.chain, block, cfg.fs), window,
+                                block, hop)[1:]
+        mean, sd = sample_variance_law(psd, cfg.chain, cfg.fs, mode, cfg.duration)
+        assert mean == pytest.approx(np.sum(s) / s.size, rel=1e-12, abs=0.0)
+        assert sd == pytest.approx(math.sqrt(2.0 * np.sum(s * s)) / s.size, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("width", [2e-8, 2e-7, 2e-6, 7e-7],
+                         ids=("20ns", "0.2us", "2us", "0.7us_full"))
+def test_sample_variance_law_matches_drawn_references(width):
+    # 2,000 reference variances (1,000 vacuum records through the default
+    # chain, 5,000 samples each, both combinations) have the law's mean and
+    # SD within 3 SE: drawn in mode space where the spacing divides the
+    # block, and in full for a 0.7 us mode (35 samples, 142 of its windows)
+    chain, mode, duration = DetectionChain(), TemporalMode.square(width), 1e-4
+    records = [vacuum_record(duration, FS, seq, chain=chain, mode=mode)
+               for seq in np.random.SeedSequence(21, spawn_key=(round(width * 1e9),)).spawn(1000)]
+    assert all(isinstance(r, synth._ModeRecord) == (width != 7e-7) for r in records)
+    v = np.array([analysis._combo_variance(r, sign, mode)
+                  for r in records for sign in (-1.0, 1.0)])
+    mean, sd = sample_variance_law(None, chain, FS, mode, duration)
+    assert abs(v.mean() - mean) < 3.0 * sd / math.sqrt(v.size)
+    # the SE of a sample SD, from the sample's fourth central moment
+    m4 = np.mean((v - v.mean()) ** 4)
+    se_sd = math.sqrt((m4 - v.var() ** 2) / v.size) / (2.0 * v.std())
+    assert abs(v.std(ddof=1) - sd) < 3.0 * se_sd
 
 
 def _residues(numer, poles):

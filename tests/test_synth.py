@@ -480,7 +480,7 @@ def _combination_variances(records, mode):
     """The four readings of one repetition's (X, P, vacuum) records: X's
     diff-x, P's sum-p and the vacuum's two combinations."""
     x, p, vac = records
-    return [analysis._combo_variance(rec, sign, mode)[0]
+    return [analysis._combo_variance(rec, sign, mode)
             for rec, sign in ((x, -1.0), (p, +1.0), (vac, -1.0), (vac, +1.0))]
 
 
