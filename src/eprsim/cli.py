@@ -28,16 +28,19 @@ from .analysis import (MIN_SEGMENT, CalibrationError, Diagram, EprReport, check_
                        epr_report, extract_modes, trace_excerpt, welch_psd)
 from .config import (MAX_GRID_POINTS, ConfigError, RunConfig, load_config,
                      require_monte_carlo)
-# detect is not called here (the pipeline draws detected records directly)
-# but stays importable from eprsim.cli, where perfbench's tracer wraps it
-from .detection import detect, expected_mode_variance, sample_variance_law  # noqa: F401
+# detect and expected_mode_variance are not called here (the pipeline
+# draws detected records directly, and its reference expectation is the
+# mean of sample_variance_law) but stay importable from eprsim.cli, where
+# perfbench's tracer wraps them
+from .detection import detect, expected_mode_variance  # noqa: F401
+from .detection import sample_variance_law
 from .modeopt import ModeFamily, NonUnimodalError, mode_duan, optimize
 from .modes import KINDS, TemporalMode
 # filtered_variance is not called here but stays importable from
 # eprsim.cli, where perfbench's tracer wraps it
 from .spectra import filtered_variance  # noqa: F401
 from .spectra import QuadratureError, epr_spectra, square_variances, to_db
-from .synth import _children, block_length, epr_record, vacuum_record
+from .synth import _children, epr_record, vacuum_record
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -143,13 +146,14 @@ def _one_repetition(cfg: RunConfig, seq: np.random.SeedSequence, files: bool = F
 
 def _run_pipeline(cfg: RunConfig, slot: int = 0, files: bool = True):
     """(report, repetition 0's files (_run_files) or None without files,
-    expected reference variance). Each repetition is reduced to its report
-    in its worker, and with files repetition 0's worker draws it in full
-    and renders the files while the others draw in mode space, so no
-    records outlive their repetition. Without files (`sweep --mc-check`)
-    every repetition draws in mode space where it can. The run's 2*reps
-    reference variances are then checked once against their exact law
-    (check_reference, sample_variance_law): a fixed false-failure rate.
+    the exact mean of one reference variance). Each repetition is reduced
+    to its report in its worker, and with files repetition 0's worker
+    draws it in full and renders the files while the others draw in mode
+    space, so no records outlive their repetition. Without files (`sweep
+    --mc-check`) every repetition draws in mode space where it can. The
+    run's 2*reps reference variances are then checked once against their
+    exact law (check_reference, sample_variance_law): a fixed
+    false-failure rate.
 
     Random streams form the spawn tree seed -> slot -> repetition ->
     stream -> beam (slot 0 is `run`, slot j+1 the `sweep --mc-check` run
@@ -158,17 +162,15 @@ def _run_pipeline(cfg: RunConfig, slot: int = 0, files: bool = True):
     (..., 2) and (..., 3) drawn in mode space, synth._ModeDraw): no two
     draws share a seed, and repetition i's streams do not depend on
     cfg.repetitions."""
-    block = block_length(cfg.duration, cfg.fs)
-    expected_ref = expected_mode_variance(None, cfg.chain, cfg.fs, cfg.mode, block=block)
     root = np.random.SeedSequence(cfg.seed, spawn_key=(slot,))
     seqs = _children(root, cfg.repetitions)
     with ThreadPoolExecutor(max_workers=_worker_count(len(seqs))) as pool:
         results = list(pool.map(_one_repetition, [cfg] * len(seqs), seqs,
                                 [files] + [False] * (len(seqs) - 1)))
     report = combine_reports([r for r, _ in results])
-    check_reference(report, *sample_variance_law(None, cfg.chain, cfg.fs, cfg.mode,
-                                                 cfg.duration))
-    return report, results[0][1], expected_ref
+    ref_mean, ref_sd = sample_variance_law(None, cfg.chain, cfg.fs, cfg.mode, cfg.duration)
+    check_reference(report, ref_mean, ref_sd)
+    return report, results[0][1], ref_mean
 
 
 def _report_rows(report: EprReport):

@@ -13,16 +13,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .modes import KINDS, TemporalMode
-from .spectra import EprSpectra, duan_sum, filtered_variance
+# filtered_variance is not called here but stays importable from
+# eprsim.modeopt, where perfbench's tracer wraps it
+from .spectra import filtered_variance  # noqa: F401
+from .spectra import EprSpectra, duan_sum, filtered_variances
 
 __all__ = [
     "ModeFamily",
     "OptResult",
     "NonUnimodalError",
     "mode_duan",
+    "mode_duans",
     "brute_force",
     "optimize",
 ]
@@ -81,8 +85,15 @@ class OptResult:
 
 def mode_duan(spectra: EprSpectra, mode: TemporalMode) -> float:
     """Duan sum of the mode-filtered EPR variances (analytic path)."""
-    return duan_sum(filtered_variance(spectra.diff_x, mode),
-                    filtered_variance(spectra.sum_p, mode))
+    return mode_duans(spectra, (mode,))[0]
+
+
+def mode_duans(spectra: EprSpectra, modes: Sequence[TemporalMode]) -> List[float]:
+    """mode_duan of each mode, in one call. A mode's two quadratures are
+    one filtered_variances call, so their closed-form overlaps share the
+    mode's band-tail moments."""
+    return [duan_sum(*filtered_variances((spectra.diff_x, spectra.sum_p), mode))
+            for mode in modes]
 
 
 def _log_grid(lo: float, hi: float, n: int) -> List[float]:
@@ -105,8 +116,8 @@ def brute_force(spectra: EprSpectra, family: ModeFamily,
         g0 = _log_grid(*family.param_bounds[names[0]], m)
         g1 = _log_grid(*family.param_bounds[names[1]], m)
         grid = [{names[0]: a, names[1]: b} for a in g0 for b in g1]
-    return [(p, mode_duan(spectra, TemporalMode.from_params(family.kind, p)))
-            for p in grid]
+    return list(zip(grid, mode_duans(
+        spectra, [TemporalMode.from_params(family.kind, p) for p in grid])))
 
 
 class _BudgetExhausted(Exception):
@@ -114,7 +125,8 @@ class _BudgetExhausted(Exception):
 
 
 class _Objective:
-    """Caching, budget-counted objective over named parameters."""
+    """Caching, budget-counted objective over named parameters; the points
+    of one call are evaluated in one mode_duans call."""
 
     def __init__(self, spectra, family, budget):
         self.spectra = spectra
@@ -124,16 +136,26 @@ class _Objective:
         self.trace: List[Tuple[Dict[str, float], float]] = []
 
     def __call__(self, params: Dict[str, float]) -> float:
-        key = tuple(params[n] for n in self.family.param_names)
-        if key in self.cache:
-            return self.cache[key]
-        if len(self.cache) >= self.budget:
+        return self.many([params])[0]
+
+    def many(self, points: Sequence[Dict[str, float]]) -> List[float]:
+        """Values at points. Points not seen before are evaluated and
+        traced in order while the budget lasts; _BudgetExhausted is raised
+        once those that fit are recorded."""
+        keys = [tuple(p[n] for n in self.family.param_names) for p in points]
+        new: Dict[Tuple[float, ...], Dict[str, float]] = {}
+        for key, params in zip(keys, points):
+            if key not in self.cache:
+                new.setdefault(key, params)
+        todo = list(new.items())[:max(self.budget - len(self.cache), 0)]
+        values = mode_duans(self.spectra, [TemporalMode.from_params(self.family.kind, p)
+                                           for _, p in todo])
+        for (key, params), val in zip(todo, values):
+            self.cache[key] = val
+            self.trace.append((dict(params), val))
+        if len(todo) < len(new):
             raise _BudgetExhausted
-        val = mode_duan(self.spectra,
-                        TemporalMode.from_params(self.family.kind, params))
-        self.cache[key] = val
-        self.trace.append((dict(params), val))
-        return val
+        return [self.cache[key] for key in keys]
 
     def best(self) -> Tuple[Dict[str, float], float]:
         params, val = min(self.trace, key=lambda pv: pv[1])
@@ -153,11 +175,7 @@ def _prescan(obj: _Objective, fixed: Dict[str, float], name: str,
     best grid value) and rejects multi-minimum slices."""
     lo, hi = obj.family.param_bounds[name]
     grid = _log_grid(lo, hi, n_scan)
-    vals = []
-    for v in grid:
-        p = dict(fixed)
-        p[name] = v
-        vals.append(obj(p))
+    vals = obj.many([{**fixed, name: v} for v in grid])
     if _count_interior_minima(vals) > 1:
         raise NonUnimodalError(
             f"objective along {name} shows multiple local minima over "

@@ -14,13 +14,19 @@ Each mode also has the closed-form overlap with a Lorentzian spectrum
 square_lorentz_overlaps gives it for square modes of many durations at
 once. Its band tail is a series of generalized exponential integrals
 (_expint), each element evaluated to its own convergence, so a value does
-not depend on the batch it is computed in.
+not depend on the batch it is computed in. Those moments depend on the
+band and the mode's support, not on the Lorentzian width or the decay
+rate, so they are shared per support: the last set computed is kept
+(_moments), and consecutive overlaps on one support (a mode's two EPR
+quadratures, the steps of a pump calibration or of the optimizer's rate
+search) evaluate them once, with values identical to a fresh evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -388,6 +394,23 @@ def _tail(width: float, band: float, d: np.ndarray, power,
         for j in range(1, n_terms):
             coeff[j] -= a * coeff[j - 1]
     y, p0 = np.broadcast_arrays(band * np.asarray(d, dtype=float),
-                                2 * m + 2 - np.asarray(power))
-    moments = _expint(y[:, None], p0[:, None] + 2 * np.arange(n_terms))
+                                2 * m + 2 - np.asarray(power, dtype=np.int64))
+    moments = _moments(y.tobytes(), p0.tobytes(), n_terms)
     return band ** (1.0 - p0) * (moments @ coeff)
+
+
+@lru_cache(maxsize=1)
+def _moments(y: bytes, p0: bytes, n_terms: int) -> np.ndarray:
+    """Read-only _expint(y, p0 + 2n) for n < n_terms, one row per element
+    of y and p0 (the bytes of equal-length float64 and int64 arrays).
+
+    They depend on the band, the mode's support and the power pattern, not
+    on the Lorentzian width or the decay rate (those enter _tail through
+    its coefficients), so consecutive overlaps on one support, such as a
+    mode's two quadratures or the steps of a width or rate search, share
+    one evaluation."""
+    y = np.frombuffer(y, dtype=float)
+    p0 = np.frombuffer(p0, dtype=np.int64)
+    out = _expint(y[:, None], p0[:, None] + 2 * np.arange(n_terms))
+    out.flags.writeable = False
+    return out

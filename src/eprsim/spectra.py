@@ -11,10 +11,11 @@ Lorentzian, S = 1 + A/(kappa^2 + Omega^2) inside the band, so by
 Wiener-Khinchin S - 1 has correlation (A/2kappa) exp(-kappa|tau|) and V has
 a closed form (TemporalMode.lorentz_overlap): the full-line overlap of the
 mode with that correlation, minus the exactly integrated [B, inf) tail.
-square_variances evaluates it for square modes of a whole grid of
-durations in one vectorized pass. Composite Gauss-Legendre quadrature
-remains for spectra with an arbitrary evaluator and for modes whose decay
-rate exceeds B/2.
+filtered_variances evaluates it for several spectra on one mode (the EPR
+pair's two quadratures), and square_variances for square modes of a whole
+grid of durations in one vectorized pass. Composite Gauss-Legendre
+quadrature remains for spectra with an arbitrary evaluator and for modes
+whose decay rate exceeds B/2.
 
 All public frequencies are in Hz; angular frequency appears only inside
 integrals and evaluator callables (rad/s).
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +42,7 @@ __all__ = [
     "epr_spectra",
     "flat_psd",
     "filtered_variance",
+    "filtered_variances",
     "square_variances",
     "to_db",
     "duan_sum",
@@ -204,21 +206,46 @@ def filtered_variance(psd: QuadPsd, mode: TemporalMode) -> float:
     1 + (1/pi) integral_0^B (S(Omega)-1) |F(Omega)|^2 dOmega.
 
     Exact because S = 1 beyond band_limit B and the mode is unit norm
-    (Parseval supplies the tail). Lorentzian spectra use the closed form
-    1 + A * mode.lorentz_overlap(kappa, B) wherever the mode supplies it;
-    anything else is integrated by
+    (Parseval supplies the tail). filtered_variances of the one PSD: the
+    closed form where the spectrum is Lorentzian and the mode supplies it,
+    quadrature otherwise.
+    """
+    return filtered_variances((psd,), mode)[0]
+
+
+def filtered_variances(psds: Sequence[QuadPsd], mode: TemporalMode) -> List[float]:
+    """filtered_variance of each PSD on one mode.
+
+    Lorentzian spectra use the closed form 1 + A * mode.lorentz_overlap(kappa,
+    B) wherever the mode supplies it (the overlaps of one mode share their
+    band-tail moments, modes._moments); anything else is integrated by
     composite Gauss-Legendre panels sized to resolve both the |F|^2
     oscillation (period 2pi/duration) and the narrowest PSD feature, with
     convergence confirmed by panel doubling.
     """
-    band = psd.band_limit
-    if band <= 0.0:
+    out = []
+    for psd in psds:
+        value = _closed_form_variance(psd, mode)
+        out.append(_quadrature_variance(psd, mode) if value is None else value)
+    return out
+
+
+def _closed_form_variance(psd: QuadPsd, mode: TemporalMode) -> Optional[float]:
+    """1 for a flat spectrum (band_limit 0), 1 + A * overlap for a
+    Lorentzian one where the mode supplies the overlap, else None."""
+    if psd.band_limit <= 0.0:
         return 1.0
-    if psd.lorentz is not None:
-        weight, width = psd.lorentz
-        overlap = mode.lorentz_overlap(width, band)
-        if overlap is not None:
-            return 1.0 + weight * overlap
+    if psd.lorentz is None:
+        return None
+    weight, width = psd.lorentz
+    overlap = mode.lorentz_overlap(width, psd.band_limit)
+    return None if overlap is None else 1.0 + weight * overlap
+
+
+def _quadrature_variance(psd: QuadPsd, mode: TemporalMode) -> float:
+    """filtered_variance by Gauss-Legendre panels, doubled until two
+    estimates agree to 1e-8."""
+    band = psd.band_limit
 
     def integrand(om):
         return (psd(om) - 1.0) * mode.power_spectrum(om)

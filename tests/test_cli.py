@@ -229,7 +229,13 @@ def test_report_pools_repetition_0_in_full_and_the_rest_in_mode_space(tmp_path):
     # a full draw of a later repetition gives other readings
     assert _pooled([_records(cfg, seqs[1])], cfg).per_rep != report0.per_rep[1:2]
 
+    # the expectation recorded is the exact mean of the ddof=1 reference
+    # variance the check uses, not c_0
+    law_mean = cli.sample_variance_law(None, cfg.chain, cfg.fs, cfg.mode, cfg.duration)[0]
+    assert expected_ref == law_mean
+    assert expected_ref != cli.expected_mode_variance(None, cfg.chain, cfg.fs, cfg.mode)
     text = (out / "report.csv").read_text()
+    assert f"# expected_ref_variance={law_mean:.12g}\n" in text
     header = next(ln for ln in text.splitlines() if not ln.startswith("#")).split(",")
     cli._write_csv(tmp_path / "all.csv",
                    cli._meta(cfg, "run", repetitions=3, expected_ref_variance=expected_ref),

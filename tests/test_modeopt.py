@@ -1,16 +1,21 @@
 """Temporal-mode optimization: golden-section search, brute-force
 reference grids, non-unimodality detection."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eprsim import (EprSpectra, ModeFamily, NonUnimodalError, OpoParams,
-                    QuadPsd, TemporalMode, brute_force, epr_spectra,
-                    flat_psd, mode_duan, optimize)
+                    QuadPsd, TemporalMode, brute_force, duan_sum, epr_spectra,
+                    filtered_variance, flat_psd, load_config, mode_duan, modes,
+                    optimize)
 
 import refvals
+
+PAPER_CFG = Path(__file__).resolve().parents[1] / "paper.cfg"
 
 SQUARE_FAMILY = ModeFamily("square", {"duration": (0.02e-6, 2e-6)})
 EXP_BOUNDS = {"rate": (1e3, 2e8), "support": (0.02e-6, 2e-6)}
@@ -114,6 +119,18 @@ def test_small_budget_reports_unconverged(calibrated_spectra):
     assert result.best_duan == min(v for _, v in result.trace)
 
 
+def test_a_budget_cuts_the_trace_where_it_runs_out(calibrated_spectra):
+    # a prescan evaluates its grid in one call; a budget that runs out
+    # inside the grid still records exactly the evaluations that fit
+    family = ModeFamily("double_exp", dict(EXP_BOUNDS))
+    full = optimize(calibrated_spectra, family).trace
+    assert len(full) == 99
+    for budget in range(16, 99, 3):
+        result = optimize(calibrated_spectra, family, budget=budget)
+        assert not result.converged
+        assert result.trace == full[:budget]
+
+
 def test_family_validation():
     with pytest.raises(ValueError, match="unknown mode family"):
         ModeFamily("gaussian", {"duration": (1e-7, 1e-6)})
@@ -156,3 +173,49 @@ def test_two_valley_objective_is_rejected():
     interior = [i for i in range(1, 8)
                 if vals[i] < vals[i - 1] and vals[i] < vals[i + 1]]
     assert len(interior) == 2
+
+
+def test_double_exp_optimize_shares_the_band_tail_moments(monkeypatch):
+    # the rate steps of the coordinate descent and each evaluation's two
+    # quadratures reuse the moments of one support: 198 _expint calls
+    # without sharing, 51 with it, and the trace is what a cold evaluation
+    # of each point gives
+    cfg = load_config(PAPER_CFG)
+    spectra = epr_spectra(cfg.opo1, cfg.opo2)
+    family = ModeFamily("double_exp", EXP_BOUNDS)
+    calls = []
+    expint = modes._expint
+
+    def counting(y, p):
+        calls.append(y)
+        return expint(y, p)
+
+    modes._moments.cache_clear()
+    monkeypatch.setattr(modes, "_expint", counting)
+    result = optimize(spectra, family)
+    monkeypatch.undo()
+    assert len(result.trace) == 99
+    assert len(calls) <= 60
+    for params, value in result.trace:
+        modes._moments.cache_clear()
+        assert mode_duan(spectra, TemporalMode.double_exp(**params)) == value, params
+
+
+def test_mode_duan_is_the_duan_sum_of_filtered_variances(calibrated_spectra):
+    # one filtered_variances call for both quadratures gives what two
+    # filtered_variance calls give: in closed form, by quadrature for a
+    # spectrum with an evaluator only, and by quadrature where the width
+    # exceeds half the band and the closed form declines
+    dx, sp = calibrated_spectra.diff_x, calibrated_spectra.sum_p
+    mode = TemporalMode.double_exp(rate=3e6, support=0.4e-6)
+    numeric = EprSpectra(dataclasses.replace(dx, lorentz=None),
+                         dataclasses.replace(sp, lorentz=None))
+    narrow = EprSpectra(dataclasses.replace(dx, band_limit=1.5 * dx.lorentz[1]),
+                        dataclasses.replace(sp, band_limit=1.5 * sp.lorentz[1]))
+    for psd in (narrow.diff_x, narrow.sum_p):
+        assert mode.lorentz_overlap(psd.lorentz[1], psd.band_limit) is None
+    for spectra in (calibrated_spectra, numeric, narrow):
+        modes._moments.cache_clear()
+        expected = duan_sum(filtered_variance(spectra.diff_x, mode),
+                            filtered_variance(spectra.sum_p, mode))
+        assert mode_duan(spectra, mode) == expected

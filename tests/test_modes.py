@@ -5,7 +5,7 @@ import pytest
 from scipy.special import sici
 
 from eprsim import TemporalMode
-from eprsim.modes import _expint
+from eprsim.modes import _expint, _moments
 
 ALL_KINDS = [
     TemporalMode.square(0.2e-6),
@@ -115,6 +115,37 @@ def test_expint_elements_do_not_depend_on_their_batch():
     for j in range(y.size):
         alone = _expint(y[j:j + 1], p[j:j + 1])
         assert batch[j] == alone[0], (y[j], p[j])
+
+
+def _moved(mode, name, factor):
+    """mode with one factory parameter scaled."""
+    params = dict(mode.params)
+    params[name] *= factor
+    return TemporalMode.from_params(mode.kind, params)
+
+
+@pytest.mark.parametrize("mode", ALL_KINDS, ids=lambda m: m.kind)
+def test_lorentz_overlap_does_not_depend_on_the_moments_kept(mode):
+    # the band-tail moments of the last support are kept: an overlap must
+    # be the same computed cold, right after one at another width or rate
+    # on its support (which reuses them), and right after one on another
+    # support (which replaces them)
+    width, band = 2e7, 2e9
+    _moments.cache_clear()
+    cold = mode.lorentz_overlap(width, band)
+    assert cold is not None
+    if mode.rate is None:
+        mode.lorentz_overlap(1.2 * width, band)
+    else:
+        _moved(mode, "rate", 1.2).lorentz_overlap(width, band)
+    hits = _moments.cache_info().hits
+    assert mode.lorentz_overlap(width, band) == cold
+    assert _moments.cache_info().hits == hits + 1
+    support = "support" if "support" in mode.params else "duration"
+    _moved(mode, support, 1.7).lorentz_overlap(width, band)
+    assert mode.lorentz_overlap(width, band) == cold
+    _moments.cache_clear()
+    assert mode.lorentz_overlap(width, band) == cold
 
 
 def test_n_samples_rounding():
