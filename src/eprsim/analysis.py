@@ -61,17 +61,12 @@ def extract_modes(series: TimeSeries, mode: TemporalMode) -> ModeValues:
     Yields floor(n / n_w) values, n_w the mode's sample count.
     """
     w = mode.discretize(series.sample_rate)
-    count = _mode_count(series, w.size, mode)
+    count = series.n // w.size
+    if count < 1:
+        raise ValueError(f"mode duration {mode.duration:g} s exceeds series duration "
+                         f"{series.duration:g} s")
     vals = series.samples[: count * w.size].reshape(count, w.size) @ w
     return ModeValues(values=vals, mode=mode)
-
-
-def _mode_count(series: TimeSeries, n_w: int, mode: TemporalMode) -> int:
-    if n_w > series.n:
-        raise ValueError(
-            f"mode duration {mode.duration:g} s exceeds series duration "
-            f"{series.duration:g} s")
-    return series.n // n_w
 
 
 @dataclass(frozen=True)
@@ -107,21 +102,20 @@ def _combo_variance(record: TwoModeRecord, sign: float, mode: TemporalMode) -> f
     """Sample variance (ddof=1) of the combination's mode values.
 
     A record synth drew in mode space (a synth._ModeRecord) is read from
-    its draw for the mode it was drawn for: the values are the inverse FFT
-    of the combination's drawn mode-value coefficients. Every other record,
-    one built from a drawn record's series included, is read from its
-    samples (extract_modes of the combination series).
+    its draw for the mode it was drawn for: the first draw.count (layout's
+    m) values of the inverse FFT of the combination's drawn coefficients.
+    Every other record, one built from a drawn record's series included,
+    is read from its samples (extract_modes of the combination series).
     """
-    count = _mode_count(record.a, mode.n_samples(record.sample_rate), mode)
-    if count < 2:
-        raise ValueError("need at least 2 mode values per repetition")
     if isinstance(record, _ModeRecord):
         draw = record.draw
         if draw.mode != mode:
             raise ValueError("record was drawn in mode space for another mode")
-        vals = np.fft.irfft(draw.combination(sign), draw.size)[:count]
+        vals = np.fft.irfft(draw.combination(sign), draw.size)[:draw.count]
     else:
         vals = extract_modes(combo_series(record, sign), mode).values
+    if vals.size < 2:
+        raise ValueError("need at least 2 mode values per repetition")
     return float(np.var(vals, ddof=1))
 
 

@@ -3,6 +3,7 @@ and a canonical fingerprint embedded in every output file.
 
 parse_config checks the JSON shape and field types, each part its own
 values, and RunConfig the rules between fields (on replace too).
+require_monte_carlo counts a record's mode windows with synth.layout.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Any, Dict
 from .detection import DetectionChain
 from .modes import KINDS, TemporalMode
 from .spectra import OpoParams, beam_spectra
-from .synth import check_alias
+from .synth import check_alias, layout
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "config_fingerprint"]
 
@@ -225,8 +226,7 @@ def require_monte_carlo(cfg: RunConfig, min_samples: int = 0) -> None:
     min_samples samples at the ADC rate, and synth.check_alias at fs for
     every beam PSD of either setting (spectra.beam_spectra)."""
     require_adc_sample(cfg)
-    samples = -(-int(round(cfg.duration * cfg.fs)) // cfg.chain.decimation(cfg.fs))
-    windows = samples // cfg.mode.n_samples(cfg.chain.adc_rate)
+    _, samples, _, windows = layout(cfg.duration, cfg.fs, cfg.chain, cfg.mode)
     if windows < 2:
         raise ConfigError(
             f"mode.duration: the record holds {windows} mode window(s) at the ADC "

@@ -8,6 +8,7 @@ the one place the response lives): synth draws detected records from
 DetectionChain.detected_psd directly, detect applies the same gains to a
 record's own block, and expected_mode_variance, a bin sum of its own
 (not the mean of synth.mode_value_spectrum), is exact for both.
+sample_variance_law takes a record's n, hop and m from synth.layout.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .modes import TemporalMode
 from .spectra import QuadPsd, flat_psd
-from .synth import (SeedLike, TimeSeries, TwoModeRecord, _power, _rate_stride, block_length,
+from .synth import (SeedLike, TimeSeries, TwoModeRecord, _power, _rate_stride, layout,
                     placed_window)
 
 __all__ = [
@@ -175,19 +176,17 @@ def sample_variance_law(psd: Optional[QuadPsd], chain: Optional[DetectionChain],
                         fs: float, mode: TemporalMode, duration: float) -> Tuple[float, float]:
     """Exact (mean, SD) of the ddof=1 variance analysis reads from the m
     mode values of a series drawn at duration and fs, in full or in mode
-    space (psd None means vacuum). The values are Gaussian with Toeplitz
-    covariance c_|j-l|, c_l = irfft(P |W|^2, n)[l*hop] (P and W as in
-    expected_mode_variance, hop the windows' spacing in block samples); with
-    M = I - 11^T/m the mean is tr(CM)/(m-1) and the variance
+    space (psd None means vacuum; n, hop and m are synth.layout's). The
+    values are Gaussian with Toeplitz covariance c_|j-l|,
+    c_l = irfft(P |W|^2, n)[l*hop] (P and W as in expected_mode_variance);
+    with M = I - 11^T/m the mean is tr(CM)/(m-1) and the variance
     2 tr(CMCM)/(m-1)^2, both from prefix sums of c. Quantization adds
     Sheppard's Delta^2/12 to c_0."""
-    n = block_length(duration, fs)
+    n, _, hop, m = layout(duration, fs, chain, mode)
     rate, stride = _rate_stride(chain, fs)
-    n_w = mode.n_samples(rate)
-    m = len(range(0, int(round(duration * fs)), stride)) // n_w
     window = placed_window(mode, rate, stride, n)
     h = _power(flat_psd() if psd is None else psd, chain, n, fs) * np.abs(window) ** 2
-    c = np.fft.irfft(h, n)[:: stride * n_w][:m]
+    c = np.fft.irfft(h, n)[::hop][:m]
     if chain is not None and chain.adc_bits is not None:
         c[0] += (2.0 * _FULL_SCALE / (1 << chain.adc_bits)) ** 2 / 12.0
     prefix = np.cumsum(c)

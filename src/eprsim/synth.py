@@ -21,13 +21,14 @@ samples.
 A record drawn for a temporal mode (epr_record and vacuum_record with
 mode=) is drawn in mode space: it is a _ModeRecord, which holds its draw
 (_ModeDraw), and its series (_ModeSeries) have a rate, a length and a
-label but no samples. The m = n/hop mode values of a beam's block (hop
-the windows' spacing in block samples) are a circulant Gaussian sequence
-whose spectrum S_q is known (mode_value_spectrum of P and placed_window),
-so each beam draws the m//2 + 1 rfft coefficients of its mode values
-from sqrt(m/2 * S_q), as a block draws its own from sqrt(n/2 * P), both
-from one cache (_amplitude), and one length-m inverse FFT gives the
-values. This is exact in distribution. Beam k then draws from the child
+label but no samples. The n/hop mode values of a beam's block (n, hop
+the windows' spacing in block samples and m, the number a reading
+takes, all from layout, their one derivation) are a circulant Gaussian
+sequence whose spectrum S_q is known (mode_value_spectrum of P and
+placed_window), so each beam draws their rfft coefficients from
+sqrt(n/(2 hop) * S_q), as a block draws its own from sqrt(n/2 * P),
+both from one cache (_amplitude), and one inverse FFT gives the values.
+This is exact in distribution. Beam k then draws from the child
 (*seq.spawn_key, 2 + k), so it shares no seed with the full draw of the
 same record. Its beams are drawn on first use, the same from any thread,
 and a reading (analysis.epr_report) draws only the beams it weighs: the
@@ -65,6 +66,7 @@ __all__ = [
     "TimeSeries",
     "TwoModeRecord",
     "block_length",
+    "layout",
     "placed_window",
     "mode_value_spectrum",
     "synthesize_colored",
@@ -156,8 +158,7 @@ def placed_window(mode: TemporalMode, adc_rate: float, stride: int,
     The placed window is a block of that many samples holding the mode's
     weights at adc_rate (mode.discretize) every stride samples, so that a
     mode value of a series trimmed from the block and decimated by stride
-    is the block's correlation with it: value j at lag j*n_w*stride, n_w
-    the window's ADC samples.
+    is the block's correlation with it: value j at lag j*hop (layout).
     """
     w = mode.discretize(adc_rate)
     if w.size * stride > block:
@@ -208,21 +209,20 @@ def mode_value_spectrum(power: np.ndarray, window: np.ndarray, n: int,
 
 
 @lru_cache(maxsize=16)
-def _amplitude(psd: QuadPsd, chain: Optional[DetectionChain], n: int,
-               fs: float, mode: Optional[TemporalMode] = None) -> np.ndarray:
+def _amplitude(psd: QuadPsd, chain: Optional[DetectionChain], n: int, fs: float,
+               mode: Optional[TemporalMode] = None, hop: Optional[int] = None) -> np.ndarray:
     """sqrt(n/2 * P) on the rfft bins of an n-sample block (_power), or
-    with a mode whose windows' spacing hop divides n, sqrt(m/2 * S_q) on
-    those of its m = n/hop mode values (mode_value_spectrum). Read-only
-    and cached, because every repetition of a run and every block of a
-    Monte Carlo check draws from the same few (spectra caches its PSD
-    objects, so equal arguments give the same key; 16 hold a run's full
-    and mode-space amplitudes). Every draw's PSD passes the aliasing guard
-    here, before anything is cached."""
+    with a mode and its windows' spacing hop (layout), which must divide
+    n, sqrt(m/2 * S_q) on those of its m = n/hop mode values
+    (mode_value_spectrum). Read-only and cached, because every repetition
+    of a run and every block of a Monte Carlo check draws from the same
+    few (spectra caches its PSD objects, so equal arguments give the same
+    key; 16 hold a run's full and mode-space amplitudes). Every draw's PSD
+    passes the aliasing guard here, before anything is cached."""
     check_alias(psd, fs)
     p = _power(psd, chain, n, fs)
     if mode is not None:
         rate, stride = _rate_stride(chain, fs)
-        hop = stride * mode.n_samples(rate)
         p = mode_value_spectrum(p, placed_window(mode, rate, stride, n), n, hop)
         n //= hop
         p = p[: n // 2 + 1]
@@ -346,6 +346,17 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
+def layout(duration: float, fs: float, chain: Optional[DetectionChain],
+           mode: TemporalMode) -> Tuple[int, int, int, int]:
+    """(n, n_series, hop, m) of a record read with mode: block_length, the
+    ceil(round(duration*fs)/stride) samples chain.digitize keeps, hop =
+    stride*n_w block samples for n_w-sample windows, and m = n_series // n_w."""
+    rate, stride = _rate_stride(chain, fs)
+    n_w = mode.n_samples(rate)
+    n_series = -(-int(round(duration * fs)) // stride)
+    return block_length(duration, fs), n_series, stride * n_w, n_series // n_w
+
+
 def _children(seed: SeedLike, count: int,
               first: int = 0) -> Tuple[np.random.SeedSequence, ...]:
     """The children (*seq.spawn_key, k), first <= k < first + count, of the
@@ -361,8 +372,8 @@ def _children(seed: SeedLike, count: int,
 
 class _ModeDraw:
     """The two input beams of one record drawn in mode space, as the rfft
-    coefficients of their size = n/hop mode values (hop the windows'
-    spacing in block samples), drawn from amps (_amplitude with the mode).
+    coefficients of their size = n/hop mode values (a reading takes the
+    first count, layout's m), drawn from amps (_amplitude with the mode).
 
     Beam k (0 or 1) is drawn on first use (beam), from the child
     (*seed's spawn_key, 2 + k) of the record's seed sequence, so a beam is
@@ -370,11 +381,11 @@ class _ModeDraw:
     takes combination(), which draws only the beams it weighs.
     """
 
-    def __init__(self, amps: Tuple[np.ndarray, np.ndarray], size: int, seed: SeedLike,
-                 mixed: bool, mode: TemporalMode):
+    def __init__(self, amps: Tuple[np.ndarray, np.ndarray], size: int, count: int,
+                 seed: SeedLike, mixed: bool, mode: TemporalMode):
         self.mixed = mixed
         self.mode = mode
-        self.size = size
+        self.size, self.count = size, count
         self._streams = _children(seed, 2, first=2)
         self._amps = amps
         self._beams = [None, None]
@@ -415,10 +426,6 @@ class _ModeSeries:
     def samples(self) -> np.ndarray:
         raise ValueError("a record drawn in mode space has no samples")
 
-    @property
-    def duration(self) -> float:
-        return self.n / self.sample_rate
-
 
 @dataclass(frozen=True)
 class _ModeRecord(TwoModeRecord):
@@ -439,14 +446,14 @@ def _record(psds: Tuple[QuadPsd, QuadPsd], chain: Optional[DetectionChain],
     duration*fs samples, the half-beam-splitter map when mixed, then
     digitizing through the chain."""
     n = block_length(duration, fs)
+    rate, _ = _rate_stride(chain, fs)
+    if mode is not None and (chain is None or chain.adc_bits is None):
+        _, n_series, hop, m = layout(duration, fs, chain, mode)
+        if n % hop == 0:
+            amps = tuple(_amplitude(psd, chain, n, fs, mode, hop) for psd in psds)
+            draw = _ModeDraw(amps, n // hop, m, seed, mixed, mode)
+            return _ModeRecord(*(_ModeSeries(rate, n_series, label) for label in labels), draw)
     n_out = int(round(duration * fs))
-    rate, stride = _rate_stride(chain, fs)
-    if (mode is not None and (chain is None or chain.adc_bits is None)
-            and n % (hop := stride * mode.n_samples(rate)) == 0):
-        amps = tuple(_amplitude(psd, chain, n, fs, mode) for psd in psds)
-        draw = _ModeDraw(amps, n // hop, seed, mixed, mode)
-        n_series = len(range(0, n_out, stride))
-        return _ModeRecord(*(_ModeSeries(rate, n_series, label) for label in labels), draw)
     amps = [_amplitude(psd, chain, n, fs) for psd in psds]
     # np.fft.irfft, not _irfft: these blocks gain nothing measurable from
     # the split, and run's files keep their last digits

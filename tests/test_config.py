@@ -8,6 +8,7 @@ import pytest
 
 from eprsim import (ConfigError, RunConfig, TemporalMode, config_fingerprint,
                     load_config, parse_config)
+from eprsim.config import require_monte_carlo
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -207,6 +208,15 @@ def test_mode_must_span_an_adc_sample():
     table["mode"]["duration"] = 1e-9
     with pytest.raises(ConfigError, match="spans no sample"):
         parse_config(table)
+
+
+def test_monte_carlo_rule_counts_the_samples_digitize_keeps():
+    # at fs 100 MS/s the 50 MS/s ADC keeps every other sample from the
+    # first: 39 samples keep 20, two 0.2 us windows; 37 keep 19, one
+    cfg = replace(parse_config(_base_table()), fs=100e6, duration=39 / 100e6)
+    require_monte_carlo(cfg)
+    with pytest.raises(ConfigError, match=r"^mode\.duration: the record holds 1 mode window"):
+        require_monte_carlo(replace(cfg, duration=37 / 100e6))
 
 
 def test_exponential_and_tabulated_modes_parse():

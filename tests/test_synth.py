@@ -15,10 +15,12 @@ import numpy as np
 import pytest
 
 from eprsim import (DetectionChain, OpoParams, TemporalMode, beam_spectra, extract_modes,
-                    flat_psd, opo_spectrum, synthesize_colored, epr_record, vacuum_record)
+                    flat_psd, load_config, opo_spectrum, synthesize_colored, epr_record,
+                    vacuum_record)
 from eprsim import analysis, synth
+from eprsim.detection import sample_variance_law
 from eprsim.synth import (TimeSeries, TwoModeRecord, _amplitude, _coefficients,
-                          _irfft, _next_fast_len, _power, block_length,
+                          _irfft, _next_fast_len, _power, block_length, layout,
                           mode_value_spectrum, placed_window)
 
 import refvals
@@ -363,14 +365,14 @@ def test_beams_are_drawn_on_first_use(calibrated_pair, monkeypatch):
     # is beam 2, p_A + p_B beam 1, a vacuum combination both
     opo1, opo2 = calibrated_pair
     mode = TemporalMode.square(2e-7)
-    n = block_length(4e-5, 50e6)
+    n, _, hop, _ = layout(4e-5, 50e6, None, mode)
     draws = _counting_draws(monkeypatch)
     for setting, sign, beam in (("X", -1.0, "squeezed"), ("P", +1.0, "squeezed")):
         draw = epr_record(opo1, opo2, 4e-5, 50e6, setting, 3, mode=mode).draw
         assert draws == []
         draw.combination(sign)
         opo = opo2 if setting == "X" else opo1
-        assert draws == [_amplitude(opo_spectrum(opo, beam), None, n, 50e6, mode)]
+        assert draws == [_amplitude(opo_spectrum(opo, beam), None, n, 50e6, mode, hop)]
         draw.combination(-sign)
         assert len(draws) == 2
         draws.clear()
@@ -452,7 +454,7 @@ def test_mode_space_draws_beams_2_and_3_of_the_mode_values(calibrated_pair, fs, 
     # and has no samples; otherwise it is the full draw
     mode = TemporalMode.square(width)
     seq = np.random.SeedSequence(17, spawn_key=(4,))
-    n = block_length(duration, fs)
+    n, _, hop, _ = layout(duration, fs, chain, mode)
     makers = (lambda m: epr_record(*calibrated_pair, duration, fs, "X", seq, chain=chain,
                                    mode=m),
               lambda m: vacuum_record(duration, fs, seq, chain=chain, mode=m))
@@ -466,14 +468,56 @@ def test_mode_space_draws_beams_2_and_3_of_the_mode_values(calibrated_pair, fs, 
         draw = rec.draw
         assert type(rec) is synth._ModeRecord and (draw.mode, draw.size) == (mode, m)
         for k, psd in enumerate(psds):
-            amp = _amplitude(psd, chain, n, fs, mode)
+            amp = _amplitude(psd, chain, n, fs, mode, hop)
             assert amp.size == m // 2 + 1 and not amp.flags.writeable
             assert np.array_equal(draw.beam(k), _coefficients(amp, m, _beam_stream(seq, 2 + k)))
         with pytest.raises(ValueError, match="mode space has no samples"):
             rec.a.samples
-        assert rec.a.n == int(round(duration * fs)) // (1 if chain is None else
-                                                       chain.decimation(fs))
+        # the samples chain.digitize keeps: every stride-th, from the first
+        assert rec.a.n == -(-int(round(duration * fs)) // (1 if chain is None else
+                                                          chain.decimation(fs)))
     assert seq.n_children_spawned == 0
+
+
+_PAPER = load_config(Path(__file__).resolve().parents[1] / "paper.cfg")
+
+
+@pytest.mark.parametrize("fs, duration, chain, mode, block, size, m", [
+    (_PAPER.fs, _PAPER.duration, _PAPER.chain, _PAPER.mode, 100_000, 10_000, 10_000),
+    (50e6, 100_001 / 50e6, None, TemporalMode.square(2e-7), 101_250, 10_125, 10_000),
+    # 19,999 samples keep 10,000 at the ADC rate: a floor would read 999 values
+    (100e6, 19_999 / 100e6, DetectionChain(), TemporalMode.square(2e-7), 20_000, 1_000, 1_000),
+    (50e6, 2e-3, DetectionChain(), TemporalMode.square(7e-7), 100_000, None, 2_857),
+    (50e6, 2e-3, DetectionChain(adc_bits=12), TemporalMode.square(2e-7), 100_000, None, 10_000),
+], ids=("paper", "untrimmed", "decimating", "undivided", "quantizing"))
+def test_one_layout_for_every_reader(monkeypatch, fs, duration, chain, mode, block, size, m):
+    # layout's m is the count extract_modes takes from the full draw, a
+    # record drawn with the mode reads exactly m values (in mode space
+    # where size, the draw's n/hop values, is given), and the exact law of
+    # white vacuum without a chain, (1, sqrt(2/(m-1))), holds for the m
+    # extract_modes takes from that full draw
+    n, _, hop, m_layout = layout(duration, fs, chain, mode)
+    assert (n, m_layout) == (block, m)
+    full = vacuum_record(duration, fs, 5, chain=chain)
+    assert extract_modes(analysis.combo_series(full, -1.0), mode).count == m
+    rec = vacuum_record(duration, fs, 5, chain=chain, mode=mode)
+    assert isinstance(rec, synth._ModeRecord) == (size is not None)
+    if size is not None:
+        assert (n // hop, rec.draw.size, rec.draw.count) == (size, size, m)
+    read, var = [], np.var
+
+    def counting_var(vals, ddof):
+        read.append(vals.size)
+        return var(vals, ddof=ddof)
+
+    monkeypatch.setattr(np, "var", counting_var)
+    analysis._combo_variance(rec, -1.0, mode)
+    assert read == [m]
+    white = analysis.combo_series(vacuum_record(duration, fs, 5), -1.0)
+    m_white = extract_modes(white, mode).count
+    mean, sd = sample_variance_law(None, None, fs, mode, duration)
+    assert mean == pytest.approx(1.0, rel=1e-12, abs=0.0)
+    assert sd == pytest.approx(math.sqrt(2.0 / (m_white - 1)), rel=1e-12, abs=0.0)
 
 
 def _combination_variances(records, mode):
