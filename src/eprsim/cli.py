@@ -39,7 +39,7 @@ from .modes import KINDS, TemporalMode
 # filtered_variance is not called here but stays importable from
 # eprsim.cli, where perfbench's tracer wraps it
 from .spectra import filtered_variance  # noqa: F401
-from .spectra import QuadratureError, epr_spectra, square_variances, to_db
+from .spectra import QuadratureError, duan_sum, epr_spectra, filtered_variances, to_db
 from .synth import _children, epr_record, vacuum_record
 
 EXIT_OK = 0
@@ -251,11 +251,11 @@ def cmd_spectra(cfg: RunConfig, out: Path) -> int:
         _write_csv(out / f"psd_{tag}.csv", _meta(cfg, "spectra", setting=tag),
                    ("freq_hz", "db"), zip(freq, db))
 
-    t_grid = np.geomspace(1e-8, 1e-5, 151)  # 50 points per decade
-    vx = square_variances(spectra.diff_x, t_grid).tolist()
-    vp = square_variances(spectra.sum_p, t_grid).tolist()
-    rows = [(t, x, p, to_db(x), to_db(p), 0.5 * (x + p))
-            for t, x, p in zip(t_grid.tolist(), vx, vp)]
+    t_grid = np.geomspace(1e-8, 1e-5, 151).tolist()  # 50 points per decade
+    vx, vp = filtered_variances((spectra.diff_x, spectra.sum_p),
+                                [TemporalMode.square(t) for t in t_grid])
+    rows = [(t, x, p, to_db(x), to_db(p), duan_sum(x, p))
+            for t, x, p in zip(t_grid, vx, vp)]
     _write_csv(out / "variances.csv", _meta(cfg, "spectra"),
                ("T_s", "var_diff_x", "var_sum_p", "db_diff_x", "db_sum_p", "duan"),
                rows)

@@ -32,7 +32,10 @@ __all__ = [
     "sample_variance_law",
 ]
 
-_FULL_SCALE = 10.0  # quantizer range in vacuum units, +/-
+
+def _quantizer_step(bits: int) -> float:
+    """Step of the quantizer: its range of +/-10 vacuum units over 2^bits levels."""
+    return 20.0 / (1 << bits)
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,7 @@ class DetectionChain:
 
 
 def _quantize(y: np.ndarray, bits: int) -> np.ndarray:
-    step = 2.0 * _FULL_SCALE / (1 << bits)
+    step = _quantizer_step(bits)
     if step > 0.1:
         warnings.warn(
             f"quantization step {step:.3g} vacuum units exceeds 0.1; "
@@ -188,7 +191,7 @@ def sample_variance_law(psd: Optional[QuadPsd], chain: Optional[DetectionChain],
     h = _power(flat_psd() if psd is None else psd, chain, n, fs) * np.abs(window) ** 2
     c = np.fft.irfft(h, n)[::hop][:m]
     if chain is not None and chain.adc_bits is not None:
-        c[0] += (2.0 * _FULL_SCALE / (1 << chain.adc_bits)) ** 2 / 12.0
+        c[0] += _quantizer_step(chain.adc_bits) ** 2 / 12.0
     prefix = np.cumsum(c)
     rows = prefix + prefix[::-1] - c[0]  # C1
     total = float(np.sum(rows))  # 1^T C 1

@@ -89,11 +89,11 @@ def mode_duan(spectra: EprSpectra, mode: TemporalMode) -> float:
 
 
 def mode_duans(spectra: EprSpectra, modes: Sequence[TemporalMode]) -> List[float]:
-    """mode_duan of each mode, in one call. A mode's two quadratures are
-    one filtered_variances call, so their closed-form overlaps share the
-    mode's band-tail moments."""
-    return [duan_sum(*filtered_variances((spectra.diff_x, spectra.sum_p), mode))
-            for mode in modes]
+    """mode_duan of each mode, in one filtered_variances call: the square
+    modes are one overlap pass per quadrature, and the second quadrature
+    reuses the first one's band-tail moments."""
+    var_x, var_p = filtered_variances((spectra.diff_x, spectra.sum_p), modes)
+    return [duan_sum(x, p) for x, p in zip(var_x, var_p)]
 
 
 def _log_grid(lo: float, hi: float, n: int) -> List[float]:

@@ -11,15 +11,16 @@ exactly 1.
 
 Each mode also has the closed-form overlap with a Lorentzian spectrum
 (TemporalMode.lorentz_overlap) that the filtered-variance oracle uses;
-square_lorentz_overlaps gives it for square modes of many durations at
-once. Its band tail is a series of generalized exponential integrals
-(_expint), each element evaluated to its own convergence, so a value does
-not depend on the batch it is computed in. Those moments depend on the
-band and the mode's support, not on the Lorentzian width or the decay
-rate, so they are shared per support: the last set computed is kept
-(_moments), and consecutive overlaps on one support (a mode's two EPR
-quadratures, the steps of a pump calibration or of the optimizer's rate
-search) evaluate them once, with values identical to a fresh evaluation.
+lorentz_overlaps gives it for a set of modes, all square modes in one
+square_lorentz_overlaps pass. Its band tail is a series of generalized
+exponential integrals (_expint), each element evaluated to its own
+convergence, so a value does not depend on the batch it is computed in.
+Those moments depend on the band and the mode's support, not on the
+Lorentzian width or the decay rate, so they are shared per support: the
+last 16 sets computed are kept (_moments), and overlaps on a kept support
+(a mode's two EPR quadratures, the steps of a pump calibration or of the
+optimizer's rate search) evaluate them once, with values identical to a
+fresh evaluation.
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Dict, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["KINDS", "ModeKind", "TemporalMode", "square_lorentz_overlaps"]
+__all__ = ["KINDS", "ModeKind", "TemporalMode", "lorentz_overlaps",
+           "square_lorentz_overlaps"]
 
 
 class ModeKind(NamedTuple):
@@ -282,6 +284,18 @@ class TemporalMode:
 
 # -- Lorentzian overlap helpers -------------------------------------------------
 
+def lorentz_overlaps(modes: Sequence[TemporalMode], width: float,
+                     band: float) -> List[Optional[float]]:
+    """TemporalMode.lorentz_overlap of each mode: the square modes in one
+    square_lorentz_overlaps pass, every other mode by its own method."""
+    squares = [i for i, m in enumerate(modes) if m.kind == "square"]
+    batch = (square_lorentz_overlaps(width, band, np.array([modes[i].duration for i in squares]))
+             if squares else None)
+    square = {} if batch is None else dict(zip(squares, batch.tolist()))
+    return [square.get(i) if m.kind == "square" else m.lorentz_overlap(width, band)
+            for i, m in enumerate(modes)]
+
+
 def square_lorentz_overlaps(width: float, band: float,
                             durations: np.ndarray) -> Optional[np.ndarray]:
     """TemporalMode.lorentz_overlap of a square mode of each duration T,
@@ -399,16 +413,19 @@ def _tail(width: float, band: float, d: np.ndarray, power,
     return band ** (1.0 - p0) * (moments @ coeff)
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=16)
 def _moments(y: bytes, p0: bytes, n_terms: int) -> np.ndarray:
     """Read-only _expint(y, p0 + 2n) for n < n_terms, one row per element
     of y and p0 (the bytes of equal-length float64 and int64 arrays).
 
     They depend on the band, the mode's support and the power pattern, not
     on the Lorentzian width or the decay rate (those enter _tail through
-    its coefficients), so consecutive overlaps on one support, such as a
-    mode's two quadratures or the steps of a width or rate search, share
-    one evaluation."""
+    its coefficients), so overlaps on a kept support, such as a mode's two
+    quadratures or the steps of a width or rate search, share one
+    evaluation. The last 16 sets are kept: as many distinct supports as
+    one filtered_variances call visits (14 in brute_force's grid) survive
+    from its first PSD to its second. An entry is about 7 MB only for a
+    2^16-sample tabulated mode (one row per jump) and tiny otherwise."""
     y = np.frombuffer(y, dtype=float)
     p0 = np.frombuffer(p0, dtype=np.int64)
     out = _expint(y[:, None], p0[:, None] + 2 * np.arange(n_terms))

@@ -11,9 +11,11 @@ Lorentzian, S = 1 + A/(kappa^2 + Omega^2) inside the band, so by
 Wiener-Khinchin S - 1 has correlation (A/2kappa) exp(-kappa|tau|) and V has
 a closed form (TemporalMode.lorentz_overlap): the full-line overlap of the
 mode with that correlation, minus the exactly integrated [B, inf) tail.
-filtered_variances evaluates it for several spectra on one mode (the EPR
-pair's two quadratures), and square_variances for square modes of a whole
-grid of durations in one vectorized pass. Composite Gauss-Legendre
+filtered_variances evaluates it for several spectra on a set of modes
+(the EPR pair's two quadratures on one mode, an optimizer's prescan, a
+grid of square durations), one modes.lorentz_overlaps call per spectrum;
+the last 16 sets of band-tail moments stay cached (modes._moments), so
+the second spectrum reuses the first one's. Composite Gauss-Legendre
 quadrature remains for spectra with an arbitrary evaluator and for modes
 whose decay rate exceeds B/2.
 
@@ -30,7 +32,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .modes import TemporalMode, square_lorentz_overlaps
+from .modes import TemporalMode, lorentz_overlaps
 
 __all__ = [
     "OpoParams",
@@ -43,7 +45,6 @@ __all__ = [
     "flat_psd",
     "filtered_variance",
     "filtered_variances",
-    "square_variances",
     "to_db",
     "duan_sum",
     "calibrate_pump_param",
@@ -206,40 +207,34 @@ def filtered_variance(psd: QuadPsd, mode: TemporalMode) -> float:
     1 + (1/pi) integral_0^B (S(Omega)-1) |F(Omega)|^2 dOmega.
 
     Exact because S = 1 beyond band_limit B and the mode is unit norm
-    (Parseval supplies the tail). filtered_variances of the one PSD: the
-    closed form where the spectrum is Lorentzian and the mode supplies it,
-    quadrature otherwise.
+    (Parseval supplies the tail). filtered_variances of the one PSD and
+    mode.
     """
-    return filtered_variances((psd,), mode)[0]
+    return filtered_variances((psd,), (mode,))[0][0]
 
 
-def filtered_variances(psds: Sequence[QuadPsd], mode: TemporalMode) -> List[float]:
-    """filtered_variance of each PSD on one mode.
+def filtered_variances(psds: Sequence[QuadPsd],
+                       modes: Sequence[TemporalMode]) -> List[List[float]]:
+    """filtered_variance of each mode, one row per PSD.
 
-    Lorentzian spectra use the closed form 1 + A * mode.lorentz_overlap(kappa,
-    B) wherever the mode supplies it (the overlaps of one mode share their
-    band-tail moments, modes._moments); anything else is integrated by
-    composite Gauss-Legendre panels sized to resolve both the |F|^2
-    oscillation (period 2pi/duration) and the narrowest PSD feature, with
-    convergence confirmed by panel doubling.
+    A flat spectrum (band_limit 0) gives 1. A Lorentzian one gives the
+    closed form 1 + A * overlap wherever modes.lorentz_overlaps supplies
+    the overlap; anything else is integrated by composite Gauss-Legendre
+    panels sized to resolve both the |F|^2 oscillation (period
+    2pi/duration) and the narrowest PSD feature, with convergence
+    confirmed by panel doubling.
     """
-    out = []
+    rows = []
     for psd in psds:
-        value = _closed_form_variance(psd, mode)
-        out.append(_quadrature_variance(psd, mode) if value is None else value)
-    return out
-
-
-def _closed_form_variance(psd: QuadPsd, mode: TemporalMode) -> Optional[float]:
-    """1 for a flat spectrum (band_limit 0), 1 + A * overlap for a
-    Lorentzian one where the mode supplies the overlap, else None."""
-    if psd.band_limit <= 0.0:
-        return 1.0
-    if psd.lorentz is None:
-        return None
-    weight, width = psd.lorentz
-    overlap = mode.lorentz_overlap(width, psd.band_limit)
-    return None if overlap is None else 1.0 + weight * overlap
+        if psd.band_limit <= 0.0:
+            rows.append([1.0] * len(modes))
+            continue
+        overlaps = ([None] * len(modes) if psd.lorentz is None
+                    else lorentz_overlaps(modes, psd.lorentz[1], psd.band_limit))
+        rows.append([_quadrature_variance(psd, mode) if overlap is None
+                     else 1.0 + psd.lorentz[0] * overlap
+                     for mode, overlap in zip(modes, overlaps)])
+    return rows
 
 
 def _quadrature_variance(psd: QuadPsd, mode: TemporalMode) -> float:
@@ -264,26 +259,6 @@ def _quadrature_variance(psd: QuadPsd, mode: TemporalMode) -> float:
             return refined
         est, n_panels = refined, n
     raise QuadratureError(f"filtered variance did not converge within {n_panels} panels")
-
-
-def square_variances(psd: QuadPsd, durations) -> np.ndarray:
-    """filtered_variance of square modes of each duration (a 1-D array, in
-    s), in one pass for a Lorentzian spectrum (1 + A *
-    modes.square_lorentz_overlaps), ones for flat_psd, and one
-    filtered_variance call per duration otherwise."""
-    T = np.asarray(durations, dtype=float)
-    if T.ndim != 1:
-        raise ValueError("durations: must be one-dimensional")
-    if not np.all((T > 0.0) & np.isfinite(T)):
-        raise ValueError("duration: must be positive and finite")
-    if psd.band_limit <= 0.0:
-        return np.ones(T.shape)
-    if psd.lorentz is not None:
-        weight, width = psd.lorentz
-        overlap = square_lorentz_overlaps(width, psd.band_limit, T)
-        if overlap is not None:
-            return 1.0 + weight * overlap
-    return np.array([filtered_variance(psd, TemporalMode.square(t)) for t in T.tolist()])
 
 
 def to_db(ratio: float) -> float:

@@ -201,6 +201,35 @@ def test_double_exp_optimize_shares_the_band_tail_moments(monkeypatch):
         assert mode_duan(spectra, TemporalMode.double_exp(**params)) == value, params
 
 
+@pytest.mark.parametrize("search, kind, most", [
+    (optimize, "double_exp", 51),
+    (optimize, "one_sided_exp", 29),
+    (optimize, "square", 25),
+    (brute_force, "double_exp", 196),
+    (brute_force, "square", 1),
+], ids=("optimize-double_exp", "optimize-one_sided_exp", "optimize-square",
+        "brute_force-double_exp", "brute_force-square"))
+def test_searches_evaluate_few_band_tail_moments(monkeypatch, search, kind, most):
+    # from a cold cache, each search makes no more _expint calls than it
+    # did mode by mode (the bounds); its evaluations are one
+    # filtered_variances call each, so all square modes of brute_force's
+    # grid share one overlap pass and one set of moments
+    cfg = load_config(PAPER_CFG)
+    spectra = epr_spectra(cfg.opo1, cfg.opo2)
+    family = ModeFamily(kind, dict(zip(modes.KINDS[kind].params, modes.KINDS[kind].bounds)))
+    calls = []
+    expint = modes._expint
+
+    def counting(y, p):
+        calls.append(y)
+        return expint(y, p)
+
+    modes._moments.cache_clear()
+    monkeypatch.setattr(modes, "_expint", counting)
+    search(spectra, family)
+    assert 0 < len(calls) <= most
+
+
 def test_mode_duan_is_the_duan_sum_of_filtered_variances(calibrated_spectra):
     # one filtered_variances call for both quadratures gives what two
     # filtered_variance calls give: in closed form, by quadrature for a

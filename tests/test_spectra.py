@@ -9,8 +9,9 @@ import pytest
 
 from eprsim import (OpoParams, TemporalMode, beam_spectra, calibrate_pump_param,
                     duan_sum, epr_spectra, filtered_variance, flat_psd, opo_spectrum,
-                    square_variances, to_db)
-from eprsim.spectra import MAX_HWHM, QuadPsd, QuadratureError, _gl_integral
+                    to_db)
+from eprsim.spectra import (MAX_HWHM, QuadPsd, QuadratureError, _gl_integral,
+                            filtered_variances)
 
 import refvals
 
@@ -100,30 +101,65 @@ def test_filtered_variance_frozen_tables(x, eta, sq_table, anti_table):
     p = _opo(x, eta)
     sq = opo_spectrum(p, "squeezed")
     anti = opo_spectrum(p, "antisqueezed")
+    squares = [TemporalMode.square(T) for T in refvals.T_GRID]
     for T, ref in zip(refvals.T_GRID, sq_table):
         got = filtered_variance(sq, TemporalMode.square(T))
         assert got == pytest.approx(ref, rel=1e-9)
-    assert square_variances(sq, refvals.T_GRID) == pytest.approx(sq_table, rel=1e-9)
+    assert filtered_variances((sq,), squares)[0] == pytest.approx(sq_table, rel=1e-9)
     if anti_table is None:
         return
     for T, ref in zip(refvals.T_GRID, anti_table):
         got = filtered_variance(anti, TemporalMode.square(T))
         assert got == pytest.approx(ref, rel=1e-9)
-    assert square_variances(anti, refvals.T_GRID) == pytest.approx(anti_table, rel=1e-9)
+    assert filtered_variances((sq, anti), squares) == [
+        pytest.approx(sq_table, rel=1e-9), pytest.approx(anti_table, rel=1e-9)]
 
 
-def test_square_variances_equal_one_filtered_variance_per_duration(calibrated_pair):
+def test_filtered_variances_of_squares_equal_one_filtered_variance_per_duration(
+        calibrated_pair):
     # the one-pass table of the spectra verb against the scalar oracle
     grid = np.geomspace(1e-8, 1e-5, 151)
     spectra = epr_spectra(*calibrated_pair)
-    for psd in (spectra.diff_x, spectra.sum_p):
-        table = square_variances(psd, grid)
-        scalar = [filtered_variance(psd, TemporalMode.square(T)) for T in grid]
-        assert table.shape == grid.shape
-        assert np.max(np.abs(table / scalar - 1.0)) <= 2e-15
-    for bad in ([2e-7, 0.0], [-1e-6], [np.inf], [np.nan], 2e-7, [[2e-7]]):
+    psds = (spectra.diff_x, spectra.sum_p)
+    table = np.array(filtered_variances(psds, [TemporalMode.square(T) for T in grid]))
+    scalar = [[filtered_variance(psd, TemporalMode.square(T)) for T in grid] for psd in psds]
+    assert table.shape == (2, grid.size)
+    assert np.max(np.abs(table / scalar - 1.0)) <= 2e-15
+    for bad in (0.0, -1e-6, np.inf, np.nan):
         with pytest.raises(ValueError, match="duration"):
-            square_variances(spectra.diff_x, bad)
+            TemporalMode.square(bad)
+
+
+def _hann(n, duration):
+    return TemporalMode.tabulated(
+        [math.sin(math.pi * (j + 0.5) / n) ** 2 for j in range(n)], duration)
+
+
+def test_filtered_variances_is_filtered_variance_of_each_pair():
+    # one call on a mixed set of modes, three of them square (one overlap
+    # pass), gives each cell what filtered_variance gives for its pair: on
+    # a flat spectrum, in closed form, by quadrature for a rate above half
+    # the band, and by quadrature for a spectrum with an evaluator only
+    lorentz = opo_spectrum(_opo(refvals.X_374, refvals.ETA), "squeezed")
+    numeric = dataclasses.replace(lorentz, lorentz=None)
+    set_of_modes = [TemporalMode.square(0.05e-6),
+                    TemporalMode.one_sided_exp(rate=3e6, support=0.5e-6),
+                    TemporalMode.square(0.2e-6),
+                    TemporalMode.double_exp(rate=2e6, support=1e-6),
+                    _hann(16, 2e-6),
+                    TemporalMode.one_sided_exp(rate=0.6 * lorentz.band_limit, support=1e-8),
+                    TemporalMode.square(1e-6)]
+    psds = (flat_psd(), lorentz, numeric)
+    table = filtered_variances(psds, set_of_modes)
+    assert [len(row) for row in table] == [len(set_of_modes)] * len(psds)
+    assert table[0] == [1.0] * len(set_of_modes)
+    for psd, row in zip(psds, table):
+        for mode, value in zip(set_of_modes, row):
+            scalar = filtered_variance(psd, mode)
+            if mode.kind == "square":
+                assert value == pytest.approx(scalar, rel=2e-15, abs=0.0), (psd, mode)
+            else:
+                assert value == scalar, (psd, mode)
 
 
 @pytest.mark.parametrize("mode", [
@@ -203,12 +239,13 @@ def test_quadrature_fallback_matches_closed_form():
                  TemporalMode.double_exp(rate=4e7, support=1e-6)):
         assert filtered_variance(numeric, mode) == pytest.approx(
             filtered_variance(psd, mode), rel=1e-9)
-    # square_variances answers each duration by filtered_variance where no
-    # closed form applies: no Lorentz fields, or a width beyond band/2
-    grid = [0.05e-6, 0.2e-6, 1e-6]
+    # filtered_variances answers each square mode of a set by
+    # filtered_variance where no closed form applies: no Lorentz fields, or
+    # a width beyond band/2
+    squares = [TemporalMode.square(T) for T in (0.05e-6, 0.2e-6, 1e-6)]
     for other in (numeric, dataclasses.replace(psd, band_limit=psd.lorentz[1])):
-        assert square_variances(other, grid).tolist() == [
-            filtered_variance(other, TemporalMode.square(T)) for T in grid]
+        assert filtered_variances((other,), squares) == [
+            [filtered_variance(other, mode) for mode in squares]]
     fast = TemporalMode.one_sided_exp(rate=0.6 * psd.band_limit, support=1e-8)
     assert fast.lorentz_overlap(psd.lorentz[1], psd.band_limit) is None
     assert filtered_variance(psd, fast) == pytest.approx(
@@ -242,8 +279,7 @@ def test_long_square_windows(T):
 def test_coarse_tabulated_hann_is_physical(n):
     # piecewise-constant tabulated modes: a coarse Hann window over 2 us
     # squeezes below vacuum (point-sample spectra made these negative)
-    hann = TemporalMode.tabulated(
-        [math.sin(math.pi * (j + 0.5) / n) ** 2 for j in range(n)], 2e-6)
+    hann = _hann(n, 2e-6)
     p = _opo(refvals.X_330, refvals.ETA)
     v_sq = filtered_variance(opo_spectrum(p, "squeezed"), hann)
     v_anti = filtered_variance(opo_spectrum(p, "antisqueezed"), hann)
@@ -254,7 +290,8 @@ def test_flat_psd_variance_is_exactly_one():
     for mode in (TemporalMode.square(0.2e-6),
                  TemporalMode.double_exp(rate=1e6, support=1e-6)):
         assert filtered_variance(flat_psd(), mode) == 1.0
-    assert square_variances(flat_psd(), [1e-8, 0.2e-6, 1e-5]).tolist() == [1.0] * 3
+    squares = [TemporalMode.square(T) for T in (1e-8, 0.2e-6, 1e-5)]
+    assert filtered_variances((flat_psd(), flat_psd()), squares) == [[1.0] * 3] * 2
 
 
 def test_degenerate_pump_gives_vacuum():

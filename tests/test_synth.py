@@ -520,6 +520,61 @@ def test_one_layout_for_every_reader(monkeypatch, fs, duration, chain, mode, blo
     assert sd == pytest.approx(math.sqrt(2.0 / (m_white - 1)), rel=1e-12, abs=0.0)
 
 
+def _autocorrelation(values, lag):
+    """Sample autocorrelation of values about their mean at lag."""
+    v = values - values.mean()
+    return float(np.dot(v[:-lag], v[lag:]) / np.dot(v, v))
+
+
+@pytest.mark.parametrize("drawn_with_mode", [True, False], ids=("mode_space", "full"))
+def test_mode_values_correlate_across_windows_in_order(monkeypatch, drawn_with_mode):
+    # paper.cfg's chain with a 20 ns square mode: one ADC sample per window,
+    # so one record gives m = 100,000 values, and the 8.4 MHz low-pass
+    # correlates neighbours. Their lag-l correlation rho_l = c_l/c_0 is the
+    # bin sum of P |W|^2 cos(2 pi k l hop/n), every rfft bin but DC and
+    # Nyquist counted twice for its mirror image; the values a reading
+    # takes sit within 0.02 (about 5 Bartlett SE) of it at lags 1 and 2.
+    # The variance does not see the order of the values: reversing the
+    # mode-space spectrum keeps it and flips every odd lag.
+    cfg, mode = _PAPER, TemporalMode.square(2e-8)
+    n, _, hop, m = layout(cfg.duration, cfg.fs, cfg.chain, mode)
+    assert (n, hop, m) == (100_000, 1, 100_000)
+    k = np.arange(n // 2 + 1)
+    omega = 2.0 * np.pi * cfg.fs * k / n
+    w = mode.discretize(cfg.fs)
+    placed = np.zeros(n)
+    placed[:w.size] = w
+    weight = np.where((k == 0) | (2 * k == n), 1.0, 2.0) * np.abs(np.fft.rfft(placed)) ** 2
+    seqs = synth._children(7, 3)
+    drawn = mode if drawn_with_mode else None
+    x_rec, p_rec = (epr_record(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, setting, seq,
+                               chain=cfg.chain, mode=drawn)
+                    for setting, seq in zip("XP", seqs))
+    vac = vacuum_record(cfg.duration, cfg.fs, seqs[2], chain=cfg.chain, mode=drawn)
+    readings = [(x_rec, -1.0, beam_spectra(cfg.opo1, cfg.opo2, "X")[1], (0.3023, 0.0099)),
+                (p_rec, +1.0, beam_spectra(cfg.opo1, cfg.opo2, "P")[0], (0.2813, -0.0056)),
+                (vac, -1.0, flat_psd(), (0.4548, 0.1393)),
+                (vac, +1.0, flat_psd(), (0.4548, 0.1393))]
+    read, var = [], np.var
+
+    def keeping_var(vals, ddof):
+        read.append(vals)
+        return var(vals, ddof=ddof)
+
+    monkeypatch.setattr(np, "var", keeping_var)
+    for rec, sign, psd, quoted in readings:
+        assert isinstance(rec, synth._ModeRecord) == drawn_with_mode
+        analysis._combo_variance(rec, sign, mode)
+        values = read.pop()
+        assert values.size == m
+        h = cfg.chain.detected_psd(psd(omega), omega) * weight
+        c = [np.sum(h * np.cos(2.0 * np.pi * k * lag * hop / n)) for lag in range(3)]
+        rho = (c[1] / c[0], c[2] / c[0])
+        assert rho == pytest.approx(quoted, abs=5e-5)
+        for lag, expected in zip((1, 2), rho):
+            assert abs(_autocorrelation(values, lag) - expected) < 0.02, (rec.a.label, sign, lag)
+
+
 def _combination_variances(records, mode):
     """The four readings of one repetition's (X, P, vacuum) records: X's
     diff-x, P's sum-p and the vacuum's two combinations."""
