@@ -6,9 +6,10 @@ stages (low-pass, white electronic noise, high-pass) are stationary, so
 on a circulant block they act as gains on the PSD (DetectionChain.gains,
 the one place the response lives): synth draws detected records from
 DetectionChain.detected_psd directly, detect applies the same gains to a
-record's own block, and expected_mode_variance, a bin sum of its own
-(not the mean of synth.mode_value_spectrum), is exact for both.
-sample_variance_law takes a record's n, hop and m from synth.layout.
+record's own block. mode_autocovariance, built from the chain's PSD
+and not from synth.mode_value_spectrum, is the covariance of the mode
+values of both; expected_mode_variance is its lag 0, and
+sample_variance_law reads it at a record's hop (synth.layout).
 """
 
 from __future__ import annotations
@@ -29,8 +30,13 @@ __all__ = [
     "DetectionChain",
     "detect",
     "expected_mode_variance",
+    "mode_autocovariance",
     "sample_variance_law",
 ]
+
+# electronic noise far above any detector's; beyond it the expectations overflow
+# (the reference law's squares from about 1,700 dB, 10^(dB/10) from about 3,080 dB)
+MAX_NOISE_DB = 100.0
 
 
 def _quantizer_step(bits: int) -> float:
@@ -55,6 +61,8 @@ class DetectionChain:
             raise ValueError(
                 "detector_bandwidth: must exceed highpass_cutoff, got "
                 f"{self.detector_bandwidth} and {self.highpass_cutoff}")
+        if (self.electronic_noise_db or 0.0) > MAX_NOISE_DB:
+            raise ValueError(f"electronic_noise_db: must be at most {MAX_NOISE_DB:g} dB")
         if not (self.adc_rate > 0.0):
             raise ValueError("adc_rate: must be positive")
         if self.adc_bits is not None and not 2 <= self.adc_bits <= 32:
@@ -90,6 +98,8 @@ class DetectionChain:
                 f"adc_rate: must not exceed fs ({self.adc_rate:g} Hz exceeds the "
                 f"record rate {fs:g} Hz)")
         ratio = fs / self.adc_rate
+        if not math.isfinite(ratio):
+            raise ValueError(f"adc_rate: fs/adc_rate is not finite for {self.adc_rate:g} Hz")
         factor = int(round(ratio))
         if abs(ratio - factor) > 1e-9:
             raise ValueError(
@@ -151,28 +161,31 @@ def detect(record: TwoModeRecord, chain: DetectionChain, seed: SeedLike) -> TwoM
     return TwoModeRecord(a=process(record.a), b=process(record.b))
 
 
+def mode_autocovariance(psd: Optional[QuadPsd], chain: Optional[DetectionChain],
+                        fs: float, mode: TemporalMode, n: int) -> np.ndarray:
+    """Covariance c_l of two mode values l block samples apart, on the
+    circulant block of n samples that epr_record and vacuum_record draw
+    (with or without the chain) and detect filters: irfft(P |W|^2, n), P
+    the detected power (synth._power; psd None means vacuum, chain None no
+    processing) and W the placed window's rfft (placed_window). A
+    quantizing chain adds Sheppard's Delta^2/12 to c_0. A record's values
+    sit synth.layout's hop apart, so they read [::hop][:m]."""
+    rate, stride = _rate_stride(chain, fs)
+    window = placed_window(mode, rate, stride, n)
+    c = np.fft.irfft(_power(flat_psd() if psd is None else psd, chain, n, fs)
+                     * np.abs(window) ** 2, n)
+    if chain is not None and chain.adc_bits is not None:
+        c[0] += _quantizer_step(chain.adc_bits) ** 2 / 12.0
+    return c
+
+
 def expected_mode_variance(psd: Optional[QuadPsd], chain: Optional[DetectionChain],
                            fs: float, mode: TemporalMode,
                            block: int = 1 << 17) -> float:
-    """Expected mode-filtered variance of a block-synthesized series after
-    the chain, on the discrete frequency grid of one synthesis block.
-
-    psd None means vacuum; chain None means no processing. Exact for the
-    records epr_record and vacuum_record draw (with or without the chain)
-    on a block of this length (synth.block_length); detect applies the
-    same gains on a record's own block. Quantization is ignored.
-
-    The sum runs over the rfft bins k of the block: the detected power P_k
-    (synth._power) times |W_k|^2, W the placed window's rfft
-    (placed_window), over the block length, with every bin but DC and (for
-    even blocks) Nyquist counted twice for its mirror image.
-    """
-    rate, stride = _rate_stride(chain, fs)
-    window = placed_window(mode, rate, stride, block)
-    win = np.abs(window) ** 2
-    win[1: (block + 1) // 2] *= 2.0
-    p = _power(flat_psd() if psd is None else psd, chain, block, fs)
-    return float(np.sum(p * win) / block)
+    """Expected variance of one mode value of a record drawn, or detected,
+    on a block of this length (synth.block_length): c_0 of
+    mode_autocovariance, Sheppard's term included for a quantizing chain."""
+    return float(mode_autocovariance(psd, chain, fs, mode, block)[0])
 
 
 def sample_variance_law(psd: Optional[QuadPsd], chain: Optional[DetectionChain],
@@ -180,18 +193,12 @@ def sample_variance_law(psd: Optional[QuadPsd], chain: Optional[DetectionChain],
     """Exact (mean, SD) of the ddof=1 variance analysis reads from the m
     mode values of a series drawn at duration and fs, in full or in mode
     space (psd None means vacuum; n, hop and m are synth.layout's). The
-    values are Gaussian with Toeplitz covariance c_|j-l|,
-    c_l = irfft(P |W|^2, n)[l*hop] (P and W as in expected_mode_variance);
-    with M = I - 11^T/m the mean is tr(CM)/(m-1) and the variance
-    2 tr(CMCM)/(m-1)^2, both from prefix sums of c. Quantization adds
-    Sheppard's Delta^2/12 to c_0."""
+    values are Gaussian with Toeplitz covariance c_|j-l|, c the
+    mode_autocovariance on n read every hop; with M = I - 11^T/m the mean
+    is tr(CM)/(m-1) and the variance 2 tr(CMCM)/(m-1)^2, both from prefix
+    sums of c."""
     n, _, hop, m = layout(duration, fs, chain, mode)
-    rate, stride = _rate_stride(chain, fs)
-    window = placed_window(mode, rate, stride, n)
-    h = _power(flat_psd() if psd is None else psd, chain, n, fs) * np.abs(window) ** 2
-    c = np.fft.irfft(h, n)[::hop][:m]
-    if chain is not None and chain.adc_bits is not None:
-        c[0] += _quantizer_step(chain.adc_bits) ** 2 / 12.0
+    c = mode_autocovariance(psd, chain, fs, mode, n)[::hop][:m]
     prefix = np.cumsum(c)
     rows = prefix + prefix[::-1] - c[0]  # C1
     total = float(np.sum(rows))  # 1^T C 1

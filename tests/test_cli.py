@@ -364,9 +364,14 @@ def test_cli_run_loads_no_scipy(fast_cfg, tmp_path):
 @pytest.mark.parametrize("chain, field", [
     ({"adc_rate": 30e6}, "chain.adc_rate"),
     ({"highpass_cutoff": 30e6, "detector_bandwidth": 40e6}, "chain.highpass_cutoff"),
-], ids=("adc_rate_not_a_divisor", "highpass_above_nyquist"))
+    ({"adc_rate": 1e-310}, "chain.adc_rate"),
+    ({"electronic_noise_db": 2000.0}, "chain.electronic_noise_db"),
+    ({"electronic_noise_db": 4000.0}, "chain.electronic_noise_db"),
+], ids=("adc_rate_not_a_divisor", "highpass_above_nyquist", "subnormal_adc_rate",
+        "noise_2000_db", "noise_4000_db"))
 def test_chain_relations_are_rejected_at_parse_time(tmp_path, capsys, chain, field):
-    # both verbs stop before any work, naming the field
+    # both verbs stop before any work, naming the field; the last three
+    # once ended run in an OverflowError traceback
     table = json.loads(PAPER_CFG.read_text())
     table["chain"].update(chain)
     path = tmp_path / "bad.json"
@@ -577,7 +582,7 @@ _OUT_OF_RANGE = {
     "squeeze_phase": st.text(max_size=12).filter(lambda s: s not in ("X", "P")),
     "detector_bandwidth": _NOT_POSITIVE,
     "highpass_cutoff": _NOT_POSITIVE,
-    "electronic_noise_db": st.nothing(),  # any finite level is valid
+    "electronic_noise_db": st.floats(min_value=100.0, exclude_min=True, allow_infinity=False),
     "adc_rate": _NOT_POSITIVE,
     "adc_bits": st.integers(max_value=1) | st.integers(min_value=33),
     "fs": _NOT_POSITIVE,

@@ -96,6 +96,11 @@ def test_fingerprint_is_stable_and_ignores_output_dir():
     (lambda t: t.update(fs=10 ** 400), "fs: expected a finite number, got 10000"),
     (lambda t: t["chain"].update(electronic_noise_db=float("nan")),
      "chain.electronic_noise_db: expected a finite number"),
+    (lambda t: t["chain"].update(electronic_noise_db=2000.0),
+     r"^chain\.electronic_noise_db: must be at most 100 dB"),
+    (lambda t: t["chain"].update(electronic_noise_db=4000.0),
+     r"^chain\.electronic_noise_db: must be at most 100 dB"),
+    (lambda t: t["chain"].update(adc_rate=1e-310), r"^chain\.adc_rate: fs/adc_rate is not finite"),
     (lambda t: t["opo1"].update(pump_param=1.5), r"^opo1\.pump_param: must lie in \[0, 1\)"),
     (lambda t: t["opo2"].update(squeeze_phase=None), r"^opo2\.squeeze_phase: must be 'X'"),
     (lambda t: t["chain"].update(highpass_cutoff=0.0), r"^chain\.highpass_cutoff: must be"),

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from eprsim import (DetectionChain, TemporalMode, detect, epr_record, epr_spectra,
-                    expected_mode_variance, extract_modes, flat_psd, load_config,
-                    opo_spectrum, vacuum_record)
+from eprsim import (DetectionChain, TemporalMode, detect, duan_sum, epr_record,
+                    epr_spectra, expected_mode_variance, extract_modes, flat_psd,
+                    load_config, opo_spectrum, vacuum_record)
 from eprsim import analysis, synth
-from eprsim.detection import sample_variance_law
+from eprsim.detection import _quantizer_step, mode_autocovariance, sample_variance_law
 from eprsim.modes import _tail
 from eprsim.synth import (TimeSeries, TwoModeRecord, _power, _rate_stride, block_length,
                           mode_value_spectrum, placed_window)
@@ -421,6 +421,33 @@ def test_expected_mode_variance_matches_the_lag_domain_closed_form(T, rel):
                                               cfg.chain, cfg.fs, mode)
         expected = expected_mode_variance(psd, cfg.chain, cfg.fs, mode)
         assert abs(expected / reference - 1.0) <= rel
+
+
+@pytest.mark.parametrize("T, duan", [(2e-8, 0.6198), (2e-7, 0.4277), (2e-6, 0.3999)],
+                         ids=("20ns", "0.2us", "2us"))
+def test_detected_duan_is_a_ratio_of_lag_zero_covariances(T, duan):
+    # paper.cfg's detected Duan: c_0 of diff-x and of sum-p over c_0 of the
+    # vacuum, on the record's block
+    cfg = load_config(PAPER_CFG)
+    spectra = epr_spectra(cfg.opo1, cfg.opo2)
+    mode = TemporalMode.square(T)
+    n = block_length(cfg.duration, cfg.fs)
+    c0 = [mode_autocovariance(psd, cfg.chain, cfg.fs, mode, n)[0]
+          for psd in (None, spectra.diff_x, spectra.sum_p)]
+    assert duan_sum(c0[1] / c0[0], c0[2] / c0[0]) == pytest.approx(duan, rel=0.0, abs=1e-4)
+
+
+def test_quantization_adds_sheppards_term_at_lag_zero_only():
+    cfg = load_config(PAPER_CFG)
+    quantizing = replace(cfg.chain, adc_bits=12)
+    n = block_length(cfg.duration, cfg.fs)
+    for psd in (None, epr_spectra(cfg.opo1, cfg.opo2).diff_x):
+        linear = expected_mode_variance(psd, cfg.chain, cfg.fs, cfg.mode, n)
+        quantized = expected_mode_variance(psd, quantizing, cfg.fs, cfg.mode, n)
+        assert abs(quantized - linear - _quantizer_step(12) ** 2 / 12.0) <= 1e-15
+        c_lin, c_q = (mode_autocovariance(psd, chain, cfg.fs, cfg.mode, n)
+                      for chain in (cfg.chain, quantizing))
+        assert np.array_equal(c_q[1:], c_lin[1:])
 
 
 # -- the chain as a gain on the PSD (records drawn through the chain) ----------

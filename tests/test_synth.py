@@ -18,7 +18,7 @@ from eprsim import (DetectionChain, OpoParams, TemporalMode, beam_spectra, extra
                     flat_psd, load_config, opo_spectrum, synthesize_colored, epr_record,
                     vacuum_record)
 from eprsim import analysis, synth
-from eprsim.detection import sample_variance_law
+from eprsim.detection import mode_autocovariance, sample_variance_law
 from eprsim.synth import (TimeSeries, TwoModeRecord, _amplitude, _coefficients,
                           _irfft, _next_fast_len, _power, block_length, layout,
                           mode_value_spectrum, placed_window)
@@ -571,6 +571,8 @@ def test_mode_values_correlate_across_windows_in_order(monkeypatch, drawn_with_m
         c = [np.sum(h * np.cos(2.0 * np.pi * k * lag * hop / n)) for lag in range(3)]
         rho = (c[1] / c[0], c[2] / c[0])
         assert rho == pytest.approx(quoted, abs=5e-5)
+        a = mode_autocovariance(psd, cfg.chain, cfg.fs, mode, n)[::hop]
+        assert (a[1] / a[0], a[2] / a[0]) == pytest.approx(rho, rel=0.0, abs=1e-12)
         for lag, expected in zip((1, 2), rho):
             assert abs(_autocorrelation(values, lag) - expected) < 0.02, (rec.a.label, sign, lag)
 
