@@ -58,14 +58,17 @@ class ModeValues:
 def extract_modes(series: TimeSeries, mode: TemporalMode) -> ModeValues:
     """Project consecutive non-overlapping windows of the series onto the
     mode weights (statistically independent values for white input).
-    Yields floor(n / n_w) values, n_w the mode's sample count.
+    Yields floor(n / n_w) values, n_w the mode's sample count. The
+    projections are an einsum, not a BLAS product: one summation order
+    whatever the BLAS build, and no BLAS worker threads left spinning on
+    the cores that synth's two-thread blocks use.
     """
     w = mode.discretize(series.sample_rate)
     count = series.n // w.size
     if count < 1:
         raise ValueError(f"mode duration {mode.duration:g} s exceeds series duration "
                          f"{series.duration:g} s")
-    vals = series.samples[: count * w.size].reshape(count, w.size) @ w
+    vals = np.einsum("ij,j->i", series.samples[: count * w.size].reshape(count, w.size), w)
     return ModeValues(values=vals, mode=mode)
 
 

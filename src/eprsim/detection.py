@@ -37,6 +37,10 @@ __all__ = [
 # electronic noise far above any detector's; beyond it the expectations overflow
 # (the reference law's squares from about 1,700 dB, 10^(dB/10) from about 3,080 dB)
 MAX_NOISE_DB = 100.0
+# the fewest bits whose step (1.25 vacuum units at 4) keeps Sheppard's
+# Delta^2/12, which the expectations add, near a rounded vacuum's variance;
+# at 3 bits (step 2.5) a run's reference reads a third of its expectation
+MIN_ADC_BITS = 4
 
 
 def _quantizer_step(bits: int) -> float:
@@ -65,8 +69,9 @@ class DetectionChain:
             raise ValueError(f"electronic_noise_db: must be at most {MAX_NOISE_DB:g} dB")
         if not (self.adc_rate > 0.0):
             raise ValueError("adc_rate: must be positive")
-        if self.adc_bits is not None and not 2 <= self.adc_bits <= 32:
-            raise ValueError(f"adc_bits: must lie in [2, 32] when given, got {self.adc_bits}")
+        if self.adc_bits is not None and not MIN_ADC_BITS <= self.adc_bits <= 32:
+            raise ValueError(
+                f"adc_bits: must lie in [{MIN_ADC_BITS}, 32] when given, got {self.adc_bits}")
 
     def gains(self, omega: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Power gains (|H_lp|^2, |H_hp|^2) of the analog first-order

@@ -54,6 +54,9 @@ TWO_PI = 2.0 * math.pi
 # a cavity linewidth beyond optical frequencies is unphysical; the bound
 # keeps the closed-form overlaps finite (they overflow near hwhm ~ 1e101 Hz)
 MAX_HWHM = 1e15
+# a cavity narrower than 1 Hz is unphysical too; far below it the
+# Lorentzians' (Omega/gamma)^2 overflow (below about 1e-146 Hz at 100 MHz)
+MIN_HWHM = 1.0
 
 
 class QuadratureError(RuntimeError):
@@ -80,8 +83,9 @@ class OpoParams:
             raise ValueError(
                 f"pump_param: must lie in [0, 1), got {self.pump_param} "
                 "(at or above threshold)")
-        if not (0.0 < self.hwhm <= MAX_HWHM):
-            raise ValueError(f"hwhm: must lie in (0, {MAX_HWHM:g}] Hz, got {self.hwhm}")
+        if not (MIN_HWHM <= self.hwhm <= MAX_HWHM):
+            raise ValueError(
+                f"hwhm: must lie in [{MIN_HWHM:g}, {MAX_HWHM:g}] Hz, got {self.hwhm}")
         if not (0.0 <= self.efficiency <= 1.0):
             raise ValueError(f"efficiency: must lie in [0, 1], got {self.efficiency}")
         if self.squeeze_phase not in ("X", "P"):

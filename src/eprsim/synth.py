@@ -36,11 +36,15 @@ X record's x_A - x_B is input beam 2 alone, the P record's p_A + p_B
 beam 1 alone. A quantizing chain, or a hop that does not divide the
 block, keeps the full draw.
 
-synthesize_colored inverts an even block as two half-length transforms,
-one on the calling thread and one on the process's helper thread (_irfft,
-_helper), so a 2^22-sample block's inverse FFT uses two cores. The helper
-is started on first use, and the samples do not depend on which thread
-runs which half.
+synthesize_colored does every step of a block on two cores, one half on
+the calling thread and one on the process's helper thread (_both,
+_helper): it draws the block's rfft coefficients in two parts, bins
+[0, mid) from the child (*seq.spawn_key, 0) of the seed's sequence seq
+and bins [mid, n//2] from the child (*seq.spawn_key, 1), mid =
+(n//2 + 1)//2, each into its own slice of one array; and _irfft inverts
+an even block as two half-length transforms, splitting its passes over
+the coefficients and the samples the same way. The helper is started on
+first use, and the samples do not depend on which thread runs which half.
 """
 
 from __future__ import annotations
@@ -231,27 +235,44 @@ def _amplitude(psd: QuadPsd, chain: Optional[DetectionChain], n: int, fs: float,
     return amp
 
 
-def _coefficients(amp: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """The rfft coefficients of one n-sample block: interior bins complex
-    with variance n/2 per part, DC and Nyquist real with variance n, all
-    scaled by amp/sqrt(n/2) = sqrt(P)."""
-    spec = rng.standard_normal(2 * amp.size).view(complex)
-    spec[0] = spec[0].real * math.sqrt(2.0)
-    if n % 2 == 0:
+def _scale(spec: np.ndarray, amp: np.ndarray, n: int, lo: int = 0) -> np.ndarray:
+    """Scales standard normals, viewed as complex, in place into the rfft
+    coefficients lo .. lo + spec.size - 1 of one n-sample block (amp on
+    all of its bins): interior bins complex with variance n/2 per part, DC
+    and Nyquist real with variance n, all scaled by amp/sqrt(n/2) = sqrt(P)."""
+    if lo == 0:
+        spec[0] = spec[0].real * math.sqrt(2.0)
+    if n % 2 == 0 and lo + spec.size == amp.size:
         spec[-1] = spec[-1].real * math.sqrt(2.0)
-    spec *= amp
+    spec *= amp[lo:lo + spec.size]
     return spec
+
+
+def _coefficients(amp: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The rfft coefficients of one n-sample block drawn from rng (_scale)."""
+    return _scale(rng.standard_normal(2 * amp.size).view(complex), amp, n)
 
 
 @lru_cache(maxsize=1)
 def _helper(pid: int) -> ThreadPoolExecutor:
-    """The executor that runs one half of each even block's inverse FFT
-    (_irfft) in the process pid: a forked child, which inherits the
-    executor but not its thread, gets its own. Its thread starts on the
-    first submit and then persists, because a thread started per block
-    faults in its half's 32 MB of FFT buffers afresh on every 2^22-sample
-    block (about 15 ms each on a 2-vCPU host)."""
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="eprsim-irfft")
+    """The executor that runs the second half of each step of a
+    synthesize_colored block (_both) in the process pid: a forked child,
+    which inherits the executor but not its thread, gets its own. Its
+    thread starts on the first submit and then persists, because a thread
+    started per block faults in its half's 32 MB of FFT buffers afresh on
+    every 2^22-sample block (about 15 ms each on a 2-vCPU host)."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="eprsim-synth")
+
+
+def _both(fn, first: tuple, second: tuple) -> tuple:
+    """(fn(*first), fn(*second)), run at once: the first on the calling
+    thread, the second on the helper thread (_helper)."""
+    other = _helper(os.getpid()).submit(fn, *second)
+    try:
+        mine = fn(*first)
+    finally:  # the helper may be writing the caller's arrays: always wait for it
+        theirs = other.result()
+    return mine, theirs
 
 
 def _irfft(spec: np.ndarray, n: int) -> np.ndarray:
@@ -265,9 +286,12 @@ def _irfft(spec: np.ndarray, n: int) -> np.ndarray:
     e_k is written to slot k of spec and o_k to slot h-k, in passes of
     _CHUNK bins; when h is even both share slot h/2, which keeps e_{h/2},
     and the odd samples are corrected by (o_{h/2} - e_{h/2})(-1)^m/h. The
-    two half transforms run at once, the odd one on the helper thread, and
-    their samples are interleaved into the first n doubles of spec, which
-    are returned. The memory used is spec plus one n-sample block, as for
+    half transforms write their own outputs, and their samples are
+    interleaved into the first n doubles of spec, which are returned. Each
+    step runs on two threads at once (_both): the split on two ranges of
+    k (the pairs k, h-k of disjoint ranges write disjoint slots), the two
+    half transforms, and the correction and interleave on two ranges of
+    samples. The memory used is spec plus one n-sample block, as for
     np.fft.irfft.
     """
     if n % 2:
@@ -278,29 +302,46 @@ def _irfft(spec: np.ndarray, n: int) -> np.ndarray:
         e_mid, o_mid = spec[h // 2].real, -spec[h // 2].imag
     # w^k / 2 is step[k - k0] * w^k0 in the pass starting at bin k0
     step = 0.5 * np.exp(2j * np.pi / n * np.arange(min(bins, _CHUNK)))
-    for k0 in range(0, bins, _CHUNK):
-        k1 = min(k0 + _CHUNK, bins)
-        lo, hi = spec[k0:k1], spec[h - k0:h - k1:-1]
-        b = np.conj(hi)
-        d = lo - b
-        lo += b
-        lo *= 0.5
-        np.multiply(step[:k1 - k0], np.exp(2j * np.pi * k0 / n), out=b)
-        d *= b
-        hi[...] = d
-    del step, b, d  # freed before the two half outputs are allocated
+
+    # each thread's two pass temporaries, allocated on this thread like the
+    # half outputs below: a helper thread that allocates between them can
+    # leave its heap split, and later blocks' buffers on fresh pages
+    tmp = np.empty((2, 2, step.size), complex)
+
+    def split(k_lo: int, k_hi: int, b: np.ndarray, d: np.ndarray) -> None:
+        for k0 in range(k_lo, k_hi, _CHUNK):
+            k1 = min(k0 + _CHUNK, k_hi)
+            lo, hi = spec[k0:k1], spec[h - k0:h - k1:-1]
+            bk, dk = b[:k1 - k0], d[:k1 - k0]
+            np.conjugate(hi, out=bk)
+            np.subtract(lo, bk, out=dk)
+            lo += bk
+            lo *= 0.5
+            np.multiply(step[:k1 - k0], np.exp(2j * np.pi * k0 / n), out=bk)
+            dk *= bk
+            hi[...] = dk
+
+    _both(split, (0, bins // 2, *tmp[0]), (bins // 2, bins, *tmp[1]))
+    del step, tmp  # freed before the two half outputs are allocated
     if h % 2 == 0:
         spec[h // 2] = e_mid
-    odd = _helper(os.getpid()).submit(np.fft.irfft, spec[::-1][:bins], h)
-    even = np.fft.irfft(spec[:bins], h)
-    odd = odd.result()
-    if h % 2 == 0:
-        c = (o_mid - e_mid) / h
-        odd[0::2] += c
-        odd[1::2] -= c
+    # both outputs are allocated on this thread: one allocated on the
+    # helper thread can land on fresh pages, and raise the peak memory of a
+    # run of blocks by its size
+    even, odd = np.empty(h), np.empty(h)
+    _both(lambda x, y: np.fft.irfft(x, h, out=y), (spec[:bins], even),
+          (spec[::-1][:bins], odd))
     out = spec.view(np.float64)[:n]
-    out[0::2] = even
-    out[1::2] = odd
+
+    def finish(s0: int, s1: int) -> None:  # samples s0 .. s1 - 1 of each half, s0 even
+        if h % 2 == 0:
+            c = (o_mid - e_mid) / h
+            odd[s0:s1:2] += c
+            odd[s0 + 1:s1:2] -= c
+        out[2 * s0:2 * s1:2] = even[s0:s1]
+        out[2 * s0 + 1:2 * s1:2] = odd[s0:s1]
+
+    _both(finish, (0, h // 4 * 2), (h // 4 * 2, h))
     return out
 
 
@@ -308,15 +349,28 @@ def synthesize_colored(psd: QuadPsd, n: int, fs: float, seed: SeedLike) -> TimeS
     """One n-sample circulant Gaussian block whose expected periodogram
     equals the PSD bin by bin.
 
-    The block is drawn in the frequency domain (_coefficients) and
-    inverted by _irfft, an even block as two half-length transforms on two
-    threads. Any n >= 2 is accepted; 2^a 3^b 5^c lengths are the fastest.
-    The aliasing guard rejects sample rates at which the PSD has not yet
+    The block's rfft coefficients are drawn in two parts at once (_both):
+    bins [0, mid) from the child (*seq.spawn_key, 0) of the seed's
+    sequence seq and bins [mid, n//2] from the child (*seq.spawn_key, 1),
+    mid = (n//2 + 1)//2, each into its own slice of one array and scaled
+    there (_scale). _irfft inverts them, an even block on two threads.
+    Any n >= 2 is accepted; 2^a 3^b 5^c lengths are the fastest. The
+    aliasing guard rejects sample rates at which the PSD has not yet
     settled to its asymptote at the Nyquist frequency.
     """
     if n < 2:
         raise ValueError(f"block length must be at least 2 samples, got {n}")
-    spec = _coefficients(_amplitude(psd, None, n, fs), n, np.random.default_rng(seed))
+    amp = _amplitude(psd, None, n, fs)
+    spec = np.empty(amp.size, complex)
+
+    def draw(lo: int, hi: int, rng: np.random.Generator) -> None:
+        part = spec[lo:hi]
+        rng.standard_normal(out=part.view(np.float64))
+        _scale(part, amp, n, lo)
+
+    mid = amp.size // 2
+    first, second = map(np.random.default_rng, _children(seed, 2))
+    _both(draw, (0, mid, first), (mid, amp.size, second))
     return TimeSeries(sample_rate=fs, samples=_irfft(spec, n))
 
 

@@ -36,6 +36,22 @@ def test_constant_series_projects_onto_weight_sum():
     assert np.allclose(mv.values, 3.0 * math.sqrt(10.0), rtol=1e-12)
 
 
+@pytest.mark.parametrize("mode", [
+    MODE, TemporalMode.square(2e-5), TemporalMode.double_exp(2e6, 4e-7),
+    TemporalMode.tabulated([0.0, 1.0, 3.0, 1.0, 0.0], 1e-6),
+], ids=("square", "square_1000", "double_exp", "tabulated"))
+def test_mode_values_are_the_windows_exact_sums(mode):
+    # each value is its window's dot product with the weights, to 1e-14 of
+    # the window's sum of |products| (math.fsum, correctly rounded)
+    samples = np.random.default_rng(7).standard_normal(10_007) * 3.0 + 0.5
+    w = mode.discretize(FS)
+    vals = extract_modes(TimeSeries(FS, samples), mode).values
+    assert vals.size == samples.size // w.size
+    for j, v in enumerate(vals):
+        prods = samples[j * w.size:(j + 1) * w.size] * w
+        assert abs(v - math.fsum(prods)) <= 1e-14 * math.fsum(np.abs(prods))
+
+
 def test_vacuum_mode_variance_near_unity():
     series = synthesize_colored(flat_psd(), 1 << 17, FS, seed=81)
     vals = extract_modes(series, MODE).values

@@ -19,6 +19,7 @@ from eprsim import analysis, cli, synth
 from eprsim.cli import main
 from eprsim.config import load_config
 from eprsim.modes import KINDS
+from eprsim.spectra import MIN_HWHM
 from eprsim.synth import block_length
 
 PAPER_CFG = Path(__file__).resolve().parents[1] / "paper.cfg"
@@ -575,8 +576,8 @@ _NOT_POSITIVE = st.floats(max_value=0.0, allow_infinity=False) | st.integers(max
 # drawn separately (_RELATIONS)
 _OUT_OF_RANGE = {
     "pump_param": _NEGATIVE | st.floats(min_value=1.0, allow_infinity=False),
-    "hwhm": _NOT_POSITIVE | st.floats(min_value=1e15, exclude_min=True,
-                                      allow_infinity=False),
+    "hwhm": _NOT_POSITIVE | st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+            | st.floats(min_value=1e15, exclude_min=True, allow_infinity=False),
     "efficiency": _NEGATIVE | st.floats(min_value=1.0, exclude_min=True,
                                         allow_infinity=False),
     "squeeze_phase": st.text(max_size=12).filter(lambda s: s not in ("X", "P")),
@@ -584,7 +585,7 @@ _OUT_OF_RANGE = {
     "highpass_cutoff": _NOT_POSITIVE,
     "electronic_noise_db": st.floats(min_value=100.0, exclude_min=True, allow_infinity=False),
     "adc_rate": _NOT_POSITIVE,
-    "adc_bits": st.integers(max_value=1) | st.integers(min_value=33),
+    "adc_bits": st.integers(max_value=3) | st.integers(min_value=33),
     "fs": _NOT_POSITIVE,
     "duration": _NOT_POSITIVE,
     "kind": st.text(max_size=12).filter(lambda s: s not in KINDS),
@@ -700,6 +701,19 @@ def test_hostile_config_exits_2_naming_the_field(case, tmp_path, capsys):
     assert "Traceback" not in err
     message = err.partition(f"{cfg}: ")[2]
     assert message.startswith(paths), (paths, err)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_narrowest_cavities_run_without_numeric_warnings(tmp_path, capsys):
+    # both OPOs at the lowest accepted hwhm: the spectra stay finite, so
+    # spectra and run read them with no overflow or invalid operation
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(dict(_PAPER, **{opo: dict(_PAPER[opo], hwhm=MIN_HWHM)
+                                               for opo in ("opo1", "opo2")})))
+    assert main(["spectra", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+    assert main(["run", "--config", str(path), "--reps", "2",
+                 "--out", str(tmp_path / "r")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("edits, field", [

@@ -106,7 +106,9 @@ def test_fingerprint_is_stable_and_ignores_output_dir():
     (lambda t: t["chain"].update(highpass_cutoff=0.0), r"^chain\.highpass_cutoff: must be"),
     (lambda t: t["chain"].update(detector_bandwidth=1e3),
      r"^chain\.detector_bandwidth: must exceed highpass_cutoff"),
-    (lambda t: t["chain"].update(adc_bits=2000), r"^chain\.adc_bits: must lie in \[2, 32\]"),
+    (lambda t: t["chain"].update(adc_bits=2000), r"^chain\.adc_bits: must lie in \[4, 32\]"),
+    (lambda t: t["chain"].update(adc_bits=3),
+     r"^chain\.adc_bits: must lie in \[4, 32\] when given, got 3$"),
     (lambda t: t["chain"].update(adc_rate=30e6),
      r"^chain\.adc_rate: the record rate 5e\+07 Hz is not an integer multiple"),
     (lambda t: t["chain"].update(highpass_cutoff=30e6, detector_bandwidth=40e6),
@@ -114,8 +116,9 @@ def test_fingerprint_is_stable_and_ignores_output_dir():
     (lambda t: t["mode"].update(duration=-1e-7), r"^mode\.duration: must be positive"),
     (lambda t: t.update(mode={"kind": "double_exp", "rate": 1e6, "support": 0}),
      r"^mode\.support: must be positive"),
-    (lambda t: t["opo1"].update(hwhm=1e103), r"^opo1\.hwhm: must lie in \(0, 1e\+15\] Hz"),
-    (lambda t: t["opo2"].update(hwhm=2e15), r"^opo2\.hwhm: must lie in \(0, 1e\+15\] Hz"),
+    (lambda t: t["opo1"].update(hwhm=1e103), r"^opo1\.hwhm: must lie in \[1, 1e\+15\] Hz"),
+    (lambda t: t["opo2"].update(hwhm=2e15), r"^opo2\.hwhm: must lie in \[1, 1e\+15\] Hz"),
+    (lambda t: t["opo1"].update(hwhm=1e-300), r"^opo1\.hwhm: must lie in \[1, 1e\+15\] Hz"),
     (lambda t: t.update(repetitions=10 ** 400), r"^repetitions: must be at most 10000$"),
     (lambda t: t.update(repetitions=10_001), r"^repetitions: must be at most 10000$"),
     (lambda t: t.update(duration=1.0), r"^duration: duration\*fs must cover 2 to 16777216"),

@@ -54,8 +54,10 @@ def test_chain_validation():
         DetectionChain(highpass_cutoff=0.0)
     with pytest.raises(ValueError):
         DetectionChain(adc_rate=0.0)
-    with pytest.raises(ValueError):
-        DetectionChain(adc_bits=1)
+    for bits in (1, 3, 33):
+        with pytest.raises(ValueError, match="adc_bits"):
+            DetectionChain(adc_bits=bits)
+    assert DetectionChain(adc_bits=4).adc_bits == 4
 
 
 def _minus_block_mean(series):
@@ -263,10 +265,10 @@ def test_fine_quantizer_adds_small_rounding():
 def test_coarse_quantizer_warns_and_clips():
     rec = vacuum_record(1e-4, FS, seed=56)
     loud = _scaled(rec, 100.0)
-    chain = DetectionChain(electronic_noise_db=None, adc_bits=3)
+    chain = DetectionChain(electronic_noise_db=None, adc_bits=5)
     with pytest.warns(UserWarning, match="quantization step"):
         out = detect(loud, chain, seed=0)
-    step = 20.0 / (1 << 3)
+    step = 20.0 / (1 << 5)
     assert np.max(out.a.samples) <= 10.0 - step
     assert np.min(out.a.samples) >= -10.0
 
@@ -555,4 +557,4 @@ def test_detected_records_are_quantized(calibrated_pair):
     assert 0.0 < np.max(np.abs(coarse.a.samples - smooth.a.samples)) <= step / 2.0
     assert np.array_equal(np.round(coarse.b.samples / step) * step, coarse.b.samples)
     with pytest.warns(UserWarning, match="quantization step"):
-        vacuum_record(1e-4, FS, 99, chain=replace(smooth_chain, adc_bits=3))
+        vacuum_record(1e-4, FS, 99, chain=replace(smooth_chain, adc_bits=5))

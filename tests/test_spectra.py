@@ -10,7 +10,7 @@ import pytest
 from eprsim import (OpoParams, TemporalMode, beam_spectra, calibrate_pump_param,
                     duan_sum, epr_spectra, filtered_variance, flat_psd, opo_spectrum,
                     to_db)
-from eprsim.spectra import (MAX_HWHM, QuadPsd, QuadratureError, _gl_integral,
+from eprsim.spectra import (MAX_HWHM, MIN_HWHM, QuadPsd, QuadratureError, _gl_integral,
                             filtered_variances)
 
 import refvals
@@ -385,6 +385,8 @@ def test_opo_params_validation():
         OpoParams(pump_param=0.3, hwhm=0.0, efficiency=0.9)
     with pytest.raises(ValueError, match="hwhm"):
         OpoParams(pump_param=0.3, hwhm=1.01 * MAX_HWHM, efficiency=0.9)
+    with pytest.raises(ValueError, match="hwhm"):
+        OpoParams(pump_param=0.3, hwhm=0.99 * MIN_HWHM, efficiency=0.9)
     with pytest.raises(ValueError, match="squeeze_phase"):
         OpoParams(pump_param=0.3, hwhm=7e6, efficiency=0.9, squeeze_phase="Y")
     with pytest.raises(ValueError):

@@ -63,9 +63,13 @@ def test_flat_psd_passes_white_noise_through():
         amp = _amplitude(flat_psd(), None, n, fs)
         m = np.column_stack([_draw(amp, n, _Fixed(e)) for e in np.eye(2 * amp.size)])
         assert np.max(np.abs(m @ m.T - np.eye(n))) <= 1e-12
-        # and synthesize_colored is that map applied to its generator's normals
+        # and synthesize_colored is that map applied to its two streams'
+        # normals in bin order: bins [0, mid) from child 0, the rest from child 1
         out = synthesize_colored(flat_psd(), n, fs, seed=11)
-        z = np.random.default_rng(11).standard_normal(2 * amp.size)
+        mid = amp.size // 2
+        z = np.concatenate([np.random.default_rng(stream).standard_normal(2 * size)
+                            for stream, size in zip(synth._children(11, 2),
+                                                    (mid, amp.size - mid))])
         assert np.max(np.abs(out.samples - m @ z)) <= 1e-12
 
 
@@ -122,6 +126,15 @@ def test_irfft_does_not_depend_on_the_helper_thread(monkeypatch):
             threads.clear()
             inline = _irfft(spec.copy(), n)
             assert set(threads) == {threading.get_ident()}
+        assert threaded.tobytes() == inline.tobytes()
+    # and so does all of synthesize_colored, its two-part draw included,
+    # for even and odd n
+    psd = _stress_psd()
+    for n in (2, 3, 15, 18, 1000, 1001, 1 << 17, (1 << 17) + 1):
+        threaded = synthesize_colored(psd, n, 400e6, seed=n).samples
+        with monkeypatch.context() as m:
+            m.setattr(synth, "_helper", lambda pid: _Inline())
+            inline = synthesize_colored(psd, n, 400e6, seed=n).samples
         assert threaded.tobytes() == inline.tobytes()
 
 
