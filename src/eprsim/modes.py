@@ -17,10 +17,10 @@ exponential integrals (_expint), each element evaluated to its own
 convergence, so a value does not depend on the batch it is computed in.
 Those moments depend on the band and the mode's support, not on the
 Lorentzian width or the decay rate, so they are shared per support: the
-last 16 sets computed are kept (_moments), and overlaps on a kept support
-(a mode's two EPR quadratures, the steps of a pump calibration or of the
-optimizer's rate search) evaluate them once, with values identical to a
-fresh evaluation.
+longest set computed for each of the last 16 supports is kept (_moments),
+and overlaps on a kept support (a mode's two EPR quadratures, the steps
+of a pump calibration or of the optimizer's rate search) evaluate them
+once, with values identical to a fresh evaluation.
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ class TemporalMode:
             jumps, spacing = self._steps()
             n = jumps.size
             # sum over ordered pairs at lag m >= 1 (lag 0 has kernel 0)
-            pair = 2.0 * np.correlate(jumps, jumps, "full")[n:]
+            pair = 2.0 * _autocorrelation(jumps)[1:]
             d = spacing * np.arange(1, n)
             tail = _tail(k, B, np.concatenate(([0.0], d)), power=-2).real
             kernel = _phi(k * d) / (2.0 * k ** 3) - (tail[0] - tail[1:]) / math.pi
@@ -287,13 +287,17 @@ class TemporalMode:
 def lorentz_overlaps(modes: Sequence[TemporalMode], width: float,
                      band: float) -> List[Optional[float]]:
     """TemporalMode.lorentz_overlap of each mode: the square modes in one
-    square_lorentz_overlaps pass, every other mode by its own method."""
+    square_lorentz_overlaps pass, every other mode by its own method, the
+    fastest decay first: on a shared support it takes the most band-tail
+    terms, and the slower ones read the first of them (_moments)."""
     squares = [i for i, m in enumerate(modes) if m.kind == "square"]
     batch = (square_lorentz_overlaps(width, band, np.array([modes[i].duration for i in squares]))
              if squares else None)
-    square = {} if batch is None else dict(zip(squares, batch.tolist()))
-    return [square.get(i) if m.kind == "square" else m.lorentz_overlap(width, band)
-            for i, m in enumerate(modes)]
+    out = {} if batch is None else dict(zip(squares, batch.tolist()))
+    others = sorted((i for i, m in enumerate(modes) if m.kind != "square"),
+                    key=lambda i: -(modes[i].rate or 0.0))
+    out.update((i, modes[i].lorentz_overlap(width, band)) for i in others)
+    return [out.get(i) for i in range(len(modes))]
 
 
 def square_lorentz_overlaps(width: float, band: float,
@@ -310,6 +314,15 @@ def square_lorentz_overlaps(width: float, band: float,
     kernel = _phi(k * T) / (2.0 * k ** 3) - (tail[0] - tail[1:]) / math.pi
     jump = 1.0 / np.sqrt(T)
     return 2.0 * (jump * jump) * kernel
+
+
+def _autocorrelation(x: np.ndarray) -> np.ndarray:
+    """sum_i x[i + l] x[i] for each lag l = 0 .. x.size - 1, by FFT padded
+    to 2 x.size so that no lag wraps around: O(n log n), and within about
+    1e-15 * sum(x^2) of the direct sums."""
+    size = 2 * x.size
+    f = np.fft.rfft(x, size)
+    return np.fft.irfft(f.real ** 2 + f.imag ** 2, size)[:x.size]
 
 
 def _phi(z: np.ndarray) -> np.ndarray:
@@ -413,21 +426,34 @@ def _tail(width: float, band: float, d: np.ndarray, power,
     return band ** (1.0 - p0) * (moments @ coeff)
 
 
-@lru_cache(maxsize=16)
 def _moments(y: bytes, p0: bytes, n_terms: int) -> np.ndarray:
     """Read-only _expint(y, p0 + 2n) for n < n_terms, one row per element
     of y and p0 (the bytes of equal-length float64 and int64 arrays).
 
     They depend on the band, the mode's support and the power pattern, not
     on the Lorentzian width or the decay rate (those enter _tail through
-    its coefficients), so overlaps on a kept support, such as a mode's two
-    quadratures or the steps of a width or rate search, share one
-    evaluation. The last 16 sets are kept: as many distinct supports as
-    one filtered_variances call visits (14 in brute_force's grid) survive
-    from its first PSD to its second. An entry is about 7 MB only for a
-    2^16-sample tabulated mode (one row per jump) and tiny otherwise."""
-    y = np.frombuffer(y, dtype=float)
-    p0 = np.frombuffer(p0, dtype=np.int64)
-    out = _expint(y[:, None], p0[:, None] + 2 * np.arange(n_terms))
-    out.flags.writeable = False
-    return out
+    its coefficients and its term count), so overlaps on a kept support,
+    such as a mode's two quadratures or the steps of a width or rate
+    search, share one evaluation. The longest set computed for a support
+    is kept (_kept), and a shorter one is its first columns: _expint
+    retires each element on its own, so they are the same values."""
+    held = _kept(y, p0)
+    moments = held[0]
+    if moments is None or moments.shape[1] < n_terms:
+        y_arr = np.frombuffer(y, dtype=float)
+        p0_arr = np.frombuffer(p0, dtype=np.int64)
+        moments = _expint(y_arr[:, None], p0_arr[:, None] + 2 * np.arange(n_terms))
+        moments.flags.writeable = False
+        held[0] = moments
+    return moments[:, :n_terms]
+
+
+@lru_cache(maxsize=16)
+def _kept(y: bytes, p0: bytes) -> List[Optional[np.ndarray]]:
+    """The one-slot holder of a support's longest set of moments
+    (_moments). The last 16 supports are kept: as many distinct supports
+    as one filtered_variances call visits (14 in brute_force's grid)
+    survive from its first PSD to its second. An entry is about 7 MB only
+    for a 2^16-sample tabulated mode (one row per jump) and tiny
+    otherwise."""
+    return [None]

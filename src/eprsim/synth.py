@@ -36,15 +36,18 @@ X record's x_A - x_B is input beam 2 alone, the P record's p_A + p_B
 beam 1 alone. A quantizing chain, or a hop that does not divide the
 block, keeps the full draw.
 
-synthesize_colored does every step of a block on two cores, one half on
-the calling thread and one on the process's helper thread (_both,
-_helper): it draws the block's rfft coefficients in two parts, bins
-[0, mid) from the child (*seq.spawn_key, 0) of the seed's sequence seq
-and bins [mid, n//2] from the child (*seq.spawn_key, 1), mid =
-(n//2 + 1)//2, each into its own slice of one array; and _irfft inverts
-an even block as two half-length transforms, splitting its passes over
-the coefficients and the samples the same way. The helper is started on
-first use, and the samples do not depend on which thread runs which half.
+synthesize_colored draws a block's rfft coefficients straight into a
+row layout and inverts it by the four-step FFT (Bailey, J.
+Supercomputing 4, 23 (1990)), whose row and column transforms fit the
+caches where one n-point transform does not (_invert has the layout and
+the three steps). Its n//2 + 1 independent slots, in row-major order
+(_slots), are drawn in two parts: [0, mid) from the child
+(*seq.spawn_key, 0) of the seed's sequence seq and [mid, n//2] from the
+child (*seq.spawn_key, 1), mid = (n//2 + 1)//2, scaled by amplitudes
+cached in that order (_amplitude with rows). The draw and each step run
+on two cores, one half on the calling thread and one on the process's
+helper thread (_both, _helper); the helper is started on first use, and
+the samples do not depend on which thread runs which half.
 """
 
 from __future__ import annotations
@@ -81,8 +84,12 @@ __all__ = [
 _LABELS = ("x_A", "p_A", "x_B", "p_B", "vacuum")
 # largest |S(Nyquist) - 1| the aliasing guard accepts
 _ALIAS_TOL = 0.15
-# bins per pass of _irfft's in-place split, so its temporaries stay small
-_CHUNK = 1 << 16
+# rows of synthesize_colored's layout: an n-sample block has gcd(n, _ROWS)
+# (_shape), so a multiple of 16 has row transforms of n/16 points, which
+# fit the caches better than one n-point transform
+_ROWS = 16
+# entries of _twiddle's fine exp table
+_FINE = 1024
 
 SeedLike = int | np.random.SeedSequence
 
@@ -214,14 +221,18 @@ def mode_value_spectrum(power: np.ndarray, window: np.ndarray, n: int,
 
 @lru_cache(maxsize=16)
 def _amplitude(psd: QuadPsd, chain: Optional[DetectionChain], n: int, fs: float,
-               mode: Optional[TemporalMode] = None, hop: Optional[int] = None) -> np.ndarray:
+               mode: Optional[TemporalMode] = None, hop: Optional[int] = None,
+               rows: bool = False) -> np.ndarray:
     """sqrt(n/2 * P) on the rfft bins of an n-sample block (_power), or
     with a mode and its windows' spacing hop (layout), which must divide
     n, sqrt(m/2 * S_q) on those of its m = n/hop mode values
-    (mode_value_spectrum). Read-only and cached, because every repetition
-    of a run and every block of a Monte Carlo check draws from the same
-    few (spectra caches its PSD objects, so equal arguments give the same
-    key; 16 hold a run's full and mode-space amplitudes). Every draw's PSD
+    (mode_value_spectrum). With rows, the scale of each draw position of
+    the block's row layout (_slots, _bins) instead: sqrt(n/2 * P) of its
+    bin, and sqrt(n * P) at DC and Nyquist, whose imaginary parts the
+    inverse ignores. Read-only and cached, because every repetition of a
+    run and every block of a Monte Carlo check draws from the same few
+    (spectra caches its PSD objects, so equal arguments give the same key;
+    16 hold a run's full and mode-space amplitudes). Every draw's PSD
     passes the aliasing guard here, before anything is cached."""
     check_alias(psd, fs)
     p = _power(psd, chain, n, fs)
@@ -230,27 +241,27 @@ def _amplitude(psd: QuadPsd, chain: Optional[DetectionChain], n: int, fs: float,
         p = mode_value_spectrum(p, placed_window(mode, rate, stride, n), n, hop)
         n //= hop
         p = p[: n // 2 + 1]
+    elif rows:
+        bins = _bins(n)
+        p = p[bins]
+        p[(bins == 0) | (2 * bins == n)] *= 2.0
+        del bins
     amp = np.sqrt(np.multiply(0.5 * n, p, out=p))  # p in place: two n-sized arrays, not three
     amp.flags.writeable = False
     return amp
 
 
-def _scale(spec: np.ndarray, amp: np.ndarray, n: int, lo: int = 0) -> np.ndarray:
-    """Scales standard normals, viewed as complex, in place into the rfft
-    coefficients lo .. lo + spec.size - 1 of one n-sample block (amp on
-    all of its bins): interior bins complex with variance n/2 per part, DC
-    and Nyquist real with variance n, all scaled by amp/sqrt(n/2) = sqrt(P)."""
-    if lo == 0:
-        spec[0] = spec[0].real * math.sqrt(2.0)
-    if n % 2 == 0 and lo + spec.size == amp.size:
-        spec[-1] = spec[-1].real * math.sqrt(2.0)
-    spec *= amp[lo:lo + spec.size]
-    return spec
-
-
 def _coefficients(amp: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """The rfft coefficients of one n-sample block drawn from rng (_scale)."""
-    return _scale(rng.standard_normal(2 * amp.size).view(complex), amp, n)
+    """The rfft coefficients of one n-sample block drawn from rng, amp on
+    its bins: standard normals viewed as complex, interior bins with
+    variance n/2 per part, DC and Nyquist real with variance n, all scaled
+    by amp/sqrt(n/2) = sqrt(P)."""
+    spec = rng.standard_normal(2 * amp.size).view(complex)
+    spec[0] = spec[0].real * math.sqrt(2.0)
+    if n % 2 == 0:
+        spec[-1] = spec[-1].real * math.sqrt(2.0)
+    spec *= amp
+    return spec
 
 
 @lru_cache(maxsize=1)
@@ -275,103 +286,145 @@ def _both(fn, first: tuple, second: tuple) -> tuple:
     return mine, theirs
 
 
-def _irfft(spec: np.ndarray, n: int) -> np.ndarray:
-    """np.fft.irfft(spec, n) to within rounding, for the n // 2 + 1 rfft
-    coefficients spec of a real block; spec is overwritten.
+def _shape(n: int) -> Tuple[int, int]:
+    """(R, M) of an n-sample block's row layout: R = gcd(n, _ROWS) rows of
+    the full spectrum, M = n/R columns; the layout stores rows 0 .. R//2."""
+    rows = math.gcd(n, _ROWS)
+    return rows, n // rows
 
-    Odd n is np.fft.irfft itself. Even n is split by decimation in time:
-    with h = n/2 and w = exp(2 pi i/n), the even samples are irfft(e, h)
-    and the odd ones irfft(o, h), where for k = 0..h//2
-    e_k = (X_k + conj X_{h-k})/2 and o_k = (X_k - conj X_{h-k}) w^k/2.
-    e_k is written to slot k of spec and o_k to slot h-k, in passes of
-    _CHUNK bins; when h is even both share slot h/2, which keeps e_{h/2},
-    and the odd samples are corrected by (o_{h/2} - e_{h/2})(-1)^m/h. The
-    half transforms write their own outputs, and their samples are
-    interleaved into the first n doubles of spec, which are returned. Each
-    step runs on two threads at once (_both): the split on two ranges of
-    k (the pairs k, h-k of disjoint ranges write disjoint slots), the two
-    half transforms, and the correction and interleave on two ranges of
-    samples. The memory used is spec plus one n-sample block, as for
-    np.fft.irfft.
+
+def _slots(n: int, lo: int, hi: int) -> Tuple[Tuple[int, int, int], ...]:
+    """(start, stop, first) of each flat range of the row layout that holds
+    draw positions lo .. hi - 1, in position order: first is the position
+    at start. The n//2 + 1 positions are the independent slots in row-major
+    order: row 0's columns 0 .. M//2, then every column of rows 1 .. R/2 - 1
+    and row R/2's columns 0 .. (M-1)//2 (none of these for R = 1)."""
+    _, m = _shape(n)
+    head = m // 2 + 1
+    out = []
+    for start, first, stop in ((0, 0, head), (m, head, n // 2 + 1)):
+        a, b = max(lo, first), min(hi, stop)
+        if a < b:
+            out.append((start + a - first, start + b - first, a))
+    return tuple(out)
+
+
+def _bins(n: int) -> np.ndarray:
+    """The rfft bin each draw position of the row layout holds (_slots):
+    bin k = k1 + R k2 at row k1, column k2, or n - k when k > n/2."""
+    r, m = _shape(n)
+    head = m // 2 + 1
+    k = np.arange(n // 2 + 1)
+    k[:head] *= r
+    flat = k[head:]
+    flat += m - head
+    np.add(flat // m, r * (flat % m), out=flat)
+    np.minimum(flat, n - flat, out=flat)
+    return k
+
+
+def _twiddle(row: np.ndarray, k1: int, n: int) -> None:
+    """row *= exp(2 pi i k1 t/n), t = 0 .. row.size - 1, in place, each
+    factor the product of a coarse and a fine exp table (t = a*_FINE + b),
+    so no row-sized table is built or kept."""
+    size = row.size
+    step = 2.0 * np.pi * k1 / n
+    fine = np.exp(1j * step * np.arange(_FINE))
+    coarse = np.exp(1j * step * _FINE * np.arange(size // _FINE + 1))
+    full = size - size % _FINE
+    body = row[:full].reshape(-1, _FINE)
+    body *= coarse[:-1, None]
+    body *= fine
+    row[full:] *= coarse[-1] * fine[:size - full]
+
+
+def _invert(rows: np.ndarray, n: int) -> np.ndarray:
+    """The n samples whose rfft coefficients the row layout rows holds: the
+    R//2 + 1 by M array whose row k1, column k2 holds bin k = k1 + R k2, or
+    the conjugate of bin n - k when k > n/2 (_shape). This is
+    np.fft.irfft of the spectrum read back from it, to within rounding;
+    the imaginary parts of DC and Nyquist are ignored, as irfft ignores
+    them, and rows is overwritten.
+
+    Rows 0 and R/2 hold their own mirror images, so only their first
+    columns are read: row 0's columns M - k2 and row R/2's columns
+    M - 1 - k2 are the conjugates of their columns k2. With each step
+    split over the two threads (_both), the four-step inverse FFT:
+
+    1. an inverse FFT of each row in place; row 0's is real, an irfft
+       of its columns 0 .. M//2 written to its real parts, and row R/2's
+       mirror images are filled in first;
+    2. the twiddle exp(2 pi i k1 t2/n) of row k1 at column t2 (_twiddle);
+    3. a length-R inverse real FFT of each column, which writes sample
+       t1 M + t2 to row t1, column t2 of the output: the samples in order.
+
+    For odd n (R = 1) step 1 is np.fft.irfft itself and step 3 a copy.
     """
-    if n % 2:
-        return np.fft.irfft(spec, n)
-    h = n // 2
-    bins = h // 2 + 1
-    if h % 2 == 0:
-        e_mid, o_mid = spec[h // 2].real, -spec[h // 2].imag
-    # w^k / 2 is step[k - k0] * w^k0 in the pass starting at bin k0
-    step = 0.5 * np.exp(2j * np.pi / n * np.arange(min(bins, _CHUNK)))
+    r, m = _shape(n)
 
-    # each thread's two pass temporaries, allocated on this thread like the
-    # half outputs below: a helper thread that allocates between them can
-    # leave its heap split, and later blocks' buffers on fresh pages
-    tmp = np.empty((2, 2, step.size), complex)
+    def row_steps(k_lo: int, k_hi: int) -> None:
+        for k1 in range(k_lo, k_hi):
+            row = rows[k1]
+            if k1 == 0:  # numpy copies the input the output overlaps
+                np.fft.irfft(row[:m // 2 + 1], n=m, out=row.real)
+                continue
+            if 2 * k1 == r:
+                np.conjugate(row[:m // 2][::-1], out=row[(m + 1) // 2:])
+            np.fft.ifft(row, out=row)
+            _twiddle(row, k1, n)
 
-    def split(k_lo: int, k_hi: int, b: np.ndarray, d: np.ndarray) -> None:
-        for k0 in range(k_lo, k_hi, _CHUNK):
-            k1 = min(k0 + _CHUNK, k_hi)
-            lo, hi = spec[k0:k1], spec[h - k0:h - k1:-1]
-            bk, dk = b[:k1 - k0], d[:k1 - k0]
-            np.conjugate(hi, out=bk)
-            np.subtract(lo, bk, out=dk)
-            lo += bk
-            lo *= 0.5
-            np.multiply(step[:k1 - k0], np.exp(2j * np.pi * k0 / n), out=bk)
-            dk *= bk
-            hi[...] = dk
-
-    _both(split, (0, bins // 2, *tmp[0]), (bins // 2, bins, *tmp[1]))
-    del step, tmp  # freed before the two half outputs are allocated
-    if h % 2 == 0:
-        spec[h // 2] = e_mid
-    # both outputs are allocated on this thread: one allocated on the
-    # helper thread can land on fresh pages, and raise the peak memory of a
-    # run of blocks by its size
-    even, odd = np.empty(h), np.empty(h)
-    _both(lambda x, y: np.fft.irfft(x, h, out=y), (spec[:bins], even),
-          (spec[::-1][:bins], odd))
-    out = spec.view(np.float64)[:n]
-
-    def finish(s0: int, s1: int) -> None:  # samples s0 .. s1 - 1 of each half, s0 even
-        if h % 2 == 0:
-            c = (o_mid - e_mid) / h
-            odd[s0:s1:2] += c
-            odd[s0 + 1:s1:2] -= c
-        out[2 * s0:2 * s1:2] = even[s0:s1]
-        out[2 * s0 + 1:2 * s1:2] = odd[s0:s1]
-
-    _both(finish, (0, h // 4 * 2), (h // 4 * 2, h))
+    # the calling thread takes the extra row: it starts first
+    half = (rows.shape[0] + 1) // 2
+    _both(row_steps, (0, half), (half, rows.shape[0]))
+    # allocated on this thread, like rows: a buffer allocated on the helper
+    # thread can land on fresh pages and raise the peak memory of a run of
+    # blocks by its size
+    out = np.empty(n)
+    grid = out.reshape(r, m)
+    _both(lambda c0, c1: np.fft.irfft(rows[:, c0:c1], n=r, axis=0, out=grid[:, c0:c1]),
+          (0, m // 2), (m // 2, m))
     return out
+
+
+def _draw_rows(amp: np.ndarray, n: int, rngs: Tuple[np.random.Generator, ...]) -> np.ndarray:
+    """The row layout (_invert) of one n-sample block's rfft coefficients,
+    amp its row amplitudes (_amplitude with rows): standard normals, viewed
+    as complex and scaled by amp, drawn in two parts at once (_both), draw
+    positions (_slots) [0, mid) from rngs[0] and [mid, n//2] from rngs[1],
+    mid = (n//2 + 1)//2, each straight into its own slots."""
+    r, m = _shape(n)
+    rows = np.empty((r // 2 + 1, m), complex)
+    flat = rows.reshape(-1)
+
+    def draw(lo: int, hi: int, rng: np.random.Generator) -> None:
+        for start, stop, first in _slots(n, lo, hi):
+            part = flat[start:stop]
+            rng.standard_normal(out=part.view(np.float64))
+            part *= amp[first:first + stop - start]
+
+    mid = amp.size // 2
+    _both(draw, (0, mid, rngs[0]), (mid, amp.size, rngs[1]))
+    return rows
 
 
 def synthesize_colored(psd: QuadPsd, n: int, fs: float, seed: SeedLike) -> TimeSeries:
     """One n-sample circulant Gaussian block whose expected periodogram
     equals the PSD bin by bin.
 
-    The block's rfft coefficients are drawn in two parts at once (_both):
-    bins [0, mid) from the child (*seq.spawn_key, 0) of the seed's
-    sequence seq and bins [mid, n//2] from the child (*seq.spawn_key, 1),
-    mid = (n//2 + 1)//2, each into its own slice of one array and scaled
-    there (_scale). _irfft inverts them, an even block on two threads.
-    Any n >= 2 is accepted; 2^a 3^b 5^c lengths are the fastest. The
-    aliasing guard rejects sample rates at which the PSD has not yet
-    settled to its asymptote at the Nyquist frequency.
+    The block's rfft coefficients are drawn straight into their row layout
+    (_draw_rows), the first half of them from the child (*seq.spawn_key, 0)
+    of the seed's sequence seq and the rest from the child
+    (*seq.spawn_key, 1), and _invert turns them into the samples; both
+    run on two threads. Any n >= 2 is accepted; 2^a 3^b 5^c lengths are
+    the fastest, and multiples of 16 split best. The aliasing guard
+    rejects sample rates at which the PSD has not yet settled to its
+    asymptote at the Nyquist frequency.
     """
     if n < 2:
         raise ValueError(f"block length must be at least 2 samples, got {n}")
-    amp = _amplitude(psd, None, n, fs)
-    spec = np.empty(amp.size, complex)
-
-    def draw(lo: int, hi: int, rng: np.random.Generator) -> None:
-        part = spec[lo:hi]
-        rng.standard_normal(out=part.view(np.float64))
-        _scale(part, amp, n, lo)
-
-    mid = amp.size // 2
-    first, second = map(np.random.default_rng, _children(seed, 2))
-    _both(draw, (0, mid, first), (mid, amp.size, second))
-    return TimeSeries(sample_rate=fs, samples=_irfft(spec, n))
+    amp = _amplitude(psd, None, n, fs, rows=True)
+    rngs = tuple(map(np.random.default_rng, _children(seed, 2)))
+    return TimeSeries(sample_rate=fs, samples=_invert(_draw_rows(amp, n, rngs), n))
 
 
 def block_length(duration: float, fs: float) -> int:
@@ -509,8 +562,8 @@ def _record(psds: Tuple[QuadPsd, QuadPsd], chain: Optional[DetectionChain],
             return _ModeRecord(*(_ModeSeries(rate, n_series, label) for label in labels), draw)
     n_out = int(round(duration * fs))
     amps = [_amplitude(psd, chain, n, fs) for psd in psds]
-    # np.fft.irfft, not _irfft: these blocks gain nothing measurable from
-    # the split, and run's files keep their last digits
+    # natural-order draws and np.fft.irfft, not the row layout: these
+    # blocks are small, and run's files keep their streams and last digits
     b1, b2 = (np.fft.irfft(_coefficients(amp, n, np.random.default_rng(stream)), n)[:n_out]
               for amp, stream in zip(amps, _children(seed, 2)))
     if mixed:

@@ -190,14 +190,14 @@ def test_double_exp_optimize_shares_the_band_tail_moments(monkeypatch):
         calls.append(y)
         return expint(y, p)
 
-    modes._moments.cache_clear()
+    modes._kept.cache_clear()
     monkeypatch.setattr(modes, "_expint", counting)
     result = optimize(spectra, family)
     monkeypatch.undo()
     assert len(result.trace) == 99
     assert len(calls) <= 60
     for params, value in result.trace:
-        modes._moments.cache_clear()
+        modes._kept.cache_clear()
         assert mode_duan(spectra, TemporalMode.double_exp(**params)) == value, params
 
 
@@ -224,10 +224,32 @@ def test_searches_evaluate_few_band_tail_moments(monkeypatch, search, kind, most
         calls.append(y)
         return expint(y, p)
 
-    modes._moments.cache_clear()
+    modes._kept.cache_clear()
     monkeypatch.setattr(modes, "_expint", counting)
     search(spectra, family)
     assert 0 < len(calls) <= most
+
+
+def test_brute_force_evaluates_each_support_once(monkeypatch):
+    # brute_force double_exp on paper.cfg visits 14 supports, each at two
+    # term counts (its rates set them): the fastest rate's, the longest
+    # set, is computed first and the shorter one is its first columns, so
+    # 14 sets are computed, not 56
+    cfg = load_config(PAPER_CFG)
+    spectra = epr_spectra(cfg.opo1, cfg.opo2)
+    family = ModeFamily("double_exp", dict(zip(modes.KINDS["double_exp"].params,
+                                               modes.KINDS["double_exp"].bounds)))
+    calls = []
+    expint = modes._expint
+
+    def counting(y, p):
+        calls.append(y.tobytes())
+        return expint(y, p)
+
+    modes._kept.cache_clear()
+    monkeypatch.setattr(modes, "_expint", counting)
+    brute_force(spectra, family)
+    assert len(calls) == len(set(calls)) == 14
 
 
 def test_mode_duan_is_the_duan_sum_of_filtered_variances(calibrated_spectra):
@@ -244,7 +266,7 @@ def test_mode_duan_is_the_duan_sum_of_filtered_variances(calibrated_spectra):
     for psd in (narrow.diff_x, narrow.sum_p):
         assert mode.lorentz_overlap(psd.lorentz[1], psd.band_limit) is None
     for spectra in (calibrated_spectra, numeric, narrow):
-        modes._moments.cache_clear()
+        modes._kept.cache_clear()
         expected = duan_sum(filtered_variance(spectra.diff_x, mode),
                             filtered_variance(spectra.sum_p, mode))
         assert mode_duan(spectra, mode) == expected

@@ -5,7 +5,8 @@ import pytest
 from scipy.special import sici
 
 from eprsim import TemporalMode
-from eprsim.modes import _expint, _moments
+from eprsim import modes
+from eprsim.modes import _autocorrelation, _expint, _kept, _moments
 
 ALL_KINDS = [
     TemporalMode.square(0.2e-6),
@@ -131,21 +132,67 @@ def test_lorentz_overlap_does_not_depend_on_the_moments_kept(mode):
     # on its support (which reuses them), and right after one on another
     # support (which replaces them)
     width, band = 2e7, 2e9
-    _moments.cache_clear()
+    _kept.cache_clear()
     cold = mode.lorentz_overlap(width, band)
     assert cold is not None
     if mode.rate is None:
         mode.lorentz_overlap(1.2 * width, band)
     else:
         _moved(mode, "rate", 1.2).lorentz_overlap(width, band)
-    hits = _moments.cache_info().hits
+    hits = _kept.cache_info().hits
     assert mode.lorentz_overlap(width, band) == cold
-    assert _moments.cache_info().hits == hits + 1
+    assert _kept.cache_info().hits == hits + 1
     support = "support" if "support" in mode.params else "duration"
     _moved(mode, support, 1.7).lorentz_overlap(width, band)
     assert mode.lorentz_overlap(width, band) == cold
-    _moments.cache_clear()
+    _kept.cache_clear()
     assert mode.lorentz_overlap(width, band) == cold
+
+
+def test_shorter_moments_are_the_first_columns_of_the_longest(monkeypatch):
+    # a support keeps the longest set of moments computed; a shorter one is
+    # its first columns, the values a cold evaluation of it gives, with no
+    # second evaluation
+    y = np.array([0.0, 0.5, 3.0, 40.0])
+    key = (y.tobytes(), np.full(y.size, 2, dtype=np.int64).tobytes())
+    _kept.cache_clear()
+    cold = _moments(*key, 14).copy()
+    _kept.cache_clear()
+    calls = []
+    expint = modes._expint
+    monkeypatch.setattr(modes, "_expint", lambda y, p: calls.append(p.shape) or expint(y, p))
+    longest = _moments(*key, 16)
+    shorter = _moments(*key, 14)
+    assert calls == [(y.size, 16)]
+    assert np.array_equal(shorter, cold)
+    assert np.array_equal(longest[:, :14], cold)
+    _kept.cache_clear()
+
+
+@pytest.mark.parametrize("n", [100, 4096])
+def test_autocorrelation_matches_the_direct_sums(n):
+    # the FFT lag sums of a random and of a tabulated Hann mode's jumps are
+    # the direct ones (np.correlate) to 1e-14 of the lag-0 sum
+    t = (np.arange(n) + 0.5) / n
+    hann = TemporalMode.tabulated(np.sin(np.pi * t) ** 2, 1e-6)
+    for x in (np.random.default_rng(n).standard_normal(n), hann._steps()[0]):
+        direct = np.correlate(x, x, "full")[x.size - 1:]
+        got = _autocorrelation(x)
+        assert got.shape == direct.shape
+        assert np.max(np.abs(got - direct)) <= 1e-14 * np.dot(x, x)
+
+
+@pytest.mark.parametrize("n", [100, 4096])
+def test_tabulated_overlap_matches_the_direct_correlation(monkeypatch, n):
+    # a tabulated Hann mode's overlap from FFT lag sums is the one the
+    # direct correlation gives, to 1e-12 relative
+    t = (np.arange(n) + 0.5) / n
+    mode = TemporalMode.tabulated(np.sin(np.pi * t) ** 2, 1e-6)
+    got = mode.lorentz_overlap(5.6e7, 4.4e9)
+    monkeypatch.setattr(modes, "_autocorrelation",
+                        lambda x: np.correlate(x, x, "full")[x.size - 1:])
+    direct = mode.lorentz_overlap(5.6e7, 4.4e9)
+    assert got == pytest.approx(direct, rel=1e-12, abs=0.0)
 
 
 def test_n_samples_rounding():

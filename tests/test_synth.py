@@ -19,8 +19,8 @@ from eprsim import (DetectionChain, OpoParams, TemporalMode, beam_spectra, extra
                     vacuum_record)
 from eprsim import analysis, synth
 from eprsim.detection import mode_autocovariance, sample_variance_law
-from eprsim.synth import (TimeSeries, TwoModeRecord, _amplitude, _coefficients,
-                          _irfft, _next_fast_len, _power, block_length, layout,
+from eprsim.synth import (TimeSeries, TwoModeRecord, _amplitude, _coefficients, _draw_rows,
+                          _invert, _next_fast_len, _power, block_length, layout,
                           mode_value_spectrum, placed_window)
 
 import refvals
@@ -33,8 +33,8 @@ def _stress_psd():
 
 
 def _draw(amp, n, rng):
-    """One n-sample block as synthesize_colored draws it from rng."""
-    return _irfft(_coefficients(amp, n, rng), n)
+    """One n-sample block as a record draws it from rng."""
+    return np.fft.irfft(_coefficients(amp, n, rng), n)
 
 
 class _Fixed:
@@ -43,9 +43,12 @@ class _Fixed:
     def __init__(self, z):
         self.z = z
 
-    def standard_normal(self, size):
-        assert size == self.z.size
-        return self.z.copy()
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            assert size == self.z.size
+            return self.z.copy()
+        out[...], self.z = self.z[:out.size], self.z[out.size:]
+        return out
 
 
 def test_synthesis_block_must_cover_two_samples():
@@ -57,43 +60,83 @@ def test_synthesis_block_must_cover_two_samples():
 def test_flat_psd_passes_white_noise_through():
     # the vacuum calibration contract, exactly: with a flat amplitude the
     # linear map M from the drawn normals to the samples has M M^T = I, so
-    # the samples are white with unit variance (even and odd n)
+    # the samples are white with unit variance (odd n, one row; n a
+    # multiple of 16 with the Nyquist bin in row 0 or in row 8; n = 18,
+    # two mirrored rows; n = 1000, eight rows)
     fs = 50e6
-    for n in (16, 15):
-        amp = _amplitude(flat_psd(), None, n, fs)
-        m = np.column_stack([_draw(amp, n, _Fixed(e)) for e in np.eye(2 * amp.size)])
+    for n in (15, 16, 32, 48, 18, 1000):
+        amp = _amplitude(flat_psd(), None, n, fs, rows=True)
+        mid = amp.size // 2
+        m = np.column_stack([
+            _invert(_draw_rows(amp, n, (_Fixed(e[:2 * mid]), _Fixed(e[2 * mid:]))), n)
+            for e in np.eye(2 * amp.size)])
         assert np.max(np.abs(m @ m.T - np.eye(n))) <= 1e-12
         # and synthesize_colored is that map applied to its two streams'
-        # normals in bin order: bins [0, mid) from child 0, the rest from child 1
+        # normals in draw-position order: positions [0, mid) from child 0,
+        # the rest from child 1
         out = synthesize_colored(flat_psd(), n, fs, seed=11)
-        mid = amp.size // 2
         z = np.concatenate([np.random.default_rng(stream).standard_normal(2 * size)
                             for stream, size in zip(synth._children(11, 2),
                                                     (mid, amp.size - mid))])
         assert np.max(np.abs(out.samples - m @ z)) <= 1e-12
 
 
-def _spectrum(n, seed):
-    """n // 2 + 1 complex normals; DC and Nyquist keep their imaginary
-    parts, which an inverse real FFT ignores."""
-    return np.random.default_rng(seed).standard_normal(2 * (n // 2 + 1)).view(complex)
+def _rows(n, seed):
+    """A row layout of an n-sample block filled with complex normals,
+    mirror halves, DC and Nyquist imaginary parts included."""
+    r = math.gcd(n, 16)
+    z = np.random.default_rng(seed).standard_normal((r // 2 + 1, 2 * (n // r)))
+    return z.view(complex)
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 16, 18, 1000, 100_000, 1 << 22, (1 << 22) + 2])
+def _read_back(rows, n):
+    """The n // 2 + 1 rfft coefficients the layout holds, by its definition:
+    row k1, column k2 holds bin k = k1 + R k2, or the conjugate of bin
+    n - k when k > n/2, R = gcd(n, 16) and M = n/R."""
+    r = math.gcd(n, 16)
+    m = n // r
+    assert rows.shape == (r // 2 + 1, m)
+    k = np.arange(n // 2 + 1)
+    k1, k2 = k % r, k // r
+    low = 2 * k1 <= r
+    spec = np.empty(k.size, complex)
+    spec[low] = rows[k1[low], k2[low]]
+    spec[~low] = np.conj(rows[r - k1[~low], m - 1 - k2[~low]])
+    return spec
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 16, 18, 1000, 100_000, 1 << 17, 1 << 22, (1 << 22) + 2])
 def test_irfft_matches_numpy_for_even_lengths(n):
-    # the split into two half-length transforms is np.fft.irfft to rounding
-    # (n/2 even: a shared middle bin; n/2 odd: none)
-    spec = _spectrum(n, n)
-    want = np.fft.irfft(spec, n)
-    got = _irfft(spec.copy(), n)
+    # the four-step inverse of the row layout is np.fft.irfft of the
+    # spectrum read back from it, to rounding (R = 2, 4, 8 and 16 rows)
+    rows = _rows(n, n)
+    want = np.fft.irfft(_read_back(rows, n), n)
+    got = _invert(rows.copy(), n)
     assert got.shape == (n,)
     assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("n", [3, 15, 2025, 100_001])
+@pytest.mark.parametrize("n", [3, 15, 1001, 2025, 100_001, (1 << 17) + 1])
 def test_irfft_of_odd_length_is_numpy_irfft(n):
-    spec = _spectrum(n, n)
-    assert np.array_equal(_irfft(spec.copy(), n), np.fft.irfft(spec, n))
+    # one row, whose inverse is np.fft.irfft itself
+    rows = _rows(n, n)
+    assert np.array_equal(_invert(rows.copy(), n), np.fft.irfft(_read_back(rows, n), n))
+
+
+def test_row_amplitudes_lie_on_their_bins():
+    # _amplitude with rows scales each draw position by the amplitude of
+    # the bin the layout puts there, and DC and Nyquist, whose imaginary
+    # parts the inverse ignores, by sqrt(2) more
+    psd = _stress_psd()
+    for n in (2, 15, 18, 32, 48, 1000, 1001, 100_000):
+        amp = _amplitude(psd, None, n, 400e6, rows=True)
+        ones = (_Fixed(np.ones(2 * n)), _Fixed(np.ones(2 * n)))
+        spec = _read_back(_draw_rows(amp, n, ones), n)
+        want = _amplitude(psd, None, n, 400e6).copy()
+        want[0] *= math.sqrt(2.0)
+        if n % 2 == 0:
+            want[-1] *= math.sqrt(2.0)
+        np.testing.assert_allclose(spec.real, want, rtol=4e-16, atol=0.0)
 
 
 class _Inline:
@@ -106,8 +149,8 @@ class _Inline:
 
 
 def test_irfft_does_not_depend_on_the_helper_thread(monkeypatch):
-    # an even block's odd half runs on the helper thread; run on the
-    # calling thread instead, it gives the same bytes
+    # half of each step of the inverse runs on the helper thread; run on
+    # the calling thread instead, it gives the same bytes
     threads = []
     irfft = np.fft.irfft
 
@@ -117,14 +160,14 @@ def test_irfft_does_not_depend_on_the_helper_thread(monkeypatch):
 
     monkeypatch.setattr(np.fft, "irfft", recording)
     for n in (4, 18, 1000, 1 << 17):
-        spec = _spectrum(n, n)
+        rows = _rows(n, n)
         threads.clear()
-        threaded = _irfft(spec.copy(), n)
+        threaded = _invert(rows.copy(), n)
         assert len(set(threads)) == 2 and threading.get_ident() in threads
         with monkeypatch.context() as m:
             m.setattr(synth, "_helper", lambda pid: _Inline())
             threads.clear()
-            inline = _irfft(spec.copy(), n)
+            inline = _invert(rows.copy(), n)
             assert set(threads) == {threading.get_ident()}
         assert threaded.tobytes() == inline.tobytes()
     # and so does all of synthesize_colored, its two-part draw included,
@@ -152,8 +195,41 @@ def test_synthesis_allocates_coefficients_and_one_block():
     assert peak <= 16 * n + (4 << 20)
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_blocks_drawn_and_read_stay_within_their_peak_memory():
+    # two 2^22-sample blocks drawn and read in a fresh process, as
+    # mc_check's first two durations are, the first block's samples alive
+    # while the second is drawn: the row amplitudes (4n bytes), those
+    # samples (8n), the layout (9n), the new samples (8n), FFT scratch and
+    # the reading's temporaries peak at about 33.4n over the imported
+    # modules. The peak resident size counts the heap pages behind them,
+    # which tracemalloc does not: a buffer allocated on the helper thread
+    # that leaves its heap split, or a second amplitude cached beside the
+    # first, adds 4n (16 MB) and fails. The child reads its own high-water
+    # mark (VmHWM): its ru_maxrss would start at this process's peak, which
+    # Linux folds into it at exec
+    n = 1 << 22
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import re, sys; sys.path.insert(0, sys.argv[1]); "
+            "from eprsim import OpoParams, TemporalMode, extract_modes, opo_spectrum, "
+            "synthesize_colored; "
+            "status = lambda: open('/proc/self/status').read(); "
+            "peak = lambda: int(re.search(r'VmHWM:\\s*(\\d+) kB', status())[1]); "
+            "before = peak(); "
+            f"psd = opo_spectrum(OpoParams({refvals.X_330!r}, {refvals.HWHM!r}, "
+            f"{refvals.ETA!r}, 'X'), 'squeezed')\n"
+            f"for k, T in enumerate({refvals.T_GRID[:2]!r}):\n"
+            f"    series = synthesize_colored(psd, {n}, 400e6, seed=k)\n"
+            "    extract_modes(series, TemporalMode.square(T)).values\n"
+            "print(before, peak())")
+    done = subprocess.run([sys.executable, "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    before, after = map(int, done.stdout.split())
+    assert (after - before) * 1024 <= 34 * n, (before, after)
+
+
 def test_import_starts_no_thread():
-    # the helper thread starts on the first even block, not at import
+    # the helper thread starts on the first block, not at import
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, threading; sys.path.insert(0, sys.argv[1]); "
             "import eprsim.cli; print(threading.active_count()); "
@@ -192,7 +268,7 @@ def test_synth_imports_neither_analysis_nor_detection_at_run_time():
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_starts_its_own_helper():
     # a child forked after the helper thread started does not inherit the
-    # thread; its even blocks must not wait on it
+    # thread; its blocks must not wait on it
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import os, signal, sys; sys.path.insert(0, sys.argv[1]); "
             "import numpy as np; from eprsim import flat_psd, synthesize_colored; "
