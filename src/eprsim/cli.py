@@ -34,12 +34,13 @@ from .config import (MAX_GRID_POINTS, ConfigError, RunConfig, load_config,
 # perfbench's tracer wraps them
 from .detection import detect, expected_mode_variance  # noqa: F401
 from .detection import sample_variance_law
-from .modeopt import ModeFamily, NonUnimodalError, mode_duan, optimize
+from .modeopt import ModeFamily, NonUnimodalError, mode_duan, mode_duans, optimize
 from .modes import KINDS, TemporalMode
 # filtered_variance is not called here but stays importable from
 # eprsim.cli, where perfbench's tracer wraps it
 from .spectra import filtered_variance  # noqa: F401
-from .spectra import QuadratureError, duan_sum, epr_spectra, filtered_variances, to_db
+from .spectra import (OpoParams, QuadratureError, duan_sum, epr_spectra, filtered_variances,
+                      to_db)
 from .synth import _children, epr_record, vacuum_record
 
 EXIT_OK = 0
@@ -309,14 +310,21 @@ def cmd_sweep(cfg: RunConfig, out: Path, variable: str, grid: np.ndarray,
         except ValueError as exc:  # name the point, not the config field alone
             raise ConfigError(f"--grid {variable}={value:g}: {exc}") from exc
         settings.append((value, c, checked))
+    # one mode_duans call per pair of OPOs: a T sweep is one batch
+    groups: Dict[Tuple[OpoParams, OpoParams], List[int]] = {}
+    for j, (_, c, _) in enumerate(settings):
+        groups.setdefault((c.opo1, c.opo2), []).append(j)
+    duans: Dict[int, float] = {}
+    for (opo1, opo2), points in groups.items():
+        values = mode_duans(epr_spectra(opo1, opo2), [settings[j][1].mode for j in points])
+        duans.update(zip(points, values))
     rows = []
     for j, (value, c, checked) in enumerate(settings):
-        duan = mode_duan(epr_spectra(c.opo1, c.opo2), c.mode)
         duan_mc = None
         if checked:
             duan_mc = _run_pipeline(replace(c, repetitions=1), slot=j + 1,
                                     files=False)[0].duan
-        rows.append((variable, value, duan, duan_mc))
+        rows.append((variable, value, duans[j], duan_mc))
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "sweep.csv", _meta(cfg, "sweep", variable=variable),
                ("variable", "value", "duan", "duan_mc"), rows)

@@ -140,7 +140,8 @@ class _Objective:
 
     def many(self, points: Sequence[Dict[str, float]]) -> List[float]:
         """Values at points. Points not seen before are evaluated and
-        traced in order while the budget lasts; _BudgetExhausted is raised
+        traced in order while the budget lasts, in one mode_duans call,
+        and none when every point is cached; _BudgetExhausted is raised
         once those that fit are recorded."""
         keys = [tuple(p[n] for n in self.family.param_names) for p in points]
         new: Dict[Tuple[float, ...], Dict[str, float]] = {}
@@ -148,11 +149,12 @@ class _Objective:
             if key not in self.cache:
                 new.setdefault(key, params)
         todo = list(new.items())[:max(self.budget - len(self.cache), 0)]
-        values = mode_duans(self.spectra, [TemporalMode.from_params(self.family.kind, p)
-                                           for _, p in todo])
-        for (key, params), val in zip(todo, values):
-            self.cache[key] = val
-            self.trace.append((dict(params), val))
+        if todo:
+            values = mode_duans(self.spectra, [TemporalMode.from_params(self.family.kind, p)
+                                               for _, p in todo])
+            for (key, params), val in zip(todo, values):
+                self.cache[key] = val
+                self.trace.append((dict(params), val))
         if len(todo) < len(new):
             raise _BudgetExhausted
         return [self.cache[key] for key in keys]

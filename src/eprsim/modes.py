@@ -17,7 +17,7 @@ exponential integrals (_expint), each element evaluated to its own
 convergence, so a value does not depend on the batch it is computed in.
 Those moments depend on the band and the mode's support, not on the
 Lorentzian width or the decay rate, so they are shared per support: the
-longest set computed for each of the last 16 supports is kept (_moments),
+longest set computed for each of the last 64 supports is kept (_moments),
 and overlaps on a kept support (a mode's two EPR quadratures, the steps
 of a pump calibration or of the optimizer's rate search) evaluate them
 once, with values identical to a fresh evaluation.
@@ -408,52 +408,65 @@ def _tail(width: float, band: float, d: np.ndarray, power,
     broadcasts against d).
 
     The real part is the cosine integral, the imaginary part the sine one.
-    Expands the denominator in u = (band/Omega)^2, which converges for rate
-    and width below band, geometrically with ratio <= 1/4 when both are
-    <= band/2; term n then integrates to band^(1-p) E_p(-i band d), p =
-    2m + 2 - power + 2n.
+    Expands the denominator in u = (band/Omega)^2 (_tail_coefficients);
+    term n integrates to band^(1-p) E_p(-i band d), p = 2m + 2 - power + 2n.
     """
+    coeff = _tail_coefficients(width, band, rate, m)
+    y = band * np.asarray(d, dtype=float)
+    p0 = (2 * m + 2) - np.asarray(power, dtype=np.int64) + np.zeros(y.shape, dtype=np.int64)
+    return band ** (1.0 - p0) * (_moments(y, p0, len(coeff)) @ coeff)
+
+
+def _tail_coefficients(width: float, band: float, rate: float, m: int) -> List[float]:
+    """Coefficients of (1 + b u)^-1 (1 + a u)^-m in powers of u, a =
+    (rate/band)^2 and b = (width/band)^2, to as many terms as _tail needs:
+    the series converges for rate and width below band, geometrically with
+    ratio <= 1/4 when both are <= band/2. The recurrence runs on Python
+    floats: numpy scalars give the same values at twice the cost."""
     a, b = (rate / band) ** 2, (width / band) ** 2
     q = max(a, b)
     n_terms = 1 if q == 0.0 else min(80, 4 * m + 1 + math.ceil(-39.2 / math.log(q)))
-    coeff = (-b) ** np.arange(n_terms)  # (1 + b u)^-1
+    coeff = ((-b) ** np.arange(n_terms)).tolist()  # (1 + b u)^-1
     for _ in range(m):  # times (1 + a u)^-1
         for j in range(1, n_terms):
             coeff[j] -= a * coeff[j - 1]
-    y, p0 = np.broadcast_arrays(band * np.asarray(d, dtype=float),
-                                2 * m + 2 - np.asarray(power, dtype=np.int64))
-    moments = _moments(y.tobytes(), p0.tobytes(), n_terms)
-    return band ** (1.0 - p0) * (moments @ coeff)
+    return coeff
 
 
-def _moments(y: bytes, p0: bytes, n_terms: int) -> np.ndarray:
+def _moments(y: np.ndarray, p0: np.ndarray, n_terms: int) -> np.ndarray:
     """Read-only _expint(y, p0 + 2n) for n < n_terms, one row per element
-    of y and p0 (the bytes of equal-length float64 and int64 arrays).
+    of the equal-shape float64 y and int64 p0.
 
     They depend on the band, the mode's support and the power pattern, not
     on the Lorentzian width or the decay rate (those enter _tail through
     its coefficients and its term count), so overlaps on a kept support,
     such as a mode's two quadratures or the steps of a width or rate
     search, share one evaluation. The longest set computed for a support
-    is kept (_kept), and a shorter one is its first columns: _expint
-    retires each element on its own, so they are the same values."""
-    held = _kept(y, p0)
+    is kept (_kept, keyed on the bytes of y and p0), and a shorter one is
+    its first columns: _expint retires each element on its own, so they
+    are the same values."""
+    held = _kept(y.tobytes(), p0.tobytes())
     moments = held[0]
     if moments is None or moments.shape[1] < n_terms:
-        y_arr = np.frombuffer(y, dtype=float)
-        p0_arr = np.frombuffer(p0, dtype=np.int64)
-        moments = _expint(y_arr[:, None], p0_arr[:, None] + 2 * np.arange(n_terms))
+        moments = _expint(y[:, None], p0[:, None] + 2 * np.arange(n_terms))
         moments.flags.writeable = False
         held[0] = moments
     return moments[:, :n_terms]
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=64)
 def _kept(y: bytes, p0: bytes) -> List[Optional[np.ndarray]]:
     """The one-slot holder of a support's longest set of moments
-    (_moments). The last 16 supports are kept: as many distinct supports
-    as one filtered_variances call visits (14 in brute_force's grid)
-    survive from its first PSD to its second. An entry is about 7 MB only
-    for a 2^16-sample tabulated mode (one row per jump) and tiny
-    otherwise."""
+    (_moments). The last 64 supports are kept, so that every support one
+    search revisits survives until it is read again: a coordinate-descent
+    pass of optimize double_exp on paper.cfg visits 24 supports in the
+    same order each pass, so with fewer slots than that each set would be
+    evicted before its next read and computed again. Wherever the closed
+    form applies an entry costs at most 496 bytes per element of y (n_terms
+    <= 30 + 4m moments of 16 bytes, m = 0 for the many-element sets, plus
+    its key): about 4 KB for a parametric mode, 50 KB for a 100-sample
+    tabulated one, 5 MB for the square batch of a 10,000-point sweep and
+    32 MB for a 2^16-sample tabulated mode, the largest a config takes. So
+    the cache holds at most about 2 GB, and only when 64 such modes are
+    evaluated in turn."""
     return [None]

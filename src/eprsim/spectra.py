@@ -14,7 +14,7 @@ mode with that correlation, minus the exactly integrated [B, inf) tail.
 filtered_variances evaluates it for several spectra on a set of modes
 (the EPR pair's two quadratures on one mode, an optimizer's prescan, a
 grid of square durations), one modes.lorentz_overlaps call per spectrum;
-the last 16 sets of band-tail moments stay cached (modes._moments), so
+the last 64 sets of band-tail moments stay cached (modes._moments), so
 the second spectrum reuses the first one's. Composite Gauss-Legendre
 quadrature remains for spectra with an arbitrary evaluator and for modes
 whose decay rate exceeds B/2.

@@ -1,12 +1,14 @@
 """Temporal mode functions: normalization, spectra, and discretization."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import sici
 
 from eprsim import TemporalMode
 from eprsim import modes
-from eprsim.modes import _autocorrelation, _expint, _kept, _moments
+from eprsim.modes import _autocorrelation, _expint, _kept, _moments, _tail_coefficients
 
 ALL_KINDS = [
     TemporalMode.square(0.2e-6),
@@ -154,7 +156,7 @@ def test_shorter_moments_are_the_first_columns_of_the_longest(monkeypatch):
     # its first columns, the values a cold evaluation of it gives, with no
     # second evaluation
     y = np.array([0.0, 0.5, 3.0, 40.0])
-    key = (y.tobytes(), np.full(y.size, 2, dtype=np.int64).tobytes())
+    key = (y, np.full(y.size, 2, dtype=np.int64))
     _kept.cache_clear()
     cold = _moments(*key, 14).copy()
     _kept.cache_clear()
@@ -167,6 +169,32 @@ def test_shorter_moments_are_the_first_columns_of_the_longest(monkeypatch):
     assert np.array_equal(shorter, cold)
     assert np.array_equal(longest[:, :14], cold)
     _kept.cache_clear()
+
+
+def _numpy_tail_coefficients(width, band, rate, m):
+    """The series coefficients of _tail computed on numpy scalars, as
+    _tail did before its recurrence moved to Python floats."""
+    a, b = (rate / band) ** 2, (width / band) ** 2
+    q = max(a, b)
+    n_terms = 1 if q == 0.0 else min(80, 4 * m + 1 + math.ceil(-39.2 / math.log(q)))
+    coeff = (-b) ** np.arange(n_terms)
+    for _ in range(m):
+        for j in range(1, n_terms):
+            coeff[j] -= a * coeff[j - 1]
+    return coeff
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_tail_coefficients_are_the_numpy_recurrence_bit_for_bit(m):
+    # rates and widths from 0 to 0.95 band, where the term count reaches
+    # its cap of 80, with the band at 2 pi 100 MHz
+    band = 2.0 * np.pi * 1e8
+    scales = np.concatenate(([0.0], np.geomspace(1e-6, 0.95, 23)))
+    for rate in band * scales:
+        for width in band * scales[1:]:
+            got = np.array(_tail_coefficients(width, band, rate, m))
+            want = _numpy_tail_coefficients(width, band, rate, m)
+            assert got.tobytes() == want.tobytes(), (rate, width)
 
 
 @pytest.mark.parametrize("n", [100, 4096])
