@@ -35,7 +35,7 @@ from .config import (MAX_GRID_POINTS, ConfigError, RunConfig, load_config,
 from .detection import detect, expected_mode_variance  # noqa: F401
 from .detection import sample_variance_law
 from .modeopt import ModeFamily, NonUnimodalError, mode_duan, mode_duans, optimize
-from .modes import KINDS, TemporalMode
+from .modes import KINDS, MAX_RATE, TemporalMode
 # filtered_variance is not called here but stays importable from
 # eprsim.cli, where perfbench's tracer wraps it
 from .spectra import filtered_variance  # noqa: F401
@@ -62,25 +62,24 @@ def _fmt(value) -> str:
     return f"{v:.12g}"
 
 
-def _data_lines(rows: Sequence[Sequence[object]]) -> str:
-    """The CSV lines of rows, each value as _fmt writes it: when every
-    value is a float and none is NaN (the diagram, PSD and spectra files),
+def _data_lines(rows: Iterable[Sequence[object]]) -> str:
+    """The CSV lines of rows, each value as _fmt writes it: a float64
+    array with no NaN (the diagram, PSD, spectra and optimize tables) by
     one % over a repeated %.12g row template, the bytes _fmt gives;
-    otherwise _fmt of each value."""
-    values = [v for row in rows for v in row]
-    if (rows and all(isinstance(v, (float, np.floating)) for v in values)
-            and not np.isnan(values).any()):
-        template = ",".join(["%.12g"] * len(rows[0])) + "\n"
-        return template * len(rows) % tuple(values)
+    any other rows by _fmt of each value."""
+    if isinstance(rows, np.ndarray) and not np.isnan(rows).any():
+        template = ",".join(["%.12g"] * rows.shape[1]) + "\n"
+        return template * rows.shape[0] % tuple(rows.ravel().tolist())
     return "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def _csv_text(meta: Dict[str, object], header: Sequence[str],
               rows: Iterable[Sequence[object]]) -> str:
-    """A CSV file's text: "# key=value" lines, the header, the rows."""
+    """A CSV file's text: "# key=value" lines, the header, the rows
+    (_data_lines)."""
     lines = [f"# {key}={_fmt(value)}\n" for key, value in meta.items()]
     lines.append(",".join(header) + "\n")
-    lines.append(_data_lines(list(rows)))
+    lines.append(_data_lines(rows))
     return "".join(lines)
 
 
@@ -154,7 +153,9 @@ def _run_pipeline(cfg: RunConfig, slot: int = 0, files: bool = True):
     --mc-check`) every repetition draws in mode space where it can. The
     run's 2*reps reference variances are then checked once against their
     exact law (check_reference, sample_variance_law): a fixed
-    false-failure rate.
+    false-failure rate. The law is computed on the calling thread while
+    the pool draws (on a worker its arrays would stay in that thread's
+    arena), and a repetition's exception is raised before the law's.
 
     Random streams form the spawn tree seed -> slot -> repetition ->
     stream -> beam (slot 0 is `run`, slot j+1 the `sweep --mc-check` run
@@ -166,10 +167,14 @@ def _run_pipeline(cfg: RunConfig, slot: int = 0, files: bool = True):
     root = np.random.SeedSequence(cfg.seed, spawn_key=(slot,))
     seqs = _children(root, cfg.repetitions)
     with ThreadPoolExecutor(max_workers=_worker_count(len(seqs))) as pool:
-        results = list(pool.map(_one_repetition, [cfg] * len(seqs), seqs,
-                                [files] + [False] * (len(seqs) - 1)))
+        results = pool.map(_one_repetition, [cfg] * len(seqs), seqs,
+                           [files] + [False] * (len(seqs) - 1))
+        try:
+            ref_mean, ref_sd = sample_variance_law(None, cfg.chain, cfg.fs, cfg.mode,
+                                                   cfg.duration)
+        finally:
+            results = list(results)
     report = combine_reports([r for r, _ in results])
-    ref_mean, ref_sd = sample_variance_law(None, cfg.chain, cfg.fs, cfg.mode, cfg.duration)
     check_reference(report, ref_mean, ref_sd)
     return report, results[0][1], ref_mean
 
@@ -194,7 +199,8 @@ def _setting_files(cfg: RunConfig, tag: str, record, vacuum,
     diagram = correlation_diagram(va, vb)
     files = {}
     meta = _meta(cfg, "run", setting=tag, pearson_r=diagram.pearson_r)
-    files[f"diagram_{tag}.csv"] = _csv_text(meta, ("a", "b"), zip(diagram.a, diagram.b))
+    files[f"diagram_{tag}.csv"] = _csv_text(meta, ("a", "b"),
+                                            np.column_stack((diagram.a, diagram.b)))
     idx, ta, tb = trace_excerpt(va, vb, n=min(50, va.count))
     files[f"trace_{tag}.csv"] = _csv_text(_meta(cfg, "run", setting=tag),
                                           ("index", "a", "b"), zip(idx, ta, tb))
@@ -207,7 +213,7 @@ def _setting_files(cfg: RunConfig, tag: str, record, vacuum,
     db = est_sig.db - est_ref.db
     files[f"psd_{tag}.csv"] = _csv_text(
         _meta(cfg, "run", setting=tag, segments=est_sig.n_segments),
-        ("freq_hz", "db"), zip(est_sig.freq_hz, db))
+        ("freq_hz", "db"), np.column_stack((est_sig.freq_hz, db)))
     return files, diagram
 
 
@@ -250,13 +256,13 @@ def cmd_spectra(cfg: RunConfig, out: Path) -> int:
     for tag, psd in (("x", spectra.diff_x), ("p", spectra.sum_p)):
         db = 10.0 * np.log10(psd(omega))
         _write_csv(out / f"psd_{tag}.csv", _meta(cfg, "spectra", setting=tag),
-                   ("freq_hz", "db"), zip(freq, db))
+                   ("freq_hz", "db"), np.column_stack((freq, db)))
 
     t_grid = np.geomspace(1e-8, 1e-5, 151).tolist()  # 50 points per decade
     vx, vp = filtered_variances((spectra.diff_x, spectra.sum_p),
                                 [TemporalMode.square(t) for t in t_grid])
-    rows = [(t, x, p, to_db(x), to_db(p), duan_sum(x, p))
-            for t, x, p in zip(t_grid, vx, vp)]
+    rows = np.array([(t, x, p, to_db(x), to_db(p), duan_sum(x, p))
+                     for t, x, p in zip(t_grid, vx, vp)])
     _write_csv(out / "variances.csv", _meta(cfg, "spectra"),
                ("T_s", "var_diff_x", "var_sum_p", "db_diff_x", "db_sum_p", "duan"),
                rows)
@@ -350,6 +356,8 @@ def _family_bounds(kind: str, overrides: Sequence[str]) -> Dict[str, Tuple[float
             bounds[name] = (float(lo), float(hi))
         except ValueError as exc:
             raise ConfigError(f"--bound expects name=lo:hi, got {text!r}") from exc
+        if name == "rate" and bounds[name][1] > MAX_RATE:
+            raise ConfigError(f"--bound rate: must be at most {MAX_RATE:g} 1/s, got {text!r}")
     return bounds
 
 
@@ -366,7 +374,7 @@ def cmd_optimize(cfg: RunConfig, out: Path, kind: str, budget: int,
                  best_duan=result.best_duan,
                  **{f"best_{n}": best[n] for n in names})
     _write_csv(out / "optimize.csv", meta, (*names, "duan"),
-               [tuple(p[n] for n in names) + (v,) for p, v in result.trace])
+               np.array([tuple(p[n] for n in names) + (v,) for p, v in result.trace]))
     desc = ", ".join(f"{n}={best[n]:.6g}" for n in names)
     print(f"best {kind} mode: {desc} -> duan {result.best_duan:.6f} "
           f"({'converged' if result.converged else 'budget exhausted'}, "

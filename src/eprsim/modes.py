@@ -35,6 +35,12 @@ import numpy as np
 __all__ = ["KINDS", "ModeKind", "TemporalMode", "lorentz_overlaps",
            "square_lorentz_overlaps"]
 
+# decay rate (1/s) of an exponential mode far above any the ADC could
+# sample; beyond it the oracle fails: power_spectrum's (r^2 + Omega^2)^2
+# overflows from about 1.2e77 (double_exp), and filtered_variance's
+# quadrature stops converging well before 1e140
+MAX_RATE = 1e20
+
 
 class ModeKind(NamedTuple):
     """One row of the mode-kind table: the factory's parameter names in call
@@ -76,6 +82,8 @@ class TemporalMode:
         if self.kind in ("one_sided_exp", "double_exp"):
             if self.rate is None or not (self.rate > 0.0 and np.isfinite(self.rate)):
                 raise ValueError(f"rate: {self.kind} mode requires a positive decay rate")
+            if self.rate > MAX_RATE:
+                raise ValueError(f"rate: must be at most {MAX_RATE:g} 1/s, got {self.rate:g}")
         if self.kind == "tabulated":
             if not self.samples or len(self.samples) < 1:
                 raise ValueError("samples: tabulated mode requires at least one sample")

@@ -27,8 +27,10 @@ takes, all from layout, their one derivation) are a circulant Gaussian
 sequence whose spectrum S_q is known (mode_value_spectrum of P and
 placed_window), so each beam draws their rfft coefficients from
 sqrt(n/(2 hop) * S_q), as a block draws its own from sqrt(n/2 * P),
-both from one cache (_amplitude), and one inverse FFT gives the values.
-This is exact in distribution. Beam k then draws from the child
+both from one cache (_amplitude), and one inverse FFT gives the values
+(_ModeDraw.values; a reading that takes all n/hop of them needs none,
+analysis reads their variance from the coefficients by Parseval). This
+is exact in distribution. Beam k then draws from the child
 (*seq.spawn_key, 2 + k), so it shares no seed with the full draw of the
 same record. Its beams are drawn on first use, the same from any thread,
 and a reading (analysis.epr_report) draws only the beams it weighs: the
@@ -518,6 +520,11 @@ class _ModeDraw:
             return self.beam(0 if sign > 0 else 1)
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         return inv_sqrt2 * self.beam(0) + (sign * inv_sqrt2) * self.beam(1)
+
+    def values(self, sign: float) -> np.ndarray:
+        """The count mode values a reading of combination(sign) takes: the
+        first count of the size values its inverse FFT gives."""
+        return np.fft.irfft(self.combination(sign), self.size)[:self.count]
 
 
 @dataclass(frozen=True)

@@ -247,6 +247,32 @@ def test_mode_space_record_is_read_for_its_own_mode_only(calibrated_pair):
         analysis._combo_variance(rec, -1.0, TemporalMode.square(0.4e-6))
 
 
+@pytest.mark.parametrize("samples, width, size", [(100_000, 2e-7, 10_000),
+                                                  (10_125, 1e-7, 2_025)], ids=("even", "odd"))
+def test_a_reading_of_every_mode_value_is_the_variance_of_the_inverse_fft(
+        calibrated_pair, samples, width, size):
+    # through the default chain, the mode-space draw's size values are all
+    # read (count == size), so each reading takes the ddof=1 variance from
+    # the combination's rfft coefficients C by Parseval; it matches that
+    # of irfft(C, size) for even size (Nyquist counted once) and odd size.
+    # The X record's diff-x is input beam 2 alone, P's sum-p beam 1 alone
+    mode, fs = TemporalMode.square(width), 50e6
+    seqs = synth._children(41, 3)
+    x_rec, p_rec = (epr_record(*calibrated_pair, samples / fs, fs, setting, seq,
+                               chain=DetectionChain(), mode=mode)
+                    for setting, seq in zip("XP", seqs))
+    vac = vacuum_record(samples / fs, fs, seqs[2], chain=DetectionChain(), mode=mode)
+    b1, b2 = (vac.draw.beam(k) / math.sqrt(2.0) for k in (0, 1))
+    for rec, sign, spec in ((x_rec, -1.0, x_rec.draw.beam(1)),
+                            (p_rec, +1.0, p_rec.draw.beam(0)),
+                            (vac, -1.0, b1 - b2), (vac, +1.0, b1 + b2)):
+        assert (rec.draw.size, rec.draw.count) == (size, size)
+        assert np.allclose(rec.draw.combination(sign), spec, rtol=1e-15, atol=1e-15)
+        expected = np.var(np.fft.irfft(rec.draw.combination(sign), size), ddof=1)
+        assert analysis._combo_variance(rec, sign, mode) == pytest.approx(
+            expected, rel=1e-13, abs=0.0)
+
+
 def test_mode_value_spectrum_validation():
     window = np.fft.rfft(np.r_[1.0, np.zeros(99)])
     with pytest.raises(ValueError, match="does not divide"):

@@ -5,6 +5,8 @@ import json
 import math
 import subprocess
 import sys
+import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from eprsim import (QuadratureError, TemporalMode, combine_reports, detect,
 from eprsim import analysis, cli, synth
 from eprsim.cli import main
 from eprsim.config import load_config
-from eprsim.modes import KINDS
+from eprsim.modes import KINDS, MAX_RATE
 from eprsim.spectra import MIN_HWHM
 from eprsim.synth import block_length
 
@@ -268,75 +270,132 @@ def test_repetition_0_is_read_from_its_full_records(case, tmp_path):
     assert _pooled(reps, cfg) == report0
 
 
+def _counting_irffts(monkeypatch):
+    """Patches np.fft.irfft to record (length, whether the calling thread
+    made the call) of each inverse FFT, in call order."""
+    calls, irfft, caller = [], np.fft.irfft, threading.current_thread()
+
+    def counting(a, n=None, *args, **kwargs):
+        calls.append((2 * (len(a) - 1) if n is None else n,
+                      threading.current_thread() is caller))
+        return irfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counting)
+    return calls
+
+
+def _mode_space_size(cfg):
+    """(size, m) of cfg's records drawn in mode space: the n/hop values of
+    the draw's circular sequence and the m a reading takes (synth.layout)."""
+    n, _, hop, m = synth.layout(cfg.duration, cfg.fs, cfg.chain, cfg.mode)
+    return n // hop, m
+
+
 @pytest.mark.parametrize("case", [*MODE_SPACE, *FULL_DRAW])
 def test_only_repetition_0_draws_blocks_where_mode_space_is_possible(case, tmp_path,
                                                                      monkeypatch):
     # where the chain is linear and the mode's spacing divides the block,
     # repetition 0 draws six block beams and takes six full-block inverse
     # FFTs, for its report and its files, and every later repetition draws
-    # four beams of m//2 + 1 mode-value coefficients, each inverted once;
-    # otherwise every repetition draws and builds its records in full. The
-    # run's reference check then takes one block-length inverse FFT, the
-    # lag covariance of its law (sample_variance_law)
+    # four beams of size//2 + 1 mode-value coefficients. A later
+    # repetition whose readings take all size values inverts none of them
+    # (analysis reads the variance by Parseval); one whose record is
+    # trimmed (m < size) inverts each of its four combinations once, at
+    # length size. Otherwise every repetition draws and builds its records
+    # in full. The run's reference law (sample_variance_law) takes one
+    # block-length inverse FFT, the lag covariance, on the calling thread
     path = tmp_path / "five.json"
     path.write_text(json.dumps(dict(FAST, **{**MODE_SPACE, **FULL_DRAW}[case])))
     cfg = load_config(path)
     block = block_length(cfg.duration, cfg.fs)
-    m = block // (cfg.chain.decimation(cfg.fs) * cfg.mode.n_samples(cfg.chain.adc_rate))
-    lengths, draws = [], []
-    irfft, coefficients = np.fft.irfft, synth._coefficients
-
-    def counting_irfft(a, n=None, *args, **kwargs):
-        lengths.append(2 * (len(a) - 1) if n is None else n)
-        return irfft(a, n, *args, **kwargs)
+    draws, coefficients = [], synth._coefficients
 
     def counting_draws(amp, n, rng):
         draws.append(n)
         return coefficients(amp, n, rng)
 
-    monkeypatch.setattr(np.fft, "irfft", counting_irfft)
+    calls = _counting_irffts(monkeypatch)
     monkeypatch.setattr(synth, "_coefficients", counting_draws)
     assert main(["run", "--config", str(path), "--reps", "5",
                  "--out", str(tmp_path / "run")]) == 0
+    assert [n for n, on_caller in calls if on_caller] == [block]
+    workers = [n for n, on_caller in calls if not on_caller]
     if case in MODE_SPACE:
-        assert sorted(draws) == sorted([block] * 6 + [m] * 4 * 4)
-        assert lengths.count(block) == 6 + 1
-        assert lengths.count(m) == 4 * 4  # one per combination and later repetition
-        assert set(lengths) <= {block, m} and lengths[-1] == block
+        size, m = _mode_space_size(cfg)
+        assert (m < size) == (case == "trimmed_block")
+        assert sorted(draws) == sorted([block] * 6 + [size] * 4 * 4)
+        assert sorted(workers) == sorted([block] * 6 + [size] * 4 * 4 * (m < size))
     else:
         assert draws == [block] * 6 * 5
-        assert lengths == [block] * (6 * 5 + 1)
+        assert workers == [block] * 6 * 5
 
 
 @pytest.mark.parametrize("case", [*MODE_SPACE, *FULL_DRAW])
 def test_sweep_check_draws_in_mode_space_where_it_can(case, tmp_path, monkeypatch):
     # a checked sweep point has no files, so its one repetition draws four
     # beams in mode space and takes no full-block inverse FFT where the
-    # chain is linear and the mode's spacing divides the block; a
-    # quantizing chain or an undivided block still draws six block beams.
-    # Each point's reference check then takes one, for its law
+    # chain is linear and the mode's spacing divides the block: none at
+    # all where its readings take all size values, one of length size per
+    # combination where the record is trimmed. A quantizing chain or an
+    # undivided block still draws six block beams. Each point's reference
+    # law takes one block-length inverse FFT on the calling thread
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(dict(FAST, **{**MODE_SPACE, **FULL_DRAW}[case])))
     cfg = load_config(path)
     block = block_length(cfg.duration, cfg.fs)
-    m = block // (cfg.chain.decimation(cfg.fs) * cfg.mode.n_samples(cfg.chain.adc_rate))
-    lengths = []
-    irfft = np.fft.irfft
-
-    def counting(a, n=None, *args, **kwargs):
-        lengths.append(2 * (len(a) - 1) if n is None else n)
-        return irfft(a, n, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "irfft", counting)
+    calls = _counting_irffts(monkeypatch)
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(path), "--var", "efficiency",
                  "--grid", "0.9:1:2", "--mc-check", "--out", str(out)]) == 0
+    assert [n for n, on_caller in calls if on_caller] == [block] * 2
+    workers = [n for n, on_caller in calls if not on_caller]
     if case in MODE_SPACE:
-        assert lengths == ([m] * 4 + [block]) * 2  # one per combination and checked point
+        size, m = _mode_space_size(cfg)
+        assert workers == [size] * 4 * 2 * (m < size)
     else:
-        assert lengths == [block] * (6 + 1) * 2
+        assert workers == [block] * 6 * 2
     _, _, rows = _read_csv(out / "sweep.csv")
     assert all(row[3] for row in rows)
+
+
+def test_reference_law_is_computed_while_the_repetitions_draw(fast_cfg, monkeypatch):
+    # the law runs on the calling thread after every repetition is
+    # submitted: repetitions that wait for it finish. A repetition's
+    # exception is raised before the law's, and the law's when none fails
+    cfg = load_config(fast_cfg)
+    law, repetition = cli.sample_variance_law, cli._one_repetition
+    computed = threading.Event()
+    law_threads, waited = [], []
+
+    def recording_law(*args):
+        law_threads.append(threading.current_thread())
+        computed.set()
+        return law(*args)
+
+    def waiting(*args):
+        waited.append(computed.wait(timeout=10.0))
+        return repetition(*args)
+
+    monkeypatch.setattr(cli, "sample_variance_law", recording_law)
+    monkeypatch.setattr(cli, "_one_repetition", waiting)
+    report, _, expected_ref = cli._run_pipeline(replace(cfg, repetitions=3))
+    assert waited == [True] * 3 and law_threads == [threading.current_thread()]
+    assert report.repetitions == 3 and expected_ref == law(None, cfg.chain, cfg.fs,
+                                                           cfg.mode, cfg.duration)[0]
+
+    def failing_law(*args):
+        raise QuadratureError("synthetic law failure")
+
+    def failing_repetition(cfg, seq, files=False):
+        raise FloatingPointError("synthetic repetition failure")
+
+    monkeypatch.setattr(cli, "sample_variance_law", failing_law)
+    monkeypatch.setattr(cli, "_one_repetition", repetition)
+    with pytest.raises(QuadratureError, match="synthetic law failure"):
+        cli._run_pipeline(cfg)
+    monkeypatch.setattr(cli, "_one_repetition", failing_repetition)
+    with pytest.raises(FloatingPointError, match="synthetic repetition failure"):
+        cli._run_pipeline(cfg)
 
 
 def _scipy_modules_after(code: str, *args: str) -> str:
@@ -466,7 +525,9 @@ def _fmt_lines(rows):
 
 
 def test_csv_rows_are_formatted_as_fmt_writes_each_value(tmp_path):
-    # the one-call template gives the bytes of the per-value path
+    # a float64 array without NaN is formatted by one call over a row
+    # template, and gives the bytes of _fmt of each value, as every other
+    # table does
     edge = [-0.0, 0.0, np.inf, -np.inf, 5e-324, 1e16, 123456789012.0,
             1234567890123.0, 1 / 3, -2.5e-300, 1.7976931348623157e308]
     rng = np.random.default_rng(3)
@@ -480,14 +541,19 @@ def test_csv_rows_are_formatted_as_fmt_writes_each_value(tmp_path):
         [(i, float(v)) for i, v in zip(ints, edge)],
         list(zip(np.arange(5), [np.float32(0.1)] * 5)),
         [],
-        # every value a float and none NaN: the template
         list(zip(floats, floats[::-1])),
         [(v, np.float32(v)) for v in (0.1, -2.5, 1e16, 1 / 3, -0.0)],
-        # a NaN or a None among floats: _fmt of each value
         list(zip(floats, with_nan)),
         [(1.5, np.nan), (2.0, 3.0)],
         [(v, None) for v in edge],
         [(1.0, 2.0), (None, 3.0)],
+        # float64 arrays: the template without NaN, _fmt of each value with
+        np.column_stack((floats, floats[::-1])),
+        np.column_stack((floats, floats[::-1], -floats)),
+        np.array(edge).reshape(-1, 1),
+        np.empty((0, 2)),
+        np.column_stack((floats, with_nan)),
+        np.array([[1.5, np.nan], [2.0, 3.0]]),
     ]
     for rows in cases:
         assert cli._data_lines(rows) == _fmt_lines(rows)
@@ -1025,6 +1091,35 @@ def test_optimize_bound_overrides(fast_cfg, tmp_path):
                  "--bound", "duration=zz:1", "--out", str(out)]) == 2
     assert main(["optimize", "--config", str(fast_cfg), "--family", "square",
                  "--budget", "5", "--out", str(out)]) == 2
+
+
+def test_a_decay_rate_above_max_rate_is_rejected_at_parse_time(tmp_path, capsys):
+    # paper.cfg with a 2 us double_exp mode: beyond MAX_RATE, rate 1e80
+    # overflowed power_spectrum, 1e140 failed the oracle's quadrature and
+    # 1e300 discretized to zero weights; each now exits 2 naming the field
+    # or the --bound before any work. MAX_RATE itself runs the oracle clean
+    def config(rate):
+        path = tmp_path / f"rate_{rate:g}.json"
+        mode = {"kind": "double_exp", "rate": rate, "support": 2e-6}
+        path.write_text(json.dumps(dict(_PAPER, mode=mode)))
+        return str(path)
+
+    out = tmp_path / "rejected"
+    for verb, rate in (("spectra", 1e80), ("spectra", 1e140), ("run", 1e300)):
+        assert main([verb, "--config", config(rate), "--out", str(out)]) == 2
+        assert f"mode.rate: must be at most 1e+20 1/s, got {rate:g}" in capsys.readouterr().err
+    for span in ("1:1e300", "1:inf"):
+        assert main(["optimize", "--config", str(PAPER_CFG), "--family", "double_exp",
+                     "--bound", f"rate={span}", "--out", str(out)]) == 2
+        assert f"--bound rate: must be at most 1e+20 1/s, got 'rate={span}'" in (
+            capsys.readouterr().err)
+    assert not out.exists()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["spectra", "--config", config(MAX_RATE),
+                     "--out", str(tmp_path / "spectra")]) == 0
+        assert main(["optimize", "--config", str(PAPER_CFG), "--family", "one_sided_exp",
+                     "--bound", f"rate=1:{MAX_RATE:g}", "--out", str(tmp_path / "opt")]) == 0
 
 
 def test_output_dir_defaults_to_config(tmp_path, monkeypatch):

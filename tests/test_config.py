@@ -126,6 +126,10 @@ def test_fingerprint_is_stable_and_ignores_output_dir():
     (lambda t: t.update(mode={"kind": "tabulated", "samples": [1.0] * 65_537,
                               "duration": 2e-7}),
      r"^mode\.samples: at most 65536 samples, got 65537$"),
+    (lambda t: t.update(mode={"kind": "double_exp", "rate": 1e80, "support": 2e-6}),
+     r"^mode\.rate: must be at most 1e\+20 1/s, got 1e\+80$"),
+    (lambda t: t.update(mode={"kind": "one_sided_exp", "rate": 1e300, "support": 2e-6}),
+     r"^mode\.rate: must be at most 1e\+20 1/s, got 1e\+300$"),
 ])
 def test_validation_messages_name_the_field(mutate, message):
     table = _base_table()

@@ -8,7 +8,8 @@ from scipy.special import sici
 
 from eprsim import TemporalMode
 from eprsim import modes
-from eprsim.modes import _autocorrelation, _expint, _kept, _moments, _tail_coefficients
+from eprsim.modes import (MAX_RATE, _autocorrelation, _expint, _kept, _moments,
+                          _tail_coefficients)
 
 ALL_KINDS = [
     TemporalMode.square(0.2e-6),
@@ -276,6 +277,9 @@ def test_validation_errors():
         TemporalMode.one_sided_exp(rate=0.0, support=1e-6)
     with pytest.raises(ValueError):
         TemporalMode.double_exp(rate=-1e6, support=1e-6)
+    with pytest.raises(ValueError, match="rate: must be at most 1e\\+20 1/s"):
+        TemporalMode.double_exp(rate=1.0000000000000002e20, support=1e-6)
+    assert TemporalMode.one_sided_exp(rate=MAX_RATE, support=1e-6).rate == 1e20
     with pytest.raises(ValueError):
         TemporalMode.tabulated([0.0, 0.0], 1e-6)
     with pytest.raises(ValueError):

@@ -579,12 +579,14 @@ _PAPER = load_config(Path(__file__).resolve().parents[1] / "paper.cfg")
     (50e6, 2e-3, DetectionChain(), TemporalMode.square(7e-7), 100_000, None, 2_857),
     (50e6, 2e-3, DetectionChain(adc_bits=12), TemporalMode.square(2e-7), 100_000, None, 10_000),
 ], ids=("paper", "untrimmed", "decimating", "undivided", "quantizing"))
-def test_one_layout_for_every_reader(monkeypatch, fs, duration, chain, mode, block, size, m):
+def test_one_layout_for_every_reader(fs, duration, chain, mode, block, size, m):
     # layout's m is the count extract_modes takes from the full draw, a
     # record drawn with the mode reads exactly m values (in mode space
-    # where size, the draw's n/hop values, is given), and the exact law of
-    # white vacuum without a chain, (1, sqrt(2/(m-1))), holds for the m
-    # extract_modes takes from that full draw
+    # where size, the draw's n/hop values, is given: all of them by
+    # Parseval where m == size, the first m of the draw's values where the
+    # record is trimmed), and the exact law of white vacuum without a
+    # chain, (1, sqrt(2/(m-1))), holds for the m extract_modes takes from
+    # that full draw
     n, _, hop, m_layout = layout(duration, fs, chain, mode)
     assert (n, m_layout) == (block, m)
     full = vacuum_record(duration, fs, 5, chain=chain)
@@ -593,15 +595,16 @@ def test_one_layout_for_every_reader(monkeypatch, fs, duration, chain, mode, blo
     assert isinstance(rec, synth._ModeRecord) == (size is not None)
     if size is not None:
         assert (n // hop, rec.draw.size, rec.draw.count) == (size, size, m)
-    read, var = [], np.var
-
-    def counting_var(vals, ddof):
-        read.append(vals.size)
-        return var(vals, ddof=ddof)
-
-    monkeypatch.setattr(np, "var", counting_var)
-    analysis._combo_variance(rec, -1.0, mode)
-    assert read == [m]
+        values = rec.draw.values(-1.0)
+        assert np.array_equal(values, np.fft.irfft(rec.draw.combination(-1.0), size)[:m])
+    else:
+        values = extract_modes(analysis.combo_series(rec, -1.0), mode).values
+    assert values.size == m
+    read = analysis._combo_variance(rec, -1.0, mode)
+    if size == m:
+        assert read == pytest.approx(np.var(values, ddof=1), rel=1e-13, abs=0.0)
+    else:
+        assert read == np.var(values, ddof=1)
     white = analysis.combo_series(vacuum_record(duration, fs, 5), -1.0)
     m_white = extract_modes(white, mode).count
     mean, sd = sample_variance_law(None, None, fs, mode, duration)
@@ -616,13 +619,14 @@ def _autocorrelation(values, lag):
 
 
 @pytest.mark.parametrize("drawn_with_mode", [True, False], ids=("mode_space", "full"))
-def test_mode_values_correlate_across_windows_in_order(monkeypatch, drawn_with_mode):
+def test_mode_values_correlate_across_windows_in_order(drawn_with_mode):
     # paper.cfg's chain with a 20 ns square mode: one ADC sample per window,
     # so one record gives m = 100,000 values, and the 8.4 MHz low-pass
     # correlates neighbours. Their lag-l correlation rho_l = c_l/c_0 is the
     # bin sum of P |W|^2 cos(2 pi k l hop/n), every rfft bin but DC and
     # Nyquist counted twice for its mirror image; the values a reading
-    # takes sit within 0.02 (about 5 Bartlett SE) of it at lags 1 and 2.
+    # takes (a mode-space draw's values, whose variance it reads by
+    # Parseval) sit within 0.02 (about 5 Bartlett SE) of it at lags 1 and 2.
     # The variance does not see the order of the values: reversing the
     # mode-space spectrum keeps it and flips every odd lag.
     cfg, mode = _PAPER, TemporalMode.square(2e-8)
@@ -644,18 +648,15 @@ def test_mode_values_correlate_across_windows_in_order(monkeypatch, drawn_with_m
                 (p_rec, +1.0, beam_spectra(cfg.opo1, cfg.opo2, "P")[0], (0.2813, -0.0056)),
                 (vac, -1.0, flat_psd(), (0.4548, 0.1393)),
                 (vac, +1.0, flat_psd(), (0.4548, 0.1393))]
-    read, var = [], np.var
-
-    def keeping_var(vals, ddof):
-        read.append(vals)
-        return var(vals, ddof=ddof)
-
-    monkeypatch.setattr(np, "var", keeping_var)
     for rec, sign, psd, quoted in readings:
         assert isinstance(rec, synth._ModeRecord) == drawn_with_mode
-        analysis._combo_variance(rec, sign, mode)
-        values = read.pop()
+        if drawn_with_mode:
+            values = rec.draw.values(sign)
+        else:
+            values = extract_modes(analysis.combo_series(rec, sign), mode).values
         assert values.size == m
+        assert analysis._combo_variance(rec, sign, mode) == pytest.approx(
+            np.var(values, ddof=1), rel=1e-13, abs=0.0)
         h = cfg.chain.detected_psd(psd(omega), omega) * weight
         c = [np.sum(h * np.cos(2.0 * np.pi * k * lag * hop / n)) for lag in range(3)]
         rho = (c[1] / c[0], c[2] / c[0])
