@@ -222,10 +222,16 @@ def require_adc_sample(cfg: RunConfig) -> None:
 
 def require_monte_carlo(cfg: RunConfig, min_samples: int = 0) -> None:
     """The rules a Monte Carlo run (run, sweep --mc-check) adds, checked
-    before any draw: require_adc_sample, at least 2 mode windows and
+    before any draw: require_adc_sample, mode weights that do not vanish
+    at the ADC rate (mode.discretize), at least 2 mode windows and
     min_samples samples at the ADC rate, and synth.check_alias at fs for
     every beam PSD of either setting (spectra.beam_spectra)."""
     require_adc_sample(cfg)
+    try:
+        cfg.mode.discretize(cfg.chain.adc_rate)
+    except ValueError as exc:  # the shape's field: a decay too fast, or samples missed
+        field = "samples" if cfg.mode.kind == "tabulated" else "rate"
+        raise ConfigError(f"mode.{field}: discretizes to zero weights at the ADC rate") from exc
     _, samples, _, windows = layout(cfg.duration, cfg.fs, cfg.chain, cfg.mode)
     if windows < 2:
         raise ConfigError(

@@ -5,8 +5,8 @@ objective, so golden-section search is valid).
 For OPO spectra every evaluation is closed form: the mode's full-line
 overlap with the Lorentzian correlation exp(-kappa|tau|) minus the exactly
 integrated tail beyond the band limit (TemporalMode.lorentz_overlap).
-Spectra given only by an evaluator, and decay rates above half the band
-limit, fall back to Gauss-Legendre quadrature.
+Decay rates above half the band limit fall back to Gauss-Legendre
+quadrature.
 """
 
 from __future__ import annotations

@@ -119,12 +119,16 @@ class TemporalMode:
         arr = np.asarray(samples, dtype=float)
         if arr.ndim != 1:
             raise ValueError("samples: must be one-dimensional")
-        dt = float(duration) / max(arr.size, 1)
-        nrm = np.sqrt(np.sum(arr * arr) * dt)
-        if not (nrm > 0.0 and np.isfinite(nrm)):
+        if not 0.0 < float(duration) < math.inf:
+            raise ValueError("duration: must be positive and finite")
+        peak = float(np.max(np.abs(arr), initial=0.0))
+        if not 0.0 < peak < math.inf:
             raise ValueError("samples: must be finite and not all zero")
-        if abs(nrm - 1.0) > 1e-12:
-            arr = arr / nrm
+        e = math.frexp(peak)[1] - 1  # scaled by 2^e <= peak, exactly: squares stay in range
+        scaled = np.ldexp(arr, -e)
+        nrm = float(np.sqrt(np.sum(scaled * scaled) * (float(duration) / arr.size)))
+        if abs(nrm * 2.0 ** e - 1.0) > 1e-12:
+            arr = scaled / nrm
         return cls(kind="tabulated", duration=float(duration), samples=tuple(arr))
 
     @classmethod
@@ -233,10 +237,7 @@ class TemporalMode:
             n = jumps.size
             # sum over ordered pairs at lag m >= 1 (lag 0 has kernel 0)
             pair = 2.0 * _autocorrelation(jumps)[1:]
-            d = spacing * np.arange(1, n)
-            tail = _tail(k, B, np.concatenate(([0.0], d)), power=-2).real
-            kernel = _phi(k * d) / (2.0 * k ** 3) - (tail[0] - tail[1:]) / math.pi
-            return float(-np.dot(pair, kernel))
+            return float(-np.dot(pair, _jump_kernel(k, B, spacing * np.arange(1, n))))
         r = self.rate
         if max(k, r) > 0.5 * B:
             return None
@@ -318,10 +319,16 @@ def square_lorentz_overlaps(width: float, band: float,
     if k > 0.5 * B:
         return None
     T = np.asarray(durations, dtype=float)
-    tail = _tail(k, B, np.concatenate(([0.0], T)), power=-2).real
-    kernel = _phi(k * T) / (2.0 * k ** 3) - (tail[0] - tail[1:]) / math.pi
     jump = 1.0 / np.sqrt(T)
-    return 2.0 * (jump * jump) * kernel
+    return 2.0 * (jump * jump) * _jump_kernel(k, B, T)
+
+
+def _jump_kernel(width: float, band: float, d: np.ndarray) -> np.ndarray:
+    """phi(width d)/(2 width^3) - (tail(0) - tail(d))/pi at each lag d > 0
+    (one _tail call): a mode with jumps df_k at tau_k has the Lorentzian
+    overlap -sum_{k != l} df_k df_l kernel(|tau_k - tau_l|)."""
+    tail = _tail(width, band, np.concatenate(([0.0], d)), power=-2).real
+    return _phi(width * d) / (2.0 * width ** 3) - (tail[0] - tail[1:]) / math.pi
 
 
 def _autocorrelation(x: np.ndarray) -> np.ndarray:

@@ -16,19 +16,21 @@ filtered_variances evaluates it for several spectra on a set of modes
 grid of square durations), one modes.lorentz_overlaps call per spectrum;
 the last 64 sets of band-tail moments stay cached (modes._moments), so
 the second spectrum reuses the first one's. Composite Gauss-Legendre
-quadrature remains for spectra with an arbitrary evaluator and for modes
-whose decay rate exceeds B/2.
+quadrature remains for modes whose decay rate exceeds B/2.
+
+A QuadPsd holds its Lorentzian by value, so equal spectra compare and hash
+equal, and caches keyed on a spectrum (synth._amplitude) hit on equal
+arguments however the spectrum was built.
 
 All public frequencies are in Hz; angular frequency appears only inside
-integrals and evaluator callables (rad/s).
+integrals and QuadPsd (rad/s).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,24 +96,25 @@ class OpoParams:
 
 @dataclass(frozen=True)
 class QuadPsd:
-    """Vacuum-normalized quadrature power spectral density.
+    """Vacuum-normalized quadrature power spectral density, in rad/s:
+    S(Omega) = 1 + gain / (root^2 + (Omega/linewidth)^2) for |Omega| <=
+    band_limit and exactly 1 beyond it, which makes the filtered-variance
+    tail integral exact. opo_spectrum gives an OPO branch (linewidth
+    2pi*hwhm), flat_psd the vacuum (gain 0, band_limit 0)."""
 
-    evaluator maps angular frequency (rad/s, symmetric in sign) to S;
-    beyond band_limit S is treated as exactly 1, which makes the
-    filtered-variance tail integral exact. scale_hint, when given, is the
-    narrowest spectral feature width (rad/s) and steers quadrature panels.
-    lorentz, when given, is (A, kappa) such that the evaluator equals
-    1 + A/(kappa^2 + Omega^2); filtered_variance then uses the closed form.
-    """
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
+    gain: float
+    root: float
+    linewidth: float
     band_limit: float
-    scale_hint: Optional[float] = None
-    lorentz: Optional[Tuple[float, float]] = None
+
+    @property
+    def lorentz(self) -> Tuple[float, float]:
+        """(A, kappa) such that S = 1 + A/(kappa^2 + Omega^2) in the band."""
+        return self.gain * self.linewidth * self.linewidth, self.linewidth * self.root
 
     def __call__(self, omega) -> np.ndarray:
         om = np.abs(np.asarray(omega, dtype=float))
-        s = np.asarray(self.evaluator(om), dtype=float)
+        s = 1.0 + self.gain / (self.root ** 2 + (om / self.linewidth) ** 2)
         return np.where(om <= self.band_limit, s, 1.0)
 
 
@@ -124,19 +127,11 @@ class EprSpectra:
     sum_p: QuadPsd
 
 
-@lru_cache(maxsize=1)
 def flat_psd() -> QuadPsd:
-    """The vacuum spectrum S = 1. band_limit 0 makes integrals exact.
-    Cached, as opo_spectrum is, so every call returns the same object."""
-    return QuadPsd(evaluator=lambda om: np.ones_like(om), band_limit=0.0)
+    """The vacuum spectrum S = 1. band_limit 0 makes integrals exact."""
+    return QuadPsd(gain=0.0, root=1.0, linewidth=1.0, band_limit=0.0)
 
 
-def _lorentz_width(params: OpoParams, anti: bool) -> float:
-    x = params.pump_param
-    return TWO_PI * params.hwhm * ((1.0 - x) if anti else (1.0 + x))
-
-
-@lru_cache(maxsize=64)
 def opo_spectrum(params: OpoParams, quadrature: str = "squeezed") -> QuadPsd:
     """Quadrature spectrum of one OPO output.
 
@@ -144,25 +139,17 @@ def opo_spectrum(params: OpoParams, quadrature: str = "squeezed") -> QuadPsd:
     antisqueezed:  S(Omega) = 1 + eta*4x / ((1-x)^2 + (Omega/2pi*gamma)^2)
 
     so the squeezed branch is <= 1 everywhere, the antisqueezed >= 1, and
-    both tend to 1 far outside the cavity bandwidth. Equal arguments return
-    the same object, so synth's amplitude cache, keyed on the PSD, hits on
-    every repetition of a run.
+    both tend to 1 far outside the cavity bandwidth; the band ends at
+    100 linewidths. Equal arguments give equal spectra, so synth's
+    amplitude cache, keyed on the PSD, hits on every repetition of a run.
     """
     if quadrature not in ("squeezed", "antisqueezed"):
         raise ValueError(f"quadrature must be 'squeezed' or 'antisqueezed', got {quadrature!r}")
     x = params.pump_param
-    eta = params.efficiency
-    g = TWO_PI * params.hwhm  # rad/s
     anti = quadrature == "antisqueezed"
-    sgn = 1.0 if anti else -1.0
-    denom0 = (1.0 - x) ** 2 if anti else (1.0 + x) ** 2
-
-    def evaluator(om, _sgn=sgn, _d0=denom0, _x=x, _eta=eta, _g=g):
-        return 1.0 + _sgn * _eta * 4.0 * _x / (_d0 + (om / _g) ** 2)
-
-    width = _lorentz_width(params, anti)
-    return QuadPsd(evaluator=evaluator, band_limit=100.0 * g, scale_hint=width,
-                   lorentz=(sgn * eta * 4.0 * x * g * g, width))
+    g = TWO_PI * params.hwhm  # rad/s
+    return QuadPsd(gain=(1.0 if anti else -1.0) * params.efficiency * 4.0 * x,
+                   root=(1.0 - x) if anti else (1.0 + x), linewidth=g, band_limit=100.0 * g)
 
 
 def beam_spectra(opo1: OpoParams, opo2: OpoParams, setting: str) -> Tuple[QuadPsd, QuadPsd]:
@@ -221,37 +208,34 @@ def filtered_variances(psds: Sequence[QuadPsd],
                        modes: Sequence[TemporalMode]) -> List[List[float]]:
     """filtered_variance of each mode, one row per PSD.
 
-    A flat spectrum (band_limit 0) gives 1. A Lorentzian one gives the
-    closed form 1 + A * overlap wherever modes.lorentz_overlaps supplies
-    the overlap; anything else is integrated by composite Gauss-Legendre
-    panels sized to resolve both the |F|^2 oscillation (period
-    2pi/duration) and the narrowest PSD feature, with convergence
-    confirmed by panel doubling.
+    A flat spectrum (band_limit 0) gives 1. Otherwise each mode gets the
+    closed form 1 + A * overlap where modes.lorentz_overlaps supplies the
+    overlap, and _quadrature_variance where it declines (a decay rate or
+    width above half the band).
     """
     rows = []
     for psd in psds:
         if psd.band_limit <= 0.0:
             rows.append([1.0] * len(modes))
             continue
-        overlaps = ([None] * len(modes) if psd.lorentz is None
-                    else lorentz_overlaps(modes, psd.lorentz[1], psd.band_limit))
+        weight, width = psd.lorentz
+        overlaps = lorentz_overlaps(modes, width, psd.band_limit)
         rows.append([_quadrature_variance(psd, mode) if overlap is None
-                     else 1.0 + psd.lorentz[0] * overlap
+                     else 1.0 + weight * overlap
                      for mode, overlap in zip(modes, overlaps)])
     return rows
 
 
 def _quadrature_variance(psd: QuadPsd, mode: TemporalMode) -> float:
-    """filtered_variance by Gauss-Legendre panels, doubled until two
-    estimates agree to 1e-8."""
+    """filtered_variance by composite Gauss-Legendre panels sized to
+    resolve both the |F|^2 oscillation (period 2pi/duration) and the
+    Lorentzian's width kappa, doubled until two estimates agree to 1e-8."""
     band = psd.band_limit
 
     def integrand(om):
         return (psd(om) - 1.0) * mode.power_spectrum(om)
 
-    h = math.pi / (4.0 * mode.duration)
-    if psd.scale_hint:
-        h = min(h, psd.scale_hint / 4.0)
+    h = min(math.pi / (4.0 * mode.duration), psd.lorentz[1] / 4.0)
     n_panels = max(64, min(_MAX_PANELS, math.ceil(band / h)))
 
     est = 1.0 + _gl_integral(integrand, 0.0, band, n_panels) / math.pi

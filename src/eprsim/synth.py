@@ -233,8 +233,8 @@ def _amplitude(psd: QuadPsd, chain: Optional[DetectionChain], n: int, fs: float,
     bin, and sqrt(n * P) at DC and Nyquist, whose imaginary parts the
     inverse ignores. Read-only and cached, because every repetition of a
     run and every block of a Monte Carlo check draws from the same few
-    (spectra caches its PSD objects, so equal arguments give the same key;
-    16 hold a run's full and mode-space amplitudes). Every draw's PSD
+    (a QuadPsd is a value, so equal spectra give the same key; 16 hold a
+    run's full and mode-space amplitudes). Every draw's PSD
     passes the aliasing guard here, before anything is cached."""
     check_alias(psd, fs)
     p = _power(psd, chain, n, fs)

@@ -802,6 +802,51 @@ def test_run_rejects_monte_carlo_only_configs_before_drawing(tmp_path, capsys, e
     assert not out.exists()
 
 
+_MC_VERBS = (["run", "--reps", "2"],
+             ["sweep", "--var", "pump_param", "--grid", "0.1:0.2:2", "--mc-check"])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode, field", [
+    ({"kind": "double_exp", "rate": 5e10, "support": 2e-6}, "mode.rate"),
+    ({"kind": "one_sided_exp", "rate": MAX_RATE, "support": 2e-6}, "mode.rate"),
+    # 40 cells over ten 50 MS/s samples, which land in cells 4k + 2
+    ({"kind": "tabulated", "samples": [1.0 if j % 4 == 0 else 1e-200 for j in range(40)],
+      "duration": 2e-7}, "mode.samples"),
+], ids=("double_exp", "one_sided_exp", "tabulated"))
+def test_modes_with_vanishing_weights_are_rejected_before_drawing(tmp_path, capsys,
+                                                                  monkeypatch, mode, field):
+    # the analytic verb takes the mode; the Monte Carlo verbs, whose
+    # weights at the ADC rate vanish, name the mode's field before any draw
+    path = tmp_path / "vanishing.json"
+    path.write_text(json.dumps(dict(_PAPER, mode=mode)))
+    assert main(["spectra", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+    capsys.readouterr()
+    draws = []
+    monkeypatch.setattr(synth, "_record", lambda *args, **kw: draws.append(args))
+    for verb in _MC_VERBS:
+        out = tmp_path / verb[0]
+        assert main([*verb, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f" {field}: " in err, err
+        assert not out.exists()
+    assert draws == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("samples", [[1e300, -1e300], [1e-300, 1e-300]],
+                         ids=("huge", "tiny"))
+def test_tabulated_samples_of_any_scale_run_clean(tmp_path, capsys, samples):
+    # samples whose squares overflow or underflow: every verb runs on the
+    # shape, which only the samples' ratios set
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(dict(_PAPER, mode={"kind": "tabulated", "samples": samples,
+                                                   "duration": 2e-7})))
+    for verb in (["spectra"], *_MC_VERBS):
+        assert main([*verb, "--config", str(path), "--out", str(tmp_path / verb[0])]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_benchmark_tracer_installs_on_this_package():
     # perfbench wraps functions where eprsim binds them (eprsim.cli.detect,
     # eprsim.synth.epr_spectra, ...); dropping one of those names must fail

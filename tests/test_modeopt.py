@@ -5,15 +5,15 @@ import dataclasses
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from eprsim import (EprSpectra, ModeFamily, NonUnimodalError, OpoParams,
-                    QuadPsd, TemporalMode, brute_force, duan_sum, epr_spectra,
+                    TemporalMode, brute_force, duan_sum, epr_spectra,
                     filtered_variance, flat_psd, load_config, mode_duan, modes,
                     optimize)
 from eprsim import modeopt
 from eprsim.modeopt import _Objective
+from eprsim.spectra import _quadrature_variance
 
 import refvals
 
@@ -146,27 +146,18 @@ def test_family_validation():
         TemporalMode.from_params("gaussian", {"duration": 1e-7})
 
 
-def _two_valley_psd():
-    """Synthetic PSD whose square-window Duan objective has two interior
-    minima over the 9-point prescan grid (near 36 ns and 630 ns)."""
-    centers = [0.05e6, 0.2e6, 0.8e6, 3e6, 10e6, 40e6, 150e6]
-    amps = [1.429, 0.1577, -0.5809, 2.145, -0.9746, 2.144, 0.3457]
-
-    def evaluator(om):
-        om = np.abs(np.asarray(om, dtype=float))
-        x = np.log(np.maximum(om, 1.0))
-        s = np.ones_like(om)
-        for a, f0 in zip(amps, centers):
-            s = s + a * np.exp(-0.5 * ((x - math.log(2 * math.pi * f0)) / 0.5) ** 2)
-        return s
-
-    return QuadPsd(evaluator=evaluator, band_limit=2 * math.pi * 2e9,
-                   scale_hint=2 * math.pi * 0.05e6)
+def _two_valley_duans(spectra, square_modes):
+    """A square-window Duan objective with two valleys, at 36 ns and 630 ns:
+    interior minima at the second and seventh points of the 9-point
+    prescan grid."""
+    return [1.0 - sum(0.1 * math.exp(-0.5 * (math.log(m.duration / t0) / 0.4) ** 2)
+                      for t0 in (36e-9, 630e-9))
+            for m in square_modes]
 
 
-def test_two_valley_objective_is_rejected():
-    psd = _two_valley_psd()
-    spectra = EprSpectra(diff_x=psd, sum_p=psd)
+def test_two_valley_objective_is_rejected(monkeypatch):
+    monkeypatch.setattr(modeopt, "mode_duans", _two_valley_duans)
+    spectra = EprSpectra(diff_x=flat_psd(), sum_p=flat_psd())
     with pytest.raises(NonUnimodalError, match="multiple local minima") as exc:
         optimize(spectra, SQUARE_FAMILY)
     assert len(exc.value.trace) >= 9
@@ -271,19 +262,19 @@ def test_brute_force_evaluates_each_support_once(monkeypatch):
 
 def test_mode_duan_is_the_duan_sum_of_filtered_variances(calibrated_spectra):
     # one filtered_variances call for both quadratures gives what two
-    # filtered_variance calls give: in closed form, by quadrature for a
-    # spectrum with an evaluator only, and by quadrature where the width
-    # exceeds half the band and the closed form declines
+    # filtered_variance calls give: in closed form, and by quadrature where
+    # the width exceeds half the band and the closed form declines; the
+    # quadrature, its panels sized from kappa, agrees with the closed form
     dx, sp = calibrated_spectra.diff_x, calibrated_spectra.sum_p
     mode = TemporalMode.double_exp(rate=3e6, support=0.4e-6)
-    numeric = EprSpectra(dataclasses.replace(dx, lorentz=None),
-                         dataclasses.replace(sp, lorentz=None))
     narrow = EprSpectra(dataclasses.replace(dx, band_limit=1.5 * dx.lorentz[1]),
                         dataclasses.replace(sp, band_limit=1.5 * sp.lorentz[1]))
     for psd in (narrow.diff_x, narrow.sum_p):
         assert mode.lorentz_overlap(psd.lorentz[1], psd.band_limit) is None
-    for spectra in (calibrated_spectra, numeric, narrow):
+    for spectra in (calibrated_spectra, narrow):
         modes._kept.cache_clear()
         expected = duan_sum(filtered_variance(spectra.diff_x, mode),
                             filtered_variance(spectra.sum_p, mode))
         assert mode_duan(spectra, mode) == expected
+    assert duan_sum(_quadrature_variance(dx, mode), _quadrature_variance(sp, mode)) == (
+        pytest.approx(mode_duan(calibrated_spectra, mode), rel=1e-9))

@@ -263,6 +263,20 @@ def test_tabulated_normalized_at_construction():
     assert np.sum(arr * arr) * mode.duration / arr.size == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tabulated_norm_is_scale_free_and_exact():
+    # the norm is taken over a power-of-two scaling: a Hann window gets
+    # the bits of the unscaled sum, and samples whose squares overflow or
+    # underflow give the shape of their ratios
+    raw = np.sin(np.pi * (np.arange(100) + 0.5) / 100) ** 2
+    unscaled = raw / np.sqrt(np.sum(raw * raw) * (2e-6 / raw.size))
+    assert np.array_equal(TemporalMode.tabulated(raw, 2e-6).samples, unscaled)
+    unit = TemporalMode.tabulated([1.0, -1.0], 2e-7).samples
+    for scale in (1e300, 1e-300, 5e-324):
+        samples = TemporalMode.tabulated([scale, -scale], 2e-7).samples
+        assert samples == pytest.approx(unit, rel=1e-15, abs=0.0), scale
+
+
 @pytest.mark.parametrize("mode", ALL_KINDS, ids=lambda m: m.kind)
 def test_params_round_trip(mode):
     assert TemporalMode.from_params(mode.kind, mode.params) == mode

@@ -10,8 +10,8 @@ import pytest
 from eprsim import (OpoParams, TemporalMode, beam_spectra, calibrate_pump_param,
                     duan_sum, epr_spectra, filtered_variance, flat_psd, opo_spectrum,
                     to_db)
-from eprsim.spectra import (MAX_HWHM, MIN_HWHM, QuadPsd, QuadratureError, _gl_integral,
-                            filtered_variances)
+from eprsim.spectra import (MAX_HWHM, MIN_HWHM, QuadratureError, _gl_integral,
+                            _quadrature_variance, filtered_variances)
 
 import refvals
 
@@ -138,10 +138,9 @@ def _hann(n, duration):
 def test_filtered_variances_is_filtered_variance_of_each_pair():
     # one call on a mixed set of modes, three of them square (one overlap
     # pass), gives each cell what filtered_variance gives for its pair: on
-    # a flat spectrum, in closed form, by quadrature for a rate above half
-    # the band, and by quadrature for a spectrum with an evaluator only
+    # a flat spectrum, in closed form, and by quadrature for a rate above
+    # half the band; the quadrature agrees with every closed-form cell
     lorentz = opo_spectrum(_opo(refvals.X_374, refvals.ETA), "squeezed")
-    numeric = dataclasses.replace(lorentz, lorentz=None)
     set_of_modes = [TemporalMode.square(0.05e-6),
                     TemporalMode.one_sided_exp(rate=3e6, support=0.5e-6),
                     TemporalMode.square(0.2e-6),
@@ -149,7 +148,7 @@ def test_filtered_variances_is_filtered_variance_of_each_pair():
                     _hann(16, 2e-6),
                     TemporalMode.one_sided_exp(rate=0.6 * lorentz.band_limit, support=1e-8),
                     TemporalMode.square(1e-6)]
-    psds = (flat_psd(), lorentz, numeric)
+    psds = (flat_psd(), lorentz)
     table = filtered_variances(psds, set_of_modes)
     assert [len(row) for row in table] == [len(set_of_modes)] * len(psds)
     assert table[0] == [1.0] * len(set_of_modes)
@@ -160,6 +159,8 @@ def test_filtered_variances_is_filtered_variance_of_each_pair():
                 assert value == pytest.approx(scalar, rel=2e-15, abs=0.0), (psd, mode)
             else:
                 assert value == scalar, (psd, mode)
+    for mode, value in zip(set_of_modes, table[1]):
+        assert _quadrature_variance(lorentz, mode) == pytest.approx(value, rel=1e-9), mode
 
 
 @pytest.mark.parametrize("mode", [
@@ -192,7 +193,7 @@ def test_filtered_variance_translation_invariant():
 def _gl_reference(psd, mode, chunks=16):
     """Band-limited variance by composite Gauss-Legendre at twice the
     engine's starting panel density, integrated in chunks to bound memory."""
-    h = min(math.pi / (4.0 * mode.duration), psd.scale_hint / 4.0)
+    h = min(math.pi / (4.0 * mode.duration), psd.lorentz[1] / 4.0)
     per_chunk = 2 * max(64, math.ceil(psd.band_limit / h)) // chunks + 1
     edges = np.linspace(0.0, psd.band_limit, chunks + 1)
 
@@ -231,34 +232,35 @@ def test_closed_form_matches_gauss_legendre(kind, T):
 
 
 def test_quadrature_fallback_matches_closed_form():
-    # without the Lorentz fields, or for a rate beyond band/2, the
-    # Gauss-Legendre engine answers
+    # the Gauss-Legendre engine, its panels sized from kappa, agrees with
+    # the closed form, and answers where the closed form declines: a rate
+    # or a width beyond band/2
     psd = opo_spectrum(_opo(refvals.X_374, refvals.ETA), "squeezed")
-    numeric = dataclasses.replace(psd, lorentz=None)
     for mode in (TemporalMode.square(0.2e-6),
                  TemporalMode.double_exp(rate=4e7, support=1e-6)):
-        assert filtered_variance(numeric, mode) == pytest.approx(
+        assert _quadrature_variance(psd, mode) == pytest.approx(
             filtered_variance(psd, mode), rel=1e-9)
-    # filtered_variances answers each square mode of a set by
-    # filtered_variance where no closed form applies: no Lorentz fields, or
-    # a width beyond band/2
+    # filtered_variances answers each square mode of a set by the
+    # quadrature where no closed form applies
     squares = [TemporalMode.square(T) for T in (0.05e-6, 0.2e-6, 1e-6)]
-    for other in (numeric, dataclasses.replace(psd, band_limit=psd.lorentz[1])):
-        assert filtered_variances((other,), squares) == [
-            [filtered_variance(other, mode) for mode in squares]]
+    narrow = dataclasses.replace(psd, band_limit=psd.lorentz[1])
+    assert filtered_variances((narrow,), squares) == [
+        [_quadrature_variance(narrow, mode) for mode in squares]]
     fast = TemporalMode.one_sided_exp(rate=0.6 * psd.band_limit, support=1e-8)
     assert fast.lorentz_overlap(psd.lorentz[1], psd.band_limit) is None
     assert filtered_variance(psd, fast) == pytest.approx(
         _gl_reference(psd, fast), rel=1e-9)
 
 
-def test_quadrature_reports_non_convergence():
-    # a 1 rad/s Lorentzian peak inside panels ~8e5 rad/s wide, with no
-    # scale_hint to size them: each doubling samples the peak differently
-    spike = QuadPsd(lambda om: 1.0 + 1e-3 / (1e-6 + ((om - 1.2345678e6) / 1e6) ** 2),
-                    band_limit=1e9)
-    with pytest.raises(QuadratureError, match=r"did not converge within \d+ panels"):
-        filtered_variance(spike, TemporalMode.square(1e-6))
+def test_quadrature_reports_non_convergence(monkeypatch):
+    # a rate above band/2 leaves this mode to the quadrature, whose panels
+    # sized from kappa number 309; capped at 128, no doubling can confirm
+    # the estimate, and the cap is reported
+    psd = opo_spectrum(_opo(refvals.X_374, refvals.ETA), "squeezed")
+    fast = TemporalMode.one_sided_exp(rate=0.6 * psd.band_limit, support=1e-8)
+    monkeypatch.setattr("eprsim.spectra._MAX_PANELS", 128)
+    with pytest.raises(QuadratureError, match=r"did not converge within 128 panels"):
+        filtered_variance(psd, fast)
 
 
 @pytest.mark.parametrize("T", [1e-4, 1e-3, 2e-3])
@@ -342,9 +344,9 @@ def test_epr_spectra_selects_squeezed_branches(calibrated_pair):
     # order of arguments does not matter
     swapped = epr_spectra(opo2, opo1)
     assert np.array_equal(swapped.diff_x(om), spectra.diff_x(om))
-    # both are beam_spectra's branches, the same objects
-    assert spectra.diff_x is beam_spectra(opo1, opo2, "X")[1]
-    assert spectra.sum_p is beam_spectra(opo1, opo2, "P")[0]
+    # both are beam_spectra's branches
+    assert spectra.diff_x == beam_spectra(opo1, opo2, "X")[1]
+    assert spectra.sum_p == beam_spectra(opo1, opo2, "P")[0]
 
 
 def test_beam_spectra_puts_the_p_squeezed_opo_first(calibrated_pair):

@@ -514,9 +514,23 @@ def test_repr_of_a_record_names_its_labels(calibrated_pair, mode):
         assert rec == rec and hash(rec) == hash(rec) and rec != make()
 
 
+def test_equal_opo_params_share_one_amplitude():
+    # spectra are values: two OPOs described alike but built apart give
+    # equal spectra, and so one amplitude cache entry
+    first, second = (OpoParams(pump_param=refvals.X_330, hwhm=refvals.HWHM,
+                               efficiency=refvals.ETA) for _ in range(2))
+    assert first is not second
+    psds = [opo_spectrum(p, "squeezed") for p in (first, second)]
+    assert psds[0] == psds[1] and hash(psds[0]) == hash(psds[1])
+    _amplitude.cache_clear()
+    amps = [_amplitude(psd, None, 1024, 50e6) for psd in psds]
+    assert amps[0] is amps[1]
+    assert _amplitude.cache_info().currsize == 1
+
+
 def test_amplitude_cache_hits_on_every_repetition(calibrated_pair):
-    # equal arguments give the same PSD objects, so repeated draws of a
-    # run's records, in full or in mode space, compute no amplitude twice
+    # equal arguments give equal PSDs, so repeated draws of a run's
+    # records, in full or in mode space, compute no amplitude twice
     chain = DetectionChain()
     mode = TemporalMode.square(2e-7)
     for seed in (0, 1):
