@@ -105,40 +105,26 @@ def _combo_variance(record: TwoModeRecord, sign: float, mode: TemporalMode) -> f
     """Sample variance (ddof=1) of the combination's mode values.
 
     A record synth drew in mode space (a synth._ModeRecord) is read from
-    its draw for the mode it was drawn for. Where the reading takes every
-    value of the draw's circular sequence (draw.count == draw.size), the
-    variance comes from the combination's rfft coefficients C by Parseval
-    (_circular_variance), with no inverse FFT; otherwise it is that of the
-    first draw.count (layout's m) values, draw.values. Every other record,
-    one built from a drawn record's series included, is read from its
-    samples (extract_modes of the combination series).
+    its draw for the mode it was drawn for: where the reading takes every
+    value of the draw's circular sequence (draw.count == draw.size), by
+    Parseval from the combination's per-bin power (draw.variance, one dot
+    product, no inverse FFT), else from the first draw.count (layout's m)
+    values, draw.values. Every other record, one built from a drawn
+    record's series included, is read from its samples (extract_modes of
+    the combination series).
     """
     if isinstance(record, _ModeRecord):
         draw = record.draw
         if draw.mode != mode:
             raise ValueError("record was drawn in mode space for another mode")
         if draw.count == draw.size >= 2:
-            return _circular_variance(draw.combination(sign), draw.size)
+            return draw.variance(sign)
         vals = draw.values(sign)
     else:
         vals = extract_modes(combo_series(record, sign), mode).values
     if vals.size < 2:
         raise ValueError("need at least 2 mode values per repetition")
     return float(np.var(vals, ddof=1))
-
-
-def _circular_variance(spec: np.ndarray, size: int) -> float:
-    """np.var(np.fft.irfft(spec, size), ddof=1) from the rfft coefficients
-    spec (real at DC and, for even size, at Nyquist, as synth draws them)
-    by Parseval: (2 sum_{k>=1} |C_k|^2 - [size even] |C_{size/2}|^2) /
-    (size (size - 1)); DC is the mean, which the variance removes. The sum
-    is numpy's pairwise sum, which keeps the result within rounding (about
-    1e-15 relative) of np.var of the inverse FFT's values."""
-    parts = spec[1:].view(np.float64)
-    total = 2.0 * float(np.sum(parts * parts))
-    if size % 2 == 0:
-        total -= abs(complex(spec[-1])) ** 2
-    return total / (size * (size - 1))
 
 
 def epr_report(x_record: TwoModeRecord, p_record: TwoModeRecord,

@@ -18,6 +18,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -130,9 +131,9 @@ def _one_repetition(cfg: RunConfig, seq: np.random.SeedSequence, files: bool = F
     with files draws its records in full, because the files need their
     samples, and the report reads the samples too. Any other repetition
     draws its records in mode space for cfg.mode (synth: mode=) where the
-    chain and the mode allow it, and the report reads four beams (X's
-    beam 2, P's beam 1, both vacuum beams) from the rfft coefficients of
-    their m mode values; elsewhere it draws in full as well."""
+    chain and the mode allow it, and the report reads four combinations
+    (X's difference, P's sum, both vacuum ones), each drawn from its own
+    stream as its mode values' power; elsewhere it draws in full as well."""
     x_seed, p_seed, v_seed = _children(seq, 3)
     mode = None if files else cfg.mode
     xr = epr_record(cfg.opo1, cfg.opo2, cfg.duration, cfg.fs, "X", x_seed,
@@ -158,17 +159,18 @@ def _run_pipeline(cfg: RunConfig, slot: int = 0, files: bool = True):
     arena), and a repetition's exception is raised before the law's.
 
     Random streams form the spawn tree seed -> slot -> repetition ->
-    stream -> beam (slot 0 is `run`, slot j+1 the `sweep --mc-check` run
+    stream -> draw (slot 0 is `run`, slot j+1 the `sweep --mc-check` run
     at grid point j; a stream is one record, X, P or vacuum, and its
-    beams are children of it: (..., 0) and (..., 1) drawn as blocks,
-    (..., 2) and (..., 3) drawn in mode space, synth._ModeDraw): no two
-    draws share a seed, and repetition i's streams do not depend on
-    cfg.repetitions."""
+    children are (..., 0) and (..., 1), its two beams drawn as blocks,
+    and (..., 2) and (..., 3), its sum and difference combinations drawn
+    in mode space, synth._ModeDraw): no two draws share a seed, and
+    repetition i's streams do not depend on cfg.repetitions."""
     root = np.random.SeedSequence(cfg.seed, spawn_key=(slot,))
-    seqs = _children(root, cfg.repetitions)
-    with ThreadPoolExecutor(max_workers=_worker_count(len(seqs))) as pool:
-        results = pool.map(_one_repetition, [cfg] * len(seqs), seqs,
-                           [files] + [False] * (len(seqs) - 1))
+    reps = cfg.repetitions
+    # each sequence is built as its repetition is submitted: the first draws at once
+    seqs = (_children(root, 1, first=i)[0] for i in range(reps))
+    with ThreadPoolExecutor(max_workers=_worker_count(reps)) as pool:
+        results = pool.map(_one_repetition, [cfg] * reps, seqs, [files] + [False] * (reps - 1))
         try:
             ref_mean, ref_sd = sample_variance_law(None, cfg.chain, cfg.fs, cfg.mode,
                                                    cfg.duration)
@@ -371,6 +373,7 @@ def cmd_optimize(cfg: RunConfig, out: Path, kind: str, budget: int,
     best = result.best_mode.params
     meta = _meta(cfg, "optimize", family=kind, budget=budget,
                  converged=str(result.converged).lower(),
+                 at_bound=str(result.at_bound).lower(),
                  best_duan=result.best_duan,
                  **{f"best_{n}": best[n] for n in names})
     _write_csv(out / "optimize.csv", meta, (*names, "duan"),
@@ -378,14 +381,16 @@ def cmd_optimize(cfg: RunConfig, out: Path, kind: str, budget: int,
     desc = ", ".join(f"{n}={best[n]:.6g}" for n in names)
     print(f"best {kind} mode: {desc} -> duan {result.best_duan:.6f} "
           f"({'converged' if result.converged else 'budget exhausted'}, "
-          f"{len(result.trace)} evaluations)")
+          f"{len(result.trace)} evaluations, at_bound {str(result.at_bound).lower()})")
     print(f"outputs in {out}")
     return EXIT_OK
 
 
 # -- entry point ----------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: main may run many times in one."""
     parser = argparse.ArgumentParser(
         prog="eprsim",
         description="EPR beam simulator: spectra, pipeline runs, sweeps, "

@@ -81,6 +81,7 @@ class OptResult:
     best_duan: float
     trace: List[Tuple[Dict[str, float], float]]
     converged: bool = True
+    at_bound: bool = False
 
 
 def mode_duan(spectra: EprSpectra, mode: TemporalMode) -> float:
@@ -233,7 +234,8 @@ def optimize(spectra: EprSpectra, family: ModeFamily,
     every pass so the optimum may migrate as the other parameter moves.
     Convergence means no parameter moved by more than 1e-3 relative over a
     full cycle; if the budget runs out first the best evaluation so far is
-    returned with converged=False.
+    returned with converged=False. at_bound flags a best point within 1e-3
+    relative of a family bound.
     """
     if budget < 16:
         raise ValueError(f"budget must be at least 16 evaluations, got {budget}")
@@ -263,5 +265,8 @@ def optimize(spectra: EprSpectra, family: ModeFamily,
     if not obj.trace:
         raise ValueError("optimization budget exhausted before any evaluation")
     best_params, best_val = obj.best()
+    at_bound = any(abs(math.log(best_params[n] / b)) <= _REL_TOL_LOG
+                   for n in names for b in family.param_bounds[n])
     return OptResult(best_mode=TemporalMode.from_params(family.kind, best_params),
-                     best_duan=best_val, trace=obj.trace, converged=converged)
+                     best_duan=best_val, trace=obj.trace, converged=converged,
+                     at_bound=at_bound)

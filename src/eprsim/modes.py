@@ -277,7 +277,8 @@ class TemporalMode:
         """Unit-Euclidean-norm weights sampling f at window midpoints.
 
         The renormalization pins the calibration contract: white input of
-        unit variance gives mode variance exactly 1 at any rate.
+        unit variance gives mode variance exactly 1 at any rate. The norm
+        is taken over a power-of-two scaling, as tabulated does.
         """
         n = self.n_samples(fs)
         if self.kind == "tabulated" and len(self.samples) == n:
@@ -285,10 +286,10 @@ class TemporalMode:
         else:
             t = (np.arange(n) + 0.5) / fs
             w = self.amplitude(t)
-        nrm = np.sqrt(np.sum(w * w))
-        if not (nrm > 0.0 and np.isfinite(nrm)):
+        if not 0.0 < float(np.sum(w * w)) < math.inf:
             raise ValueError("mode discretizes to zero weights at this rate")
-        return w / nrm
+        scaled = np.ldexp(w, 1 - math.frexp(float(np.max(np.abs(w))))[1])
+        return scaled / np.sqrt(np.sum(scaled * scaled))
 
 
 # -- Lorentzian overlap helpers -------------------------------------------------

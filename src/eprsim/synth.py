@@ -21,22 +21,20 @@ samples.
 A record drawn for a temporal mode (epr_record and vacuum_record with
 mode=) is drawn in mode space: it is a _ModeRecord, which holds its draw
 (_ModeDraw), and its series (_ModeSeries) have a rate, a length and a
-label but no samples. The n/hop mode values of a beam's block (n, hop
-the windows' spacing in block samples and m, the number a reading
-takes, all from layout, their one derivation) are a circulant Gaussian
-sequence whose spectrum S_q is known (mode_value_spectrum of P and
-placed_window), so each beam draws their rfft coefficients from
-sqrt(n/(2 hop) * S_q), as a block draws its own from sqrt(n/2 * P),
-both from one cache (_amplitude), and one inverse FFT gives the values
-(_ModeDraw.values; a reading that takes all n/hop of them needs none,
-analysis reads their variance from the coefficients by Parseval). This
-is exact in distribution. Beam k then draws from the child
-(*seq.spawn_key, 2 + k), so it shares no seed with the full draw of the
-same record. Its beams are drawn on first use, the same from any thread,
-and a reading (analysis.epr_report) draws only the beams it weighs: the
-X record's x_A - x_B is input beam 2 alone, the P record's p_A + p_B
-beam 1 alone. A quantizing chain, or a hop that does not divide the
-block, keeps the full draw.
+label but no samples. The n/hop mode values of a block (hop the windows'
+spacing in block samples, m the number a reading takes, both from
+layout) are a circulant Gaussian sequence of known spectrum S_q
+(mode_value_spectrum of P and placed_window). A reading weighs one
+combination of the series, (a + sign*b)/sqrt(2), drawn alone from its
+own stream when it is read: the sum from the child (*seq.spawn_key, 2),
+the difference from (*seq.spawn_key, 3), neither shared with the full
+draw. Its draw is its per-bin power: the rfft coefficients of its values
+have |C_k|^2 = 2 w_k e_k, w = n/(2 hop) * S_q (_amplitude with the mode)
+and e_k standard exponentials (_exponentials), their exact law. A
+reading of every value takes their variance by Parseval, one dot product
+(_ModeDraw.variance); a trimmed one continues the generator for the
+phases and inverts (_ModeDraw.values). A quantizing chain, or a hop that
+does not divide the block, keeps the full draw.
 
 synthesize_colored draws a block's rfft coefficients straight into a
 row layout and inverts it by the four-step FFT (Bailey, J.
@@ -56,7 +54,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -227,14 +224,14 @@ def _amplitude(psd: QuadPsd, chain: Optional[DetectionChain], n: int, fs: float,
                rows: bool = False) -> np.ndarray:
     """sqrt(n/2 * P) on the rfft bins of an n-sample block (_power), or
     with a mode and its windows' spacing hop (layout), which must divide
-    n, sqrt(m/2 * S_q) on those of its m = n/hop mode values
-    (mode_value_spectrum). With rows, the scale of each draw position of
-    the block's row layout (_slots, _bins) instead: sqrt(n/2 * P) of its
-    bin, and sqrt(n * P) at DC and Nyquist, whose imaginary parts the
-    inverse ignores. Read-only and cached, because every repetition of a
-    run and every block of a Monte Carlo check draws from the same few
-    (a QuadPsd is a value, so equal spectra give the same key; 16 hold a
-    run's full and mode-space amplitudes). Every draw's PSD
+    n, the power w = m/2 * S_q (no square root) on those of its m = n/hop
+    mode values (mode_value_spectrum, _ModeDraw). With rows, the scale of
+    each draw position of the block's row layout (_slots, _bins) instead:
+    sqrt(n/2 * P) of its bin, and sqrt(n * P) at DC and Nyquist, whose
+    imaginary parts the inverse ignores. Read-only and cached, because
+    every repetition of a run and every block of a Monte Carlo check draws
+    from the same few (a QuadPsd is a value, so equal spectra give the same
+    key; 16 hold a run's full and mode-space scales). Every draw's PSD
     passes the aliasing guard here, before anything is cached."""
     check_alias(psd, fs)
     p = _power(psd, chain, n, fs)
@@ -248,7 +245,8 @@ def _amplitude(psd: QuadPsd, chain: Optional[DetectionChain], n: int, fs: float,
         p = p[bins]
         p[(bins == 0) | (2 * bins == n)] *= 2.0
         del bins
-    amp = np.sqrt(np.multiply(0.5 * n, p, out=p))  # p in place: two n-sized arrays, not three
+    np.multiply(0.5 * n, p, out=p)  # p in place: two n-sized arrays, not three
+    amp = p if mode is not None else np.sqrt(p)
     amp.flags.writeable = False
     return amp
 
@@ -479,52 +477,57 @@ def _children(seed: SeedLike, count: int,
                  for k in range(first, first + count))
 
 
+def _exponentials(size: int, rng: np.random.Generator) -> Tuple[np.ndarray, float]:
+    """A mode-space combination's first draws from rng: a standard
+    exponential e_k per interior rfft bin 1 <= k < size/2, then for even
+    size a standard normal z for Nyquist (0.0 for odd size)."""
+    e = rng.standard_exponential((size - 1) // 2)
+    return e, (rng.standard_normal() if size % 2 == 0 else 0.0)
+
+
 class _ModeDraw:
-    """The two input beams of one record drawn in mode space, as the rfft
-    coefficients of their size = n/hop mode values (a reading takes the
-    first count, layout's m), drawn from amps (_amplitude with the mode).
+    """The draw of a record in mode space: each combination
+    (a + sign*b)/sqrt(2) has size = n/hop mode values (a reading takes the
+    first count) with per-bin power 2 w, w = powers[0] for the sum (a mixed
+    record's beam 1) and powers[1] for the difference (beam 2; the vacuum's
+    two are equal and independent). A combination is drawn from its own
+    stream (*seed's spawn_key, 2 or 3) on each read, so it reads the same
+    whichever is read first, from whichever thread."""
 
-    Beam k (0 or 1) is drawn on first use (beam), from the child
-    (*seed's spawn_key, 2 + k) of the record's seed sequence, so a beam is
-    the same whichever reading draws it, from whichever thread. A reading
-    takes combination(), which draws only the beams it weighs.
-    """
-
-    def __init__(self, amps: Tuple[np.ndarray, np.ndarray], size: int, count: int,
-                 seed: SeedLike, mixed: bool, mode: TemporalMode):
-        self.mixed = mixed
+    def __init__(self, powers: Tuple[np.ndarray, np.ndarray], size: int, count: int,
+                 seed: SeedLike, mode: TemporalMode):
         self.mode = mode
         self.size, self.count = size, count
-        self._streams = _children(seed, 2, first=2)
-        self._amps = amps
-        self._beams = [None, None]
-        self._lock = threading.Lock()
+        self._seed = seed
+        self._powers = powers
 
-    def beam(self, k: int) -> np.ndarray:
-        """rfft coefficients of input beam k's mode values, drawn on first
-        use; read-only."""
-        with self._lock:
-            if self._beams[k] is None:
-                rng = np.random.default_rng(self._streams[k])
-                spec = _coefficients(self._amps[k], self.size, rng)
-                spec.flags.writeable = False
-                self._beams[k] = spec
-            return self._beams[k]
+    def _start(self, sign: float) -> Tuple[np.ndarray, np.random.Generator, np.ndarray, float]:
+        """(w, rng, e, z): the combination's power, a generator on its
+        stream, and its per-bin draws (_exponentials)."""
+        k = 0 if sign > 0 else 1
+        (stream,) = _children(self._seed, 1, first=2 + k)
+        rng = np.random.default_rng(stream)
+        return (self._powers[k], rng, *_exponentials(self.size, rng))
 
-    def combination(self, sign: float) -> np.ndarray:
-        """rfft coefficients of the mode values of (series a + sign *
-        series b)/sqrt(2); the series are (b1 + b2, b1 - b2)/sqrt(2) when
-        mixed, else (b1, b2). Only beams of nonzero weight are drawn, and
-        one of them always is."""
-        if self.mixed:  # the sum is beam 1 alone, the difference beam 2
-            return self.beam(0 if sign > 0 else 1)
-        inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        return inv_sqrt2 * self.beam(0) + (sign * inv_sqrt2) * self.beam(1)
+    def variance(self, sign: float) -> float:
+        """np.var(values, ddof=1) of all size values by Parseval, from the
+        per-bin power alone: (4 sum w_k e_k + 2 w_N z^2)/(size (size - 1))."""
+        w, _, e, z = self._start(sign)
+        total = 4.0 * float(np.dot(w[1:1 + e.size], e)) + 2.0 * float(w[-1]) * z * z
+        return total / (self.size * (self.size - 1))
 
     def values(self, sign: float) -> np.ndarray:
-        """The count mode values a reading of combination(sign) takes: the
-        first count of the size values its inverse FFT gives."""
-        return np.fft.irfft(self.combination(sign), self.size)[:self.count]
+        """The first count values, by an inverse FFT: the same draws, then a
+        normal for the real DC bin and uniform phases theta_k, give the
+        coefficients C_k = sqrt(2 w_k e_k) exp(i theta_k), complex Gaussian."""
+        w, rng, e, z = self._start(sign)
+        spec = np.empty(w.size, complex)
+        spec[0] = math.sqrt(2.0 * w[0]) * rng.standard_normal()
+        phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, e.size))
+        spec[1:1 + e.size] = np.sqrt(2.0 * w[1:1 + e.size] * e) * phase
+        if self.size % 2 == 0:
+            spec[-1] = math.sqrt(2.0 * w[-1]) * z
+        return np.fft.irfft(spec, self.size)[:self.count]
 
 
 @dataclass(frozen=True)
@@ -564,8 +567,8 @@ def _record(psds: Tuple[QuadPsd, QuadPsd], chain: Optional[DetectionChain],
     if mode is not None and (chain is None or chain.adc_bits is None):
         _, n_series, hop, m = layout(duration, fs, chain, mode)
         if n % hop == 0:
-            amps = tuple(_amplitude(psd, chain, n, fs, mode, hop) for psd in psds)
-            draw = _ModeDraw(amps, n // hop, m, seed, mixed, mode)
+            powers = tuple(_amplitude(psd, chain, n, fs, mode, hop) for psd in psds)
+            draw = _ModeDraw(powers, n // hop, m, seed, mode)
             return _ModeRecord(*(_ModeSeries(rate, n_series, label) for label in labels), draw)
     n_out = int(round(duration * fs))
     amps = [_amplitude(psd, chain, n, fs) for psd in psds]

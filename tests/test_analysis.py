@@ -7,7 +7,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from eprsim import (CalibrationError, DetectionChain, TemporalMode,
+from eprsim import (CalibrationError, DetectionChain, TemporalMode, beam_spectra,
                     combine_reports, combo_series, correlation_diagram, detect,
                     duan_sum, epr_record, epr_report, expected_mode_variance,
                     extract_modes, opo_spectrum, synthesize_colored, flat_psd,
@@ -188,19 +188,19 @@ def test_reordered_drawn_series_are_read_in_the_time_domain(calibrated_pair, mak
     # only a mode-space record's own (a, b) order is read from its drawn
     # coefficients; its series swapped or repeated are read from their
     # samples, which a mode-space record does not have, so the reading
-    # raises and draws no beam
+    # raises and draws nothing
     rec = make(calibrated_pair)
     assert isinstance(rec, synth._ModeRecord)
     other = reorder(rec)
     assert type(other) is TwoModeRecord
     draws = []
-    coefficients = synth._coefficients
+    exponentials = synth._exponentials
 
     def counting(*args):
         draws.append(args)
-        return coefficients(*args)
+        return exponentials(*args)
 
-    monkeypatch.setattr(synth, "_coefficients", counting)
+    monkeypatch.setattr(synth, "_exponentials", counting)
     for sign in (-1.0, +1.0):
         with pytest.raises(ValueError, match="mode space has no samples"):
             analysis._combo_variance(other, sign, MODE)
@@ -252,25 +252,34 @@ def test_mode_space_record_is_read_for_its_own_mode_only(calibrated_pair):
 def test_a_reading_of_every_mode_value_is_the_variance_of_the_inverse_fft(
         calibrated_pair, samples, width, size):
     # through the default chain, the mode-space draw's size values are all
-    # read (count == size), so each reading takes the ddof=1 variance from
-    # the combination's rfft coefficients C by Parseval; it matches that
-    # of irfft(C, size) for even size (Nyquist counted once) and odd size.
-    # The X record's diff-x is input beam 2 alone, P's sum-p beam 1 alone
-    mode, fs = TemporalMode.square(width), 50e6
+    # read (count == size), so each reading is the ddof=1 variance by
+    # Parseval from the combination's per-bin power alone; it matches
+    # np.var of the draw's values and Parseval's sum over their rfft
+    # coefficients C, (2 sum_{k>=1} |C_k|^2 - [size even] |C_{size/2}|^2)
+    # / (size (size - 1)), for even size (Nyquist counted once) and odd
+    # size. The X record's diff-x is drawn with input beam 2's power, P's
+    # sum-p with beam 1's, the vacuum's combinations with the flat power
+    mode, fs, chain = TemporalMode.square(width), 50e6, DetectionChain()
     seqs = synth._children(41, 3)
     x_rec, p_rec = (epr_record(*calibrated_pair, samples / fs, fs, setting, seq,
-                               chain=DetectionChain(), mode=mode)
+                               chain=chain, mode=mode)
                     for setting, seq in zip("XP", seqs))
-    vac = vacuum_record(samples / fs, fs, seqs[2], chain=DetectionChain(), mode=mode)
-    b1, b2 = (vac.draw.beam(k) / math.sqrt(2.0) for k in (0, 1))
-    for rec, sign, spec in ((x_rec, -1.0, x_rec.draw.beam(1)),
-                            (p_rec, +1.0, p_rec.draw.beam(0)),
-                            (vac, -1.0, b1 - b2), (vac, +1.0, b1 + b2)):
-        assert (rec.draw.size, rec.draw.count) == (size, size)
-        assert np.allclose(rec.draw.combination(sign), spec, rtol=1e-15, atol=1e-15)
-        expected = np.var(np.fft.irfft(rec.draw.combination(sign), size), ddof=1)
-        assert analysis._combo_variance(rec, sign, mode) == pytest.approx(
-            expected, rel=1e-13, abs=0.0)
+    vac = vacuum_record(samples / fs, fs, seqs[2], chain=chain, mode=mode)
+    n, _, hop, _ = synth.layout(samples / fs, fs, chain, mode)
+    diff_x, sum_p, flat = (synth._amplitude(psd, chain, n, fs, mode, hop)
+                           for psd in (beam_spectra(*calibrated_pair, "X")[1],
+                                       beam_spectra(*calibrated_pair, "P")[0], flat_psd()))
+    for rec, sign, w in ((x_rec, -1.0, diff_x), (p_rec, +1.0, sum_p),
+                         (vac, -1.0, flat), (vac, +1.0, flat)):
+        draw = rec.draw
+        assert (draw.size, draw.count) == (size, size)
+        assert draw._powers[0 if sign > 0 else 1] is w
+        values = draw.values(sign)
+        read = analysis._combo_variance(rec, sign, mode)
+        assert read == pytest.approx(np.var(values, ddof=1), rel=1e-13, abs=0.0)
+        c = np.fft.rfft(values)
+        parseval = 2.0 * np.sum(np.abs(c[1:]) ** 2) - (size % 2 == 0) * abs(c[-1]) ** 2
+        assert read == pytest.approx(parseval / (size * (size - 1)), rel=1e-12, abs=0.0)
 
 
 def test_mode_value_spectrum_validation():

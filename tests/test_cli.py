@@ -297,7 +297,7 @@ def test_only_repetition_0_draws_blocks_where_mode_space_is_possible(case, tmp_p
     # where the chain is linear and the mode's spacing divides the block,
     # repetition 0 draws six block beams and takes six full-block inverse
     # FFTs, for its report and its files, and every later repetition draws
-    # four beams of size//2 + 1 mode-value coefficients. A later
+    # the per-bin powers of four combinations of size mode values. A later
     # repetition whose readings take all size values inverts none of them
     # (analysis reads the variance by Parseval); one whose record is
     # trimmed (m < size) inverts each of its four combinations once, at
@@ -309,13 +309,19 @@ def test_only_repetition_0_draws_blocks_where_mode_space_is_possible(case, tmp_p
     cfg = load_config(path)
     block = block_length(cfg.duration, cfg.fs)
     draws, coefficients = [], synth._coefficients
+    mode_draws, exponentials = [], synth._exponentials
 
     def counting_draws(amp, n, rng):
         draws.append(n)
         return coefficients(amp, n, rng)
 
+    def counting_mode_draws(size, rng):
+        mode_draws.append(size)
+        return exponentials(size, rng)
+
     calls = _counting_irffts(monkeypatch)
     monkeypatch.setattr(synth, "_coefficients", counting_draws)
+    monkeypatch.setattr(synth, "_exponentials", counting_mode_draws)
     assert main(["run", "--config", str(path), "--reps", "5",
                  "--out", str(tmp_path / "run")]) == 0
     assert [n for n, on_caller in calls if on_caller] == [block]
@@ -323,10 +329,12 @@ def test_only_repetition_0_draws_blocks_where_mode_space_is_possible(case, tmp_p
     if case in MODE_SPACE:
         size, m = _mode_space_size(cfg)
         assert (m < size) == (case == "trimmed_block")
-        assert sorted(draws) == sorted([block] * 6 + [size] * 4 * 4)
+        assert draws == [block] * 6
+        assert mode_draws == [size] * 4 * 4
         assert sorted(workers) == sorted([block] * 6 + [size] * 4 * 4 * (m < size))
     else:
         assert draws == [block] * 6 * 5
+        assert mode_draws == []
         assert workers == [block] * 6 * 5
 
 
@@ -478,21 +486,27 @@ def test_worker_count_is_bounded_by_cores_and_reps(monkeypatch):
 def test_repetitions_draw_four_beams_from_their_own_streams(fast_cfg, monkeypatch):
     # a repetition with files draws all six beams of its records as blocks
     # from the streams (..., 0) and (..., 1); any other repetition draws
-    # the four beams its report reads (X's beam 2, P's beam 1 and both
-    # vacuum beams) in mode space, from (..., 2) and (..., 3)
+    # the four combinations its report reads in mode space, the sums from
+    # (..., 2) and the differences from (..., 3): X's difference, P's sum
+    # and both vacuum combinations
     cfg = load_config(fast_cfg)
 
     def seq():  # _one_repetition builds its streams from the key of the sequence it is given
         return np.random.SeedSequence(cfg.seed, spawn_key=(0, 0))
 
     keys = []
-    coefficients = synth._coefficients
+    coefficients, exponentials = synth._coefficients, synth._exponentials
 
     def counting(amp, n, rng):
         keys.append((n, rng.bit_generator.seed_seq.spawn_key[-2:]))
         return coefficients(amp, n, rng)
 
+    def counting_mode(size, rng):
+        keys.append((size, rng.bit_generator.seed_seq.spawn_key[-2:]))
+        return exponentials(size, rng)
+
     monkeypatch.setattr(synth, "_coefficients", counting)
+    monkeypatch.setattr(synth, "_exponentials", counting_mode)
     block, m = 10_000, 1_000
     report, files = cli._one_repetition(cfg, seq(), files=True)
     assert len(files[0]) == 6
@@ -1107,14 +1121,16 @@ def test_sweep_T_up_to_record_length(tmp_path):
     assert len(duans) == 3 and all(0.0 < d < 1.0 for d in duans)
 
 
-def test_optimize_square(fast_cfg, tmp_path):
+def test_optimize_square(fast_cfg, tmp_path, capsys):
     out = tmp_path / "opt"
     assert main(["optimize", "--config", str(fast_cfg), "--family", "square",
                  "--budget", "60", "--out", str(out)]) == 0
+    assert "evaluations, at_bound true)" in capsys.readouterr().out.splitlines()[0]
     meta, header, rows = _read_csv(out / "optimize.csv")
     assert header == ["duration", "duan"]
     assert meta["family"] == "square"
     assert meta["converged"] == "true"
+    assert meta["at_bound"] == "true"  # Duan falls with T up to the 2 us bound
     assert "oracle" not in meta
     best_duan = float(meta["best_duan"])
     assert best_duan == min(float(r[1]) for r in rows)

@@ -278,3 +278,18 @@ def test_mode_duan_is_the_duan_sum_of_filtered_variances(calibrated_spectra):
         assert mode_duan(spectra, mode) == expected
     assert duan_sum(_quadrature_variance(dx, mode), _quadrature_variance(sp, mode)) == (
         pytest.approx(mode_duan(calibrated_spectra, mode), rel=1e-9))
+
+
+def test_at_bound_flags_a_best_point_on_a_family_bound(calibrated_spectra, monkeypatch):
+    # Duan falls with the support in every family, so each search ends on
+    # the upper support bound; an objective with an interior minimum ends
+    # inside the bounds, and the flag is clear
+    for family in (SQUARE_FAMILY, ModeFamily("double_exp", dict(EXP_BOUNDS))):
+        result = optimize(calibrated_spectra, family)
+        assert result.converged and result.at_bound
+        assert result.best_mode.duration == pytest.approx(2e-6, rel=1e-3)
+    monkeypatch.setattr(modeopt, "mode_duans",
+                        lambda spectra, ms: [math.log(m.duration / 3e-7) ** 2 for m in ms])
+    result = optimize(calibrated_spectra, SQUARE_FAMILY)
+    assert result.converged and not result.at_bound
+    assert result.best_mode.duration == pytest.approx(3e-7, rel=1e-3)

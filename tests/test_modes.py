@@ -250,6 +250,27 @@ def test_discretize_square_weights_equal():
     assert np.allclose(w, 1.0 / np.sqrt(10.0), rtol=1e-15)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_discretize_norm_is_exact_for_tiny_weights():
+    # the norm is taken over a power-of-two scaling: weights whose squares
+    # are subnormal are unit-norm too, common modes keep the bits of the
+    # unscaled norm, and the accepted rates are unchanged (rejected exactly
+    # when the unscaled sum of squares is 0)
+    w = TemporalMode.double_exp(rate=3.8e10, support=2e-6).discretize(50e6)
+    assert np.sum(w * w) == pytest.approx(1.0, rel=0.0, abs=1e-15)
+    hann = [math.sin(math.pi * (j + 0.5) / 100) ** 2 for j in range(100)]
+    for mode, fs in ((TemporalMode.square(0.2e-6), 50e6),
+                     (TemporalMode.tabulated(hann, 2e-6), 50e6),
+                     (TemporalMode.double_exp(rate=1e7, support=1e-6), 50e6)):
+        n = mode.n_samples(fs)
+        raw = (np.asarray(mode.samples) if mode.kind == "tabulated"
+               else mode.amplitude((np.arange(n) + 0.5) / fs))
+        assert np.array_equal(mode.discretize(fs), raw / np.sqrt(np.sum(raw * raw)))
+    for rate in (4e10, 5e10):
+        with pytest.raises(ValueError, match="zero weights"):
+            TemporalMode.double_exp(rate=rate, support=2e-6).discretize(50e6)
+
+
 def test_tabulated_matching_length_passthrough():
     raw = np.array([1.0, 3.0, 2.0, 1.0])
     mode = TemporalMode.tabulated(raw, 4.0 / 50e6)

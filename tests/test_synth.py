@@ -417,65 +417,82 @@ def test_epr_record_is_the_same_whichever_opo_is_listed_first(calibrated_pair, c
 
 
 def _counting_draws(monkeypatch):
-    """The amplitude of every beam synth draws from now on, in order."""
+    """(size, last spawn key) of every mode-space combination synth draws
+    from now on, in order."""
     calls = []
-    coefficients = synth._coefficients
+    exponentials = synth._exponentials
 
-    def counting(amp, n, rng):
-        calls.append(amp)
-        return coefficients(amp, n, rng)
+    def counting(size, rng):
+        calls.append((size, rng.bit_generator.seed_seq.spawn_key[-1]))
+        return exponentials(size, rng)
 
-    monkeypatch.setattr(synth, "_coefficients", counting)
+    monkeypatch.setattr(synth, "_exponentials", counting)
     return calls
 
 
-def test_drawn_record_is_built_once_from_any_thread(calibrated_pair, monkeypatch):
-    # a mode-space record's beams are drawn on first use; threads that
-    # read its combinations at once share one draw of each beam
+def test_drawn_record_reads_the_same_from_any_thread(calibrated_pair, monkeypatch):
+    # a mode-space record holds no drawn state: threads that read its
+    # combinations at once, the power read and the trimmed values alike,
+    # each draw their combination's own stream once and get exactly the
+    # reading of one thread alone
     mode = TemporalMode.square(2e-7)
-    draw = epr_record(*calibrated_pair, 2e-4, 50e6, "X", 5, chain=DetectionChain(),
-                      mode=mode).draw
+    draw = epr_record(*calibrated_pair, 20_001 / 50e6, 50e6, "X", 5,
+                      chain=DetectionChain(), mode=mode).draw
+    assert draw.count < draw.size
+    reads = [(draw.variance, 1.0), (draw.variance, -1.0), (draw.values, 1.0),
+             (draw.values, -1.0)] * 4
+    alone = [fn(sign) for fn, sign in reads[:4]] * 4
     draws = _counting_draws(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(draw.combination, sign) for sign in (1.0, -1.0) * 8]
-            combos = [f.result(timeout=60) for f in futures]
+            futures = [pool.submit(fn, sign) for fn, sign in reads]
+            got = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert len(draws) == 2 and draws[0] is not draws[1]
-    assert all(c is draw.beam(0) for c in combos[0::2])
-    assert all(c is draw.beam(1) for c in combos[1::2])
+    assert sorted(draws) == sorted([(draw.size, 2), (draw.size, 3)] * 8)
+    for value, want in zip(got, alone):
+        assert np.array_equal(value, want)
 
 
 def test_beams_are_drawn_on_first_use(calibrated_pair, monkeypatch):
-    # a mode-space combination draws only the beams it weighs: x_A - x_B
-    # is beam 2, p_A + p_B beam 1, a vacuum combination both
+    # a mode-space record draws nothing until a combination is read, and a
+    # reading draws that combination alone from its own stream: the sum
+    # from (..., 2), the difference from (..., 3). x_A - x_B has input beam
+    # 2's power, p_A + p_B beam 1's, and the vacuum's two combinations the
+    # flat power each
     opo1, opo2 = calibrated_pair
     mode = TemporalMode.square(2e-7)
     n, _, hop, _ = layout(4e-5, 50e6, None, mode)
+    size = n // hop
     draws = _counting_draws(monkeypatch)
-    for setting, sign, beam in (("X", -1.0, "squeezed"), ("P", +1.0, "squeezed")):
+    for setting, sign in (("X", -1.0), ("P", +1.0)):
         draw = epr_record(opo1, opo2, 4e-5, 50e6, setting, 3, mode=mode).draw
         assert draws == []
-        draw.combination(sign)
+        draw.variance(sign)
+        key = 2 if sign > 0 else 3
+        assert draws == [(size, key)]
         opo = opo2 if setting == "X" else opo1
-        assert draws == [_amplitude(opo_spectrum(opo, beam), None, n, 50e6, mode, hop)]
-        draw.combination(-sign)
-        assert len(draws) == 2
+        assert draw._powers[key - 2] is _amplitude(opo_spectrum(opo, "squeezed"), None, n,
+                                                   50e6, mode, hop)
+        draw.variance(-sign)
+        assert draws == [(size, key), (size, 5 - key)]
         draws.clear()
     draw = vacuum_record(4e-5, 50e6, 3, mode=mode).draw
-    draw.combination(-1.0)
-    assert len(draws) == 2
+    assert draws == []
+    draw.variance(-1.0)
+    assert draws == [(size, 3)]
+    flat = _amplitude(flat_psd(), None, n, 50e6, mode, hop)
+    assert all(w is flat for w in draw._powers)
 
 
 @pytest.mark.parametrize("chain", [None, DetectionChain()], ids=("no_chain", "chain"))
 def test_record_is_the_same_whatever_is_read_first(calibrated_pair, chain):
-    # a mode-space record's beams are the same whichever combination or
-    # beam draws them first; a full record is built when it is drawn, as
-    # plain series; and the same sequence object seeds equal records (a
-    # record does not advance it)
+    # a mode-space record's readings are the same whichever combination or
+    # reading comes first, and reading one twice gives it twice; a full
+    # record is built when it is drawn, as plain series; and the same
+    # sequence object seeds equal records (a record does not advance it)
     seq = np.random.SeedSequence(9, spawn_key=(0, 2))
     mode = TemporalMode.square(2e-7)
     makers = (lambda m: epr_record(*calibrated_pair, 4e-5, 50e6, "X", seq, chain=chain, mode=m),
@@ -483,11 +500,11 @@ def test_record_is_the_same_whatever_is_read_first(calibrated_pair, chain):
               lambda m: vacuum_record(4e-5, 50e6, seq, chain=chain, mode=m))
     for make in makers:
         first, second = make(mode).draw, make(mode).draw
-        for sign in (1.0, -1.0):
-            first.combination(sign)
-        second.beam(1)  # beam 2 before beam 1
-        for k in (0, 1):
-            assert np.array_equal(first.beam(k), second.beam(k))
+        read_first = [(first.variance(s), first.values(s)) for s in (1.0, -1.0)]
+        read_second = [(second.values(s), second.variance(s)) for s in (-1.0, 1.0)]
+        for (var, vals), (vals2, var2) in zip(read_first, read_second[::-1]):
+            assert var == var2 and np.array_equal(vals, vals2)
+        assert first.variance(1.0) == read_first[0][0]
         full, again = make(None), make(None)
         for s1, s2 in ((full.a, again.a), (full.b, again.b)):
             assert type(s1) is TimeSeries and set(vars(s1)) == {"sample_rate", "samples",
@@ -552,9 +569,13 @@ def test_amplitude_cache_hits_on_every_repetition(calibrated_pair):
 def test_mode_space_draws_beams_2_and_3_of_the_mode_values(calibrated_pair, fs, duration,
                                                            chain, width, m):
     # with a mode, a record whose chain is linear and whose windows'
-    # spacing divides the block draws beam k's m//2 + 1 mode-value
-    # coefficients from sqrt(m/2 * S_q) and the child (*spawn_key, 2 + k),
-    # and has no samples; otherwise it is the full draw
+    # spacing divides the block draws each combination's m mode values
+    # from the power w = m/2 * S_q of its input beam (the sum beam 1's,
+    # the difference beam 2's; the vacuum's both flat) and the child
+    # (*spawn_key, 2) for the sum, (*spawn_key, 3) for the difference: a
+    # standard exponential per interior bin, a normal for Nyquist, then a
+    # normal for DC and the interior phases. It has no samples; otherwise
+    # it is the full draw
     mode = TemporalMode.square(width)
     seq = np.random.SeedSequence(17, spawn_key=(4,))
     n, _, hop, _ = layout(duration, fs, chain, mode)
@@ -570,10 +591,21 @@ def test_mode_space_draws_beams_2_and_3_of_the_mode_values(calibrated_pair, fs, 
             continue
         draw = rec.draw
         assert type(rec) is synth._ModeRecord and (draw.mode, draw.size) == (mode, m)
-        for k, psd in enumerate(psds):
-            amp = _amplitude(psd, chain, n, fs, mode, hop)
-            assert amp.size == m // 2 + 1 and not amp.flags.writeable
-            assert np.array_equal(draw.beam(k), _coefficients(amp, m, _beam_stream(seq, 2 + k)))
+        for k, (psd, sign) in enumerate(zip(psds, (1.0, -1.0))):
+            w = _amplitude(psd, chain, n, fs, mode, hop)
+            assert w.size == m // 2 + 1 and not w.flags.writeable
+            rng = _beam_stream(seq, 2 + k)
+            e = rng.standard_exponential((m - 1) // 2)
+            z = rng.standard_normal()  # every size here is even
+            interior = slice(1, 1 + e.size)
+            read = (4.0 * np.dot(w[interior], e) + 2.0 * w[-1] * z * z) / (m * (m - 1))
+            assert draw.variance(sign) == read
+            spec = np.empty(w.size, complex)
+            spec[0] = math.sqrt(2.0 * w[0]) * rng.standard_normal()
+            spec[interior] = (np.sqrt(2.0 * w[interior] * e)
+                              * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, e.size)))
+            spec[-1] = math.sqrt(2.0 * w[-1]) * z
+            assert np.array_equal(draw.values(sign), np.fft.irfft(spec, m))
         with pytest.raises(ValueError, match="mode space has no samples"):
             rec.a.samples
         # the samples chain.digitize keeps: every stride-th, from the first
@@ -610,7 +642,8 @@ def test_one_layout_for_every_reader(fs, duration, chain, mode, block, size, m):
     if size is not None:
         assert (n // hop, rec.draw.size, rec.draw.count) == (size, size, m)
         values = rec.draw.values(-1.0)
-        assert np.array_equal(values, np.fft.irfft(rec.draw.combination(-1.0), size)[:m])
+        every = synth._ModeDraw(rec.draw._powers, size, size, 5, mode).values(-1.0)
+        assert every.size == size and np.array_equal(values, every[:m])
     else:
         values = extract_modes(analysis.combo_series(rec, -1.0), mode).values
     assert values.size == m
@@ -624,6 +657,65 @@ def test_one_layout_for_every_reader(fs, duration, chain, mode, block, size, m):
     mean, sd = sample_variance_law(None, None, fs, mode, duration)
     assert mean == pytest.approx(1.0, rel=1e-12, abs=0.0)
     assert sd == pytest.approx(math.sqrt(2.0 / (m_white - 1)), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("size", [2, 3, 1_000, 1_001, 10_000])
+def test_power_read_is_the_variance_of_the_values(size):
+    # where a reading takes every value, the power read (one dot product
+    # of w with the drawn exponentials) and np.var of the values built by
+    # continuing the same generator agree to rounding, for even and odd size
+    rng = np.random.default_rng(size)
+    w = rng.uniform(0.1, 2.0, size // 2 + 1)
+    mode = TemporalMode.square(2e-7)
+    for seed in range(3):
+        draw = synth._ModeDraw((w, 2.0 * w), size, size, seed, mode)
+        for sign in (1.0, -1.0):
+            values = draw.values(sign)
+            assert values.size == size
+            assert draw.variance(sign) == pytest.approx(np.var(values, ddof=1), rel=1e-13,
+                                                        abs=0.0)
+
+
+@pytest.mark.parametrize("size", [11, 12], ids=("odd", "even"))
+def test_mode_space_coefficients_are_complex_gaussian(size):
+    # over 20,000 draws, each interior rfft coefficient of the values has
+    # real and imaginary parts of mean 0, variance w_k and no correlation,
+    # and DC and (even size) Nyquist are real with variance 2 w_k, all
+    # within 5 standard errors
+    draws = 20_000
+    w = np.linspace(0.5, 1.5, size // 2 + 1)
+    mode = TemporalMode.square(2e-7)
+    spec = np.array([np.fft.rfft(synth._ModeDraw((w, w), size, size, seed, mode).values(1.0))
+                     for seed in range(draws)])
+    interior = slice(1, (size + 1) // 2)
+    wk = w[interior]
+    for part in (spec[:, interior].real, spec[:, interior].imag):
+        assert np.all(np.abs(part.mean(axis=0)) < 5.0 * np.sqrt(wk / draws))
+        assert np.all(np.abs(part.var(axis=0) - wk) < 5.0 * wk * math.sqrt(2.0 / draws))
+    cross = (spec[:, interior].real * spec[:, interior].imag).mean(axis=0)
+    assert np.all(np.abs(cross) < 5.0 * wk / math.sqrt(draws))
+    real = [0] + ([size // 2] if size % 2 == 0 else [])
+    assert np.all(np.abs(spec[:, real].imag) < 1e-12)
+    assert np.all(np.abs(spec[:, real].real.var(axis=0) - 2.0 * w[real])
+                  < 5.0 * 2.0 * w[real] * math.sqrt(2.0 / draws))
+
+
+def test_mode_space_vacuum_readings_have_the_exact_law():
+    # 1,000 vacuum records drawn in mode space through paper.cfg's chain,
+    # both combinations read: the 2,000 readings' mean and spread sit
+    # within 5 standard errors of sample_variance_law's
+    cfg, reps = _PAPER, 1_000
+    mean, sd = sample_variance_law(None, cfg.chain, cfg.fs, cfg.mode, cfg.duration)
+    readings = []
+    for i in range(reps):
+        rec = vacuum_record(cfg.duration, cfg.fs, np.random.SeedSequence(31, spawn_key=(i,)),
+                            chain=cfg.chain, mode=cfg.mode)
+        assert isinstance(rec, synth._ModeRecord) and rec.draw.count == rec.draw.size
+        readings += [analysis._combo_variance(rec, sign, cfg.mode) for sign in (1.0, -1.0)]
+    readings = np.array(readings)
+    count = readings.size
+    assert abs(readings.mean() - mean) < 5.0 * sd / math.sqrt(count)
+    assert abs(readings.std(ddof=1) - sd) < 5.0 * sd / math.sqrt(2.0 * (count - 1))
 
 
 def _autocorrelation(values, lag):
